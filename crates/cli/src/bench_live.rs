@@ -124,7 +124,8 @@ pub fn run(args: &Args) {
         .collect();
 
     // Dial + spawn all clients from a few threads; each client's
-    // receive loop parks on a 1 s tick, so idle clients cost no CPU.
+    // receive loop blocks on its event stream, so idle clients cost no
+    // CPU.
     let connect_t0 = Instant::now();
     let dial_threads = 8u32;
     let clients: Vec<CacheClient> = std::thread::scope(|scope| {
@@ -143,8 +144,7 @@ pub fn run(args: &Args) {
                         eprintln!("client {id} cannot connect: {e}");
                         exit(1)
                     }
-                    let mut cfg = ClientConfig::new(ClientId(id + 1), ServerId(0));
-                    cfg.link_tick = Duration::from_secs(1);
+                    let cfg = ClientConfig::new(ClientId(id + 1), ServerId(0));
                     mine.push((id, CacheClient::spawn(cfg, node, WallClock::new())));
                     id += dial_threads;
                 }

@@ -78,7 +78,8 @@ use std::sync::Arc;
 use std::time::Duration as StdDuration;
 use vl_client::{CacheClient, ClientConfig};
 use vl_net::chaos::{ChaosNet, ChaosProfile};
-use vl_net::tcp::TcpNode;
+use vl_net::poll::{PollConfig, PollNode, Reactor};
+use vl_net::shard::ShardedNode;
 use vl_net::{Channel, InMemoryNetwork, NodeId};
 use vl_server::{LeaseServer, ServerConfig, WallClock, WriteMode};
 use vl_types::{ClientId, ObjectId, ServerId, ShardMap, VolumeId};
@@ -494,13 +495,13 @@ fn rebalance_cmd(args: &Args) {
     // The coordinator identifies itself as a server outside the fleet's
     // id range so replies route back over these connections.
     let coord = NodeId::Server(ServerId(args.parsed("--coordinator-id", 1000u32)));
-    let dial = |id: ServerId| {
-        TcpNode::dial(coord, addr_of(id)).unwrap_or_else(|e| {
+    let connect = |id: ServerId| {
+        dial(coord, addr_of(id)).unwrap_or_else(|e| {
             eprintln!("cannot connect to server {id}: {e}");
             exit(1)
         })
     };
-    let (loser, gainer) = (dial(from), dial(to));
+    let (loser, gainer) = (connect(from), connect(to));
     let timeout = StdDuration::from_millis(args.parsed("--timeout-ms", 5_000u64));
     match vl_server::rebalance(&loser, from, &gainer, to, volume, timeout) {
         Ok(out) => println!(
@@ -513,6 +514,13 @@ fn rebalance_cmd(args: &Args) {
             exit(1)
         }
     }
+}
+
+/// A node on a reactor of its own, connected to `addr`.
+fn dial(id: NodeId, addr: std::net::SocketAddr) -> std::io::Result<PollNode> {
+    let node = Reactor::spawn(PollConfig::default())?.node(id);
+    node.dial(addr)?;
+    Ok(node)
 }
 
 fn serve(args: &Args) {
@@ -536,46 +544,25 @@ fn serve(args: &Args) {
             .then(|| StdDuration::from_millis(args.parsed("--skew-bound-ms", 1_000u64))),
         ..ServerConfig::new(server_id)
     };
-    let mut tcp_cfg = vl_net::tcp::TcpConfig::default();
+    let mut poll_cfg = PollConfig::default();
     if let Some(ms) = args.value("--idle-ms") {
         let ms: u64 = ms.parse().unwrap_or_else(|_| {
             eprintln!("--idle-ms must be an integer (0 disables the idle deadline)");
             exit(2)
         });
-        tcp_cfg.idle_deadline = (ms > 0).then(|| StdDuration::from_millis(ms));
+        poll_cfg.idle_deadline = (ms > 0).then(|| StdDuration::from_millis(ms));
     }
-    tcp_cfg.queue_cap = args.parsed("--queue-cap", tcp_cfg.queue_cap);
+    poll_cfg.queue_cap = args.parsed("--queue-cap", poll_cfg.queue_cap);
+    // The fd set is sharded across N epoll loops via SO_REUSEPORT
+    // (DESIGN.md §12); one shard is simply a plain node.
     let reactors: usize = args.parsed("--reactors", 1usize).max(1);
-    // One reactor keeps the proven single-loop compat path; more shard
-    // the fd set across N epoll loops via SO_REUSEPORT (DESIGN.md §12).
-    let (node, bound): (Arc<dyn Channel>, std::net::SocketAddr) = if reactors > 1 {
-        match vl_net::shard::ShardedNode::listen(
-            NodeId::Server(server_id),
-            addr,
-            reactors,
-            tcp_cfg.to_poll(),
-        ) {
-            Ok(n) => {
-                let b = n.local_addr();
-                (Arc::new(n), b)
-            }
-            Err(e) => {
-                eprintln!("cannot listen on {addr} with {reactors} reactors: {e}");
-                exit(1)
-            }
-        }
-    } else {
-        match TcpNode::listen_with(NodeId::Server(server_id), addr, tcp_cfg) {
-            Ok(n) => {
-                let b = n.local_addr().expect("listening");
-                (Arc::new(n), b)
-            }
-            Err(e) => {
-                eprintln!("cannot listen on {addr}: {e}");
-                exit(1)
-            }
-        }
-    };
+    let node = ShardedNode::listen(NodeId::Server(server_id), addr, reactors, poll_cfg)
+        .unwrap_or_else(|e| {
+            eprintln!("cannot listen on {addr} with {reactors} reactor(s): {e}");
+            exit(1)
+        });
+    let bound = node.local_addr();
+    let node: Arc<dyn Channel> = Arc::new(node);
     // With `--addr 127.0.0.1:0` the kernel picks the port; a parent
     // process (the live benchmark, scripts) learns it from this file.
     if let Some(path) = args.value("--port-file") {
@@ -677,7 +664,7 @@ fn get(args: &Args) {
         eprintln!("bad --addr: {e}");
         exit(2)
     });
-    let node = match TcpNode::dial(NodeId::Client(client_id), addr) {
+    let node = match dial(NodeId::Client(client_id), addr) {
         Ok(n) => n,
         Err(e) => {
             eprintln!("cannot connect: {e}");

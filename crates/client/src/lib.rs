@@ -6,9 +6,10 @@
 //! acks, and run the client half of the reconnection protocol — lives in
 //! the pure state machine [`vl_core::machine::ClientMachine`].
 //! [`CacheClient`] is the thin live driver around it: it owns the
-//! network endpoint, a receive thread, and a condition variable, feeds
-//! wire messages and read requests into the machine, and executes the
-//! actions it returns.
+//! network endpoint, one receive thread blocked on the endpoint's event
+//! stream (no tick), and a condition variable, feeds wire messages,
+//! link-state changes and read requests into the machine, and executes
+//! the actions it returns.
 //!
 //! If the server cannot be reached, [`CacheClient::read`] fails with
 //! [`ReadError::Unavailable`] rather than returning possibly-stale data —
@@ -73,7 +74,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 use vl_core::machine::{events, ClientAction, ClientInput, ClientMachine, ClientMachineConfig};
 use vl_metrics::{Event, EventKind, TraceSink};
-use vl_net::{Channel, NetError, NodeId};
+use vl_net::{Channel, NetEvent, NodeId};
 use vl_proto::{codec, ClientMsg};
 use vl_types::{ClientId, Clock, ObjectId, ServerId, Version, VolumeId};
 
@@ -94,13 +95,6 @@ pub struct ClientConfig {
     /// Resend attempts before a read fails with
     /// [`ReadError::Unavailable`].
     pub max_retries: usize,
-    /// Receive-loop granularity: the longest the background thread
-    /// blocks in one receive before re-checking connection state and
-    /// shutdown. Purely a responsiveness/CPU trade-off — protocol
-    /// correctness does not depend on it. Benchmarks running thousands
-    /// of clients should raise it (e.g. to a second) so idle clients
-    /// stay parked.
-    pub link_tick: StdDuration,
     /// Run the self-invalidation protocol: no volume lease is needed,
     /// a cached copy is readable until its drop-deadline on this
     /// client's clock, and no invalidations ever arrive. Must match the
@@ -110,7 +104,7 @@ pub struct ClientConfig {
 
 impl ClientConfig {
     /// Defaults: volume = server id, 300 ms request timeout, 3
-    /// retries, 20 ms link tick.
+    /// retries.
     pub fn new(client: ClientId, server: ServerId) -> ClientConfig {
         ClientConfig {
             client,
@@ -118,7 +112,6 @@ impl ClientConfig {
             volume: VolumeId(server.raw()),
             request_timeout: StdDuration::from_millis(300),
             max_retries: 3,
-            link_tick: StdDuration::from_millis(20),
             self_inval: false,
         }
     }
@@ -384,12 +377,19 @@ impl CacheClient {
 
     /// Stops the receive loop and drops the endpoint.
     pub fn shutdown(mut self) {
-        self.running.store(false, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.stop();
         if let Some(sink) = &self.sink {
             sink.lock().flush();
+        }
+    }
+
+    /// Lowers `running`, wakes the receive loop out of its blocking
+    /// receive so it notices, and joins it.
+    fn stop(&mut self) {
+        self.running.store(false, Ordering::SeqCst);
+        self.endpoint.wake();
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
         }
     }
 
@@ -402,10 +402,7 @@ impl CacheClient {
 
 impl Drop for CacheClient {
     fn drop(&mut self) {
-        self.running.store(false, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.stop();
     }
 }
 
@@ -425,40 +422,45 @@ fn receive_loop(
     // event's duration.
     let mut degraded_at: Option<Instant> = None;
     while running.load(Ordering::SeqCst) {
-        // Mirror transport connection state into protocol state. Losing
-        // the link makes us Degraded (cached reads under valid leases
-        // stay legal; renewals will stall); regaining it triggers the
-        // reconnection probe — the server answers MUST_RENEW_ALL if it
-        // bumped its epoch or demoted us while we were away.
-        if endpoint.take_disconnected().contains(&server) && !degraded.swap(true, Ordering::SeqCst)
-        {
-            degraded_at = Some(Instant::now());
-            if let Some(sink) = sink {
-                sink.lock().record(&Event::new(
-                    clock.now(),
-                    EventKind::Degraded,
-                    cfg.server,
-                    cfg.client,
-                ));
-            }
-        }
-        if endpoint.take_connected().contains(&server) {
-            let probes = {
-                let mut m = lock.lock();
-                m.handle(clock.now(), ClientInput::Reconnected)
-            };
-            for action in probes {
-                if let ClientAction::Send(msg) = action {
-                    let _ = endpoint.send(server, codec::encode_client(&msg));
-                }
-            }
-        }
-        let (msg, wire_bytes) = match endpoint.recv_timeout(cfg.link_tick) {
-            Ok((_, bytes)) => match codec::decode_server(&bytes) {
+        // Link state arrives on the same stream as the frames and is
+        // mirrored into protocol state. Losing the link makes us
+        // Degraded (cached reads under valid leases stay legal;
+        // renewals will stall); regaining it triggers the reconnection
+        // probe — the server answers MUST_RENEW_ALL if it bumped its
+        // epoch or demoted us while we were away.
+        let (msg, wire_bytes) = match endpoint.recv_event(None) {
+            Ok(NetEvent::Frame { bytes, .. }) => match codec::decode_server(&bytes) {
                 Ok(m) => (m, bytes.len() as u64),
                 Err(_) => continue, // corrupt frame
             },
-            Err(NetError::Timeout) => continue,
+            Ok(NetEvent::Down(peer)) if peer == server => {
+                if !degraded.swap(true, Ordering::SeqCst) {
+                    degraded_at = Some(Instant::now());
+                    if let Some(sink) = sink {
+                        sink.lock().record(&Event::new(
+                            clock.now(),
+                            EventKind::Degraded,
+                            cfg.server,
+                            cfg.client,
+                        ));
+                    }
+                }
+                continue;
+            }
+            Ok(NetEvent::Up(peer)) if peer == server => {
+                let probes = {
+                    let mut m = lock.lock();
+                    m.handle(clock.now(), ClientInput::Reconnected)
+                };
+                for action in probes {
+                    if let ClientAction::Send(msg) = action {
+                        let _ = endpoint.send(server, codec::encode_client(&msg));
+                    }
+                }
+                continue;
+            }
+            // Another peer's link, or a wake: re-check `running`.
+            Ok(_) => continue,
             Err(_) => return,
         };
         // A decoded server message is proof the link works again: close

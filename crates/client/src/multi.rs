@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
-use vl_net::{Channel, NetError, NodeId};
+use vl_net::{Channel, NetEvent, NodeId};
 use vl_proto::{codec, ClientMsg, ServerMsg};
 use vl_types::{
     ClientId, Clock, Epoch, ObjectId, ServerId, ShardMap, Timestamp, Version, VolumeId,
@@ -335,18 +335,16 @@ impl MultiCache {
         v
     }
 
-    /// Stops the receive loop.
-    pub fn shutdown(mut self) {
-        self.running.store(false, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
+    /// Stops the receive loop — what dropping the cache does.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for MultiCache {
+    /// Lowers `running`, wakes the receive loop out of its blocking
+    /// receive so it notices, and joins it.
     fn drop(&mut self) {
         self.running.store(false, Ordering::SeqCst);
+        self.endpoint.wake();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -360,40 +358,41 @@ fn receive_loop(
 ) {
     let (lock, cv) = state;
     while running.load(Ordering::SeqCst) {
-        // Per-server supervision: a lost connection degrades only that
-        // origin's volumes; a regained one probes each of its volumes
-        // with a renewal carrying our last-seen epoch, so a restarted
-        // server forces its reconnection handshake.
-        for node in endpoint.take_disconnected() {
-            if let NodeId::Server(s) = node {
-                lock.lock().down.insert(s);
-            }
-        }
-        for node in endpoint.take_connected() {
-            let NodeId::Server(s) = node else { continue };
-            let probes: Vec<(VolumeId, Epoch)> = {
-                let mut st = lock.lock();
-                st.down.remove(&s);
-                st.vols
-                    .iter()
-                    .filter(|(_, v)| v.server == s)
-                    .map(|(&vol, v)| (vol, v.epoch))
-                    .collect()
-            };
-            for (volume, epoch) in probes {
-                let _ = endpoint.send(
-                    node,
-                    codec::encode_client(&ClientMsg::ReqVolLease { volume, epoch }),
-                );
-            }
-            cv.notify_all();
-        }
-        let (from, msg) = match endpoint.recv_timeout(StdDuration::from_millis(20)) {
-            Ok((from, bytes)) => match codec::decode_server(&bytes) {
+        // Per-server supervision, off the same stream as the frames: a
+        // lost connection degrades only that origin's volumes; a
+        // regained one probes each of its volumes with a renewal
+        // carrying our last-seen epoch, so a restarted server forces
+        // its reconnection handshake.
+        let (from, msg) = match endpoint.recv_event(None) {
+            Ok(NetEvent::Frame { from, bytes }) => match codec::decode_server(&bytes) {
                 Ok(m) => (from, m),
                 Err(_) => continue,
             },
-            Err(NetError::Timeout) => continue,
+            Ok(NetEvent::Down(NodeId::Server(s))) => {
+                lock.lock().down.insert(s);
+                continue;
+            }
+            Ok(NetEvent::Up(node @ NodeId::Server(s))) => {
+                let probes: Vec<(VolumeId, Epoch)> = {
+                    let mut st = lock.lock();
+                    st.down.remove(&s);
+                    st.vols
+                        .iter()
+                        .filter(|(_, v)| v.server == s)
+                        .map(|(&vol, v)| (vol, v.epoch))
+                        .collect()
+                };
+                for (volume, epoch) in probes {
+                    let _ = endpoint.send(
+                        node,
+                        codec::encode_client(&ClientMsg::ReqVolLease { volume, epoch }),
+                    );
+                }
+                cv.notify_all();
+                continue;
+            }
+            // A client peer's link, or a wake: re-check `running`.
+            Ok(_) => continue,
             Err(_) => return,
         };
         let mut st = lock.lock();
@@ -557,7 +556,8 @@ fn receive_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
+    use crossbeam::channel::{unbounded, Receiver, Sender};
+    use vl_net::NetError;
     use vl_server::WallClock;
 
     /// An in-memory [`Channel`] that records every send and lets the
@@ -566,7 +566,7 @@ mod tests {
     struct MockNet {
         id: NodeId,
         sent: Arc<Mutex<Vec<(NodeId, Bytes)>>>,
-        inbox: Arc<Mutex<VecDeque<(NodeId, Bytes)>>>,
+        inbox: (Sender<NetEvent>, Receiver<NetEvent>),
     }
 
     impl MockNet {
@@ -574,14 +574,15 @@ mod tests {
             MockNet {
                 id,
                 sent: Arc::default(),
-                inbox: Arc::default(),
+                inbox: unbounded(),
             }
         }
 
         fn inject(&self, from: ServerId, msg: &ServerMsg) {
-            self.inbox
-                .lock()
-                .push_back((NodeId::Server(from), codec::encode_server(msg)));
+            let _ = self.inbox.0.send(NetEvent::Frame {
+                from: NodeId::Server(from),
+                bytes: codec::encode_server(msg),
+            });
         }
 
         /// Destinations of all `send`s since the last call.
@@ -600,17 +601,12 @@ mod tests {
             Ok(())
         }
 
-        fn recv_timeout(&self, timeout: StdDuration) -> Result<(NodeId, Bytes), NetError> {
-            let deadline = Instant::now() + timeout;
-            loop {
-                if let Some(m) = self.inbox.lock().pop_front() {
-                    return Ok(m);
-                }
-                if Instant::now() >= deadline {
-                    return Err(NetError::Timeout);
-                }
-                std::thread::sleep(StdDuration::from_millis(2));
-            }
+        fn recv_event(&self, _timeout: Option<StdDuration>) -> Result<NetEvent, NetError> {
+            self.inbox.1.recv().map_err(|_| NetError::Disconnected)
+        }
+
+        fn wake(&self) {
+            let _ = self.inbox.0.send(NetEvent::Woken);
         }
     }
 

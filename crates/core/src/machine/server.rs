@@ -45,6 +45,10 @@ pub struct ServerStats {
     pub handoffs_out: u64,
     /// Volumes adopted from another server.
     pub handoffs_in: u64,
+    /// `AckInvalidate`s that answered no awaited invalidation (a
+    /// duplicate, or one arriving after the lease was re-granted);
+    /// counted and ignored.
+    pub stale_acks: u64,
 }
 
 /// Everything that can happen *to* the server machine.
@@ -161,9 +165,32 @@ struct ObjState {
     data: Bytes,
     version: Version,
     leases: LeaseSet,
+    /// Clients the latest write sent an `INVALIDATE` and that have
+    /// neither acked it nor been granted a lease since. Acks carry no
+    /// version, so this is what ties an ack to the lease it answers.
+    awaiting_ack: BTreeSet<ClientId>,
     /// The volume this object belongs to; handoff moves a volume's
     /// objects as a unit.
     volume: VolumeId,
+}
+
+impl ObjState {
+    fn new(data: Bytes, version: Version, volume: VolumeId) -> ObjState {
+        ObjState {
+            data,
+            version,
+            leases: LeaseSet::new(),
+            awaiting_ack: BTreeSet::new(),
+            volume,
+        }
+    }
+
+    /// Records a lease for `client`; whatever ack it still owed
+    /// answered an older lease than this one.
+    fn grant(&mut self, client: ClientId, expire: Timestamp) {
+        self.leases.grant(client, expire);
+        self.awaiting_ack.remove(&client);
+    }
 }
 
 struct Inactive {
@@ -363,15 +390,8 @@ impl ServerMachine {
                 data,
                 version,
             } => {
-                self.objects.insert(
-                    object,
-                    ObjState {
-                        data,
-                        version,
-                        leases: LeaseSet::new(),
-                        volume: self.cfg.volume,
-                    },
-                );
+                self.objects
+                    .insert(object, ObjState::new(data, version, self.cfg.volume));
             }
             ServerInput::Write { object, data } => {
                 self.queued_writes.push_back((object, data, now));
@@ -595,7 +615,7 @@ impl ServerMachine {
                     Some(eps) => expire.saturating_add(eps),
                     None => expire,
                 };
-                obj.leases.grant(client, record);
+                obj.grant(client, record);
                 let data = (obj.version != version).then(|| obj.data.clone());
                 let reply = ServerMsg::ObjLease {
                     object,
@@ -679,7 +699,7 @@ impl ServerMachine {
                         // be trusted to track this volume's epoch.
                         Some(obj) if obj.volume == volume && obj.version == version => {
                             let expire = now.saturating_add(t);
-                            obj.leases.grant(client, expire.saturating_add(pad));
+                            obj.grant(client, expire.saturating_add(pad));
                             self.holdings.entry(client).or_default().insert(object);
                             renew.push((object, obj.version, expire));
                         }
@@ -701,9 +721,21 @@ impl ServerMachine {
                 );
             }
             ClientMsg::AckInvalidate { object } => {
-                // The client dropped its copy: its lease is gone too.
-                if let Some(obj) = self.objects.get_mut(&object) {
-                    obj.leases.revoke(client);
+                // The client dropped its copy: its lease is gone too —
+                // but only the lease the invalidation was sent for. A
+                // duplicate ack (a renewal mid-write re-sends
+                // INVALIDATE) or one overtaken by the client's refetch
+                // answers nothing and must not touch the fresh lease.
+                let awaited = self.objects.get_mut(&object).is_some_and(|obj| {
+                    let awaited = obj.awaiting_ack.remove(&client);
+                    if awaited {
+                        obj.leases.revoke(client);
+                    }
+                    awaited
+                });
+                if !awaited {
+                    self.stats.stale_acks += 1;
+                    return;
                 }
                 if let Some(h) = self.holdings.get_mut(&client) {
                     h.remove(&object);
@@ -864,15 +896,8 @@ impl ServerMachine {
                     .insert(volume, VolumeState::fresh(epoch, max_vol_expiry));
                 for (id, version, data) in objects {
                     self.moved.remove(&id);
-                    self.objects.insert(
-                        id,
-                        ObjState {
-                            data,
-                            version,
-                            leases: LeaseSet::new(),
-                            volume,
-                        },
-                    );
+                    self.objects
+                        .insert(id, ObjState::new(data, version, volume));
                 }
                 self.departed.remove(&volume);
                 // Persist the gate so a crash right after adoption
@@ -897,15 +922,8 @@ impl ServerMachine {
     ) {
         let Some(obj) = self.objects.get(&object) else {
             // Writing an unknown object creates it in the home volume.
-            self.objects.insert(
-                object,
-                ObjState {
-                    data,
-                    version: Version::FIRST,
-                    leases: LeaseSet::new(),
-                    volume: self.cfg.volume,
-                },
-            );
+            self.objects
+                .insert(object, ObjState::new(data, Version::FIRST, self.cfg.volume));
             self.stats.writes += 1;
             actions.push(ServerAction::CompleteWrite {
                 outcome: WriteOutcome {
@@ -973,6 +991,9 @@ impl ServerMachine {
                 }
                 w.queued += 1;
             }
+        }
+        if let Some(o) = self.objects.get_mut(&object) {
+            o.awaiting_ack.clone_from(&w.outstanding);
         }
         if self.cfg.write_mode == WriteMode::BestEffort {
             // Proceed without waiting; stragglers are fenced by t_v.
@@ -1363,6 +1384,84 @@ mod tests {
             }
             None => panic!("ack should commit the write: {actions:?}"),
         }
+    }
+
+    /// A renewal from a still-outstanding client re-sends INVALIDATE,
+    /// so two acks come back; the second lands after the client's
+    /// refetch was granted and must not revoke that fresh lease.
+    #[test]
+    fn late_duplicate_ack_does_not_revoke_a_regranted_lease() {
+        const O: ObjectId = ObjectId(1);
+        let (mut m, _) = ServerMachine::new(MachineConfig::new(ServerId(0)), None);
+        let t0 = Timestamp::ZERO;
+        let vol_lease = ClientMsg::ReqVolLease {
+            volume: VolumeId(0),
+            epoch: Epoch(0),
+        };
+        let write = |data: &'static [u8]| ServerInput::Write {
+            object: O,
+            data: Bytes::from_static(data),
+        };
+        let completed = |actions: &[ServerAction]| {
+            actions.iter().find_map(|a| match a {
+                ServerAction::CompleteWrite { outcome } => Some(*outcome),
+                _ => None,
+            })
+        };
+        m.handle(
+            t0,
+            ServerInput::CreateObject {
+                object: O,
+                data: Bytes::from_static(b"a"),
+                version: Version::FIRST,
+            },
+        );
+        m.handle(t0, msg(7, vol_lease.clone()));
+        m.handle(
+            t0,
+            msg(
+                7,
+                ClientMsg::ReqObjLease {
+                    object: O,
+                    version: Version::NONE,
+                },
+            ),
+        );
+        m.handle(t0, write(b"b"));
+        let actions = m.handle(t0, msg(7, vol_lease));
+        assert!(
+            sends(&actions)
+                .iter()
+                .any(|(_, m)| matches!(m, ServerMsg::Invalidate { object } if *object == O)),
+            "renewal from an outstanding client re-sends the invalidation"
+        );
+        // Ack #1 commits; the client refetches and is granted v2.
+        let actions = m.handle(t0, msg(7, ClientMsg::AckInvalidate { object: O }));
+        assert!(completed(&actions).is_some(), "ack #1 commits the write");
+        m.handle(
+            t0,
+            msg(
+                7,
+                ClientMsg::ReqObjLease {
+                    object: O,
+                    version: Version::NONE,
+                },
+            ),
+        );
+        // Ack #2 answers the re-sent copy: nothing is awaited any more.
+        m.handle(t0, msg(7, ClientMsg::AckInvalidate { object: O }));
+        assert!(
+            m.objects[&O].leases.is_valid_for(ClientId(7), t0),
+            "the late ack revoked the lease granted after it was sent"
+        );
+        assert_eq!(m.stats().stale_acks, 1);
+        let actions = m.handle(t0, write(b"c"));
+        assert!(
+            completed(&actions).is_none(),
+            "the holder must be contacted"
+        );
+        let actions = m.handle(t0, msg(7, ClientMsg::AckInvalidate { object: O }));
+        assert_eq!(completed(&actions).unwrap().invalidations_sent, 1);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! The wrapper injects faults on the **send** side only: wrapping each
 //! node's endpoint is enough to perturb every link, and the receive
 //! path stays a plain delegation so blocking semantics are untouched.
-//! This holds for the readiness transport too: a wrapped `TcpNode` or
-//! `PollNode` still runs its own epoll loop untouched — chaos verdicts
+//! This holds for the readiness transport too: a wrapped `PollNode` or
+//! `ShardedNode` still runs its own epoll loop untouched — chaos verdicts
 //! apply *before* a frame is handed to the nonblocking send queue, so
 //! drops/delays/resets compose with (rather than interfere with) the
 //! loop's keepalives, re-dials, and backpressure accounting. The
@@ -45,7 +45,7 @@
 //! # drop(server);
 //! ```
 
-use crate::{Channel, NetError, NodeId};
+use crate::{Channel, NetError, NetEvent, NodeId};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -574,16 +574,12 @@ impl Channel for ChaosEndpoint {
         }
     }
 
-    fn recv_timeout(&self, timeout: StdDuration) -> Result<(NodeId, Bytes), NetError> {
-        self.inner.recv_timeout(timeout)
+    fn recv_event(&self, timeout: Option<StdDuration>) -> Result<NetEvent, NetError> {
+        self.inner.recv_event(timeout)
     }
 
-    fn take_disconnected(&self) -> Vec<NodeId> {
-        self.inner.take_disconnected()
-    }
-
-    fn take_connected(&self) -> Vec<NodeId> {
-        self.inner.take_connected()
+    fn wake(&self) {
+        self.inner.wake()
     }
 
     fn wire_stats(&self) -> Option<crate::WireStats> {

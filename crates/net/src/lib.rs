@@ -1,14 +1,17 @@
 //! Transport layer for the live volume-lease stack.
 //!
 //! Two interchangeable transports carry the framed messages of
-//! `vl-proto`:
+//! `vl-proto`, each delivering **one ordered event stream** per
+//! endpoint ([`NetEvent`]: frames and link-state changes on the same
+//! queue) through [`Channel::recv_event`]:
 //!
 //! * [`InMemoryNetwork`] — a process-local router with **fault
 //!   injection**: partitions silently drop traffic between chosen node
 //!   pairs, exactly the failure model leases are designed for (a sender
 //!   cannot tell a slow peer from a dead one).
-//! * [`tcp`] — length-prefixed framing over `std::net::TcpStream`, for
-//!   running the server and clients as real processes.
+//! * [`poll`] / [`shard`] — length-prefixed framing ([`tcp`]) over
+//!   nonblocking sockets on one or N epoll loops, for running the
+//!   server and clients as real processes.
 //!
 //! # Examples
 //!
@@ -48,9 +51,38 @@ pub mod wire;
 
 pub use wire::{QueueStats, TagStats, WireStats};
 
+/// One item of an endpoint's ordered receive stream. Link state rides
+/// the same queue as the frames, so a driver needs a single blocking
+/// receive and no polling: on a connection-oriented transport
+/// `Up(peer)` precedes that connection's first `Frame` and `Down(peer)`
+/// follows its last one.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum NetEvent {
+    /// A message arrived.
+    Frame {
+        /// The sending node.
+        from: NodeId,
+        /// The payload, exactly as sent.
+        bytes: bytes::Bytes,
+    },
+    /// A connection to `peer` was (re-)established — the signal a
+    /// client uses to start the paper's reconnection handshake.
+    /// Connectionless transports (the in-memory router) never emit it.
+    Up(NodeId),
+    /// The connection to `peer` dropped. Reported once per loss, so
+    /// drivers can mirror it into protocol state (the server demotes
+    /// the client to its Unreachable set; the client marks itself
+    /// degraded).
+    Down(NodeId),
+    /// [`Channel::wake`] was called; carries no data and may be
+    /// spurious.
+    Woken,
+}
+
 /// A bidirectional message channel with node addressing — the interface
 /// the live server and client stack is written against. Implemented by
-/// the in-memory [`Endpoint`] and by the TCP nodes in [`tcp`].
+/// the in-memory [`Endpoint`] and by the readiness transports in
+/// [`poll`] and [`shard`].
 pub trait Channel: Send + Sync {
     /// This node's address.
     fn id(&self) -> NodeId;
@@ -64,33 +96,37 @@ pub trait Channel: Send + Sync {
     /// transport) — never for in-flight loss.
     fn send(&self, to: NodeId, bytes: bytes::Bytes) -> Result<(), NetError>;
 
-    /// Blocks up to `timeout` for the next message.
+    /// Blocks up to `timeout` (indefinitely when `None`) for the next
+    /// event of this endpoint's stream.
     ///
     /// # Errors
     ///
     /// [`NetError::Timeout`] when nothing arrived,
     /// [`NetError::Disconnected`] when the transport is gone.
+    fn recv_event(&self, timeout: Option<std::time::Duration>) -> Result<NetEvent, NetError>;
+
+    /// Queues a [`NetEvent::Woken`] so a receive blocked on another
+    /// thread returns: how a driver's control handle interrupts its
+    /// event loop without the loop polling for it.
+    fn wake(&self);
+
+    /// Blocks up to `timeout` for the next *message*, discarding
+    /// link-state and wake events on the way.
+    ///
+    /// # Errors
+    ///
+    /// As [`recv_event`](Channel::recv_event).
     fn recv_timeout(
         &self,
         timeout: std::time::Duration,
-    ) -> Result<(NodeId, bytes::Bytes), NetError>;
-
-    /// Drains the set of peers whose connection has dropped since the
-    /// last call. Transports without connection state (the in-memory
-    /// router) return nothing; supervised transports ([`tcp::TcpNode`])
-    /// report each lost peer once so drivers can mirror the loss into
-    /// protocol state (the server demotes the client to its Unreachable
-    /// set; the client marks itself degraded).
-    fn take_disconnected(&self) -> Vec<NodeId> {
-        Vec::new()
-    }
-
-    /// Drains the set of peers whose connection has (re-)established
-    /// since the last call — the signal a client uses to start the
-    /// paper's reconnection handshake. Connectionless transports return
-    /// nothing.
-    fn take_connected(&self) -> Vec<NodeId> {
-        Vec::new()
+    ) -> Result<(NodeId, bytes::Bytes), NetError> {
+        let deadline = std::time::Instant::now() + timeout;
+        loop {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            if let NetEvent::Frame { from, bytes } = self.recv_event(Some(left))? {
+                return Ok((from, bytes));
+            }
+        }
     }
 
     /// Snapshot of wire-level accounting — per-tag delivery counts and
@@ -118,17 +154,11 @@ impl<C: Channel + ?Sized> Channel for std::sync::Arc<C> {
     fn send(&self, to: NodeId, bytes: bytes::Bytes) -> Result<(), NetError> {
         (**self).send(to, bytes)
     }
-    fn recv_timeout(
-        &self,
-        timeout: std::time::Duration,
-    ) -> Result<(NodeId, bytes::Bytes), NetError> {
-        (**self).recv_timeout(timeout)
+    fn recv_event(&self, timeout: Option<std::time::Duration>) -> Result<NetEvent, NetError> {
+        (**self).recv_event(timeout)
     }
-    fn take_disconnected(&self) -> Vec<NodeId> {
-        (**self).take_disconnected()
-    }
-    fn take_connected(&self) -> Vec<NodeId> {
-        (**self).take_connected()
+    fn wake(&self) {
+        (**self).wake()
     }
     fn wire_stats(&self) -> Option<WireStats> {
         (**self).wire_stats()
@@ -188,9 +218,23 @@ impl fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
+/// The blocking receive every queue-backed endpoint shares.
+pub(crate) fn recv_from(
+    rx: &Receiver<NetEvent>,
+    timeout: Option<StdDuration>,
+) -> Result<NetEvent, NetError> {
+    match timeout {
+        Some(t) => rx.recv_timeout(t).map_err(|e| match e {
+            RecvTimeoutError::Timeout => NetError::Timeout,
+            RecvTimeoutError::Disconnected => NetError::Disconnected,
+        }),
+        None => rx.recv().map_err(|_| NetError::Disconnected),
+    }
+}
+
 #[derive(Default)]
 struct Router {
-    inboxes: HashMap<NodeId, Sender<(NodeId, Bytes)>>,
+    inboxes: HashMap<NodeId, Sender<NetEvent>>,
     /// Unordered pairs currently partitioned.
     partitions: HashSet<(NodeId, NodeId)>,
     delivered: u64,
@@ -282,7 +326,7 @@ impl fmt::Debug for InMemoryNetwork {
 pub struct Endpoint {
     id: NodeId,
     router: Arc<Mutex<Router>>,
-    rx: Receiver<(NodeId, Bytes)>,
+    rx: Receiver<NetEvent>,
 }
 
 impl Endpoint {
@@ -306,7 +350,11 @@ impl Endpoint {
         }
         let tx = r.inboxes.get(&to).ok_or(NetError::UnknownNode(to))?;
         let frame = bytes.clone();
-        match tx.send((self.id, bytes)) {
+        let event = NetEvent::Frame {
+            from: self.id,
+            bytes,
+        };
+        match tx.send(event) {
             Ok(()) => {
                 r.delivered += 1;
                 r.wire.record(&frame);
@@ -328,10 +376,7 @@ impl Endpoint {
     /// [`NetError::Disconnected`] if this endpoint was replaced by a
     /// re-registration.
     pub fn recv_timeout(&self, timeout: StdDuration) -> Result<(NodeId, Bytes), NetError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => NetError::Timeout,
-            RecvTimeoutError::Disconnected => NetError::Disconnected,
-        })
+        Channel::recv_timeout(self, timeout)
     }
 
     /// Non-blocking receive.
@@ -341,11 +386,7 @@ impl Endpoint {
     /// [`NetError::Timeout`] when the inbox is empty,
     /// [`NetError::Disconnected`] when replaced.
     pub fn try_recv(&self) -> Result<(NodeId, Bytes), NetError> {
-        use crossbeam::channel::TryRecvError;
-        self.rx.try_recv().map_err(|e| match e {
-            TryRecvError::Empty => NetError::Timeout,
-            TryRecvError::Disconnected => NetError::Disconnected,
-        })
+        Channel::recv_timeout(self, StdDuration::ZERO)
     }
 }
 
@@ -356,8 +397,17 @@ impl Channel for Endpoint {
     fn send(&self, to: NodeId, bytes: Bytes) -> Result<(), NetError> {
         Endpoint::send(self, to, bytes)
     }
-    fn recv_timeout(&self, timeout: StdDuration) -> Result<(NodeId, Bytes), NetError> {
-        Endpoint::recv_timeout(self, timeout)
+    fn recv_event(&self, timeout: Option<StdDuration>) -> Result<NetEvent, NetError> {
+        recv_from(&self.rx, timeout)
+    }
+    /// Goes through the router rather than a `Sender` of its own: an
+    /// endpoint that kept its inbox open could never observe
+    /// [`NetError::Disconnected`] after being replaced. Once replaced,
+    /// the wake lands on the successor, where it is merely spurious.
+    fn wake(&self) {
+        if let Some(tx) = self.router.lock().inboxes.get(&self.id) {
+            let _ = tx.send(NetEvent::Woken);
+        }
     }
 }
 
@@ -442,6 +492,23 @@ mod tests {
         a.send(s(0), Bytes::from_static(b"post-restart")).unwrap();
         assert!(newer.recv_timeout(TO).is_ok());
         assert_eq!(old.recv_timeout(TO), Err(NetError::Disconnected));
+    }
+
+    #[test]
+    fn wake_unblocks_a_receive_without_holding_the_inbox_open() {
+        let net = InMemoryNetwork::new();
+        let old = Arc::new(net.endpoint(s(0)));
+        let waiter = {
+            let old = Arc::clone(&old);
+            std::thread::spawn(move || old.recv_event(None))
+        };
+        old.wake();
+        assert_eq!(waiter.join().unwrap(), Ok(NetEvent::Woken));
+
+        let newer = net.endpoint(s(0));
+        old.wake(); // lands on the successor, where it is spurious
+        assert_eq!(old.recv_event(None), Err(NetError::Disconnected));
+        assert_eq!(newer.recv_event(Some(TO)), Ok(NetEvent::Woken));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The readiness core: one epoll event loop from socket to channel.
 //!
-//! This module replaces the thread-per-peer transport that `tcp`
-//! shipped through PR 4. A [`Reactor`] owns a single loop thread that
+//! A [`Reactor`] owns a single loop thread that
 //! multiplexes *everything* through one `epoll_wait` call — accept
 //! readiness on listeners, read/write readiness on every peer
 //! connection, an eventfd waker for commands injected by application
@@ -18,10 +17,10 @@
 //!   nodes can share a reactor (the 10k-client benchmark runs
 //!   thousands of [`PollNode`]s over a handful of loops).
 //! * [`PollNode`] — one node's attachment: implements [`Channel`]
-//!   with the same supervision contract as the old transport
-//!   (identity hello, bounded per-peer send queues that drain in
-//!   order on reconnect, automatic re-dial on the [`RetryPolicy`]
-//!   schedule, connect/disconnect events reported once).
+//!   with connection supervision (identity hello, bounded per-peer
+//!   send queues that drain in order on reconnect, automatic re-dial
+//!   on the [`RetryPolicy`] schedule, connect/disconnect events
+//!   reported once, in stream order with the frames).
 //! * The loop drives [`crate::wire::FrameDecoder`] for incremental
 //!   decode and publishes per-peer [`crate::wire::QueueStats`]
 //!   through each node's [`WireStats`].
@@ -35,17 +34,18 @@
 //!
 //! The loop thread owns all connection state outright — sockets,
 //! decoders, write buffers, timers — and never blocks on a lock held
-//! across I/O. The only shared state is per-node event vectors, the
-//! known-peers view (so [`Channel::send`] can reject unknown
-//! destinations synchronously), and the [`WireStats`] snapshot, each
-//! behind a short-critical-section mutex.
+//! across I/O. Frames and link-state changes leave the loop on one
+//! queue per node ([`NetEvent`]), in the order the loop saw them. The
+//! only shared state is the known-peers view (so [`Channel::send`] can
+//! reject unknown destinations synchronously) and the [`WireStats`]
+//! snapshot, each behind a short-critical-section mutex.
 
 use crate::retry::RetryPolicy;
 use crate::tcp::{read_frame, write_frame};
 use crate::wire::{FrameDecoder, QueueStats, WireStats};
-use crate::{Channel, NetError, NodeId};
+use crate::{recv_from, Channel, NetError, NetEvent, NodeId};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -202,11 +202,9 @@ impl LoopCounters {
 /// App-visible side of one attached node.
 #[derive(Debug)]
 struct NodeShared {
-    conn_up: Mutex<Vec<NodeId>>,
-    conn_down: Mutex<Vec<NodeId>>,
-    /// Known peers and their link state. Grows monotonically, like the
-    /// old transport's peer table: once a peer is known (dialed,
-    /// configured, or heard from), sends to it queue instead of error.
+    /// Known peers and their link state. Grows monotonically: once a
+    /// peer is known (dialed, configured, or heard from), sends to it
+    /// queue instead of error.
     peers: Mutex<HashMap<NodeId, bool>>,
     wire: Mutex<WireStats>,
 }
@@ -214,8 +212,6 @@ struct NodeShared {
 impl NodeShared {
     fn new() -> NodeShared {
         NodeShared {
-            conn_up: Mutex::new(Vec::new()),
-            conn_down: Mutex::new(Vec::new()),
             peers: Mutex::new(HashMap::new()),
             wire: Mutex::new(WireStats::new()),
         }
@@ -229,7 +225,7 @@ enum Cmd {
         key: u64,
         id: NodeId,
         shared: Arc<NodeShared>,
-        inbox_tx: Sender<(NodeId, Bytes)>,
+        inbox_tx: Sender<NetEvent>,
         listener: Option<TcpListener>,
     },
     Send {
@@ -420,8 +416,8 @@ impl Reactor {
         id: NodeId,
         listener: Option<TcpListener>,
         local_addr: Option<SocketAddr>,
-        inbox_tx: Sender<(NodeId, Bytes)>,
-        inbox: Receiver<(NodeId, Bytes)>,
+        inbox_tx: Sender<NetEvent>,
+        inbox: Receiver<NetEvent>,
     ) -> PollNode {
         let key = self.shared.next_key.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::new(NodeShared::new());
@@ -429,7 +425,7 @@ impl Reactor {
             key,
             id,
             shared: Arc::clone(&shared),
-            inbox_tx,
+            inbox_tx: inbox_tx.clone(),
             listener,
         });
         let _ = self.shared.waker.wake();
@@ -440,6 +436,7 @@ impl Reactor {
             shared,
             reactor: Arc::clone(&self.shared),
             inbox,
+            wake_tx: inbox_tx,
         }
     }
 
@@ -452,8 +449,8 @@ impl Reactor {
         &self,
         id: NodeId,
         listener: TcpListener,
-        inbox_tx: Sender<(NodeId, Bytes)>,
-        inbox: Receiver<(NodeId, Bytes)>,
+        inbox_tx: Sender<NetEvent>,
+        inbox: Receiver<NetEvent>,
     ) -> io::Result<PollNode> {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
@@ -466,17 +463,22 @@ impl Reactor {
     }
 }
 
-/// One node's attachment to a [`Reactor`]: a [`Channel`] with the
-/// supervision contract of the old thread-per-peer transport —
-/// identity hello, bounded send queues draining in order on
-/// reconnect, automatic re-dial, connect/disconnect events.
+/// One node's attachment to a [`Reactor`]: a [`Channel`] with
+/// connection supervision — identity hello, bounded send queues
+/// draining in order on reconnect, automatic re-dial, and
+/// [`NetEvent::Up`]/[`NetEvent::Down`] in stream order with the
+/// frames. A node keeps its reactor alive, so
+/// `Reactor::spawn(cfg)?.listen(id, addr)` is a complete endpoint.
 pub struct PollNode {
     id: NodeId,
     key: u64,
     local_addr: Option<SocketAddr>,
     shared: Arc<NodeShared>,
     reactor: Arc<ReactorShared>,
-    inbox: Receiver<(NodeId, Bytes)>,
+    inbox: Receiver<NetEvent>,
+    /// For [`Channel::wake`]: straight into the inbox, not through
+    /// the loop, so a control handle costs its driver one hop.
+    wake_tx: Sender<NetEvent>,
 }
 
 impl std::fmt::Debug for PollNode {
@@ -605,19 +607,12 @@ impl Channel for PollNode {
         Ok(())
     }
 
-    fn recv_timeout(&self, timeout: StdDuration) -> Result<(NodeId, Bytes), NetError> {
-        self.inbox.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => NetError::Timeout,
-            RecvTimeoutError::Disconnected => NetError::Disconnected,
-        })
+    fn recv_event(&self, timeout: Option<StdDuration>) -> Result<NetEvent, NetError> {
+        recv_from(&self.inbox, timeout)
     }
 
-    fn take_disconnected(&self) -> Vec<NodeId> {
-        std::mem::take(&mut *self.shared.conn_down.lock())
-    }
-
-    fn take_connected(&self) -> Vec<NodeId> {
-        std::mem::take(&mut *self.shared.conn_up.lock())
+    fn wake(&self) {
+        let _ = self.wake_tx.send(NetEvent::Woken);
     }
 
     fn wire_stats(&self) -> Option<WireStats> {
@@ -676,7 +671,7 @@ impl RPeer {
 struct RNode {
     id: NodeId,
     shared: Arc<NodeShared>,
-    inbox_tx: Sender<(NodeId, Bytes)>,
+    inbox_tx: Sender<NetEvent>,
     listener: Option<TcpListener>,
     peers: HashMap<NodeId, RPeer>,
 }
@@ -892,15 +887,13 @@ impl EventLoop {
                 }
             }
             Cmd::DialFailed { key, peer, attempt } => {
-                let my_id = match self.nodes.get_mut(&key) {
-                    Some(n) => n.id,
-                    None => return,
+                let Some(node) = self.nodes.get_mut(&key) else {
+                    return;
                 };
-                let node = self.nodes.get_mut(&key).expect("checked");
                 if let Some(p) = node.peers.get_mut(&peer) {
                     p.dialing = false;
                     p.attempt = attempt.saturating_add(1);
-                    let seed = id_seed(my_id) ^ id_seed(peer).rotate_left(17);
+                    let seed = id_seed(node.id) ^ id_seed(peer).rotate_left(17);
                     let delay = self
                         .cfg
                         .redial
@@ -948,8 +941,6 @@ impl EventLoop {
         for t in orphans {
             self.close_conn(t);
         }
-        // Dropping `node` here drops `inbox_tx`: blocked receivers see
-        // Disconnected, matching a closed transport.
     }
 
     /// Closes the socket and frees the slab slot. No peer bookkeeping.
@@ -986,7 +977,7 @@ impl EventLoop {
         p.conn = None;
         p.attempt = 0;
         node.shared.peers.lock().insert(peer, false);
-        node.shared.conn_down.lock().push(peer);
+        let _ = node.inbox_tx.send(NetEvent::Down(peer));
         if p.addr.is_some() {
             let at = Instant::now();
             self.redials.push(std::cmp::Reverse((at, key, peer)));
@@ -1108,7 +1099,7 @@ impl EventLoop {
         p.attempt = 0;
         p.dialing = false;
         node.shared.peers.lock().insert(peer, true);
-        node.shared.conn_up.lock().push(peer);
+        let _ = node.inbox_tx.send(NetEvent::Up(peer));
         if let Some(old) = old {
             if old != token {
                 self.close_conn(old);
@@ -1359,7 +1350,11 @@ impl EventLoop {
                     };
                     self.counters.frames_in.fetch_add(1, Ordering::Relaxed);
                     node.shared.wire.lock().record(&frame);
-                    if node.inbox_tx.send((peer, frame)).is_err() {
+                    let event = NetEvent::Frame {
+                        from: peer,
+                        bytes: frame,
+                    };
+                    if node.inbox_tx.send(event).is_err() {
                         // Node handle gone; RemoveNode will follow.
                         return;
                     }

@@ -17,30 +17,30 @@
 //!
 //! Above the reactors sits **one** logical node: every shard registers
 //! with a clone of a single inbox sender, so the application (the
-//! sans-io `ServerMachine` driver) drains one ordered stream of frames
+//! sans-io `ServerMachine` driver) drains one ordered event stream
 //! exactly as it would from an unsharded [`PollNode`] — the server
 //! hosts a single volume, so one machine behind a sharded event channel
-//! is the mapping that keeps `tests/live_faults.rs` untouched (the
-//! alternative, one machine per shard, would split the volume's lease
-//! state for no benefit). Outbound frames are routed to the shard that
-//! owns the destination's connection by probing each shard's peer
-//! table (N is small; the probe is N short mutex reads).
+//! is the natural mapping (the alternative, one machine per shard,
+//! would split the volume's lease state for no benefit). Outbound
+//! frames are routed to the shard that owns the destination's
+//! connection by probing each shard's peer table (N is small; the
+//! probe is N short mutex reads).
 //!
 //! A peer that reconnects may be hashed to a *different* shard — the
 //! 4-tuple changes with the client's ephemeral port. Frames still
 //! queued on the old shard stay there (bounded by `queue_cap`) and are
 //! simply lost, which the lease protocol tolerates by design: a
 //! dropped connection demotes the client toward the Unreachable set
-//! and the reconnection handshake re-syncs it. The disconnect event
-//! from the old shard and the connect event from the new one may race
-//! in either order; drivers treat that as a momentary drop, which is
-//! exactly what it is.
+//! and the reconnection handshake re-syncs it. Within one connection
+//! the stream is ordered (`Up`, its frames, `Down`); the `Down` from
+//! the old shard and the `Up` from the new one come from two threads
+//! and may land in either order.
 
 use crate::poll::{LoopStats, PollConfig, PollNode, Reactor};
 use crate::wire::WireStats;
-use crate::{Channel, NetError, NodeId};
+use crate::{recv_from, Channel, NetError, NetEvent, NodeId};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
+use crossbeam::channel::{unbounded, Receiver};
 use std::io;
 use std::net::{SocketAddr, SocketAddrV4, ToSocketAddrs};
 use std::time::Duration as StdDuration;
@@ -71,7 +71,7 @@ pub struct ShardedNode {
     shards: Vec<PollNode>,
     /// Keeps the loop threads alive; index-aligned with `shards`.
     _reactors: Vec<Reactor>,
-    inbox: Receiver<(NodeId, Bytes)>,
+    inbox: Receiver<NetEvent>,
 }
 
 impl std::fmt::Debug for ShardedNode {
@@ -209,27 +209,12 @@ impl Channel for ShardedNode {
         }
     }
 
-    fn recv_timeout(&self, timeout: StdDuration) -> Result<(NodeId, Bytes), NetError> {
-        self.inbox.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => NetError::Timeout,
-            RecvTimeoutError::Disconnected => NetError::Disconnected,
-        })
+    fn recv_event(&self, timeout: Option<StdDuration>) -> Result<NetEvent, NetError> {
+        recv_from(&self.inbox, timeout)
     }
 
-    fn take_disconnected(&self) -> Vec<NodeId> {
-        let mut all = Vec::new();
-        for s in &self.shards {
-            all.extend(s.take_disconnected());
-        }
-        all
-    }
-
-    fn take_connected(&self) -> Vec<NodeId> {
-        let mut all = Vec::new();
-        for s in &self.shards {
-            all.extend(s.take_connected());
-        }
-        all
+    fn wake(&self) {
+        self.shards[0].wake(); // every shard feeds the one inbox
     }
 
     fn wire_stats(&self) -> Option<WireStats> {

@@ -1,33 +1,18 @@
-//! Length-prefixed framing over TCP, with connection supervision.
+//! Length-prefixed framing over a byte stream.
 //!
 //! Frames are `u32` little-endian length + payload, the same payload
 //! bytes the in-memory transport carries, so the protocol stack is
 //! transport-agnostic. A sanity cap rejects absurd lengths from corrupt
 //! or hostile peers before any allocation happens.
 //!
-//! Since the readiness refactor, [`TcpNode`] is a thin compatibility
-//! wrapper: it owns a private single-threaded [`poll::Reactor`] and
-//! delegates everything to a [`poll::PollNode`] attached to it. The
-//! supervision contract is unchanged — identity hello, keepalives,
-//! idle/mid-frame deadlines, automatic re-dial with backoff, bounded
-//! send queues draining in order, connect/disconnect events reported
-//! once — but it is now enforced by one epoll loop instead of a
-//! thread per peer plus a polling supervisor. The chaos suite
-//! (`tests/live_faults.rs`) runs against this wrapper unchanged.
-//!
-//! The blocking [`read_frame`]/[`write_frame`] pair stays here: it
-//! frames the hello exchange on outbound dials and serves as the
-//! oracle the incremental [`crate::wire::FrameDecoder`] is
-//! property-tested against.
+//! The blocking [`read_frame`]/[`write_frame`] pair frames the hello
+//! exchange on outbound dials and serves as the oracle the incremental
+//! [`crate::wire::FrameDecoder`] is property-tested against. The
+//! sockets themselves live in [`crate::poll`].
 
-use crate::poll::{self, PollConfig, PollNode, Reactor};
-use crate::retry::RetryPolicy;
 use crate::wire;
-use crate::{Channel, NetError, NodeId, WireStats};
 use bytes::Bytes;
 use std::io::{self, Read, Write};
-use std::net::SocketAddr;
-use std::time::Duration as StdDuration;
 
 /// Maximum accepted frame payload (64 MiB), matching the codec's field
 /// cap.
@@ -88,226 +73,11 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Bytes> {
     Ok(Bytes::from(payload))
 }
 
-/// Tuning for a [`TcpNode`]'s supervision layer.
-///
-/// `read_tick` and `supervise_every` date from the thread-per-peer
-/// design, where they set the polling cadence of reader and
-/// supervisor threads. The readiness loop has no polling cadence —
-/// it blocks in `epoll_wait` until readiness or a computed deadline —
-/// so both fields are accepted for compatibility and otherwise
-/// ignored.
-#[derive(Clone, Debug)]
-pub struct TcpConfig {
-    /// Legacy reader-poll granularity. Ignored: the loop is
-    /// readiness-driven and has no read tick.
-    pub read_tick: StdDuration,
-    /// A peer silent (no frames, not even keepalives) for this long is
-    /// declared dead. `None` disables the deadline (and keepalives).
-    pub idle_deadline: Option<StdDuration>,
-    /// A frame whose first byte arrived must complete within this, or
-    /// the peer is declared dead (guards against mid-frame stalls).
-    pub frame_deadline: StdDuration,
-    /// Backoff schedule for re-dialing a dropped peer. Exhaustion does
-    /// not give up: further attempts repeat at the schedule's cap.
-    pub redial: RetryPolicy,
-    /// Per-peer send-queue bound; the oldest frame is dropped on
-    /// overflow (loss, as on any network).
-    pub queue_cap: usize,
-    /// Legacy supervisor cadence. Ignored: re-dials and keepalives are
-    /// scheduled as loop timers.
-    pub supervise_every: StdDuration,
-    /// TCP connect timeout for (re-)dials.
-    pub dial_timeout: StdDuration,
-    /// Deadline for the identity-hello exchange on a new connection.
-    pub hello_timeout: StdDuration,
-}
-
-impl Default for TcpConfig {
-    fn default() -> TcpConfig {
-        TcpConfig {
-            read_tick: StdDuration::from_millis(200),
-            idle_deadline: Some(StdDuration::from_secs(10)),
-            frame_deadline: StdDuration::from_secs(5),
-            redial: RetryPolicy::default(),
-            queue_cap: 1024,
-            supervise_every: StdDuration::from_millis(20),
-            dial_timeout: StdDuration::from_secs(1),
-            hello_timeout: StdDuration::from_secs(2),
-        }
-    }
-}
-
-impl TcpConfig {
-    /// The equivalent readiness-loop configuration — the same knobs
-    /// mapped onto [`PollConfig`], used both by this compat wrapper
-    /// and by callers building a sharded node
-    /// ([`crate::shard::ShardedNode`]) from legacy tuning flags.
-    pub fn to_poll(&self) -> PollConfig {
-        PollConfig {
-            idle_deadline: self.idle_deadline,
-            frame_deadline: self.frame_deadline,
-            redial: self.redial.clone(),
-            queue_cap: self.queue_cap,
-            dial_timeout: self.dial_timeout,
-            hello_timeout: self.hello_timeout,
-            ..PollConfig::default()
-        }
-    }
-}
-
-/// A TCP-backed [`Channel`] with connection supervision. One node can
-/// both listen for inbound peers and dial outbound ones; every
-/// connection starts with a 5-byte identity hello, after which frames
-/// flow in both directions. Dropped connections to dial-able peers are
-/// re-established automatically and queued sends drain on reconnect.
-///
-/// Each `TcpNode` owns a private [`Reactor`] (one epoll loop thread +
-/// one dialer thread). To run many nodes over a few shared loops —
-/// the 10k-client benchmark — use [`Reactor`] and [`PollNode`]
-/// directly.
-///
-/// # Examples
-///
-/// ```no_run
-/// use vl_net::tcp::TcpNode;
-/// use vl_net::{Channel, NodeId};
-/// use vl_types::{ClientId, ServerId};
-///
-/// let server = TcpNode::listen(NodeId::Server(ServerId(0)), "127.0.0.1:0")?;
-/// let addr = server.local_addr().expect("listening");
-/// let client = TcpNode::dial(NodeId::Client(ClientId(1)), addr)?;
-/// client.send(NodeId::Server(ServerId(0)), bytes::Bytes::from_static(b"hi"))?;
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub struct TcpNode {
-    node: PollNode,
-    /// Kept so the reactor outlives the node; dropping the `TcpNode`
-    /// drops both, which shuts the loop down and closes every socket.
-    _reactor: Reactor,
-}
-
-impl std::fmt::Debug for TcpNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpNode").field("node", &self.node).finish()
-    }
-}
-
-impl TcpNode {
-    /// Binds `addr` and accepts peers in the background, with default
-    /// supervision tuning.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn listen(id: NodeId, addr: &str) -> io::Result<TcpNode> {
-        TcpNode::listen_with(id, addr, TcpConfig::default())
-    }
-
-    /// [`listen`](TcpNode::listen) with explicit supervision tuning.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn listen_with(id: NodeId, addr: &str, cfg: TcpConfig) -> io::Result<TcpNode> {
-        let reactor = Reactor::spawn(cfg.to_poll())?;
-        let node = reactor.listen(id, addr)?;
-        Ok(TcpNode {
-            node,
-            _reactor: reactor,
-        })
-    }
-
-    /// Connects to a listening node with default supervision tuning.
-    /// The address is remembered: if the connection later drops, the
-    /// loop re-dials it automatically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect/handshake failures on the *initial* dial.
-    pub fn dial(id: NodeId, addr: SocketAddr) -> io::Result<TcpNode> {
-        TcpNode::dial_with(id, addr, TcpConfig::default())
-    }
-
-    /// [`dial`](TcpNode::dial) with explicit supervision tuning.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect/handshake failures on the initial dial.
-    pub fn dial_with(id: NodeId, addr: SocketAddr, cfg: TcpConfig) -> io::Result<TcpNode> {
-        let reactor = Reactor::spawn(cfg.to_poll())?;
-        let node = reactor.node(id);
-        node.dial(addr)?;
-        Ok(TcpNode {
-            node,
-            _reactor: reactor,
-        })
-    }
-
-    /// The bound address, when listening.
-    pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.node.local_addr()
-    }
-
-    /// Points supervision for `peer` at `addr`: the loop dials it as
-    /// soon as the peer has no live connection. This is the
-    /// service-discovery hook — a restarted server that comes back on a
-    /// new address is reached by updating the mapping here; queued
-    /// sends drain once the new connection is up.
-    pub fn set_peer_addr(&self, peer: NodeId, addr: SocketAddr) {
-        self.node.set_peer_addr(peer, addr);
-    }
-
-    /// Whether `peer` currently has a live connection.
-    pub fn is_connected(&self, peer: NodeId) -> bool {
-        self.node.is_connected(peer)
-    }
-
-    /// Snapshot of wire accounting: per-tag delivery counts plus
-    /// per-peer send-queue depth/drop/backpressure counters.
-    pub fn wire_stats(&self) -> WireStats {
-        self.node.wire_stats()
-    }
-
-    /// Snapshot of the owning loop's wakeup/event counters.
-    pub fn loop_stats(&self) -> poll::LoopStats {
-        self.node.loop_stats()
-    }
-}
-
-impl Channel for TcpNode {
-    fn id(&self) -> NodeId {
-        self.node.id()
-    }
-
-    fn send(&self, to: NodeId, bytes: Bytes) -> Result<(), NetError> {
-        self.node.send(to, bytes)
-    }
-
-    fn recv_timeout(&self, timeout: StdDuration) -> Result<(NodeId, Bytes), NetError> {
-        self.node.recv_timeout(timeout)
-    }
-
-    fn take_disconnected(&self) -> Vec<NodeId> {
-        self.node.take_disconnected()
-    }
-
-    fn take_connected(&self) -> Vec<NodeId> {
-        self.node.take_connected()
-    }
-
-    fn wire_stats(&self) -> Option<WireStats> {
-        Some(self.node.wire_stats())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::poll::{decode_hello, encode_hello};
     use std::net::{TcpListener, TcpStream};
     use std::thread;
-    use std::time::Instant;
-    use vl_types::{ClientId, ServerId};
 
     #[test]
     fn roundtrip_through_a_buffer() {
@@ -361,50 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn tcp_nodes_exchange_frames_with_identity() {
-        let server = TcpNode::listen(NodeId::Server(ServerId(0)), "127.0.0.1:0").unwrap();
-        let addr = server.local_addr().unwrap();
-        let client = TcpNode::dial(NodeId::Client(ClientId(7)), addr).unwrap();
-        assert_eq!(client.id(), NodeId::Client(ClientId(7)));
-
-        client
-            .send(NodeId::Server(ServerId(0)), Bytes::from_static(b"ping"))
-            .unwrap();
-        let (from, frame) = server.recv_timeout(StdDuration::from_secs(2)).unwrap();
-        assert_eq!(from, NodeId::Client(ClientId(7)));
-        assert_eq!(&frame[..], b"ping");
-
-        server
-            .send(NodeId::Client(ClientId(7)), Bytes::from_static(b"pong"))
-            .unwrap();
-        let (from, frame) = client.recv_timeout(StdDuration::from_secs(2)).unwrap();
-        assert_eq!(from, NodeId::Server(ServerId(0)));
-        assert_eq!(&frame[..], b"pong");
-    }
-
-    #[test]
-    fn tcp_send_to_unknown_peer_errors() {
-        let node = TcpNode::listen(NodeId::Server(ServerId(1)), "127.0.0.1:0").unwrap();
-        assert_eq!(
-            node.send(NodeId::Client(ClientId(9)), Bytes::new()),
-            Err(NetError::UnknownNode(NodeId::Client(ClientId(9))))
-        );
-    }
-
-    #[test]
-    fn hello_roundtrip_and_rejects() {
-        for id in [
-            NodeId::Client(ClientId(0)),
-            NodeId::Client(ClientId(u32::MAX)),
-            NodeId::Server(ServerId(3)),
-        ] {
-            assert_eq!(decode_hello(&encode_hello(id)).unwrap(), id);
-        }
-        assert!(decode_hello(&Bytes::from_static(b"xx")).is_err());
-        assert!(decode_hello(&Bytes::from_static(&[9, 0, 0, 0, 0])).is_err());
-    }
-
-    #[test]
     fn many_frames_interleave_correctly_over_tcp() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -422,199 +148,5 @@ mod tests {
             assert_eq!(read_frame(&mut client).unwrap(), payload);
         }
         server.join().unwrap();
-    }
-
-    /// Fast supervision tuning for tests that wait on reconnects.
-    fn quick_cfg() -> TcpConfig {
-        TcpConfig {
-            read_tick: StdDuration::from_millis(25),
-            idle_deadline: Some(StdDuration::from_millis(400)),
-            redial: RetryPolicy {
-                base: StdDuration::from_millis(20),
-                max: StdDuration::from_millis(100),
-                ..RetryPolicy::default()
-            },
-            supervise_every: StdDuration::from_millis(10),
-            ..TcpConfig::default()
-        }
-    }
-
-    fn wait_for<F: FnMut() -> bool>(mut cond: F, secs: u64) -> bool {
-        let deadline = Instant::now() + StdDuration::from_secs(secs);
-        while Instant::now() < deadline {
-            if cond() {
-                return true;
-            }
-            thread::sleep(StdDuration::from_millis(10));
-        }
-        false
-    }
-
-    #[test]
-    fn connection_events_report_up_and_down() {
-        let srv_id = NodeId::Server(ServerId(0));
-        let cli_id = NodeId::Client(ClientId(3));
-        let server = TcpNode::listen_with(srv_id, "127.0.0.1:0", quick_cfg()).unwrap();
-        let client = TcpNode::dial_with(cli_id, server.local_addr().unwrap(), quick_cfg()).unwrap();
-
-        let mut ups = Vec::new();
-        assert!(wait_for(
-            || {
-                ups.extend(server.take_connected());
-                ups.contains(&cli_id)
-            },
-            5
-        ));
-        assert_eq!(client.take_connected(), vec![srv_id]);
-
-        drop(client);
-        let mut downs = Vec::new();
-        assert!(
-            wait_for(
-                || {
-                    downs.extend(server.take_disconnected());
-                    downs.contains(&cli_id)
-                },
-                5
-            ),
-            "server must notice the client going away"
-        );
-    }
-
-    #[test]
-    fn queued_sends_drain_after_redial_to_new_address() {
-        let srv_id = NodeId::Server(ServerId(0));
-        let cli_id = NodeId::Client(ClientId(1));
-        let server = TcpNode::listen_with(srv_id, "127.0.0.1:0", quick_cfg()).unwrap();
-        let client = TcpNode::dial_with(cli_id, server.local_addr().unwrap(), quick_cfg()).unwrap();
-
-        client.send(srv_id, Bytes::from_static(b"before")).unwrap();
-        assert!(server.recv_timeout(StdDuration::from_secs(2)).is_ok());
-
-        drop(server); // crash
-        assert!(
-            wait_for(|| !client.is_connected(srv_id), 5),
-            "client must detect the dead server"
-        );
-
-        // Sends while down queue instead of erroring.
-        for i in 0..3u32 {
-            client.send(srv_id, Bytes::from(vec![i as u8])).unwrap();
-        }
-        // `send` posts a command the loop drains asynchronously, so
-        // wait for the accounting rather than asserting a snapshot.
-        assert!(
-            wait_for(|| client.wire_stats().queue(srv_id).depth >= 3, 5),
-            "queue depth must surface through WireStats"
-        );
-
-        // Restart on a NEW port (the old one may sit in TIME_WAIT) and
-        // point supervision at it — the service-discovery step.
-        let revived = TcpNode::listen_with(srv_id, "127.0.0.1:0", quick_cfg()).unwrap();
-        client.set_peer_addr(srv_id, revived.local_addr().unwrap());
-
-        for i in 0..3u32 {
-            let (from, frame) = revived.recv_timeout(StdDuration::from_secs(5)).unwrap();
-            assert_eq!(from, cli_id);
-            assert_eq!(&frame[..], &[i as u8], "queue must drain in order");
-        }
-        assert!(client.is_connected(srv_id));
-        assert!(client.take_connected().contains(&srv_id));
-        assert!(client.take_disconnected().contains(&srv_id));
-        assert!(
-            wait_for(|| client.wire_stats().queue(srv_id).depth == 0, 5),
-            "drained"
-        );
-    }
-
-    #[test]
-    fn silent_inbound_peer_is_reaped_by_idle_deadline() {
-        let srv_id = NodeId::Server(ServerId(0));
-        let cli_id = NodeId::Client(ClientId(8));
-        let server = TcpNode::listen_with(srv_id, "127.0.0.1:0", quick_cfg()).unwrap();
-
-        // A hand-rolled peer: completes the hello, then goes silent
-        // (and never reads, so no keepalives reach our reader either —
-        // from the server's side it is indistinguishable from wedged).
-        let mut raw = TcpStream::connect(server.local_addr().unwrap()).unwrap();
-        write_frame(&mut raw, &encode_hello(cli_id)).unwrap();
-        let _ = read_frame(&mut raw).unwrap();
-
-        let mut downs = Vec::new();
-        assert!(
-            wait_for(
-                || {
-                    downs.extend(server.take_disconnected());
-                    downs.contains(&cli_id)
-                },
-                5
-            ),
-            "idle deadline must reap the silent peer (was: reader pinned forever)"
-        );
-    }
-
-    #[test]
-    fn adversarial_length_header_tears_down_only_that_connection() {
-        let srv_id = NodeId::Server(ServerId(0));
-        let evil_id = NodeId::Client(ClientId(66));
-        let honest_id = NodeId::Client(ClientId(7));
-        let server = TcpNode::listen_with(srv_id, "127.0.0.1:0", quick_cfg()).unwrap();
-        let addr = server.local_addr().unwrap();
-
-        // A hand-rolled peer that completes the hello, then claims an
-        // impossible frame length. The stream can never resync past a
-        // bad header, so the server must drop the connection — well
-        // before the idle deadline, and without allocating the claimed
-        // payload.
-        let mut evil = TcpStream::connect(addr).unwrap();
-        write_frame(&mut evil, &encode_hello(evil_id)).unwrap();
-        let _ = read_frame(&mut evil).unwrap();
-        let start = Instant::now();
-        evil.write_all(&(wire::MAX_FRAME_LEN + 1).to_le_bytes())
-            .unwrap();
-        evil.flush().unwrap();
-
-        let mut downs = Vec::new();
-        assert!(
-            wait_for(
-                || {
-                    downs.extend(server.take_disconnected());
-                    downs.contains(&evil_id)
-                },
-                5
-            ),
-            "oversize header must tear the connection down"
-        );
-        assert!(
-            start.elapsed() < StdDuration::from_millis(300),
-            "teardown must be immediate, not idle-deadline reaping ({:?})",
-            start.elapsed()
-        );
-
-        // The server itself is unharmed: an honest peer connects and
-        // exchanges frames as usual.
-        let honest = TcpNode::dial_with(honest_id, addr, quick_cfg()).unwrap();
-        honest.send(srv_id, Bytes::from_static(b"hi")).unwrap();
-        let (from, frame) = server.recv_timeout(StdDuration::from_secs(5)).unwrap();
-        assert_eq!(from, honest_id);
-        assert_eq!(&frame[..], b"hi");
-    }
-
-    #[test]
-    fn keepalives_hold_an_idle_link_open() {
-        let srv_id = NodeId::Server(ServerId(0));
-        let cli_id = NodeId::Client(ClientId(2));
-        let server = TcpNode::listen_with(srv_id, "127.0.0.1:0", quick_cfg()).unwrap();
-        let client = TcpNode::dial_with(cli_id, server.local_addr().unwrap(), quick_cfg()).unwrap();
-
-        // Well past the 400 ms idle deadline with zero app traffic.
-        thread::sleep(StdDuration::from_millis(1200));
-        assert!(client.is_connected(srv_id), "keepalives must keep it up");
-        client
-            .send(srv_id, Bytes::from_static(b"still here"))
-            .unwrap();
-        let (_, frame) = server.recv_timeout(StdDuration::from_secs(2)).unwrap();
-        assert_eq!(&frame[..], b"still here");
-        assert!(server.take_disconnected().is_empty());
     }
 }

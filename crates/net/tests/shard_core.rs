@@ -5,9 +5,11 @@
 
 use bytes::Bytes;
 use std::time::{Duration, Instant};
+use vl_net::poll::encode_hello;
 use vl_net::poll::{PollConfig, Reactor};
 use vl_net::shard::ShardedNode;
-use vl_net::{Channel, NodeId};
+use vl_net::tcp::{read_frame, write_frame};
+use vl_net::{Channel, NetEvent, NodeId};
 use vl_types::{ClientId, ServerId};
 
 fn srv(n: u32) -> NodeId {
@@ -48,16 +50,17 @@ fn connections_pin_to_one_shard_and_never_migrate() {
             c
         })
         .collect();
-    let mut ups = 0usize;
+    let connected = || {
+        server
+            .shard_stats()
+            .iter()
+            .map(|s| s.connected)
+            .sum::<usize>()
+    };
     assert!(
-        wait_for(
-            || {
-                ups += server.take_connected().len();
-                ups == N as usize
-            },
-            10
-        ),
-        "all {N} connections must come up (got {ups})"
+        wait_for(|| connected() == N as usize, 10),
+        "all {N} connections must come up (got {})",
+        connected()
     );
 
     // Every client lives on exactly one shard. `shard_of` finds the
@@ -147,16 +150,17 @@ fn idle_sharded_server_makes_near_zero_wakeups() {
             c
         })
         .collect();
-    let mut ups = 0usize;
+    let connected = || {
+        server
+            .shard_stats()
+            .iter()
+            .map(|s| s.connected)
+            .sum::<usize>()
+    };
     assert!(
-        wait_for(
-            || {
-                ups += server.take_connected().len();
-                ups == 100
-            },
-            10
-        ),
-        "all 100 connections must come up (got {ups})"
+        wait_for(|| connected() == 100, 10),
+        "all 100 connections must come up (got {})",
+        connected()
     );
 
     std::thread::sleep(Duration::from_millis(300));
@@ -195,4 +199,47 @@ fn single_shard_degenerates_to_plain_node() {
         b"pong"
     );
     assert_eq!(server.shard_of(cli(7)), Some(0));
+}
+
+/// The stream-order guarantee survives sharding per connection: with
+/// several shards feeding the one inbox, each peer's own events still
+/// read `Up`, its frames in order, `Down`.
+#[test]
+fn sharded_stream_orders_events_per_connection() {
+    const PEERS: u32 = 12;
+    const FRAMES: u8 = 4;
+    let server = ShardedNode::listen(srv(0), "127.0.0.1:0", 4, PollConfig::default()).unwrap();
+    for p in 0..PEERS {
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        write_frame(&mut raw, &encode_hello(cli(p))).unwrap();
+        let _ = read_frame(&mut raw).unwrap();
+        for i in 0..FRAMES {
+            write_frame(&mut raw, &Bytes::from(vec![i])).unwrap();
+        }
+    }
+
+    let per_peer = usize::from(FRAMES) + 2;
+    let mut seen: Vec<Vec<NetEvent>> = vec![Vec::new(); PEERS as usize];
+    for _ in 0..PEERS as usize * per_peer {
+        let ev = server.recv_event(Some(Duration::from_secs(5))).unwrap();
+        let peer = match &ev {
+            NetEvent::Frame { from, .. } => *from,
+            NetEvent::Up(p) | NetEvent::Down(p) => *p,
+            NetEvent::Woken => panic!("nobody called wake"),
+        };
+        let NodeId::Client(ClientId(n)) = peer else {
+            panic!("unexpected peer {peer:?}");
+        };
+        seen[n as usize].push(ev);
+    }
+    for (p, got) in seen.iter().enumerate() {
+        let p = cli(p as u32);
+        let mut want = vec![NetEvent::Up(p)];
+        want.extend((0..FRAMES).map(|i| NetEvent::Frame {
+            from: p,
+            bytes: Bytes::from(vec![i]),
+        }));
+        want.push(NetEvent::Down(p));
+        assert_eq!(got, &want);
+    }
 }

@@ -8,19 +8,19 @@
 //! the returned [`ServerAction`]s — encoding replies, persisting the
 //! stable record, and completing writer rendezvous.
 //!
-//! The driver is timer-accurate, not tick-driven: it honours the
-//! machine's [`ServerAction::SetTimer`] deadlines and sleeps until the
-//! earliest one (or a coarse safety cap) instead of waking every
-//! millisecond. Commands, frames, and disconnect notices are merged
-//! onto one channel by a forwarder thread, so the loop parks on a
-//! single blocking receive in between deadlines.
+//! The driver is one thread with one blocking receive and no tick: it
+//! parks on the endpoint's event stream ([`Channel::recv_event`] —
+//! frames and link state on one queue) until the machine's earliest
+//! [`ServerAction::SetTimer`] deadline, indefinitely when none is
+//! armed. [`ServerHandle`] commands queue beside it and interrupt the
+//! receive through [`Channel::wake`].
 
 use crate::stable::StableRecord;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use std::collections::VecDeque;
+use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration as StdDuration;
@@ -29,7 +29,7 @@ use vl_core::machine::{
 };
 use vl_metrics::trace::{Event as TraceEvent, EventKind};
 use vl_metrics::TraceSink;
-use vl_net::{Channel, NetError, NodeId};
+use vl_net::{Channel, NetError, NetEvent, NodeId};
 use vl_proto::codec;
 use vl_types::{
     ClientId, Clock, Duration, ObjectId, ServerId, ShardMap, Timestamp, Version, VolumeId,
@@ -120,22 +120,6 @@ enum Command {
     Shutdown,
 }
 
-/// Everything that can wake the driver, merged onto one channel (the
-/// channel shim has no `select`, so the forwarder thread funnels
-/// endpoint traffic into the same queue the handle's commands use).
-enum Event {
-    Cmd(Command),
-    /// A frame arrived from `from`.
-    Net {
-        from: NodeId,
-        bytes: Bytes,
-    },
-    /// The transport reported `client`'s connection down.
-    Down(ClientId),
-    /// The endpoint is gone (replaced or network dropped).
-    NetDead,
-}
-
 /// Spawns [`ServerHandle`]s. See the crate docs for the protocol.
 #[derive(Debug)]
 pub struct LeaseServer;
@@ -176,71 +160,61 @@ impl LeaseServer {
         sink: Option<Box<dyn TraceSink>>,
     ) -> ServerHandle {
         let endpoint: Arc<dyn Channel> = Arc::new(endpoint);
-        let (tx, rx) = unbounded();
-        let stop = Arc::new(AtomicBool::new(false));
-
-        // Forwarder: pumps endpoint frames and disconnect notices into
-        // the unified event queue so the driver can block on one
-        // receive. Exits when the driver raises `stop` (checked at
-        // receive-timeout granularity) or the endpoint dies.
-        {
+        let (cmd, cmds) = unbounded();
+        let thread = {
             let endpoint = Arc::clone(&endpoint);
-            let tx = tx.clone();
-            let stop = Arc::clone(&stop);
             std::thread::Builder::new()
-                .name(format!("vl-server-{}-net", config.server))
-                .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        for node in endpoint.take_disconnected() {
-                            if let NodeId::Client(client) = node {
-                                if tx.send(Event::Down(client)).is_err() {
-                                    return;
-                                }
-                            }
-                        }
-                        match endpoint.recv_timeout(StdDuration::from_millis(100)) {
-                            Ok((from, bytes)) => {
-                                if tx.send(Event::Net { from, bytes }).is_err() {
-                                    return;
-                                }
-                            }
-                            Err(NetError::Timeout) => {}
-                            Err(_) => {
-                                let _ = tx.send(Event::NetDead);
-                                return;
-                            }
-                        }
-                    }
-                })
-                .expect("spawn server net thread");
+                .name(format!("vl-server-{}", config.server))
+                .spawn(move || Driver::new(config, endpoint, clock, cmds, sink).run())
+                .expect("spawn server thread")
+        };
+        ServerHandle {
+            cmd,
+            endpoint,
+            thread,
         }
-
-        let thread = std::thread::Builder::new()
-            .name(format!("vl-server-{}", config.server))
-            .spawn(move || Driver::new(config, endpoint, clock, rx, stop, sink).run())
-            .expect("spawn server thread");
-        ServerHandle { cmd: tx, thread }
     }
 }
 
 /// Control handle to a running server.
-#[derive(Debug)]
 pub struct ServerHandle {
-    cmd: Sender<Event>,
+    cmd: Sender<Command>,
+    /// The driver's endpoint, to wake it when a command is queued.
+    endpoint: Arc<dyn Channel>,
     thread: JoinHandle<()>,
 }
 
+impl fmt::Debug for ServerHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ServerHandle")
+            .field("endpoint", &self.endpoint.id())
+            .finish()
+    }
+}
+
 impl ServerHandle {
+    /// Queues `cmd` and interrupts the driver's blocking receive.
+    fn submit(&self, cmd: Command) {
+        self.cmd.send(cmd).expect("server loop alive");
+        self.endpoint.wake();
+    }
+
+    /// Stops the driver with `cmd` and waits for it (the driver may
+    /// already be gone, e.g. its endpoint was replaced).
+    fn stop(self, cmd: Command) {
+        let _ = self.cmd.send(cmd);
+        self.endpoint.wake();
+        let _ = self.thread.join();
+    }
+
     /// Creates (or resets) an object with initial `data` at version 1.
     pub fn create_object(&self, object: ObjectId, data: Bytes) {
         let (reply, done) = bounded(1);
-        self.cmd
-            .send(Event::Cmd(Command::CreateObject {
-                object,
-                data,
-                reply,
-            }))
-            .expect("server loop alive");
+        self.submit(Command::CreateObject {
+            object,
+            data,
+            reply,
+        });
         done.recv().expect("server loop alive");
     }
 
@@ -249,13 +223,11 @@ impl ServerHandle {
     /// delay).
     pub fn write(&self, object: ObjectId, data: Bytes) -> WriteOutcome {
         let (reply, done) = bounded(1);
-        self.cmd
-            .send(Event::Cmd(Command::Write {
-                object,
-                data,
-                reply,
-            }))
-            .expect("server loop alive");
+        self.submit(Command::Write {
+            object,
+            data,
+            reply,
+        });
         done.recv().expect("server loop alive")
     }
 
@@ -263,32 +235,26 @@ impl ServerHandle {
     /// one it already holds are ignored (the machine keeps the newest).
     pub fn set_shard_map(&self, map: ShardMap) {
         let (reply, done) = bounded(1);
-        self.cmd
-            .send(Event::Cmd(Command::SetShardMap { map, reply }))
-            .expect("server loop alive");
+        self.submit(Command::SetShardMap { map, reply });
         done.recv().expect("server loop alive");
     }
 
     /// Snapshot of server statistics.
     pub fn stats(&self) -> ServerStats {
         let (reply, done) = bounded(1);
-        self.cmd
-            .send(Event::Cmd(Command::Stats { reply }))
-            .expect("server loop alive");
+        self.submit(Command::Stats { reply });
         done.recv().expect("server loop alive")
     }
 
     /// Simulates a crash: the loop exits immediately and all volatile
     /// lease state is lost. Only the stable record survives.
     pub fn crash(self) {
-        let _ = self.cmd.send(Event::Cmd(Command::Crash));
-        let _ = self.thread.join();
+        self.stop(Command::Crash);
     }
 
     /// Graceful shutdown.
     pub fn shutdown(self) {
-        let _ = self.cmd.send(Event::Cmd(Command::Shutdown));
-        let _ = self.thread.join();
+        self.stop(Command::Shutdown);
     }
 }
 
@@ -299,10 +265,9 @@ struct Driver<C: Clock> {
     machine: ServerMachine,
     endpoint: Arc<dyn Channel>,
     clock: C,
-    events: Receiver<Event>,
-    /// Raised on exit so the forwarder thread releases its endpoint
-    /// handle (which closes the sockets).
-    stop: Arc<AtomicBool>,
+    /// [`ServerHandle`] commands; each arrives with a
+    /// [`NetEvent::Woken`] on the endpoint's stream.
+    cmds: Receiver<Command>,
     stable_path: Option<PathBuf>,
     /// Writers awaiting completion, oldest first. The machine commits
     /// writes strictly in enqueue order, so a FIFO correlates each
@@ -326,8 +291,7 @@ impl<C: Clock> Driver<C> {
         cfg: ServerConfig,
         endpoint: Arc<dyn Channel>,
         clock: C,
-        events: Receiver<Event>,
-        stop: Arc<AtomicBool>,
+        cmds: Receiver<Command>,
         sink: Option<Box<dyn TraceSink>>,
     ) -> Driver<C> {
         let recovered = match &cfg.stable_path {
@@ -346,8 +310,7 @@ impl<C: Clock> Driver<C> {
             machine,
             endpoint,
             clock,
-            events,
-            stop,
+            cmds,
             stable_path: cfg.stable_path,
             write_replies: VecDeque::new(),
             timers: [None; 2],
@@ -362,44 +325,10 @@ impl<C: Clock> Driver<C> {
         driver
     }
 
-    /// Coarse upper bound on any single sleep: keeps stats sampling
-    /// and forwarder-liveness responsive even with no armed deadline.
-    const SAFETY_CAP: StdDuration = StdDuration::from_secs(1);
-
     fn run(mut self) {
         loop {
-            match self.events.recv_timeout(self.next_timeout()) {
-                Ok(Event::Cmd(cmd)) => match cmd {
-                    Command::CreateObject {
-                        object,
-                        data,
-                        reply,
-                    } => {
-                        self.step(ServerInput::CreateObject {
-                            object,
-                            data,
-                            version: Version::FIRST,
-                        });
-                        let _ = reply.send(());
-                    }
-                    Command::Write {
-                        object,
-                        data,
-                        reply,
-                    } => {
-                        self.write_replies.push_back(reply);
-                        self.step(ServerInput::Write { object, data });
-                    }
-                    Command::Stats { reply } => {
-                        let _ = reply.send(self.machine.stats());
-                    }
-                    Command::SetShardMap { map, reply } => {
-                        self.step(ServerInput::SetShardMap { map });
-                        let _ = reply.send(());
-                    }
-                    Command::Crash | Command::Shutdown => return self.exit(),
-                },
-                Ok(Event::Net { from, bytes }) => match from {
+            match self.endpoint.recv_event(self.next_timeout()) {
+                Ok(NetEvent::Frame { from, bytes }) => match from {
                     NodeId::Client(client) => match codec::decode_client(&bytes) {
                         Ok(msg) => self.step(ServerInput::Msg { from: client, msg }),
                         Err(_) => { /* corrupt frame: drop, as UDP would */ }
@@ -415,33 +344,81 @@ impl<C: Clock> Driver<C> {
                 // the unreachable set so the next handshake is a full
                 // MUST_RENEW_ALL reconnect (leases themselves are
                 // untouched).
-                Ok(Event::Down(client)) => {
+                Ok(NetEvent::Down(NodeId::Client(client))) => {
                     self.step(ServerInput::PeerDisconnected { client });
                 }
-                Ok(Event::NetDead) | Err(RecvTimeoutError::Disconnected) => return self.exit(),
-                Err(RecvTimeoutError::Timeout) => {}
+                Ok(NetEvent::Up(_) | NetEvent::Down(_)) => {}
+                Ok(NetEvent::Woken) => {
+                    while let Ok(cmd) = self.cmds.try_recv() {
+                        if !self.command(cmd) {
+                            return self.exit();
+                        }
+                    }
+                }
+                Err(NetError::Timeout) => {}
+                // The endpoint is gone (replaced or network dropped).
+                Err(_) => return self.exit(),
             }
             self.fire_timers();
             self.sample_wire_stats();
         }
     }
 
+    /// Executes one handle command; `false` stops the driver.
+    fn command(&mut self, cmd: Command) -> bool {
+        match cmd {
+            Command::CreateObject {
+                object,
+                data,
+                reply,
+            } => {
+                self.step(ServerInput::CreateObject {
+                    object,
+                    data,
+                    version: Version::FIRST,
+                });
+                let _ = reply.send(());
+            }
+            Command::Write {
+                object,
+                data,
+                reply,
+            } => {
+                self.write_replies.push_back(reply);
+                self.step(ServerInput::Write { object, data });
+            }
+            Command::Stats { reply } => {
+                let _ = reply.send(self.machine.stats());
+            }
+            Command::SetShardMap { map, reply } => {
+                self.step(ServerInput::SetShardMap { map });
+                let _ = reply.send(());
+            }
+            Command::Crash | Command::Shutdown => return false,
+        }
+        true
+    }
+
     fn exit(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
         if let Some(sink) = &mut self.sink {
             sink.flush();
         }
     }
 
-    /// Sleep until the earliest armed machine deadline, capped so the
-    /// loop stays responsive to stats sampling and shutdown.
-    fn next_timeout(&self) -> StdDuration {
+    /// How long to park: until the earliest armed machine deadline or,
+    /// when tracing, the next stats sample; indefinitely with neither.
+    fn next_timeout(&self) -> Option<StdDuration> {
+        let next = self
+            .timers
+            .iter()
+            .flatten()
+            .copied()
+            .chain(self.sink.is_some().then_some(self.next_stats))
+            .min()?;
         let now = self.clock.now().as_millis();
-        let mut ms = Driver::<C>::SAFETY_CAP.as_millis() as u64;
-        for at in self.timers.iter().flatten() {
-            ms = ms.min(at.as_millis().saturating_sub(now));
-        }
-        StdDuration::from_millis(ms)
+        Some(StdDuration::from_millis(
+            next.as_millis().saturating_sub(now),
+        ))
     }
 
     /// Ticks the machine if any armed deadline has passed. Slots clear

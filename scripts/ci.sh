@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full CI gate: formatting, lint (warnings denied), release build (all
 # targets, so bench breakage is caught), the complete test suite
-# including ignored tests, a warning-clean rustdoc build, the simulator
+# including ignored tests, the benchmark package's own tests (it links
+# crates/*), a warning-clean rustdoc build, the simulator
 # smoke benchmark, and a live-transport smoke benchmark run as a
 # {1,4}-reactor scaling matrix (the 4-reactor run must hold more
 # connections than the 1-reactor run).
@@ -25,6 +26,12 @@ cargo build --workspace --all-targets --release
 
 echo "==> cargo test -q --workspace -- --include-ignored (timeout ${TEST_TIMEOUT}s)"
 timeout --kill-after=30 "$TEST_TIMEOUT" cargo test -q --workspace -- --include-ignored
+
+echo "==> cargo test --offline --manifest-path benchmark/Cargo.toml"
+# benchmark/ is a workspace of its own linking crates/*: a public-API
+# change that stops it compiling must fail here, not in the benchmark
+# driver. Built under target/ so nothing is left inside benchmark/.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -12,29 +12,42 @@ use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 use vl_client::{CacheClient, ClientConfig};
 use vl_net::chaos::{ChaosConfig, ChaosNet};
+use vl_net::poll::{PollConfig, PollNode, Reactor};
 use vl_net::retry::RetryPolicy;
-use vl_net::tcp::{TcpConfig, TcpNode};
 use vl_net::{Channel, InMemoryNetwork, NodeId};
 use vl_server::{LeaseServer, ServerConfig, WallClock};
 use vl_types::{ClientId, Duration, Epoch, ObjectId, ServerId};
 
 const SRV: ServerId = ServerId(0);
 
-/// TCP supervision tuned for test latency: fast read polls, quick
-/// redial backoff, and an idle deadline short enough to notice a dead
-/// peer within the test budget.
-fn quick_tcp() -> TcpConfig {
-    TcpConfig {
-        read_tick: StdDuration::from_millis(25),
+/// TCP supervision tuned for test latency: quick redial backoff, and
+/// an idle deadline short enough to notice a dead peer within the test
+/// budget.
+fn quick_tcp() -> PollConfig {
+    PollConfig {
         idle_deadline: Some(StdDuration::from_secs(5)),
         redial: RetryPolicy {
             base: StdDuration::from_millis(25),
             max: StdDuration::from_millis(200),
             ..RetryPolicy::default()
         },
-        supervise_every: StdDuration::from_millis(10),
-        ..TcpConfig::default()
+        ..PollConfig::default()
     }
+}
+
+/// A listening server node on a reactor of its own.
+fn listen() -> PollNode {
+    let reactor = Reactor::spawn(quick_tcp()).unwrap();
+    reactor.listen(NodeId::Server(SRV), "127.0.0.1:0").unwrap()
+}
+
+/// A client node on a reactor of its own, connected to `addr`.
+fn dial(id: u32, addr: std::net::SocketAddr) -> PollNode {
+    let node = Reactor::spawn(quick_tcp())
+        .unwrap()
+        .node(NodeId::Client(ClientId(id)));
+    node.dial(addr).unwrap();
+    node
 }
 
 /// A client config with a deep retry budget so individual request
@@ -99,8 +112,7 @@ fn no_stale_reads_and_bounded_write_delay_under_chaos() {
     });
 
     let clock = WallClock::new();
-    let server_node =
-        TcpNode::listen_with(NodeId::Server(SRV), "127.0.0.1:0", quick_tcp()).unwrap();
+    let server_node = listen();
     let addr = server_node.local_addr().unwrap();
     let server = LeaseServer::spawn(
         ServerConfig {
@@ -113,7 +125,7 @@ fn no_stale_reads_and_bounded_write_delay_under_chaos() {
     );
     server.create_object(OBJ, Bytes::from_static(b"o1 v1"));
 
-    let client_node = TcpNode::dial_with(NodeId::Client(ClientId(1)), addr, quick_tcp()).unwrap();
+    let client_node = dial(1, addr);
     let client = CacheClient::spawn(patient_client(1), chaos.wrap(client_node), clock);
 
     let mut version = 1u64;
@@ -222,16 +234,14 @@ fn kill_and_restart_recovers_through_reconnection() {
         ..ServerConfig::new(SRV)
     };
     let clock = WallClock::new();
-    let server_node =
-        TcpNode::listen_with(NodeId::Server(SRV), "127.0.0.1:0", quick_tcp()).unwrap();
+    let server_node = listen();
     let addr = server_node.local_addr().unwrap();
     let server = LeaseServer::spawn(cfg(path.clone()), server_node, clock);
     server.create_object(OBJ, Bytes::from_static(b"k v1"));
 
     // Keep a handle on the client's transport so we can repoint it at
     // the restarted server (stand-in for service discovery).
-    let client_node =
-        Arc::new(TcpNode::dial_with(NodeId::Client(ClientId(1)), addr, quick_tcp()).unwrap());
+    let client_node = Arc::new(dial(1, addr));
     let client = CacheClient::spawn(patient_client(1), Arc::clone(&client_node), clock);
     assert_eq!(&client.read(OBJ).unwrap()[..], b"k v1");
     assert_eq!(client.server_epoch(), Epoch(0));
@@ -245,8 +255,7 @@ fn kill_and_restart_recovers_through_reconnection() {
     );
 
     // Restart from the same stable record on a fresh port.
-    let server_node =
-        TcpNode::listen_with(NodeId::Server(SRV), "127.0.0.1:0", quick_tcp()).unwrap();
+    let server_node = listen();
     let new_addr = server_node.local_addr().unwrap();
     let server = LeaseServer::spawn(cfg(path.clone()), server_node, clock);
     server.create_object(OBJ, Bytes::from_static(b"k v1")); // reload "disk"
@@ -287,8 +296,7 @@ fn server_demotes_dropped_connection_to_unreachable() {
     const OBJ: ObjectId = ObjectId(1);
     let t_v = StdDuration::from_millis(300);
     let clock = WallClock::new();
-    let server_node =
-        TcpNode::listen_with(NodeId::Server(SRV), "127.0.0.1:0", quick_tcp()).unwrap();
+    let server_node = listen();
     let addr = server_node.local_addr().unwrap();
     let server = LeaseServer::spawn(
         ServerConfig {
@@ -301,15 +309,11 @@ fn server_demotes_dropped_connection_to_unreachable() {
     );
     server.create_object(OBJ, Bytes::from_static(b"u v1"));
 
-    let client = CacheClient::spawn(
-        patient_client(1),
-        TcpNode::dial_with(NodeId::Client(ClientId(1)), addr, quick_tcp()).unwrap(),
-        clock,
-    );
+    let client = CacheClient::spawn(patient_client(1), dial(1, addr), clock);
     assert_eq!(&client.read(OBJ).unwrap()[..], b"u v1");
     assert_eq!(server.stats().unreachable, 0);
 
-    // Shutdown drops the client's TcpNode: the server's reader sees the
+    // Shutdown drops the client's node: the server's reader sees the
     // close and the driver feeds PeerDisconnected into the machine.
     client.shutdown();
     assert!(

@@ -9,8 +9,8 @@ use bytes::Bytes;
 use std::time::Duration as StdDuration;
 use vl_client::{CacheClient, ClientConfig};
 use vl_net::chaos::{ChaosConfig, ChaosNet};
+use vl_net::poll::{PollConfig, PollNode, Reactor};
 use vl_net::retry::RetryPolicy;
-use vl_net::tcp::{TcpConfig, TcpNode};
 use vl_net::NodeId;
 use vl_server::{LeaseServer, ServerConfig, WallClock};
 use vl_types::{ClientId, Duration, ObjectId, ServerId};
@@ -25,18 +25,31 @@ const T: StdDuration = StdDuration::from_millis(600);
 /// any positive bound is honored.
 const EPS: StdDuration = StdDuration::from_millis(200);
 
-fn quick_tcp() -> TcpConfig {
-    TcpConfig {
-        read_tick: StdDuration::from_millis(25),
+fn quick_tcp() -> PollConfig {
+    PollConfig {
         idle_deadline: Some(StdDuration::from_secs(5)),
         redial: RetryPolicy {
             base: StdDuration::from_millis(25),
             max: StdDuration::from_millis(200),
             ..RetryPolicy::default()
         },
-        supervise_every: StdDuration::from_millis(10),
-        ..TcpConfig::default()
+        ..PollConfig::default()
     }
+}
+
+/// A listening server node on a reactor of its own.
+fn listen() -> PollNode {
+    let reactor = Reactor::spawn(quick_tcp()).unwrap();
+    reactor.listen(NodeId::Server(SRV), "127.0.0.1:0").unwrap()
+}
+
+/// A client node on a reactor of its own, connected to `addr`.
+fn dial(id: u32, addr: std::net::SocketAddr) -> PollNode {
+    let node = Reactor::spawn(quick_tcp())
+        .unwrap()
+        .node(NodeId::Client(ClientId(id)));
+    node.dial(addr).unwrap();
+    node
 }
 
 fn self_inval_server() -> ServerConfig {
@@ -72,22 +85,13 @@ fn version_of(data: &[u8]) -> u64 {
 #[test]
 fn writes_send_nothing_and_wait_at_most_t_plus_epsilon() {
     let clock = WallClock::new();
-    let server_node =
-        TcpNode::listen_with(NodeId::Server(SRV), "127.0.0.1:0", quick_tcp()).unwrap();
+    let server_node = listen();
     let addr = server_node.local_addr().unwrap();
     let server = LeaseServer::spawn(self_inval_server(), server_node, clock);
     server.create_object(OBJ, Bytes::from_static(b"s v1"));
 
-    let c1 = CacheClient::spawn(
-        self_inval_client(1),
-        TcpNode::dial_with(NodeId::Client(ClientId(1)), addr, quick_tcp()).unwrap(),
-        clock,
-    );
-    let c2 = CacheClient::spawn(
-        self_inval_client(2),
-        TcpNode::dial_with(NodeId::Client(ClientId(2)), addr, quick_tcp()).unwrap(),
-        clock,
-    );
+    let c1 = CacheClient::spawn(self_inval_client(1), dial(1, addr), clock);
+    let c2 = CacheClient::spawn(self_inval_client(2), dial(2, addr), clock);
     assert_eq!(&c1.read(OBJ).unwrap()[..], b"s v1");
     assert_eq!(&c2.read(OBJ).unwrap()[..], b"s v1");
     // A cached copy is readable until its deadline without any traffic.
@@ -139,13 +143,12 @@ fn no_stale_reads_under_chaos_with_zero_invalidations() {
         ..ChaosConfig::default()
     });
     let clock = WallClock::new();
-    let server_node =
-        TcpNode::listen_with(NodeId::Server(SRV), "127.0.0.1:0", quick_tcp()).unwrap();
+    let server_node = listen();
     let addr = server_node.local_addr().unwrap();
     let server = LeaseServer::spawn(self_inval_server(), chaos.wrap(server_node), clock);
     server.create_object(OBJ, Bytes::from_static(b"c v1"));
 
-    let client_node = TcpNode::dial_with(NodeId::Client(ClientId(1)), addr, quick_tcp()).unwrap();
+    let client_node = dial(1, addr);
     let client = CacheClient::spawn(self_inval_client(1), chaos.wrap(client_node), clock);
 
     let mut version = 1u64;
