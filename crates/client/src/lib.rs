@@ -4,12 +4,12 @@
 //! object only while holding valid leases on **both** the object and
 //! the object's volume, renew lapsed leases, answer invalidations with
 //! acks, and run the client half of the reconnection protocol — lives in
-//! the pure state machine [`vl_core::machine::ClientMachine`].
-//! [`CacheClient`] is the thin live driver around it: it owns the
-//! network endpoint, one receive thread blocked on the endpoint's event
-//! stream (no tick), and a condition variable, feeds wire messages,
-//! link-state changes and read requests into the machine, and executes
-//! the actions it returns.
+//! the pure state machine [`vl_core::machine::ClientMachine`], one per
+//! volume. [`CacheClient`] is the thin live driver around them: it owns
+//! the network endpoint, one receive thread blocked on the endpoint's
+//! event stream (no tick), and a condition variable; it routes wire
+//! messages, link-state changes and read requests to the machine of
+//! the volume they concern, and executes the actions it returns.
 //!
 //! If the server cannot be reached, [`CacheClient::read`] fails with
 //! [`ReadError::Unavailable`] rather than returning possibly-stale data —
@@ -48,47 +48,66 @@
 //! # Ok::<(), vl_client::ReadError>(())
 //! ```
 //!
+//! # Many origins
+//!
+//! A dedicated mirror reads one volume of one server — [`ClientConfig`]'s
+//! `server` and `volume`, what [`CacheClient::read`] uses. The paper's
+//! world is a browser-like cache talking to *many* origins (the trace
+//! has 1000 servers): [`CacheClient::read_at`] names the object's
+//! [`ObjectLocation`], like a URL names a host, and the client keeps an
+//! independent volume lease per volume over the one endpoint. That
+//! surfaces **failure isolation**: a partition to one origin makes only
+//! *its* objects unavailable (their volume lease lapses) while reads
+//! against every other origin keep succeeding — the per-volume blast
+//! radius the paper's design intends. In a sharded service the location's
+//! server is only a hint: a shard map ([`CacheClient::set_shard_map`])
+//! or a `WRONG_SHARD` redirect re-aims the volume, and the ordinary
+//! `MUST_RENEW_ALL` exchange re-syncs it with its new owner. See
+//! `tests/live_multi.rs` in the repository root for a three-origin
+//! walkthrough with partitions and live handoffs.
+//!
 //! # Layering
 //!
 //! The machine/driver split above is the DESIGN.md §7 rule: the machine
 //! is tested exhaustively under the deterministic fault harness, and
-//! this driver stays small enough to review by hand. When a
+//! this driver — which decides *where* a message goes, never what a
+//! lease allows — stays small enough to review by hand. When a
 //! [`vl_metrics::TraceSink`] is attached ([`CacheClient::spawn_traced`]),
 //! the driver maps each executed machine action to a trace event via
-//! [`vl_core::machine::events`].
+//! [`vl_core::machine::events`], labelled with the server it went to.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod multi;
+mod routes;
 
-pub use multi::{MultiCache, MultiConfig, ObjectLocation};
+pub use routes::ObjectLocation;
 pub use vl_core::machine::ClientStats;
 
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
+use routes::Routes;
+use std::collections::btree_map::Entry;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
-use vl_core::machine::{events, ClientAction, ClientInput, ClientMachine, ClientMachineConfig};
+use vl_core::machine::{events, ClientAction, ClientInput};
 use vl_metrics::{Event, EventKind, TraceSink};
 use vl_net::{Channel, NetEvent, NodeId};
-use vl_proto::{codec, ClientMsg};
-use vl_types::{ClientId, Clock, ObjectId, ServerId, Version, VolumeId};
-
-/// A sink shared between the reading thread and the receive loop.
-type SharedSink = Arc<Mutex<Box<dyn TraceSink>>>;
+use vl_proto::codec;
+use vl_types::{ClientId, Clock, Epoch, ObjectId, ServerId, ShardMap, Version, VolumeId};
 
 /// Client configuration.
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
     /// This client's identity.
     pub client: ClientId,
-    /// The origin server.
+    /// The origin server [`CacheClient::read`] reads from.
     pub server: ServerId,
-    /// The volume this client reads (1:1 with the server by default).
+    /// The volume [`CacheClient::read`] reads (1:1 with the server by
+    /// default).
     pub volume: VolumeId,
     /// How long to wait for a response before resending.
     pub request_timeout: StdDuration,
@@ -116,12 +135,11 @@ impl ClientConfig {
         }
     }
 
-    fn machine_config(&self) -> ClientMachineConfig {
-        ClientMachineConfig {
-            client: self.client,
+    /// Where [`CacheClient::read`] reads.
+    fn home(&self) -> ObjectLocation {
+        ObjectLocation {
             server: self.server,
             volume: self.volume,
-            self_inval: self.self_inval,
         }
     }
 }
@@ -152,27 +170,96 @@ impl fmt::Display for ReadError {
 
 impl std::error::Error for ReadError {}
 
+/// What the reading threads and the receive thread share.
+struct Shared {
+    cfg: ClientConfig,
+    clock: Box<dyn Clock + Send + Sync>,
+    endpoint: Box<dyn Channel>,
+    /// All protocol state lives in the per-volume machines inside.
+    routes: Mutex<Routes>,
+    /// Signalled after every frame the machines handled.
+    progress: Condvar,
+    running: AtomicBool,
+    /// Never held while taking `routes`, so either order of the two
+    /// locks elsewhere cannot deadlock.
+    sink: Option<Mutex<Box<dyn TraceSink>>>,
+}
+
+impl Shared {
+    /// Records one event about `server` (no-op when untraced).
+    fn trace(&self, server: ServerId, kind: EventKind, fill: impl FnOnce(&mut Event)) {
+        if let Some(sink) = &self.sink {
+            let mut event = Event::new(self.clock.now(), kind, server, self.cfg.client);
+            fill(&mut event);
+            sink.lock().record(&event);
+        }
+    }
+
+    /// Transmits the messages among a machine's `actions` to `to`.
+    fn send(&self, to: ServerId, actions: Vec<ClientAction>) {
+        for action in actions {
+            let ClientAction::Send(msg) = &action else {
+                continue;
+            };
+            let _ = self
+                .endpoint
+                .send(NodeId::Server(to), codec::encode_client(msg));
+            if let Some(sink) = &self.sink {
+                let now = self.clock.now();
+                let mut sink = sink.lock();
+                for event in events::client_action_events(now, to, self.cfg.client, &action) {
+                    sink.record(&event);
+                }
+            }
+        }
+    }
+
+    /// Books a successful read that began at `started`. `local`
+    /// distinguishes cache hits from reads that needed a lease-renewal
+    /// round-trip; the latter's latency doubles as the renewal RTT
+    /// sample.
+    fn finish(
+        &self,
+        routes: &mut Routes,
+        started: Instant,
+        server: ServerId,
+        object: ObjectId,
+        local: bool,
+    ) {
+        let ms = started.elapsed().as_millis() as u64;
+        routes.stats.read_time_total_ms += ms;
+        routes.stats.read_time_max_ms = routes.stats.read_time_max_ms.max(ms);
+        self.trace(server, EventKind::Read, |event| {
+            event.object = Some(object);
+            event.extra = ms;
+        });
+        if !local {
+            self.trace(server, EventKind::RenewalRtt, |event| {
+                event.object = Some(object);
+                event.value = ms;
+            });
+        }
+    }
+}
+
 /// A live cache client (owns a background receive thread).
 ///
-/// All protocol state lives in the wrapped [`ClientMachine`]; this type
-/// only adds threads, the condition variable readers block on, and
-/// wall-clock timing for the latency statistics.
+/// All protocol state lives in the wrapped per-volume
+/// [`ClientMachine`](vl_core::machine::ClientMachine)s; this type only
+/// adds the thread, the condition variable readers block on, the
+/// volume → server routes, and wall-clock timing for the latency
+/// statistics.
 pub struct CacheClient {
-    cfg: ClientConfig,
-    clock: Arc<dyn Clock + Send + Sync>,
-    endpoint: Arc<dyn Channel>,
-    state: Arc<(Mutex<ClientMachine>, Condvar)>,
-    running: Arc<AtomicBool>,
-    degraded: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     thread: Option<JoinHandle<()>>,
-    sink: Option<SharedSink>,
 }
 
 impl fmt::Debug for CacheClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CacheClient")
-            .field("client", &self.cfg.client)
-            .field("server", &self.cfg.server)
+            .field("client", &self.shared.cfg.client)
+            .field("server", &self.shared.cfg.server)
+            .field("volumes", &self.shared.routes.lock().volumes.len())
             .finish()
     }
 }
@@ -188,130 +275,122 @@ impl CacheClient {
     }
 
     /// Like [`spawn`](CacheClient::spawn), but records wire messages,
-    /// completed reads (with observed latency), and renewal round-trips
-    /// as structured trace events into `sink`.
+    /// completed reads (with observed latency), renewal round-trips and
+    /// degraded spells as structured trace events into `sink`, each
+    /// labelled with the server it concerned.
     pub fn spawn_traced(
         cfg: ClientConfig,
         endpoint: impl Channel + 'static,
         clock: impl Clock + Send + Sync + 'static,
         sink: Box<dyn TraceSink>,
     ) -> CacheClient {
-        CacheClient::spawn_inner(cfg, endpoint, clock, Some(Arc::new(Mutex::new(sink))))
+        CacheClient::spawn_inner(cfg, endpoint, clock, Some(sink))
     }
 
     fn spawn_inner(
         cfg: ClientConfig,
         endpoint: impl Channel + 'static,
         clock: impl Clock + Send + Sync + 'static,
-        sink: Option<SharedSink>,
+        sink: Option<Box<dyn TraceSink>>,
     ) -> CacheClient {
-        let clock: Arc<dyn Clock + Send + Sync> = Arc::new(clock);
-        let endpoint: Arc<dyn Channel> = Arc::new(endpoint);
-        let machine = ClientMachine::new(cfg.machine_config());
-        let state = Arc::new((Mutex::new(machine), Condvar::new()));
-        let running = Arc::new(AtomicBool::new(true));
-        let degraded = Arc::new(AtomicBool::new(false));
+        let name = format!("vl-client-{}", cfg.client);
+        // The configured volume exists from the start, so the link
+        // coming up already fetches its lease.
+        let mut routes = Routes::default();
+        routes.volume(&cfg, cfg.home());
+        let shared = Arc::new(Shared {
+            cfg,
+            clock: Box::new(clock),
+            endpoint: Box::new(endpoint),
+            routes: Mutex::new(routes),
+            progress: Condvar::new(),
+            running: AtomicBool::new(true),
+            sink: sink.map(Mutex::new),
+        });
         let thread = {
-            let endpoint = Arc::clone(&endpoint);
-            let state = Arc::clone(&state);
-            let running = Arc::clone(&running);
-            let degraded = Arc::clone(&degraded);
-            let clock = Arc::clone(&clock);
-            let cfg = cfg.clone();
-            let sink = sink.clone();
+            let shared = Arc::clone(&shared);
             std::thread::Builder::new()
-                .name(format!("vl-client-{}", cfg.client))
-                .spawn(move || {
-                    receive_loop(&cfg, &endpoint, &state, &clock, &running, &degraded, &sink)
-                })
+                .name(name)
+                .spawn(move || receive_loop(&shared))
                 .expect("spawn client thread")
         };
         CacheClient {
-            cfg,
-            clock,
-            endpoint,
-            state,
-            running,
-            degraded,
+            shared,
             thread: Some(thread),
-            sink,
         }
     }
 
-    /// Reads `object` with strong consistency: returns only data covered
-    /// by valid object **and** volume leases, renewing them as needed.
+    /// Reads `object` from the configured server and volume; see
+    /// [`read_at`](CacheClient::read_at).
     ///
     /// # Errors
     ///
-    /// [`ReadError::Unavailable`] when the server cannot be reached
-    /// within the retry budget; [`ReadError::Shutdown`] after
-    /// [`shutdown`](CacheClient::shutdown).
+    /// As [`read_at`](CacheClient::read_at).
     pub fn read(&self, object: ObjectId) -> Result<Bytes, ReadError> {
-        if !self.running.load(Ordering::SeqCst) {
+        self.read_at(self.shared.cfg.home(), object)
+    }
+
+    /// Reads `object` of the volume at `at` with strong consistency:
+    /// returns only data covered by valid object **and** volume leases,
+    /// renewing them as needed.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError::Unavailable`] when the volume's server cannot be
+    /// reached within the retry budget (reads against other origins are
+    /// unaffected); [`ReadError::Shutdown`] after
+    /// [`shutdown`](CacheClient::shutdown).
+    pub fn read_at(&self, at: ObjectLocation, object: ObjectId) -> Result<Bytes, ReadError> {
+        let shared = &*self.shared;
+        if !shared.running.load(Ordering::SeqCst) {
             return Err(ReadError::Shutdown);
         }
         let started = Instant::now();
-        // `local` distinguishes cache hits from reads that needed a
-        // lease-renewal round-trip; the latter's latency doubles as the
-        // renewal RTT sample.
-        let done = |m: &mut ClientMachine, data: Bytes, local: bool| {
-            let ms = started.elapsed().as_millis() as u64;
-            let stats = m.stats_mut();
-            stats.read_time_total_ms += ms;
-            stats.read_time_max_ms = stats.read_time_max_ms.max(ms);
-            if let Some(sink) = &self.sink {
-                let now = self.clock.now();
-                let mut sink = sink.lock();
-                sink.record(&Event {
-                    object: Some(object),
-                    extra: ms,
-                    ..Event::new(now, EventKind::Read, self.cfg.server, self.cfg.client)
-                });
-                if !local {
-                    sink.record(&Event {
-                        object: Some(object),
-                        value: ms,
-                        ..Event::new(now, EventKind::RenewalRtt, self.cfg.server, self.cfg.client)
-                    });
-                }
-            }
-            Ok(data)
-        };
-        let (lock, cv) = &*self.state;
-        for attempt in 0..=self.cfg.max_retries {
+        for attempt in 0..=shared.cfg.max_retries {
             // (Re)issue whatever is still needed: the machine either
-            // serves the read locally or tells us which lease requests
-            // to (re)send — the grants are independent (Figure 4).
-            let sends = {
-                let mut m = lock.lock();
-                let now = self.clock.now();
+            // serves the read locally or says which lease requests to
+            // (re)send — the grants are independent (Figure 4). The
+            // route is read per attempt, so a redirect between attempts
+            // re-aims the retry.
+            let (to, requests) = {
+                let mut routes = shared.routes.lock();
                 if attempt > 0 {
-                    m.stats_mut().retries += 1;
+                    routes.stats.retries += 1;
                 }
-                let mut sends = Vec::new();
-                for action in m.handle(now, ClientInput::Read { object }) {
+                let vol = routes.volume(&shared.cfg, at);
+                let to = vol.server;
+                let mut requests = Vec::new();
+                for action in vol
+                    .machine
+                    .handle(shared.clock.now(), ClientInput::Read { object })
+                {
                     match action {
                         ClientAction::DeliverRead { data, local, .. } => {
-                            return done(&mut m, data, local)
+                            shared.finish(&mut routes, started, to, object, local);
+                            return Ok(data);
                         }
-                        ClientAction::Send(msg) => sends.push(msg),
+                        request => requests.push(request),
                     }
                 }
-                sends
+                routes.remember(object, at.volume);
+                (to, requests)
             };
-            for msg in &sends {
-                self.send(msg);
-            }
-            self.trace_sends(&sends);
+            shared.send(to, requests);
             // Wait for the receive loop to make progress.
-            let deadline = Instant::now() + self.cfg.request_timeout;
-            let mut m = lock.lock();
+            let deadline = Instant::now() + shared.cfg.request_timeout;
+            let mut routes = shared.routes.lock();
             loop {
-                let now = self.clock.now();
-                if let Some(data) = m.complete_read(now, object) {
-                    return done(&mut m, data, false);
+                let vol = routes.volume(&shared.cfg, at);
+                let to = vol.server;
+                if let Some(data) = vol.machine.complete_read(shared.clock.now(), object) {
+                    shared.finish(&mut routes, started, to, object, false);
+                    return Ok(data);
                 }
-                if cv.wait_until(&mut m, deadline).timed_out() {
+                if shared
+                    .progress
+                    .wait_until(&mut routes, deadline)
+                    .timed_out()
+                {
                     break;
                 }
             }
@@ -319,66 +398,94 @@ impl CacheClient {
         Err(ReadError::Unavailable { object })
     }
 
-    /// Records outgoing messages as trace events (no-op when untraced).
-    fn trace_sends(&self, sends: &[ClientMsg]) {
-        let Some(sink) = &self.sink else { return };
-        if sends.is_empty() {
-            return;
-        }
-        let now = self.clock.now();
-        let mut sink = sink.lock();
-        for msg in sends {
-            let action = ClientAction::Send(msg.clone());
-            for ev in events::client_action_events(now, self.cfg.server, self.cfg.client, &action) {
-                sink.record(&ev);
-            }
-        }
-    }
-
     /// Returns the cached copy *without* lease validation — the
     /// "return suspect data with a warning" client policy. `None` if
     /// nothing is cached.
     pub fn read_suspect(&self, object: ObjectId) -> Option<Bytes> {
-        self.state.0.lock().read_suspect(object)
+        let routes = self.shared.routes.lock();
+        routes.machine_of(object)?.read_suspect(object)
     }
 
     /// The version this client has cached for `object`.
     pub fn cached_version(&self, object: ObjectId) -> Option<Version> {
-        self.state.0.lock().cached_version(object)
+        let routes = self.shared.routes.lock();
+        routes.machine_of(object)?.cached_version(object)
     }
 
     /// Whether both leases covering `object` are currently valid.
     pub fn holds_valid_leases(&self, object: ObjectId) -> bool {
-        self.state
-            .0
-            .lock()
-            .holds_valid_leases(self.clock.now(), object)
+        let routes = self.shared.routes.lock();
+        let now = self.shared.clock.now();
+        routes
+            .machine_of(object)
+            .is_some_and(|m| m.holds_valid_leases(now, object))
     }
 
-    /// Whether the transport reports the server connection down and no
-    /// protocol traffic has confirmed recovery yet. While degraded,
-    /// cached reads under still-valid leases remain legal — that is the
-    /// paper's whole point — but renewals will fail until the link
-    /// returns.
+    /// Number of volumes with a currently valid lease.
+    pub fn live_volumes(&self) -> usize {
+        let routes = self.shared.routes.lock();
+        let now = self.shared.clock.now();
+        let live = routes
+            .volumes
+            .values()
+            .filter(|vol| vol.machine.vol_ok(now));
+        live.count()
+    }
+
+    /// Whether the transport reports the configured server's connection
+    /// down and no frame from it has confirmed recovery yet. While
+    /// degraded, cached reads under still-valid leases remain legal —
+    /// that is the paper's whole point — but renewals will fail until
+    /// the link returns.
     pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::SeqCst)
+        let routes = self.shared.routes.lock();
+        routes.down.contains_key(&self.shared.cfg.server)
     }
 
-    /// The server epoch this client last observed; changes exactly when
-    /// the server recovered from a crash (§3.1.2).
-    pub fn server_epoch(&self) -> vl_types::Epoch {
-        self.state.0.lock().epoch()
+    /// Origins whose connection is currently down (sorted). A server in
+    /// this set degrades only its own volumes; everything else keeps
+    /// working.
+    pub fn degraded_origins(&self) -> Vec<ServerId> {
+        self.shared.routes.lock().down.keys().copied().collect()
     }
 
-    /// Statistics snapshot.
+    /// The epoch this client last observed for the configured volume;
+    /// changes exactly when its server recovered from a crash (§3.1.2)
+    /// or the volume was handed to another server.
+    pub fn server_epoch(&self) -> Epoch {
+        let routes = self.shared.routes.lock();
+        let home = routes.volumes.get(&self.shared.cfg.volume);
+        home.map_or(Epoch::default(), |vol| vol.machine.epoch())
+    }
+
+    /// Seeds or replaces the volume → server routing table. A map no
+    /// newer (by version) than the one held is ignored, so a stale seed
+    /// cannot undo a redirect.
+    pub fn set_shard_map(&self, map: ShardMap) {
+        let shared = &*self.shared;
+        let probes = shared
+            .routes
+            .lock()
+            .adopt_map(shared.clock.now(), map, None);
+        for (to, actions) in probes {
+            shared.send(to, actions);
+        }
+    }
+
+    /// Version of the routing table currently in use (0 when unset).
+    pub fn shard_map_version(&self) -> u64 {
+        self.shared.routes.lock().shard_map_version()
+    }
+
+    /// Statistics snapshot, summed across volumes.
     pub fn stats(&self) -> ClientStats {
-        self.state.0.lock().stats()
+        self.shared.routes.lock().total_stats()
     }
 
     /// Stops the receive loop and drops the endpoint.
     pub fn shutdown(mut self) {
         self.stop();
-        if let Some(sink) = &self.sink {
+        if let Some(sink) = &self.shared.sink {
             sink.lock().flush();
         }
     }
@@ -386,17 +493,11 @@ impl CacheClient {
     /// Lowers `running`, wakes the receive loop out of its blocking
     /// receive so it notices, and joins it.
     fn stop(&mut self) {
-        self.running.store(false, Ordering::SeqCst);
-        self.endpoint.wake();
+        self.shared.running.store(false, Ordering::SeqCst);
+        self.shared.endpoint.wake();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
-    }
-
-    fn send(&self, msg: &ClientMsg) {
-        let _ = self
-            .endpoint
-            .send(NodeId::Server(self.cfg.server), codec::encode_client(msg));
     }
 }
 
@@ -406,106 +507,71 @@ impl Drop for CacheClient {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn receive_loop(
-    cfg: &ClientConfig,
-    endpoint: &Arc<dyn Channel>,
-    state: &(Mutex<ClientMachine>, Condvar),
-    clock: &Arc<dyn Clock + Send + Sync>,
-    running: &AtomicBool,
-    degraded: &AtomicBool,
-    sink: &Option<SharedSink>,
-) {
-    let (lock, cv) = state;
-    let server = NodeId::Server(cfg.server);
-    // Wall-clock start of the current degraded spell, for the Recovered
-    // event's duration.
-    let mut degraded_at: Option<Instant> = None;
-    while running.load(Ordering::SeqCst) {
-        // Link state arrives on the same stream as the frames and is
-        // mirrored into protocol state. Losing the link makes us
-        // Degraded (cached reads under valid leases stay legal;
-        // renewals will stall); regaining it triggers the reconnection
-        // probe — the server answers MUST_RENEW_ALL if it bumped its
+fn receive_loop(shared: &Shared) {
+    while shared.running.load(Ordering::SeqCst) {
+        // Link state arrives on the same stream as the frames, per
+        // server. Losing a link degrades that origin's volumes (cached
+        // reads under valid leases stay legal; renewals will stall);
+        // regaining it makes each of them probe with its last-seen
+        // epoch — the server answers MUST_RENEW_ALL if it bumped the
         // epoch or demoted us while we were away.
-        let (msg, wire_bytes) = match endpoint.recv_event(None) {
-            Ok(NetEvent::Frame { bytes, .. }) => match codec::decode_server(&bytes) {
-                Ok(m) => (m, bytes.len() as u64),
+        let (from, msg, wire_bytes) = match shared.endpoint.recv_event(None) {
+            Ok(NetEvent::Frame {
+                from: NodeId::Server(from),
+                bytes,
+            }) => match codec::decode_server(&bytes) {
+                Ok(msg) => (from, msg, bytes.len() as u64),
                 Err(_) => continue, // corrupt frame
             },
-            Ok(NetEvent::Down(peer)) if peer == server => {
-                if !degraded.swap(true, Ordering::SeqCst) {
-                    degraded_at = Some(Instant::now());
-                    if let Some(sink) = sink {
-                        sink.lock().record(&Event::new(
-                            clock.now(),
-                            EventKind::Degraded,
-                            cfg.server,
-                            cfg.client,
-                        ));
-                    }
+            Ok(NetEvent::Down(NodeId::Server(server))) => {
+                let mut routes = shared.routes.lock();
+                if let Entry::Vacant(spell) = routes.down.entry(server) {
+                    spell.insert(Instant::now());
+                    drop(routes);
+                    shared.trace(server, EventKind::Degraded, |_| {});
                 }
                 continue;
             }
-            Ok(NetEvent::Up(peer)) if peer == server => {
-                let probes = {
-                    let mut m = lock.lock();
-                    m.handle(clock.now(), ClientInput::Reconnected)
-                };
-                for action in probes {
-                    if let ClientAction::Send(msg) = action {
-                        let _ = endpoint.send(server, codec::encode_client(&msg));
-                    }
-                }
+            Ok(NetEvent::Up(NodeId::Server(server))) => {
+                let now = shared.clock.now();
+                let mut routes = shared.routes.lock();
+                let probes = routes
+                    .volumes
+                    .values_mut()
+                    .filter(|vol| vol.server == server)
+                    .flat_map(|vol| vol.machine.handle(now, ClientInput::Reconnected))
+                    .collect();
+                drop(routes);
+                shared.send(server, probes);
                 continue;
             }
-            // Another peer's link, or a wake: re-check `running`.
+            // A client peer's link or frame, or a wake: re-check
+            // `running`.
             Ok(_) => continue,
             Err(_) => return,
         };
-        // A decoded server message is proof the link works again: close
-        // the degraded spell before processing it.
-        if degraded.swap(false, Ordering::SeqCst) {
-            let spell_ms = degraded_at
-                .take()
-                .map_or(0, |t| t.elapsed().as_millis() as u64);
-            lock.lock().stats_mut().degraded_spells += 1;
-            if let Some(sink) = sink {
-                sink.lock().record(&Event {
-                    value: spell_ms,
-                    ..Event::new(clock.now(), EventKind::Recovered, cfg.server, cfg.client)
-                });
-            }
-        }
-        if let Some(sink) = sink {
-            // Lock order: the sink is only ever taken *without* the
-            // machine lock held on this thread (readers take machine →
-            // sink), so taking it first here cannot deadlock.
-            let mut sink = sink.lock();
-            sink.record(&Event {
-                msg: Some(events::server_msg_kind(&msg)),
-                value: wire_bytes,
-                ..Event::new(clock.now(), EventKind::Message, cfg.server, cfg.client)
+        let kind = events::server_msg_kind(&msg);
+        let mut routes = shared.routes.lock();
+        // A decoded message from a down-marked origin proves it is
+        // back, even if the transport's connect event raced past us:
+        // close the degraded spell before processing it.
+        let spell = routes.down.remove(&from);
+        routes.stats.degraded_spells += u64::from(spell.is_some());
+        let outbox = routes.deliver(shared.clock.now(), from, msg);
+        drop(routes);
+        if let Some(since) = spell {
+            shared.trace(from, EventKind::Recovered, |event| {
+                event.value = since.elapsed().as_millis() as u64;
             });
         }
-        let actions = {
-            let mut m = lock.lock();
-            m.handle(clock.now(), ClientInput::Msg(msg))
-        };
-        let now = clock.now();
-        for action in actions {
-            if let ClientAction::Send(msg) = action {
-                let _ = endpoint.send(server, codec::encode_client(&msg));
-                if let Some(sink) = sink {
-                    let mut sink = sink.lock();
-                    let action = ClientAction::Send(msg);
-                    for ev in events::client_action_events(now, cfg.server, cfg.client, &action) {
-                        sink.record(&ev);
-                    }
-                }
-            }
+        shared.trace(from, EventKind::Message, |event| {
+            event.msg = Some(kind);
+            event.value = wire_bytes;
+        });
+        for (to, actions) in outbox {
+            shared.send(to, actions);
         }
-        cv.notify_all();
+        shared.progress.notify_all();
     }
 }
 

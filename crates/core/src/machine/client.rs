@@ -35,8 +35,9 @@ pub struct ClientStats {
     /// Driver-maintained: completed Degraded→Recovered spells on the
     /// live connection.
     pub degraded_spells: u64,
-    /// Driver-maintained: `WRONG_SHARD` redirects followed (multi-server
-    /// clients re-route; this single-server machine ignores them).
+    /// Driver-maintained: `WRONG_SHARD` redirects followed. The driver
+    /// re-aims the volume's route; the machine voids the volume lease
+    /// and probes (see [`ClientInput::Rerouted`]).
     pub redirects: u64,
 }
 
@@ -97,6 +98,13 @@ pub enum ClientInput {
     /// `MUST_RENEW_ALL` and the full reconnection handshake runs;
     /// otherwise it is a cheap renewal.
     Reconnected,
+    /// The driver re-aimed this volume at another server (a newer shard
+    /// map; a `WRONG_SHARD` message does the same by itself). The
+    /// volume lease is void — it was the old owner's — but the epoch is
+    /// kept: the probe that goes out carries it, so a handoff that
+    /// bumped the epoch is answered with `MUST_RENEW_ALL`, the resync
+    /// wanted. Cached copies and object leases stay for that resync.
+    Rerouted,
 }
 
 /// Everything the client machine can ask its driver to do.
@@ -160,7 +168,8 @@ impl ClientMachine {
         &self.cfg
     }
 
-    fn vol_ok(&self, now: Timestamp) -> bool {
+    /// Whether the volume lease is valid at `now`.
+    pub fn vol_ok(&self, now: Timestamp) -> bool {
         // Self-invalidation has no volume leases: only the per-object
         // drop-deadline gates a cached read.
         self.cfg.self_inval || self.vol_expire > now
@@ -207,20 +216,27 @@ impl ClientMachine {
                     }
                 }
             }
-            ClientInput::Reconnected => {
-                // Under self-invalidation there is no volume lease to
-                // probe with; cached copies are governed purely by
-                // their deadlines, so reconnection needs no handshake.
-                if !self.cfg.self_inval {
-                    actions.push(ClientAction::Send(ClientMsg::ReqVolLease {
-                        volume: self.cfg.volume,
-                        epoch: self.epoch,
-                    }));
-                }
+            ClientInput::Reconnected => self.probe(&mut actions),
+            ClientInput::Rerouted => {
+                self.vol_expire = Timestamp::ZERO;
+                self.probe(&mut actions);
             }
             ClientInput::Msg(msg) => self.handle_msg(msg, &mut actions),
         }
         actions
+    }
+
+    /// Asks for the volume lease with the epoch last seen. Under
+    /// self-invalidation there is no volume lease to probe with: cached
+    /// copies are governed purely by their deadlines, so neither a
+    /// reconnection nor a re-route needs a handshake.
+    fn probe(&self, actions: &mut Vec<ClientAction>) {
+        if !self.cfg.self_inval {
+            actions.push(ClientAction::Send(ClientMsg::ReqVolLease {
+                volume: self.cfg.volume,
+                epoch: self.epoch,
+            }));
+        }
     }
 
     fn handle_msg(&mut self, msg: ServerMsg, actions: &mut Vec<ClientAction>) {
@@ -300,11 +316,15 @@ impl ClientMachine {
                     actions.push(ClientAction::Send(ClientMsg::AckVolBatch { volume }));
                 }
             }
-            // Routing is the driver's job: the single-server machine has
-            // nowhere else to go, so a redirect is dropped here and the
-            // multi-server cache layer re-routes before the machine ever
-            // sees it.
-            ServerMsg::WrongShard { .. } => {}
+            // Where the volume lives now is the driver's business (it
+            // sends the probe to the new owner); what a move does to
+            // the lease state is the machine's.
+            ServerMsg::WrongShard { volume, .. } => {
+                if volume == self.cfg.volume {
+                    self.vol_expire = Timestamp::ZERO;
+                    self.probe(actions);
+                }
+            }
         }
         self.generation += 1;
     }
@@ -524,6 +544,75 @@ mod tests {
                 epoch: Epoch(0),
             })]
         );
+    }
+
+    #[test]
+    fn reroute_voids_the_volume_lease_and_probes_with_the_old_epoch() {
+        let redirect = || {
+            ClientInput::Msg(ServerMsg::WrongShard {
+                volume: cfg().volume,
+                owner: ServerId(1),
+                map_version: 0,
+                servers: Vec::new(),
+            })
+        };
+        for input in [redirect(), ClientInput::Rerouted] {
+            let mut m = ClientMachine::new(cfg());
+            grant_both(&mut m, ObjectId(1), Timestamp::from_secs(10));
+            m.handle(
+                Timestamp::ZERO,
+                ClientInput::Msg(ServerMsg::VolLease {
+                    volume: m.cfg.volume,
+                    expire: Timestamp::from_secs(10),
+                    epoch: Epoch(4),
+                    invalidate: Vec::new(),
+                }),
+            );
+            let now = Timestamp::from_secs(1);
+            assert!(m.holds_valid_leases(now, ObjectId(1)));
+            let actions = m.handle(now, input);
+            assert_eq!(
+                actions,
+                vec![ClientAction::Send(ClientMsg::ReqVolLease {
+                    volume: m.cfg.volume,
+                    epoch: Epoch(4),
+                })],
+                "exactly one probe, carrying the epoch the old owner gave us"
+            );
+            assert_eq!(m.epoch(), Epoch(4), "epoch kept");
+            assert!(!m.holds_valid_leases(now, ObjectId(1)), "volume lease void");
+            // The copy and its object lease survive for the resync: a
+            // fresh volume lease alone makes the object readable again.
+            assert_eq!(m.cached_version(ObjectId(1)), Some(Version::FIRST));
+            m.handle(
+                now,
+                ClientInput::Msg(ServerMsg::VolLease {
+                    volume: m.cfg.volume,
+                    expire: Timestamp::from_secs(10),
+                    epoch: Epoch(4),
+                    invalidate: Vec::new(),
+                }),
+            );
+            assert!(m.read_ready(now, ObjectId(1)).is_some());
+        }
+        // A redirect for some other volume is not ours to act on.
+        let mut m = ClientMachine::new(cfg());
+        grant_both(&mut m, ObjectId(1), Timestamp::from_secs(10));
+        let other = ClientInput::Msg(ServerMsg::WrongShard {
+            volume: VolumeId(99),
+            owner: ServerId(1),
+            map_version: 0,
+            servers: Vec::new(),
+        });
+        assert!(m.handle(Timestamp::from_secs(1), other).is_empty());
+        assert!(m.holds_valid_leases(Timestamp::from_secs(1), ObjectId(1)));
+        // Self-invalidation has no volume lease to void or probe for.
+        let mut m = ClientMachine::new(ClientMachineConfig {
+            self_inval: true,
+            ..cfg()
+        });
+        assert!(m.handle(Timestamp::ZERO, redirect()).is_empty());
+        assert!(m.handle(Timestamp::ZERO, ClientInput::Rerouted).is_empty());
     }
 
     #[test]

@@ -220,7 +220,30 @@ impl ClientMsg {
     }
 }
 
+/// What a [`ServerMsg`] is about, as far as the wire says.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scope {
+    /// The message names its volume.
+    Volume(VolumeId),
+    /// `OBJ_LEASE` and `INVALIDATE` name only an object; a client with
+    /// several volumes must remember which one it asked for it under.
+    Object(ObjectId),
+}
+
 impl ServerMsg {
+    /// The volume the message names, or the object when it names none.
+    pub fn scope(&self) -> Scope {
+        match self {
+            ServerMsg::ObjLease { object, .. } | ServerMsg::Invalidate { object } => {
+                Scope::Object(*object)
+            }
+            ServerMsg::VolLease { volume, .. }
+            | ServerMsg::MustRenewAll { volume }
+            | ServerMsg::InvalRenew { volume, .. }
+            | ServerMsg::WrongShard { volume, .. } => Scope::Volume(*volume),
+        }
+    }
+
     /// A short tag for logging.
     pub fn name(&self) -> &'static str {
         match self {
@@ -249,5 +272,10 @@ mod tests {
             volume: VolumeId(1),
         };
         assert_eq!(s.name(), "MUST_RENEW_ALL");
+        assert_eq!(s.scope(), Scope::Volume(VolumeId(1)));
+        let i = ServerMsg::Invalidate {
+            object: ObjectId(4),
+        };
+        assert_eq!(i.scope(), Scope::Object(ObjectId(4)));
     }
 }

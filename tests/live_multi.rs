@@ -7,7 +7,7 @@
 
 use bytes::Bytes;
 use std::time::{Duration as StdDuration, Instant};
-use vl_client::{MultiCache, MultiConfig, ObjectLocation, ReadError};
+use vl_client::{CacheClient, ClientConfig, ObjectLocation, ReadError};
 use vl_net::chaos::{ChaosNet, ChaosProfile};
 use vl_net::{InMemoryNetwork, NodeId};
 use vl_server::{rebalance, LeaseServer, ServerConfig, ServerHandle, WallClock};
@@ -21,7 +21,7 @@ fn obj(server: u32, i: u64) -> ObjectId {
     ObjectId(u64::from(server) * 10 + i)
 }
 
-fn setup() -> (InMemoryNetwork, WallClock, Vec<ServerHandle>, MultiCache) {
+fn setup() -> (InMemoryNetwork, WallClock, Vec<ServerHandle>, CacheClient) {
     let net = InMemoryNetwork::new();
     let clock = WallClock::new();
     let servers: Vec<ServerHandle> = (0..ORIGINS)
@@ -40,8 +40,8 @@ fn setup() -> (InMemoryNetwork, WallClock, Vec<ServerHandle>, MultiCache) {
             handle
         })
         .collect();
-    let cache = MultiCache::spawn(
-        MultiConfig::new(ME),
+    let cache = CacheClient::spawn(
+        ClientConfig::new(ME, ServerId(0)),
         net.endpoint(NodeId::Client(ME)),
         clock,
     );
@@ -54,7 +54,7 @@ fn reads_across_origins_with_independent_leases() {
     for s in 0..ORIGINS {
         for i in 0..3 {
             let data = cache
-                .read(ObjectLocation::origin(ServerId(s)), obj(s, i))
+                .read_at(ObjectLocation::origin(ServerId(s)), obj(s, i))
                 .unwrap();
             assert_eq!(&data[..], format!("s{s}o{i}v1").as_bytes());
         }
@@ -65,7 +65,7 @@ fn reads_across_origins_with_independent_leases() {
     for s in 0..ORIGINS {
         for i in 0..3 {
             cache
-                .read(ObjectLocation::origin(ServerId(s)), obj(s, i))
+                .read_at(ObjectLocation::origin(ServerId(s)), obj(s, i))
                 .unwrap();
         }
     }
@@ -83,7 +83,7 @@ fn invalidations_route_per_origin() {
     let (_net, _clock, servers, cache) = setup();
     for s in 0..ORIGINS {
         cache
-            .read(ObjectLocation::origin(ServerId(s)), obj(s, 0))
+            .read_at(ObjectLocation::origin(ServerId(s)), obj(s, 0))
             .unwrap();
     }
     // Write at origin 1 only.
@@ -91,17 +91,17 @@ fn invalidations_route_per_origin() {
     assert_eq!(out.invalidations_sent, 1);
     assert_eq!(
         &cache
-            .read(ObjectLocation::origin(ServerId(1)), obj(1, 0))
+            .read_at(ObjectLocation::origin(ServerId(1)), obj(1, 0))
             .unwrap()[..],
         b"s1o0v2"
     );
     // The other origins' copies are untouched cache hits.
     let before = cache.stats().local_reads;
     cache
-        .read(ObjectLocation::origin(ServerId(0)), obj(0, 0))
+        .read_at(ObjectLocation::origin(ServerId(0)), obj(0, 0))
         .unwrap();
     cache
-        .read(ObjectLocation::origin(ServerId(2)), obj(2, 0))
+        .read_at(ObjectLocation::origin(ServerId(2)), obj(2, 0))
         .unwrap();
     assert_eq!(cache.stats().local_reads - before, 2);
     cache.shutdown();
@@ -115,7 +115,7 @@ fn partition_isolates_failures_to_one_origin() {
     let (net, _clock, servers, cache) = setup();
     for s in 0..ORIGINS {
         cache
-            .read(ObjectLocation::origin(ServerId(s)), obj(s, 0))
+            .read_at(ObjectLocation::origin(ServerId(s)), obj(s, 0))
             .unwrap();
     }
     // Cut origin 0; wait out its short volume lease.
@@ -124,20 +124,20 @@ fn partition_isolates_failures_to_one_origin() {
 
     // Origin 0's object is now unavailable (never silently stale)…
     assert!(matches!(
-        cache.read(ObjectLocation::origin(ServerId(0)), obj(0, 0)),
+        cache.read_at(ObjectLocation::origin(ServerId(0)), obj(0, 0)),
         Err(ReadError::Unavailable { .. })
     ));
     // …while the other origins keep serving with strong consistency.
     servers[2].write(obj(2, 0), Bytes::from_static(b"s2o0v2"));
     assert_eq!(
         &cache
-            .read(ObjectLocation::origin(ServerId(2)), obj(2, 0))
+            .read_at(ObjectLocation::origin(ServerId(2)), obj(2, 0))
             .unwrap()[..],
         b"s2o0v2"
     );
     assert_eq!(
         &cache
-            .read(ObjectLocation::origin(ServerId(1)), obj(1, 0))
+            .read_at(ObjectLocation::origin(ServerId(1)), obj(1, 0))
             .unwrap()[..],
         b"s1o0v1"
     );
@@ -146,7 +146,7 @@ fn partition_isolates_failures_to_one_origin() {
     net.heal(NodeId::Client(ME), NodeId::Server(ServerId(0)));
     assert_eq!(
         &cache
-            .read(ObjectLocation::origin(ServerId(0)), obj(0, 0))
+            .read_at(ObjectLocation::origin(ServerId(0)), obj(0, 0))
             .unwrap()[..],
         b"s0o0v1"
     );
@@ -170,6 +170,13 @@ fn chaos_profile() -> ChaosProfile {
 fn version_of(data: &[u8]) -> u64 {
     let s = std::str::from_utf8(data).expect("utf8 payload");
     s.rsplit('v').next().unwrap().parse().expect("v<N> suffix")
+}
+
+/// A JSONL trace sink writing to `path`.
+fn jsonl(path: &std::path::Path) -> Box<dyn vl_metrics::TraceSink> {
+    Box::new(vl_metrics::JsonlSink::new(
+        std::fs::File::create(path).unwrap(),
+    ))
 }
 
 /// Polls `cond` until it holds or `for_ms` elapses.
@@ -207,7 +214,9 @@ fn write_at_owner(
 /// through a chaos-wrapped endpoint (profile from `VL_CHAOS_PROFILE`)
 /// while volume 0 migrates 0 → 1 → 2 mid-run, live. Every server
 /// writes a JSONL trace to `target/chaos/` — the CI matrix uploads
-/// them when the test fails — and the run must show:
+/// them when the test fails, together with the client's trace, whose
+/// events name the server the volume was routed to at the time — and
+/// the run must show:
 ///
 /// * zero stale reads (versions never go backwards, and post-quiesce
 ///   reads converge on the last committed version);
@@ -231,9 +240,7 @@ fn handoff_under_chaos_keeps_reads_fresh_and_writes_bounded() {
     std::fs::create_dir_all(trace_dir).unwrap();
     let servers: Vec<ServerHandle> = (0..ORIGINS)
         .map(|s| {
-            let sink = vl_metrics::JsonlSink::new(
-                std::fs::File::create(trace_dir.join(format!("{profile}-s{s}.jsonl"))).unwrap(),
-            );
+            let sink = jsonl(&trace_dir.join(format!("{profile}-s{s}.jsonl")));
             let handle = LeaseServer::spawn_traced(
                 ServerConfig {
                     volume_lease: t_v,
@@ -242,7 +249,7 @@ fn handoff_under_chaos_keeps_reads_fresh_and_writes_bounded() {
                 },
                 net.endpoint(NodeId::Server(ServerId(s))),
                 clock,
-                Box::new(sink),
+                sink,
             );
             for i in 0..3 {
                 handle.create_object(obj(s, i), Bytes::from(format!("s{s}o{i}v1")));
@@ -254,14 +261,15 @@ fn handoff_under_chaos_keeps_reads_fresh_and_writes_bounded() {
     // Only the client's endpoint goes through the fault injector: the
     // data plane is hostile, the coordinator's control plane reliable
     // (the loser ships its manifest exactly once).
-    let cache = MultiCache::spawn(
-        MultiConfig {
+    let cache = CacheClient::spawn_traced(
+        ClientConfig {
             request_timeout: StdDuration::from_millis(150),
             max_retries: 40,
-            ..MultiConfig::new(ME)
+            ..ClientConfig::new(ME, ServerId(0))
         },
         chaos.wrap(net.endpoint(NodeId::Client(ME))),
         clock,
+        jsonl(&trace_dir.join(format!("{profile}-client.jsonl"))),
     );
     let coord = net.endpoint(NodeId::Server(ServerId(1000)));
 
@@ -270,7 +278,7 @@ fn handoff_under_chaos_keeps_reads_fresh_and_writes_bounded() {
     for s in 0..ORIGINS {
         assert!(
             eventually(10_000, || cache
-                .read(ObjectLocation::origin(ServerId(s)), obj(s, 0))
+                .read_at(ObjectLocation::origin(ServerId(s)), obj(s, 0))
                 .is_ok()),
             "warm-up read of origin {s} never succeeded under {profile}"
         );
@@ -314,7 +322,7 @@ fn handoff_under_chaos_keeps_reads_fresh_and_writes_bounded() {
             out.delay
         );
         for _ in 0..3 {
-            if let Ok(data) = cache.read(at, target) {
+            if let Ok(data) = cache.read_at(at, target) {
                 let v = version_of(&data);
                 assert!(v >= last_seen, "stale read: v{v} after v{last_seen}");
                 last_seen = v;
@@ -337,7 +345,7 @@ fn handoff_under_chaos_keeps_reads_fresh_and_writes_bounded() {
     );
     assert!(
         eventually(10_000, || cache
-            .read(at, target)
+            .read_at(at, target)
             .is_ok_and(|d| version_of(&d) == version)),
         "client never converged on v{version} after chaos stopped"
     );
@@ -349,6 +357,10 @@ fn handoff_under_chaos_keeps_reads_fresh_and_writes_bounded() {
     assert!(
         stats.reconnections >= 1,
         "epoch bumps never forced a MUST_RENEW_ALL resync: {stats:?}"
+    );
+    assert!(
+        stats.epoch_changes >= 1,
+        "handoffs bump the epoch and the next VOL_LEASE shows it: {stats:?}"
     );
     assert!(
         servers[owner].stats().handoffs_in >= 1,
@@ -379,9 +391,7 @@ fn rebalance_loop_soak() {
     std::fs::create_dir_all(trace_dir).unwrap();
     let servers: Vec<ServerHandle> = (0..ORIGINS)
         .map(|s| {
-            let sink = vl_metrics::JsonlSink::new(
-                std::fs::File::create(trace_dir.join(format!("multi-s{s}.jsonl"))).unwrap(),
-            );
+            let sink = jsonl(&trace_dir.join(format!("multi-s{s}.jsonl")));
             let handle = LeaseServer::spawn_traced(
                 ServerConfig {
                     volume_lease: t_v,
@@ -390,7 +400,7 @@ fn rebalance_loop_soak() {
                 },
                 net.endpoint(NodeId::Server(ServerId(s))),
                 clock,
-                Box::new(sink),
+                sink,
             );
             if s == 0 {
                 for i in 0..3 {
@@ -400,19 +410,20 @@ fn rebalance_loop_soak() {
             handle
         })
         .collect();
-    let cache = MultiCache::spawn(
-        MultiConfig {
+    let cache = CacheClient::spawn_traced(
+        ClientConfig {
             request_timeout: StdDuration::from_millis(200),
             max_retries: 20,
-            ..MultiConfig::new(ME)
+            ..ClientConfig::new(ME, ServerId(0))
         },
         net.endpoint(NodeId::Client(ME)),
         clock,
+        jsonl(&trace_dir.join("multi-client.jsonl")),
     );
     let coord = net.endpoint(NodeId::Server(ServerId(1000)));
     let at = ObjectLocation::origin(ServerId(0));
     let target = obj(0, 0);
-    assert!(cache.read(at, target).is_ok(), "warm-up");
+    assert!(cache.read_at(at, target).is_ok(), "warm-up");
 
     let mut owner = 0u32;
     let mut version = 1u64;
@@ -445,7 +456,7 @@ fn rebalance_loop_soak() {
             out.delay
         );
         let data = cache
-            .read(at, target)
+            .read_at(at, target)
             .unwrap_or_else(|e| panic!("round {round}: read failed after handoff to {to}: {e:?}"));
         let v = version_of(&data);
         assert!(v >= last_seen, "round {round}: v{v} after v{last_seen}");
@@ -453,7 +464,7 @@ fn rebalance_loop_soak() {
     }
     assert!(
         eventually(5_000, || cache
-            .read(at, target)
+            .read_at(at, target)
             .is_ok_and(|d| version_of(&d) == version)),
         "soak never converged on v{version}"
     );
@@ -463,6 +474,7 @@ fn rebalance_loop_soak() {
         "too few redirects: {stats:?}"
     );
     assert!(stats.reconnections >= 1, "no resyncs recorded: {stats:?}");
+    assert!(stats.epoch_changes >= 1, "no epoch bump seen: {stats:?}");
     cache.shutdown();
     for s in servers {
         s.shutdown();
@@ -473,10 +485,10 @@ fn rebalance_loop_soak() {
 fn unreachable_origin_resyncs_via_must_renew_all() {
     let (net, _clock, servers, cache) = setup();
     cache
-        .read(ObjectLocation::origin(ServerId(0)), obj(0, 0))
+        .read_at(ObjectLocation::origin(ServerId(0)), obj(0, 0))
         .unwrap();
     cache
-        .read(ObjectLocation::origin(ServerId(0)), obj(0, 1))
+        .read_at(ObjectLocation::origin(ServerId(0)), obj(0, 1))
         .unwrap();
 
     // Partition, then write both objects: the origin waits the client
@@ -489,13 +501,13 @@ fn unreachable_origin_resyncs_via_must_renew_all() {
     // and refetched, the fresh one renewed in place.
     assert_eq!(
         &cache
-            .read(ObjectLocation::origin(ServerId(0)), obj(0, 0))
+            .read_at(ObjectLocation::origin(ServerId(0)), obj(0, 0))
             .unwrap()[..],
         b"s0o0v2"
     );
     assert_eq!(
         &cache
-            .read(ObjectLocation::origin(ServerId(0)), obj(0, 1))
+            .read_at(ObjectLocation::origin(ServerId(0)), obj(0, 1))
             .unwrap()[..],
         b"s0o1v1"
     );

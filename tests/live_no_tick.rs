@@ -6,7 +6,7 @@ use bytes::Bytes;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vl_client::{CacheClient, ClientConfig, MultiCache, MultiConfig, ObjectLocation};
+use vl_client::{CacheClient, ClientConfig, ObjectLocation};
 use vl_net::{Channel, Endpoint, InMemoryNetwork, NetError, NetEvent, NodeId};
 use vl_server::{LeaseServer, ServerConfig, ServerHandle, WallClock};
 use vl_types::{ClientId, ObjectId, ServerId};
@@ -72,18 +72,15 @@ fn idle_drivers_never_time_out_and_stop_promptly() {
         )
     };
     let (s0, s1) = (server(0), server(1));
-    let (c1, c2) = (client(1), client(2));
-    let multi = MultiCache::spawn(
-        MultiConfig::new(ClientId(3)),
-        endpoint(NodeId::Client(ClientId(3))),
-        clock,
-    );
+    let (c1, c2, c3) = (client(1), client(2), client(3));
 
     // Everything works, and holds leases while it idles.
     assert_eq!(&c1.read(OBJ).unwrap()[..], b"v1");
     assert_eq!(&c2.read(OBJ).unwrap()[..], b"v1");
+    // Reading an origin other than the configured one adds no thread
+    // and no tick.
     let at = ObjectLocation::origin(ServerId(1));
-    assert_eq!(&multi.read(at, OBJ).unwrap()[..], b"v1");
+    assert_eq!(&c3.read_at(at, OBJ).unwrap()[..], b"v1");
 
     std::thread::sleep(Duration::from_millis(500));
     assert_eq!(
@@ -94,7 +91,7 @@ fn idle_drivers_never_time_out_and_stop_promptly() {
 
     promptly("CacheClient::shutdown", || c1.shutdown());
     promptly("CacheClient drop", || drop(c2));
-    promptly("MultiCache::shutdown", || multi.shutdown());
+    promptly("CacheClient::shutdown after read_at", || c3.shutdown());
     promptly("ServerHandle::shutdown", || s0.shutdown());
     promptly("ServerHandle::crash", || s1.crash());
 }
