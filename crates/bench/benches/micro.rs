@@ -76,9 +76,8 @@ fn main() {
         black_box(sum)
     });
 
-    // The timing wheel at depth: a million pending events scattered
-    // over ~70 simulated minutes touches every wheel level plus the
-    // far-future heap, then drains back in timestamp order.
+    // The queue at depth: a million pending events scattered over ~70
+    // simulated minutes, then drained back in timestamp order.
     bench_fn("micro/event_queue_schedule_pop_1m_pending", 5, || {
         use vl_sim::EventQueue;
         let mut q = EventQueue::new();

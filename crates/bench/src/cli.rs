@@ -10,7 +10,7 @@
 //! --seed N                      override the workload seed
 //! --csv PATH                    also write the rows as CSV
 //! --threads N                   sweep worker threads (default: all
-//!                               cores; VL_THREADS overrides the default)
+//!                               cores)
 //! --trace-out PATH              additionally replay the figure's
 //!                               representative configurations with event
 //!                               tracing on, writing a JSONL protocol
@@ -31,7 +31,7 @@ pub struct CommonArgs {
     /// Optional CSV output path.
     pub csv: Option<PathBuf>,
     /// Worker threads for parameter sweeps (resolved: `--threads`, then
-    /// `VL_THREADS`, then the machine's available parallelism).
+    /// the machine's available parallelism).
     pub threads: usize,
     /// Optional JSONL protocol-trace output path (`--trace-out`).
     pub trace_out: Option<PathBuf>,

@@ -21,21 +21,13 @@ const _: fn() = || {
 };
 
 /// Resolves the worker count: an explicit request (CLI `--threads`)
-/// wins, then the `VL_THREADS` environment variable, then
-/// [`std::thread::available_parallelism`]. Always at least 1.
+/// wins, then [`std::thread::available_parallelism`]. Always at least 1.
 pub fn thread_count(explicit: Option<usize>) -> usize {
-    explicit
-        .or_else(|| {
-            std::env::var("VL_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+    explicit.filter(|&n| n >= 1).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Runs `jobs` jobs on up to `threads` scoped workers and returns their

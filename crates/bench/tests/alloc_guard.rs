@@ -1,14 +1,13 @@
 //! Allocation-regression guard for the steady-state simulation loop.
 //!
-//! The raw-speed work (timing-wheel queue, SoA lease/cache tables,
-//! reused scratch buffers) got the per-event heap-allocation count to
-//! zero; this test keeps it there. A counting `#[global_allocator]`
-//! measures the allocations of a short replay and a 4x-longer replay
-//! over the *same universe*: table growth, track vectors, and queue
-//! slabs scale with the universe (and are amortized doubling), so the
-//! difference between the two runs must stay far below the difference
-//! in event counts. One allocation per event would blow the bound by
-//! an order of magnitude.
+//! The raw-speed work (SoA lease/cache tables, reused scratch buffers)
+//! got the per-event heap-allocation count to zero; this test keeps it
+//! there. A counting `#[global_allocator]` measures the allocations of
+//! a short replay and a 4x-longer replay over the *same universe*:
+//! table growth and track vectors scale with the universe (and are
+//! amortized doubling), so the difference between the two runs must
+//! stay far below the difference in event counts. One allocation per
+//! event would blow the bound by an order of magnitude.
 //!
 //! This lives in its own integration-test binary because a global
 //! allocator is process-wide, and holds a single `#[test]` so the
@@ -102,8 +101,8 @@ fn sim_loop_makes_zero_per_event_allocations() {
             long_report.events_processed
         );
 
-        // Amortized growth (doubling tables, queue slab, scratch
-        // buffers reaching steady capacity) is allowed; anything close
+        // Amortized growth (doubling tables, scratch buffers
+        // reaching steady capacity) is allowed; anything close
         // to one allocation per extra event is a regression.
         let extra_allocs = long_allocs.saturating_sub(short_allocs);
         let budget = extra_events / 8;

@@ -30,8 +30,8 @@ use bytes::Bytes;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use vl_proto::{ClientMsg, ServerMsg};
-use vl_sim::{Clock, EventQueue, SimRng, VirtualClock};
-use vl_types::{ClientId, Duration, ObjectId, ServerId, Timestamp, Version};
+use vl_sim::{EventQueue, SimRng, VirtualClock};
+use vl_types::{ClientId, Clock, Duration, ObjectId, ServerId, Timestamp, Version};
 
 /// Parameters of one seeded fault run.
 #[derive(Clone, Debug)]

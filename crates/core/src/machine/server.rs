@@ -75,7 +75,10 @@ pub enum ServerInput {
         /// The map to adopt.
         map: ShardMap,
     },
-    /// Create (or reset) an object at the given version.
+    /// Create an object at the given version. An object that already
+    /// exists is left untouched (data, version and leases): a live
+    /// object changes only through [`ServerInput::Write`], which
+    /// invalidates its lease holders first.
     ///
     /// Live drivers pass [`Version::FIRST`]; a recovery driver restoring
     /// objects from durable storage passes the persisted version so that
@@ -391,7 +394,8 @@ impl ServerMachine {
                 version,
             } => {
                 self.objects
-                    .insert(object, ObjState::new(data, version, self.cfg.volume));
+                    .entry(object)
+                    .or_insert_with(|| ObjState::new(data, version, self.cfg.volume));
             }
             ServerInput::Write { object, data } => {
                 self.queued_writes.push_back((object, data, now));
@@ -1384,6 +1388,53 @@ mod tests {
             }
             None => panic!("ack should commit the write: {actions:?}"),
         }
+    }
+
+    /// Creating an object that exists must not drop its lease holders:
+    /// the next write still has to invalidate them (safety invariant 1).
+    #[test]
+    fn create_of_existing_object_keeps_its_leases() {
+        const O: ObjectId = ObjectId(1);
+        let (mut m, _) = ServerMachine::new(MachineConfig::new(ServerId(0)), None);
+        let t0 = Timestamp::ZERO;
+        let create = |data: &'static [u8]| ServerInput::CreateObject {
+            object: O,
+            data: Bytes::from_static(data),
+            version: Version::FIRST,
+        };
+        m.handle(t0, create(b"a"));
+        let vol_lease = ClientMsg::ReqVolLease {
+            volume: VolumeId(0),
+            epoch: Epoch(0),
+        };
+        m.handle(t0, msg(1, vol_lease));
+        let obj_lease = ClientMsg::ReqObjLease {
+            object: O,
+            version: Version::NONE,
+        };
+        m.handle(t0, msg(1, obj_lease));
+        m.handle(t0, create(b"other bytes"));
+        let write = ServerInput::Write {
+            object: O,
+            data: Bytes::from_static(b"b"),
+        };
+        let actions = m.handle(t0, write);
+        let s = sends(&actions);
+        assert_eq!(s.len(), 1, "the holder must be invalidated: {actions:?}");
+        assert_eq!(s[0].0, ClientId(1));
+        assert!(matches!(s[0].1, ServerMsg::Invalidate { object } if *object == O));
+        let ack = ClientMsg::AckInvalidate { object: O };
+        let actions = m.handle(t0, msg(1, ack));
+        let outcome = actions
+            .iter()
+            .find_map(|a| match a {
+                ServerAction::CompleteWrite { outcome } => Some(*outcome),
+                _ => None,
+            })
+            .expect("ack commits the write");
+        assert_eq!(outcome.invalidations_sent, 1);
+        // The second create changed neither bytes nor version.
+        assert_eq!(outcome.version, Version(2));
     }
 
     /// A renewal from a still-outstanding client re-sends INVALIDATE,

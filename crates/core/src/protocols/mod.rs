@@ -18,7 +18,6 @@ pub use volume::VolumeLease;
 use crate::{Ctx, ProtocolKind};
 use std::fmt::Debug;
 use vl_types::{ClientId, ObjectId, Timestamp};
-use vl_workload::Universe;
 
 /// A cache-consistency algorithm driven by trace events.
 ///
@@ -53,37 +52,6 @@ pub trait Protocol: Debug {
     fn finalize(&mut self, end: Timestamp, ctx: &mut Ctx<'_>);
 }
 
-/// Instantiates the implementation for `kind`, sized for `universe`.
-pub fn new_protocol(kind: ProtocolKind, universe: &Universe) -> Box<dyn Protocol> {
-    match kind {
-        ProtocolKind::PollEachRead => Box::new(PollEachRead::new()),
-        ProtocolKind::Poll { timeout } => Box::new(Poll::new(timeout, universe)),
-        ProtocolKind::Callback => Box::new(Callback::new(universe)),
-        ProtocolKind::Lease { timeout } => Box::new(ObjectLease::new(timeout, universe)),
-        ProtocolKind::WaitingLease { timeout } => {
-            Box::new(ObjectLease::new_waiting(timeout, universe))
-        }
-        ProtocolKind::VolumeLease {
-            volume_timeout,
-            object_timeout,
-        } => Box::new(VolumeLease::new(volume_timeout, object_timeout, universe)),
-        ProtocolKind::DelayedInvalidation {
-            volume_timeout,
-            object_timeout,
-            inactive_discard,
-        } => Box::new(DelayedInvalidation::new(
-            volume_timeout,
-            object_timeout,
-            inactive_discard,
-            universe,
-        )),
-        ProtocolKind::SelfInval {
-            timeout,
-            skew_bound,
-        } => Box::new(SelfInval::new(timeout, skew_bound, universe)),
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod testutil {
     //! Shared fixtures for protocol unit tests.
@@ -106,46 +74,5 @@ pub(crate) mod testutil {
     /// Fresh version vector for `n` objects.
     pub fn versions(n: usize) -> Vec<Version> {
         vec![Version::FIRST; n]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vl_types::Duration;
-
-    #[test]
-    fn factory_builds_every_kind() {
-        let u = testutil::two_volume_universe();
-        let kinds = [
-            ProtocolKind::PollEachRead,
-            ProtocolKind::Poll {
-                timeout: Duration::from_secs(60),
-            },
-            ProtocolKind::Callback,
-            ProtocolKind::Lease {
-                timeout: Duration::from_secs(60),
-            },
-            ProtocolKind::WaitingLease {
-                timeout: Duration::from_secs(60),
-            },
-            ProtocolKind::VolumeLease {
-                volume_timeout: Duration::from_secs(10),
-                object_timeout: Duration::from_secs(1000),
-            },
-            ProtocolKind::DelayedInvalidation {
-                volume_timeout: Duration::from_secs(10),
-                object_timeout: Duration::from_secs(1000),
-                inactive_discard: Duration::MAX,
-            },
-            ProtocolKind::SelfInval {
-                timeout: Duration::from_secs(1000),
-                skew_bound: Duration::from_secs(1),
-            },
-        ];
-        for kind in kinds {
-            let p = new_protocol(kind, &u);
-            assert_eq!(p.kind(), kind, "factory must preserve the kind");
-        }
     }
 }

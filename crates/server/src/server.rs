@@ -207,7 +207,9 @@ impl ServerHandle {
         let _ = self.thread.join();
     }
 
-    /// Creates (or resets) an object with initial `data` at version 1.
+    /// Creates an object with initial `data` at version 1. An object
+    /// that already exists is left untouched; change it with
+    /// [`write`](ServerHandle::write).
     pub fn create_object(&self, object: ObjectId, data: Bytes) {
         let (reply, done) = bounded(1);
         self.submit(Command::CreateObject {

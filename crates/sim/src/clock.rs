@@ -1,23 +1,18 @@
-//! Virtual and pluggable clocks.
+//! The virtual clock: [`vl_types::Clock`] advanced by hand. The live
+//! server (crate `vl-server`) implements the same trait over wall time,
+//! so the same protocol code runs in both worlds.
 
 use std::cell::Cell;
 use std::fmt;
-use vl_types::Timestamp;
-
-/// The shared clock abstraction, defined next to [`Timestamp`] in
-/// `vl-types` and re-exported here for backward compatibility. The
-/// simulator advances a [`VirtualClock`]; the live server (crate
-/// `vl-server`) implements it over wall time so that the same protocol
-/// code runs in both worlds.
-pub use vl_types::Clock;
+use vl_types::{Clock, Timestamp};
 
 /// A manually advanced clock for simulations.
 ///
 /// # Examples
 ///
 /// ```
-/// use vl_sim::{Clock, VirtualClock};
-/// use vl_types::Timestamp;
+/// use vl_sim::VirtualClock;
+/// use vl_types::{Clock, Timestamp};
 ///
 /// let clock = VirtualClock::new();
 /// assert_eq!(clock.now(), Timestamp::ZERO);

@@ -1,35 +1,35 @@
-//! Deterministic discrete-event simulation kernel.
+//! Deterministic building blocks for the machine fault harness.
 //!
-//! This crate provides the substrate on which the paper's trace-driven
-//! evaluation runs: a virtual [`clock`], a stable [`queue::EventQueue`]
-//! (ties broken in scheduling order, so runs are exactly reproducible), a
-//! seeded [`rng::SimRng`], and a small [`runner::Simulator`] driver that
-//! pumps events through a handler.
+//! `vl_core::machine::harness` interleaves timers, message delivery,
+//! partitions and crashes over the sans-io machines; this crate is what
+//! it stands on: a virtual [`clock`], a stable [`queue::EventQueue`]
+//! (ties broken in scheduling order, so runs are exactly reproducible)
+//! and a seeded [`rng::SimRng`].
 //!
-//! The trace-driven consistency experiments (crate `vl-core`) follow the
-//! paper's simulator in processing each trace event to completion before
-//! the next one; they use the queue directly. The richer driver exists for
-//! tests that interleave timers, message delivery, and failures.
+//! The trace-driven consistency experiments (`vl_core::engine`) follow
+//! the paper's simulator (§4.1) in processing each trace event to
+//! completion before the next one: they are a loop over the trace and
+//! use nothing from this crate.
 //!
 //! # Examples
 //!
 //! ```
-//! use vl_sim::queue::EventQueue;
+//! use vl_sim::EventQueue;
 //! use vl_types::Timestamp;
 //!
 //! let mut q = EventQueue::new();
-//! q.schedule(Timestamp::from_secs(5), "later");
-//! q.schedule(Timestamp::from_secs(1), "sooner");
-//! let (at, ev) = q.pop().unwrap();
-//! assert_eq!((at, ev), (Timestamp::from_secs(1), "sooner"));
+//! q.schedule(Timestamp::from_secs(2), 'b');
+//! q.schedule(Timestamp::from_secs(2), 'c'); // same time: FIFO
+//! q.schedule(Timestamp::from_secs(1), 'a');
+//! let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+//! assert_eq!(order, vec!['a', 'b', 'c']);
 //! ```
 //!
 //! # Layering
 //!
 //! Per DESIGN.md §7 everything here is pure and deterministic — the
 //! virtual clock and event queue are data structures, not threads — so
-//! the simulator and the machine fault harness built on them replay
-//! byte-identically from a seed.
+//! the fault harness built on them replays byte-identically from a seed.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -37,9 +37,7 @@
 pub mod clock;
 pub mod queue;
 pub mod rng;
-pub mod runner;
 
-pub use clock::{Clock, VirtualClock};
-pub use queue::{EventHandle, EventQueue};
+pub use clock::VirtualClock;
+pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use runner::{EventHandler, Simulator};

@@ -1,536 +1,74 @@
-//! A stable priority queue of timestamped events.
-//!
-//! Since PR 6 the queue is a hierarchical timing wheel rather than a
-//! binary heap: `schedule` and `pop` are O(levels) instead of O(log n),
-//! and steady-state operation performs no per-event heap allocation —
-//! event payloads live in a slab of reusable slots chained into
-//! intrusive bucket lists. The observable contract is unchanged:
-//! earliest timestamp first, FIFO among equal timestamps, and therefore
-//! bit-reproducible runs. See DESIGN.md §11 for the internals and the
-//! determinism argument.
+//! A stable priority queue of timestamped events: a binary heap, earliest
+//! time first and FIFO among equal times, so runs are bit-reproducible.
+//! Its caller is the machine fault harness (`vl_core::machine::harness`);
+//! the trace engine is a loop over the trace and schedules nothing.
 
-use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::fmt;
 use vl_types::Timestamp;
 
-/// Number of wheel levels. Each level resolves one 6-bit digit of the
-/// millisecond timestamp, so the wheel spans `64^4 = 2^24` ms (~4.7 h)
-/// of lookahead; anything farther waits in a calendar (heap) fallback.
-const LEVELS: usize = 4;
-/// Buckets per level (one 6-bit digit).
-const SLOTS_PER_LEVEL: usize = 64;
-/// Bits per level digit.
-const LEVEL_BITS: u32 = 6;
-/// XOR distances at or beyond this leave the wheel for the far heap.
-const WHEEL_SPAN: u64 = 1 << (LEVEL_BITS * LEVELS as u32);
-/// Null link in the slot slab.
-const NIL: u32 = u32::MAX;
+/// A heap entry `((at, seq), event)`, ordered by that key alone and in
+/// reverse: `BinaryHeap` is a max-heap, so its greatest is our earliest.
+#[derive(Debug)]
+struct Scheduled<E>((Timestamp, u64), E);
 
-/// A stable handle to a scheduled event, returned by
-/// [`EventQueue::schedule`] and accepted by [`EventQueue::cancel`].
-///
-/// Handles are generation-indexed: once the event fires (or is
-/// cancelled) the slot is recycled and the old handle goes stale —
-/// cancelling a stale handle is a harmless no-op returning `None`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct EventHandle {
-    idx: u32,
-    generation: u32,
-}
-
-/// One slab slot: an event payload plus the bookkeeping that chains it
-/// into a wheel bucket (or the free list, where `next` is the free
-/// link). `event` is `None` for free and cancelled slots.
-struct Slot<E> {
-    at: u64,
-    seq: u64,
-    generation: u32,
-    next: u32,
-    event: Option<E>,
-}
-
-/// A far-future event waiting outside the wheel horizon: ordered
-/// earliest-(at, seq)-first via reversed `Ord` for the max-heap.
-struct FarEntry {
-    at: u64,
-    seq: u64,
-    idx: u32,
-}
-
-impl PartialEq for FarEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for FarEntry {}
-impl Ord for FarEntry {
+impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.0.cmp(&self.0)
     }
 }
-impl PartialOrd for FarEntry {
+impl<E> PartialOrd for Scheduled<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+impl<E> Eq for Scheduled<E> {}
 
-/// A min-queue of events ordered by time, ties broken by insertion order.
-///
-/// # Examples
-///
-/// ```
-/// use vl_sim::EventQueue;
-/// use vl_types::Timestamp;
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(Timestamp::from_secs(2), 'b');
-/// q.schedule(Timestamp::from_secs(2), 'c'); // same time: FIFO
-/// q.schedule(Timestamp::from_secs(1), 'a');
-/// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-/// assert_eq!(order, vec!['a', 'b', 'c']);
-/// ```
-///
-/// Cancellation uses the generation-indexed handle from `schedule`:
-///
-/// ```
-/// use vl_sim::EventQueue;
-/// use vl_types::Timestamp;
-///
-/// let mut q = EventQueue::new();
-/// let h = q.schedule(Timestamp::from_secs(1), "timeout");
-/// assert_eq!(q.cancel(h), Some("timeout"));
-/// assert_eq!(q.cancel(h), None); // stale handle: no-op
-/// assert!(q.pop().is_none());
-/// ```
+/// A min-queue of events ordered by time, ties broken by schedule order.
+#[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Bucket list heads, `levels[level][bucket]`.
-    levels: [[u32; SLOTS_PER_LEVEL]; LEVELS],
-    /// Per-level bitmap of non-empty buckets.
-    occupancy: [u64; LEVELS],
-    /// Slab of event slots; scheduled, ready, far, and free slots all
-    /// live here, so steady-state churn reuses memory.
-    slots: Vec<Slot<E>>,
-    /// Head of the free-slot list threaded through `Slot::next`.
-    free_head: u32,
-    /// Events beyond the wheel horizon, earliest-first.
-    far: BinaryHeap<FarEntry>,
-    /// Slot indices of already-emitted events, sorted by (at, seq);
-    /// `pop` serves from `ready[ready_pos..]`.
-    ready: Vec<u32>,
-    ready_pos: usize,
-    /// Virtual time the wheel has been emitted through: every pending
-    /// wheel/far event is strictly later; `ready` holds the rest.
-    cursor: u64,
-    /// Monotone sequence number: events at equal times pop in the order
-    /// they were scheduled, making every run bit-reproducible.
+    heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
-    /// Live (scheduled, not yet popped or cancelled) events.
-    len: usize,
-    /// Cached earliest pending time: `Some` is exact, `None` means
-    /// "recompute" (a read-only scan, since `peek_time` takes `&self`).
-    next_at: Cell<Option<u64>>,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> EventQueue<E> {
         EventQueue {
-            levels: [[NIL; SLOTS_PER_LEVEL]; LEVELS],
-            occupancy: [0; LEVELS],
-            slots: Vec::new(),
-            free_head: NIL,
-            far: BinaryHeap::new(),
-            ready: Vec::new(),
-            ready_pos: 0,
-            cursor: 0,
+            heap: BinaryHeap::new(),
             next_seq: 0,
-            len: 0,
-            next_at: Cell::new(None),
         }
     }
 
-    /// Schedules `event` to fire at `at`, returning a cancellation
-    /// handle (callers that never cancel may ignore it).
-    pub fn schedule(&mut self, at: Timestamp, event: E) -> EventHandle {
-        let seq = self.next_seq;
+    /// Schedules `event` to fire at `at`; a time already passed pops first.
+    pub fn schedule(&mut self, at: Timestamp, event: E) {
+        self.heap.push(Scheduled((at, self.next_seq), event));
         self.next_seq += 1;
-        let at_ms = at.as_millis();
-        let idx = self.alloc(at_ms, seq, event);
-        if at_ms <= self.cursor {
-            // At or before the emitted frontier (e.g. a zero-delay
-            // reschedule while draining this timestamp): merge into the
-            // ready run, keeping it sorted by (at, seq).
-            self.insert_ready(idx);
-        } else {
-            self.place(idx);
-        }
-        self.len += 1;
-        if let Some(t) = self.next_at.get() {
-            self.next_at.set(Some(t.min(at_ms)));
-        } else if self.len == 1 {
-            self.next_at.set(Some(at_ms));
-        }
-        EventHandle {
-            idx,
-            generation: self.slots[idx as usize].generation,
-        }
-    }
-
-    /// Cancels a previously scheduled event, returning its payload if
-    /// the handle was still live. Stale handles (event already popped,
-    /// cancelled, or slot recycled) return `None`.
-    pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
-        let slot = self.slots.get_mut(handle.idx as usize)?;
-        if slot.generation != handle.generation {
-            return None;
-        }
-        // The slot stays chained in its bucket (or ready run / far
-        // heap) and is skipped and reclaimed when it surfaces.
-        let event = slot.event.take()?;
-        self.len -= 1;
-        if self.next_at.get() == Some(slot.at) {
-            self.next_at.set(None);
-        }
-        Some(event)
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(Timestamp, E)> {
-        loop {
-            while self.ready_pos < self.ready.len() {
-                let idx = self.ready[self.ready_pos] as usize;
-                self.ready_pos += 1;
-                let at = self.slots[idx].at;
-                if let Some(event) = self.free_slot(idx) {
-                    self.len -= 1;
-                    self.refresh_peek_after_pop();
-                    return Some((Timestamp::from_millis(at), event));
-                }
-            }
-            self.ready.clear();
-            self.ready_pos = 0;
-            if !self.advance() {
-                self.next_at.set(None);
-                return None;
-            }
-        }
+        self.heap.pop().map(|Scheduled((at, _), event)| (at, event))
     }
 
     /// The time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Timestamp> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(t) = self.next_at.get() {
-            return Some(Timestamp::from_millis(t));
-        }
-        let t = self.scan_min().expect("len > 0 but no live event found");
-        self.next_at.set(Some(t));
-        Some(Timestamp::from_millis(t))
+        self.heap.peek().map(|Scheduled((at, _), _)| *at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    // ---- slab ----
-
-    fn alloc(&mut self, at: u64, seq: u64, event: E) -> u32 {
-        if self.free_head != NIL {
-            let idx = self.free_head;
-            let slot = &mut self.slots[idx as usize];
-            self.free_head = slot.next;
-            slot.at = at;
-            slot.seq = seq;
-            slot.next = NIL;
-            slot.event = Some(event);
-            idx
-        } else {
-            let idx = self.slots.len() as u32;
-            self.slots.push(Slot {
-                at,
-                seq,
-                generation: 0,
-                next: NIL,
-                event: Some(event),
-            });
-            idx
-        }
-    }
-
-    /// Returns the payload (if not cancelled) and recycles the slot.
-    fn free_slot(&mut self, idx: usize) -> Option<E> {
-        let slot = &mut self.slots[idx];
-        let event = slot.event.take();
-        slot.generation = slot.generation.wrapping_add(1);
-        slot.next = self.free_head;
-        self.free_head = idx as u32;
-        event
-    }
-
-    // ---- wheel geometry ----
-
-    /// The level whose digit distinguishes `at` from the cursor: the
-    /// highest differing 6-bit digit. This XOR placement (rather than
-    /// delta-based) guarantees every occupied bucket lies strictly
-    /// ahead of the cursor within the current cycle of its level, so
-    /// the queue can jump straight to the next event.
-    fn level_for(&self, at: u64) -> Option<usize> {
-        let x = at ^ self.cursor;
-        debug_assert!(x != 0, "level_for called with at == cursor");
-        if x >= WHEEL_SPAN {
-            None // beyond the wheel: far heap
-        } else {
-            Some((63 - x.leading_zeros()) as usize / LEVEL_BITS as usize)
-        }
-    }
-
-    fn bucket_of(at: u64, level: usize) -> usize {
-        ((at >> (LEVEL_BITS * level as u32)) & (SLOTS_PER_LEVEL as u64 - 1)) as usize
-    }
-
-    /// Links slot `idx` into the wheel or far heap. Caller guarantees
-    /// `slots[idx].at > cursor`.
-    fn place(&mut self, idx: u32) {
-        let (at, seq) = {
-            let s = &self.slots[idx as usize];
-            (s.at, s.seq)
-        };
-        match self.level_for(at) {
-            None => self.far.push(FarEntry { at, seq, idx }),
-            Some(level) => {
-                let bucket = Self::bucket_of(at, level);
-                self.slots[idx as usize].next = self.levels[level][bucket];
-                self.levels[level][bucket] = idx;
-                self.occupancy[level] |= 1 << bucket;
-            }
-        }
-    }
-
-    /// Unlinks and returns the head chain of `levels[level][bucket]`.
-    fn take_bucket(&mut self, level: usize, bucket: usize) -> u32 {
-        let head = self.levels[level][bucket];
-        self.levels[level][bucket] = NIL;
-        self.occupancy[level] &= !(1 << bucket);
-        head
-    }
-
-    // ---- emission ----
-
-    /// Inserts an already-allocated slot into the pending ready run,
-    /// keeping `ready[ready_pos..]` sorted by (at, seq).
-    fn insert_ready(&mut self, idx: u32) {
-        let (at, seq) = {
-            let s = &self.slots[idx as usize];
-            (s.at, s.seq)
-        };
-        let slots = &self.slots;
-        let tail = &self.ready[self.ready_pos..];
-        let pos = tail.partition_point(|&i| {
-            let s = &slots[i as usize];
-            (s.at, s.seq) < (at, seq)
-        });
-        self.ready.insert(self.ready_pos + pos, idx);
-    }
-
-    /// Advances the cursor to the next pending timestamp and fills
-    /// `ready` with that bucket's events in seq order. Returns `false`
-    /// if nothing is pending. May leave `ready` holding only cancelled
-    /// slots (the caller loops).
-    fn advance(&mut self) -> bool {
-        debug_assert_eq!(self.ready_pos, self.ready.len());
-        loop {
-            // Far events whose 2^24-block the cursor has entered now
-            // fit the wheel.
-            while let Some(top) = self.far.peek() {
-                if top.at ^ self.cursor < WHEEL_SPAN {
-                    let idx = self.far.pop().expect("peeked").idx;
-                    self.place(idx);
-                } else {
-                    break;
-                }
-            }
-            let level = match self.occupancy.iter().position(|&bits| bits != 0) {
-                Some(level) => level,
-                None => {
-                    // Wheel empty: jump to the far heap's next block.
-                    let Some(top) = self.far.peek() else {
-                        return false;
-                    };
-                    let t = top.at;
-                    self.cursor = t;
-                    while self.far.peek().is_some_and(|e| e.at == t) {
-                        let idx = self.far.pop().expect("peeked").idx;
-                        // Heap order is (at, seq), so this run is
-                        // already FIFO.
-                        self.ready.push(idx);
-                    }
-                    return true;
-                }
-            };
-            let bucket = self.occupancy[level].trailing_zeros() as usize;
-            if level == 0 {
-                // Level-0 buckets hold a single timestamp: emit it.
-                let shift = LEVEL_BITS;
-                let t = (self.cursor >> shift << shift) | bucket as u64;
-                debug_assert!(t > self.cursor);
-                self.cursor = t;
-                let mut head = self.take_bucket(0, bucket);
-                while head != NIL {
-                    self.ready.push(head);
-                    head = self.slots[head as usize].next;
-                }
-                if self.ready.is_empty() {
-                    continue; // bucket was all cancelled slots
-                }
-                let slots = &self.slots;
-                self.ready.sort_unstable_by_key(|&i| slots[i as usize].seq);
-                return true;
-            }
-            // Cascade: jump the cursor to the bucket's window start and
-            // re-place its events one level (or more) down. XOR
-            // placement guarantees the window is strictly ahead of the
-            // cursor and no earlier event exists anywhere.
-            let shift = LEVEL_BITS * (level as u32 + 1);
-            let window =
-                (self.cursor >> shift << shift) | ((bucket as u64) << (LEVEL_BITS * level as u32));
-            debug_assert!(window > self.cursor);
-            self.cursor = window;
-            let mut head = self.take_bucket(level, bucket);
-            while head != NIL {
-                let idx = head;
-                head = self.slots[idx as usize].next;
-                self.slots[idx as usize].next = NIL;
-                if self.slots[idx as usize].at == window {
-                    self.ready.push(idx);
-                } else {
-                    self.place(idx);
-                }
-            }
-            if !self.ready.is_empty() {
-                // Events exactly at the window start emit now; nothing
-                // pending is earlier.
-                let slots = &self.slots;
-                self.ready.sort_unstable_by_key(|&i| slots[i as usize].seq);
-                return true;
-            }
-        }
-    }
-
-    fn refresh_peek_after_pop(&mut self) {
-        let slots = &self.slots;
-        let next = self.ready[self.ready_pos..]
-            .iter()
-            .find(|&&i| slots[i as usize].event.is_some())
-            .map(|&i| slots[i as usize].at);
-        self.next_at.set(next);
-    }
-
-    /// Read-only search for the earliest live event; used by
-    /// [`peek_time`](EventQueue::peek_time) when the cache is cold.
-    fn scan_min(&self) -> Option<u64> {
-        if let Some(&idx) = self.ready[self.ready_pos..]
-            .iter()
-            .find(|&&i| self.slots[i as usize].event.is_some())
-        {
-            return Some(self.slots[idx as usize].at);
-        }
-        // All events of a lower level precede all events of a higher
-        // one, and within a level buckets ascend with their digit, so
-        // the first live bucket decides the wheel's minimum. The far
-        // heap is compared separately: an event scheduled from an
-        // earlier 2^24-block stays in the heap until the next
-        // `advance` even once the cursor enters its block, so it can
-        // undercut wheel residents scheduled since.
-        let mut wheel_min: Option<u64> = None;
-        'levels: for level in 0..LEVELS {
-            let mut bits = self.occupancy[level];
-            while bits != 0 {
-                let bucket = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let mut min: Option<u64> = None;
-                let mut head = self.levels[level][bucket];
-                while head != NIL {
-                    let slot = &self.slots[head as usize];
-                    if slot.event.is_some() {
-                        min = Some(min.map_or(slot.at, |m: u64| m.min(slot.at)));
-                    }
-                    head = slot.next;
-                }
-                if min.is_some() {
-                    wheel_min = min;
-                    break 'levels;
-                }
-            }
-        }
-        let far_min = self
-            .far
-            .iter()
-            .filter(|e| self.slots[e.idx as usize].event.is_some())
-            .map(|e| e.at)
-            .min();
-        match (wheel_min, far_min) {
-            (Some(w), Some(f)) => Some(w.min(f)),
-            (w, f) => w.or(f),
-        }
-    }
-}
-
-#[cfg(test)]
-impl<E> EventQueue<E> {
-    /// Asserts the structural invariants the jump-advance logic relies
-    /// on; used by the equivalence tests after every operation.
-    fn validate_invariants(&self) {
-        for level in 0..LEVELS {
-            let shift_hi = LEVEL_BITS * (level as u32 + 1);
-            let shift = LEVEL_BITS * level as u32;
-            for bucket in 0..SLOTS_PER_LEVEL {
-                let mut head = self.levels[level][bucket];
-                assert_eq!(
-                    head != NIL,
-                    self.occupancy[level] & (1 << bucket) != 0,
-                    "occupancy bit mismatch L{level} b{bucket}"
-                );
-                while head != NIL {
-                    let s = &self.slots[head as usize];
-                    assert_eq!(
-                        s.at >> shift_hi,
-                        self.cursor >> shift_hi,
-                        "digits above {level} differ: at={} cursor={}",
-                        s.at,
-                        self.cursor
-                    );
-                    assert_eq!(
-                        (s.at >> shift) & 63,
-                        bucket as u64,
-                        "bucket digit mismatch at={} cursor={} L{level}",
-                        s.at,
-                        self.cursor
-                    );
-                    assert!(
-                        (s.at >> shift) & 63 > (self.cursor >> shift) & 63,
-                        "bucket not ahead of cursor: at={} cursor={} L{level}",
-                        s.at,
-                        self.cursor
-                    );
-                    head = s.next;
-                }
-            }
-        }
-        for e in self.far.iter() {
-            assert!(e.at > self.cursor, "far event not after cursor");
-        }
+        self.heap.is_empty()
     }
 }
 
@@ -540,101 +78,8 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-impl<E> fmt::Debug for EventQueue<E> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EventQueue")
-            .field("pending", &self.len)
-            .field("next_at", &self.peek_time())
-            .finish()
-    }
-}
-
-impl<E> Extend<(Timestamp, E)> for EventQueue<E> {
-    fn extend<I: IntoIterator<Item = (Timestamp, E)>>(&mut self, iter: I) {
-        for (at, e) in iter {
-            self.schedule(at, e);
-        }
-    }
-}
-
-impl<E> FromIterator<(Timestamp, E)> for EventQueue<E> {
-    fn from_iter<I: IntoIterator<Item = (Timestamp, E)>>(iter: I) -> Self {
-        let mut q = EventQueue::new();
-        q.extend(iter);
-        q
-    }
-}
-
-/// The pre-PR-6 binary-heap queue, kept as the test oracle: the wheel
-/// must reproduce its pop order byte-for-byte.
-#[cfg(test)]
-pub(crate) mod heap_oracle {
-    use super::*;
-
-    struct Scheduled<E> {
-        at: Timestamp,
-        seq: u64,
-        event: E,
-    }
-
-    impl<E> PartialEq for Scheduled<E> {
-        fn eq(&self, other: &Self) -> bool {
-            self.at == other.at && self.seq == other.seq
-        }
-    }
-    impl<E> Eq for Scheduled<E> {}
-    impl<E> Ord for Scheduled<E> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-            other
-                .at
-                .cmp(&self.at)
-                .then_with(|| other.seq.cmp(&self.seq))
-        }
-    }
-    impl<E> PartialOrd for Scheduled<E> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    /// The original heap-backed queue (same contract, O(log n) ops).
-    pub struct HeapQueue<E> {
-        heap: BinaryHeap<Scheduled<E>>,
-        next_seq: u64,
-    }
-
-    impl<E> HeapQueue<E> {
-        pub fn new() -> HeapQueue<E> {
-            HeapQueue {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-            }
-        }
-
-        pub fn schedule(&mut self, at: Timestamp, event: E) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(Scheduled { at, seq, event });
-        }
-
-        pub fn pop(&mut self) -> Option<(Timestamp, E)> {
-            self.heap.pop().map(|s| (s.at, s.event))
-        }
-
-        pub fn peek_time(&self) -> Option<Timestamp> {
-            self.heap.peek().map(|s| s.at)
-        }
-
-        pub fn len(&self) -> usize {
-            self.heap.len()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::heap_oracle::HeapQueue;
     use super::*;
     use crate::rng::SimRng;
     use rand::Rng;
@@ -643,19 +88,17 @@ mod tests {
         Timestamp::from_secs(s)
     }
 
-    fn ms(v: u64) -> Timestamp {
-        Timestamp::from_millis(v)
-    }
-
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.schedule(ts(3), 3u32);
         q.schedule(ts(1), 1);
+        q.schedule(Timestamp::MAX, 4);
         q.schedule(ts(2), 2);
         assert_eq!(q.pop(), Some((ts(1), 1)));
         assert_eq!(q.pop(), Some((ts(2), 2)));
         assert_eq!(q.pop(), Some((ts(3), 3)));
+        assert_eq!(q.pop(), Some((Timestamp::MAX, 4)));
         assert_eq!(q.pop(), None);
     }
 
@@ -671,71 +114,9 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.schedule(ts(9), ());
-        q.schedule(ts(4), ());
-        assert_eq!(q.peek_time(), Some(ts(4)));
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn from_iterator_collects() {
-        let q: EventQueue<u8> = vec![(ts(2), 2u8), (ts(1), 1)].into_iter().collect();
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(ts(1)));
-    }
-
-    #[test]
-    fn far_future_and_never_expires() {
-        let mut q = EventQueue::new();
-        q.schedule(Timestamp::MAX, "never");
-        q.schedule(ms(WHEEL_SPAN * 3 + 17), "far");
-        q.schedule(ms(5), "near");
-        assert_eq!(q.peek_time(), Some(ms(5)));
-        assert_eq!(q.pop(), Some((ms(5), "near")));
-        assert_eq!(q.pop(), Some((ms(WHEEL_SPAN * 3 + 17), "far")));
-        assert_eq!(q.pop(), Some((Timestamp::MAX, "never")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn cancel_removes_and_stale_handles_are_noops() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(ts(1), 'a');
-        let b = q.schedule(ts(2), 'b');
-        assert_eq!(q.cancel(a), Some('a'));
-        assert_eq!(q.cancel(a), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(ts(2)));
-        assert_eq!(q.pop(), Some((ts(2), 'b')));
-        // b's slot is recycled; its old handle must not hit the new tenant.
-        let _c = q.schedule(ts(3), 'c');
-        assert_eq!(q.cancel(b), None);
-        assert_eq!(q.pop(), Some((ts(3), 'c')));
-    }
-
-    #[test]
-    fn cancelled_slot_reuse_keeps_order() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(ts(5), 0u32);
-        q.cancel(h);
-        for i in 1..=3u32 {
-            q.schedule(ts(4), i);
-        }
-        assert_eq!(q.pop(), Some((ts(4), 1)));
-        assert_eq!(q.pop(), Some((ts(4), 2)));
-        assert_eq!(q.pop(), Some((ts(4), 3)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
     fn zero_delay_reschedule_pops_after_pending_same_time() {
-        // An event rescheduled at the *current* timestamp must pop
-        // after everything already pending at that timestamp (larger
-        // seq), exactly as the heap orders it.
+        // The harness reschedules at the timestamp it is draining; that
+        // event must pop after everything already pending there.
         let mut q = EventQueue::new();
         q.schedule(ts(1), "first");
         q.schedule(ts(1), "second");
@@ -747,233 +128,79 @@ mod tests {
     }
 
     #[test]
-    fn past_schedules_still_pop_earliest_first() {
+    fn past_schedules_pop_first() {
         let mut q = EventQueue::new();
         q.schedule(ts(10), "late");
         assert_eq!(q.pop(), Some((ts(10), "late")));
-        // The cursor sits at t=10; scheduling earlier must still work.
-        q.schedule(ts(3), "past");
         q.schedule(ts(12), "future");
+        q.schedule(ts(3), "past");
         assert_eq!(q.peek_time(), Some(ts(3)));
         assert_eq!(q.pop(), Some((ts(3), "past")));
         assert_eq!(q.pop(), Some((ts(12), "future")));
     }
 
-    /// Drives the wheel and the heap oracle with one interleaved
-    /// random schedule/pop workload and asserts byte-identical
-    /// behaviour at every step.
-    fn equivalence_run(seed: u64, ops: usize, max_delay: u64, burst: bool) {
-        let mut rng = SimRng::seeded(seed);
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapQueue::new();
-        let mut now: u64 = 0;
-        let mut tag: u64 = 0;
-        for _ in 0..ops {
-            let r = rng.gen_range(0..100u32);
-            if r < 55 {
-                let delay = rng.gen_range(0..max_delay);
-                let n = if burst && rng.gen_bool(0.3) {
-                    rng.gen_range(1..8u32)
+    #[test]
+    fn peek_and_len() {
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.schedule(ts(9), ());
+        q.schedule(ts(4), ());
+        assert_eq!(q.peek_time(), Some(ts(4)));
+        assert_eq!(q.len(), 2);
+        q.pop();
+        assert_eq!(q.peek_time(), Some(ts(9)));
+        assert_eq!(q.len(), 1);
+    }
+
+    /// 2 000 random schedule/pop operations against the definition: a
+    /// `Vec` kept sorted by `(at, seq)`. Delays span 1 ms to 10 days;
+    /// a third of the schedules are same-timestamp bursts, and some pops
+    /// reschedule at the timestamp just popped.
+    #[test]
+    fn matches_sorted_vec_model() {
+        const TEN_DAYS_MS: u64 = 10 * 24 * 3600 * 1000;
+        let mut rng = SimRng::seeded(7);
+        let mut q = EventQueue::new();
+        let mut model: Vec<(Timestamp, u64)> = Vec::new();
+        let mut now = Timestamp::ZERO;
+        let mut seq = 0u64;
+        let mut schedule =
+            |q: &mut EventQueue<u64>, model: &mut Vec<(Timestamp, u64)>, at: Timestamp| {
+                q.schedule(at, seq);
+                let pos = model.partition_point(|&e| e <= (at, seq));
+                model.insert(pos, (at, seq));
+                seq += 1;
+            };
+        for _ in 0..2_000 {
+            if rng.gen_bool(0.55) {
+                // Log-uniform, so every magnitude of delay turns up.
+                let exp = rng.gen_range(0.0..(TEN_DAYS_MS as f64).ln());
+                let at = now + vl_types::Duration::from_millis(exp.exp() as u64);
+                let burst = if rng.gen_bool(0.3) {
+                    rng.gen_range(2..8u32)
                 } else {
                     1
                 };
-                for _ in 0..n {
-                    let at = ms(now + delay);
-                    wheel.schedule(at, tag);
-                    heap.schedule(at, tag);
-                    tag += 1;
+                for _ in 0..burst {
+                    schedule(&mut q, &mut model, at);
                 }
-            } else if r < 90 {
-                let w = wheel.pop();
-                let h = heap.pop();
-                assert_eq!(w, h, "pop diverged (seed {seed})");
-                if let Some((at, v)) = w {
-                    now = at.as_millis();
-                    // Occasionally a zero-delay self-reschedule.
-                    if v % 7 == 0 && rng.gen_bool(0.5) {
-                        wheel.schedule(at, tag);
-                        heap.schedule(at, tag);
-                        tag += 1;
+            } else {
+                let want = (!model.is_empty()).then(|| model.remove(0));
+                assert_eq!(q.pop(), want);
+                if let Some((at, _)) = want {
+                    now = at;
+                    if rng.gen_bool(0.2) {
+                        schedule(&mut q, &mut model, at);
                     }
                 }
-            } else {
-                assert_eq!(wheel.peek_time(), heap.peek_time());
-                assert_eq!(wheel.len(), heap.len());
             }
-            wheel.validate_invariants();
+            assert_eq!(q.len(), model.len());
+            assert_eq!(q.peek_time(), model.first().map(|&(at, _)| at));
         }
-        loop {
-            let w = wheel.pop();
-            let h = heap.pop();
-            assert_eq!(w, h, "drain diverged (seed {seed})");
-            if w.is_none() {
-                break;
-            }
+        for want in model {
+            assert_eq!(q.pop(), Some(want));
         }
-    }
-
-    #[test]
-    fn equivalent_to_heap_short_delays() {
-        for seed in 0..8 {
-            equivalence_run(seed, 4000, 50, true);
-        }
-    }
-
-    #[test]
-    fn equivalent_to_heap_wheel_spanning_delays() {
-        // Delays crossing every level boundary and the far horizon.
-        for (seed, max_delay) in [
-            (100, 1 << 7),
-            (101, 1 << 13),
-            (102, 1 << 20),
-            (103, 1 << 26),
-        ] {
-            equivalence_run(seed, 2000, max_delay, false);
-        }
-    }
-
-    #[test]
-    fn equivalent_to_heap_same_timestamp_bursts() {
-        for seed in 200..204 {
-            equivalence_run(seed, 3000, 3, true);
-        }
-    }
-
-    #[test]
-    fn horizon_exact_boundary_events() {
-        // The wheel spans XOR distances < WHEEL_SPAN: with the cursor
-        // at 0, `WHEEL_SPAN - 1` is the last in-wheel timestamp and
-        // `WHEEL_SPAN` is the first far-heap resident. Both sides of
-        // the boundary must pop in time order, and an event scheduled
-        // *after* the cursor has advanced next to the horizon must
-        // still find its way home.
-        let mut q = EventQueue::new();
-        q.schedule(ms(WHEEL_SPAN), "at-horizon");
-        q.schedule(ms(WHEEL_SPAN - 1), "last-in-wheel");
-        q.schedule(ms(WHEEL_SPAN + 1), "past-horizon");
-        assert_eq!(q.peek_time(), Some(ms(WHEEL_SPAN - 1)));
-        assert_eq!(q.pop(), Some((ms(WHEEL_SPAN - 1), "last-in-wheel")));
-        // Cursor now sits at WHEEL_SPAN - 1; a fresh event at the old
-        // horizon differs in the top bit, so it must coexist with the
-        // far entry already there — FIFO on the shared timestamp.
-        q.schedule(ms(WHEEL_SPAN), "at-horizon-again");
-        assert_eq!(q.pop(), Some((ms(WHEEL_SPAN), "at-horizon")));
-        assert_eq!(q.pop(), Some((ms(WHEEL_SPAN), "at-horizon-again")));
-        assert_eq!(q.pop(), Some((ms(WHEEL_SPAN + 1), "past-horizon")));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn far_heap_cancellations_skip_blocks() {
-        // Cancelled far-heap residents are tombstones until they
-        // surface; the queue must skip them — including a cancelled
-        // *earliest* entry — and jump the cursor across empty
-        // 2^24-blocks without emitting anything.
-        let mut q = EventQueue::new();
-        let a = q.schedule(ms(WHEEL_SPAN * 2), 'a');
-        let _b = q.schedule(ms(WHEEL_SPAN * 4), 'b');
-        let c = q.schedule(ms(WHEEL_SPAN * 4 + 3), 'c');
-        let _d = q.schedule(ms(WHEEL_SPAN * 6), 'd');
-        assert_eq!(q.cancel(a), Some('a'));
-        assert_eq!(q.cancel(c), Some('c'));
-        assert_eq!(q.len(), 2);
-        // peek must see through both tombstones to b.
-        assert_eq!(q.peek_time(), Some(ms(WHEEL_SPAN * 4)));
-        assert_eq!(q.pop(), Some((ms(WHEEL_SPAN * 4), 'b')));
-        assert_eq!(q.pop(), Some((ms(WHEEL_SPAN * 6), 'd')));
-        assert_eq!(q.pop(), None);
-    }
-
-    /// Random interleaved schedule/cancel/pop workload against the
-    /// heap oracle. The oracle has no `cancel`, so cancellation is
-    /// emulated with a tombstone set: tags cancelled on the wheel are
-    /// silently discarded when they surface from the heap.
-    fn cancel_equivalence_run(seed: u64, ops: usize, max_delay: u64) {
-        use std::collections::HashSet;
-        let mut rng = SimRng::seeded(seed);
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapQueue::new();
-        let mut cancelled: HashSet<u64> = HashSet::new();
-        let mut handles: Vec<EventHandle> = Vec::new();
-        let mut now: u64 = 0;
-        let mut tag: u64 = 0;
-        let oracle_pop = |heap: &mut HeapQueue<u64>, cancelled: &mut HashSet<u64>| loop {
-            match heap.pop() {
-                Some((_, t)) if cancelled.remove(&t) => continue,
-                other => break other,
-            }
-        };
-        for _ in 0..ops {
-            let r = rng.gen_range(0..100u32);
-            if r < 45 {
-                let at = ms(now + rng.gen_range(0..max_delay));
-                handles.push(wheel.schedule(at, tag));
-                heap.schedule(at, tag);
-                tag += 1;
-            } else if r < 70 && !handles.is_empty() {
-                // Cancel a random handle — possibly one already popped,
-                // already cancelled, or whose slot was since recycled;
-                // stale handles must be no-ops that tombstone nothing.
-                let h = handles[rng.gen_range(0..handles.len() as u64) as usize];
-                if let Some(t) = wheel.cancel(h) {
-                    cancelled.insert(t);
-                }
-            } else if r < 95 {
-                let w = wheel.pop();
-                let h = oracle_pop(&mut heap, &mut cancelled);
-                assert_eq!(w, h, "pop diverged under cancellation (seed {seed})");
-                if let Some((at, _)) = w {
-                    now = at.as_millis();
-                }
-            } else {
-                assert_eq!(
-                    wheel.len(),
-                    heap.len() - cancelled.len(),
-                    "live count diverged (seed {seed})"
-                );
-            }
-            wheel.validate_invariants();
-        }
-        loop {
-            let w = wheel.pop();
-            let h = oracle_pop(&mut heap, &mut cancelled);
-            assert_eq!(w, h, "drain diverged under cancellation (seed {seed})");
-            if w.is_none() {
-                break;
-            }
-        }
-        assert!(cancelled.is_empty(), "tombstones left after drain");
-    }
-
-    #[test]
-    fn equivalent_to_heap_with_interleaved_cancellations() {
-        // Delays covering level-0 churn, mid-wheel cascades, and the
-        // far heap beyond WHEEL_SPAN.
-        for (seed, max_delay) in [(300, 40), (301, 1 << 10), (302, 1 << 19), (303, 1 << 26)] {
-            cancel_equivalence_run(seed, 3000, max_delay);
-        }
-    }
-
-    #[test]
-    fn equivalent_to_heap_far_future_expiries() {
-        let mut rng = SimRng::seeded(42);
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapQueue::new();
-        for tag in 0..500u64 {
-            let at = if rng.gen_bool(0.1) {
-                Timestamp::MAX
-            } else {
-                ms(rng.gen_range(0..(WHEEL_SPAN * 8)))
-            };
-            wheel.schedule(at, tag);
-            heap.schedule(at, tag);
-        }
-        loop {
-            let w = wheel.pop();
-            assert_eq!(w, heap.pop());
-            if w.is_none() {
-                break;
-            }
-        }
     }
 }

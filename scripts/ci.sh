@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Full CI gate: formatting, the client-driver layering grep, lint
-# (warnings denied), release build (all targets, so bench breakage is
-# caught), the complete test suite
-# including ignored tests, the benchmark package's own tests (it links
-# crates/*), a warning-clean rustdoc build, the simulator
-# smoke benchmark, and a live-transport smoke benchmark run as a
-# {1,4}-reactor scaling matrix (the 4-reactor run must hold more
-# connections than the 1-reactor run).
+# Full CI gate: formatting, the client-driver and no-event-kernel
+# layering greps, lint (warnings denied), release build (all targets,
+# so bench breakage is caught), the complete test suite including
+# ignored tests, the benchmark package's own tests (it links crates/*),
+# a warning-clean rustdoc build, the simulator smoke benchmark, a
+# live-transport smoke benchmark run as a {1,4}-reactor scaling matrix
+# (the 4-reactor run must hold more connections than the 1-reactor
+# run), and the non-test line count per crate.
 # Run from anywhere; exits non-zero on the first failure.
 set -euo pipefail
 
@@ -29,6 +29,17 @@ if [ -n "$leak" ]; then
     exit 1
 fi
 
+echo "==> the evaluation path schedules no events (DESIGN.md §2)"
+# The trace engine is a loop over the trace; vl-sim serves the machine
+# fault harness and nothing else in core, bench or cli. An event kernel
+# that grows back here is one the docs and the benchmark do not know.
+leak=$(grep -rn 'vl_sim' crates/core/src crates/bench/src crates/cli/src |
+    grep -v '^crates/core/src/machine/harness.rs:' || true)
+if [ -n "$leak" ]; then
+    echo "error: vl_sim used outside the machine fault harness: $leak" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets (warnings denied)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -48,7 +59,7 @@ echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> scripts/bench_smoke.sh"
-./scripts/bench_smoke.sh "${VL_THREADS:-$(nproc 2>/dev/null || echo 4)}"
+./scripts/bench_smoke.sh "$(nproc 2>/dev/null || echo 4)"
 
 echo "==> scripts/bench_compare.sh sweep (regression gate vs committed baseline)"
 # Auto-skips when the presets differ (the test job runs the smoke
@@ -83,5 +94,8 @@ echo "==> scripts/bench_live.sh (1k clients/reactor, reactor matrix 1,4)"
 
 echo "==> scripts/bench_compare.sh live (regression gate vs committed baseline)"
 ./scripts/bench_compare.sh live
+
+echo "==> scripts/loc.sh (non-test lines per crate)"
+./scripts/loc.sh
 
 echo "==> CI gate passed"

@@ -13,7 +13,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`types`] | identifiers, virtual time, lease sets |
-//! | [`sim`] | deterministic discrete-event kernel |
+//! | [`sim`] | virtual clock, seeded RNG and event queue of the fault harness |
 //! | [`core`] | the consistency protocols and the trace engine |
 //! | [`analytic`] | Table 1 closed-form cost model |
 //! | [`workload`] | synthetic web workload, write models, BU trace parser |
