@@ -3,8 +3,7 @@
 //! Each experiment is a pure function from a [`vl_workload::WorkloadConfig`]
 //! (or a uniform synthetic workload, for Table 1) to a vector of typed
 //! rows. The `src/bin/*` binaries print the rows as aligned tables and
-//! optional CSV; the Criterion benches in `benches/` time the underlying
-//! simulations at smoke scale and print the same rows once per run.
+//! optional CSV, and time their own sweep (the [`SweepStats`] line).
 //!
 //! | paper artifact | function | binary |
 //! |----------------|----------|--------|
@@ -29,7 +28,6 @@ pub mod fig67;
 pub mod fig89;
 pub mod output;
 pub mod par;
-pub mod stopwatch;
 pub mod table1;
 pub mod uniform;
 

@@ -305,7 +305,21 @@ fn sim(args: &Args) {
 fn sim_chaos(args: &Args, profile: ChaosProfile, seed: u64) {
     use vl_core::machine::harness::{run, FaultConfig};
     use vl_types::Duration;
-    let mut cfg = FaultConfig::new(seed);
+    // The harness expresses faults per workload step rather than per
+    // message, so each wire profile maps onto the nearest step mix.
+    let mut cfg = match profile {
+        ChaosProfile::Off => FaultConfig {
+            drop_prob: 0.0,
+            client_crash_prob: 0.0,
+            server_crash_prob: 0.0,
+            partition_prob: 0.0,
+            ..FaultConfig::havoc(seed)
+        },
+        ChaosProfile::Drops => FaultConfig::drops(seed),
+        ChaosProfile::Delays => FaultConfig::delays(seed),
+        ChaosProfile::Partitions => FaultConfig::partitions(seed),
+        ChaosProfile::Havoc => FaultConfig::havoc(seed),
+    };
     cfg.steps = args.parsed("--steps", cfg.steps);
     if args.flag("--self-inval") {
         cfg.self_inval = Some(Duration::from_millis(
@@ -313,39 +327,6 @@ fn sim_chaos(args: &Args, profile: ChaosProfile, seed: u64) {
         ));
     }
     cfg.clock_skew = Duration::from_millis(args.parsed("--clock-skew-ms", 0u64));
-    // The harness expresses faults per workload step rather than per
-    // message, so each wire profile maps onto the nearest step mix.
-    match profile {
-        ChaosProfile::Off => {
-            cfg.drop_prob = 0.0;
-            cfg.client_crash_prob = 0.0;
-            cfg.server_crash_prob = 0.0;
-            cfg.partition_prob = 0.0;
-        }
-        ChaosProfile::Drops => {
-            cfg.drop_prob = 0.10;
-            cfg.client_crash_prob = 0.0;
-            cfg.server_crash_prob = 0.0;
-            cfg.partition_prob = 0.0;
-        }
-        ChaosProfile::Delays => {
-            cfg.drop_prob = 0.0;
-            cfg.client_crash_prob = 0.0;
-            cfg.server_crash_prob = 0.0;
-            cfg.partition_prob = 0.0;
-            cfg.latency = Duration::from_millis(30);
-        }
-        ChaosProfile::Partitions => {
-            cfg.drop_prob = 0.02;
-            cfg.client_crash_prob = 0.0;
-            cfg.server_crash_prob = 0.0;
-            cfg.partition_prob = 0.10;
-            cfg.partition_for = Duration::from_millis(150);
-        }
-        // Havoc keeps the harness's "fairly hostile" default mix,
-        // which already includes client and server crashes.
-        ChaosProfile::Havoc => {}
-    }
     let report = run(&cfg);
     println!("chaos profile:   {profile} (seed {seed})");
     if let Some(eps) = cfg.self_inval {

@@ -7,7 +7,11 @@
 //! [`ServerAction::Persist`]. Because the machines are pure and every
 //! random draw comes from one [`SimRng`], a run is a function of its
 //! [`FaultConfig`] alone — the produced [`FaultReport::log`] is
-//! byte-identical across reruns with the same seed.
+//! byte-identical across reruns with the same seed. The four mixes the
+//! CLI ships (`vl sim --chaos-profile`) are constructors here —
+//! [`FaultConfig::havoc`], [`drops`](FaultConfig::drops),
+//! [`delays`](FaultConfig::delays), [`partitions`](FaultConfig::partitions)
+//! — so the test suite runs exactly what the CLI does.
 //!
 //! Two safety invariants from the paper are checked continuously:
 //!
@@ -88,10 +92,10 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// A fairly hostile default mix: 5% message loss, periodic client
-    /// and server crashes, short partitions, leases short enough to
-    /// lapse between steps.
-    pub fn new(seed: u64) -> FaultConfig {
+    /// The shipped `havoc` mix, a fairly hostile default: 5% message
+    /// loss, periodic client and server crashes, short partitions,
+    /// leases short enough to lapse between steps.
+    pub fn havoc(seed: u64) -> FaultConfig {
         FaultConfig {
             seed,
             clients: 4,
@@ -113,6 +117,46 @@ impl FaultConfig {
             partition_for: Duration::from_secs(1),
             self_inval: None,
             clock_skew: Duration::ZERO,
+        }
+    }
+
+    /// `havoc`'s workload with every fault switched off; the base of
+    /// the single-fault mixes below.
+    fn quiet(seed: u64) -> FaultConfig {
+        FaultConfig {
+            drop_prob: 0.0,
+            client_crash_prob: 0.0,
+            server_crash_prob: 0.0,
+            partition_prob: 0.0,
+            ..FaultConfig::havoc(seed)
+        }
+    }
+
+    /// The shipped `drops` mix: 10% message loss, nothing else.
+    pub fn drops(seed: u64) -> FaultConfig {
+        FaultConfig {
+            drop_prob: 0.10,
+            ..FaultConfig::quiet(seed)
+        }
+    }
+
+    /// The shipped `delays` mix: 30 ms one-way latency, so requests,
+    /// grants and acks of neighbouring exchanges overlap; nothing lost.
+    pub fn delays(seed: u64) -> FaultConfig {
+        FaultConfig {
+            latency: Duration::from_millis(30),
+            ..FaultConfig::quiet(seed)
+        }
+    }
+
+    /// The shipped `partitions` mix: every tenth step cuts a client off
+    /// for 150 ms, with 2% background loss.
+    pub fn partitions(seed: u64) -> FaultConfig {
+        FaultConfig {
+            drop_prob: 0.02,
+            partition_prob: 0.10,
+            partition_for: Duration::from_millis(150),
+            ..FaultConfig::quiet(seed)
         }
     }
 }
@@ -150,11 +194,6 @@ pub struct FaultReport {
     pub invariant_checks: u64,
     /// Reconnection exchanges completed by the server.
     pub reconnections: u64,
-    /// Grouped delivery events scheduled for server fan-outs (≥ 2
-    /// surviving messages collapsed into one queue entry).
-    pub batched_deliveries: u64,
-    /// Total messages carried inside those grouped deliveries.
-    pub batched_messages: u64,
     /// Invalidation messages sent across all completed writes — the
     /// self-invalidation acceptance check is that this stays zero.
     pub invalidations_sent: u64,
@@ -173,15 +212,6 @@ enum Ev {
     ToClient {
         to: ClientId,
         msg: ServerMsg,
-    },
-    /// One grouped delivery for a server fan-out: a volume-wide write
-    /// that invalidates N holders schedules a single queue entry
-    /// carrying all surviving messages (in send order) instead of N
-    /// per-holder events. Drop/partition rolls were already taken at
-    /// route time, in the same order as unbatched routing, so runs are
-    /// byte-identical to per-event delivery.
-    Batch {
-        msgs: Vec<(ClientId, ServerMsg)>,
     },
     ReadRetry {
         client: ClientId,
@@ -361,16 +391,6 @@ impl Harness {
                 let actions = self.clients[to.0 as usize].handle(now, ClientInput::Msg(msg));
                 self.apply_client_actions(to, actions);
                 self.try_complete_reads(to);
-            }
-            Ev::Batch { msgs } => {
-                // Deliver in send order — exactly the order N separate
-                // ToClient entries would have popped in.
-                for (to, msg) in msgs {
-                    let now = self.local_now(to);
-                    let actions = self.clients[to.0 as usize].handle(now, ClientInput::Msg(msg));
-                    self.apply_client_actions(to, actions);
-                    self.try_complete_reads(to);
-                }
             }
             Ev::ReadRetry {
                 client,
@@ -590,20 +610,10 @@ impl Harness {
 
     fn apply_server_actions(&mut self, actions: Vec<ServerAction>) {
         let now = self.clock.now();
-        // Consecutive sends share one delivery instant (constant
-        // latency), so a fan-out becomes one grouped queue entry. Any
-        // non-send action flushes the run first, preserving the exact
-        // FIFO interleaving per-event scheduling would have produced.
-        let mut batch: Vec<(ClientId, ServerMsg)> = Vec::new();
         for action in actions {
             match action {
-                ServerAction::Send { to, msg } => {
-                    if self.admit_to_client(&to, &msg) {
-                        batch.push((to, msg));
-                    }
-                }
+                ServerAction::Send { to, msg } => self.route_to_client(to, msg),
                 ServerAction::SetTimer { at, .. } => {
-                    self.flush_batch(&mut batch);
                     self.queue.schedule(at.max(now), Ev::Tick);
                 }
                 ServerAction::Persist { state } => {
@@ -659,45 +669,19 @@ impl Harness {
                 }
             }
         }
-        self.flush_batch(&mut batch);
         if let Some(s) = &self.server {
             self.report.reconnections = s.stats().reconnections;
         }
     }
 
-    /// Rolls the fault model for one server→client message at route
-    /// time (keeping the RNG draw order identical to unbatched
-    /// routing); `true` means it survives and may join a batch.
-    fn admit_to_client(&mut self, to: &ClientId, msg: &ServerMsg) -> bool {
-        if self.partitioned.contains(to) || self.rng.gen_bool(self.cfg.drop_prob) {
+    fn route_to_client(&mut self, to: ClientId, msg: ServerMsg) {
+        if self.partitioned.contains(&to) || self.rng.gen_bool(self.cfg.drop_prob) {
             self.report.messages_dropped += 1;
             self.note(format!("drop server->{to} {msg:?}"));
-            return false;
-        }
-        true
-    }
-
-    /// Schedules the collected fan-out as one queue entry (or a plain
-    /// per-message event when only one message survived) and clears the
-    /// buffer.
-    fn flush_batch(&mut self, batch: &mut Vec<(ClientId, ServerMsg)>) {
-        if batch.is_empty() {
             return;
         }
         let at = self.clock.now() + self.cfg.latency;
-        if batch.len() == 1 {
-            let (to, msg) = batch.pop().expect("len checked");
-            self.queue.schedule(at, Ev::ToClient { to, msg });
-            return;
-        }
-        self.report.batched_deliveries += 1;
-        self.report.batched_messages += batch.len() as u64;
-        self.queue.schedule(
-            at,
-            Ev::Batch {
-                msgs: std::mem::take(batch),
-            },
-        );
+        self.queue.schedule(at, Ev::ToClient { to, msg });
     }
 
     fn apply_client_actions(&mut self, client: ClientId, actions: Vec<ClientAction>) {
@@ -732,12 +716,8 @@ mod tests {
 
     #[test]
     fn quiet_run_has_no_faults_or_violations() {
-        let mut cfg = FaultConfig::new(7);
+        let mut cfg = FaultConfig::quiet(7);
         cfg.steps = 200;
-        cfg.drop_prob = 0.0;
-        cfg.client_crash_prob = 0.0;
-        cfg.server_crash_prob = 0.0;
-        cfg.partition_prob = 0.0;
         let r = run(&cfg);
         assert_eq!(r.steps, 200);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
@@ -753,12 +733,8 @@ mod tests {
     #[test]
     fn self_inval_quiet_run_is_silent_and_bounded() {
         let eps = Duration::from_secs(1);
-        let mut cfg = FaultConfig::new(11);
+        let mut cfg = FaultConfig::quiet(11);
         cfg.steps = 300;
-        cfg.drop_prob = 0.0;
-        cfg.client_crash_prob = 0.0;
-        cfg.server_crash_prob = 0.0;
-        cfg.partition_prob = 0.0;
         cfg.self_inval = Some(eps);
         let r = run(&cfg);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
@@ -780,7 +756,7 @@ mod tests {
         // invalidation messages at all.
         let eps = Duration::from_millis(800);
         for seed in [3, 17, 61] {
-            let mut cfg = FaultConfig::new(seed);
+            let mut cfg = FaultConfig::havoc(seed);
             cfg.steps = 600;
             cfg.self_inval = Some(eps);
             cfg.clock_skew = eps;
@@ -801,12 +777,8 @@ mod tests {
         let eps = Duration::from_millis(100);
         let mut total_violations = 0;
         for seed in [1, 2, 5, 8] {
-            let mut cfg = FaultConfig::new(seed);
+            let mut cfg = FaultConfig::quiet(seed);
             cfg.steps = 400;
-            cfg.drop_prob = 0.0;
-            cfg.client_crash_prob = 0.0;
-            cfg.server_crash_prob = 0.0;
-            cfg.partition_prob = 0.0;
             cfg.self_inval = Some(eps);
             // Actual skew up to 30× the bound the server pads by.
             cfg.clock_skew = Duration::from_secs(3);
@@ -825,7 +797,7 @@ mod tests {
         // The knob must not disturb the RNG stream of existing seeds:
         // a zero-skew run is byte-identical to one from before the
         // field existed (same default config, same log).
-        let cfg = FaultConfig::new(7);
+        let cfg = FaultConfig::havoc(7);
         let a = run(&cfg);
         let b = run(&cfg);
         assert_eq!(a.log, b.log);

@@ -12,6 +12,13 @@
 //! [`harness`] that fuzzes the pair under a virtual clock with seeded
 //! faults.
 //!
+//! The server keeps one row per ⟨volume, client⟩ — lease expiry,
+//! reachability and reconnection progress, queued invalidations, held
+//! objects — and decides every client message by an exhaustive match on
+//! that row's state; the client keeps one lease expiry per volume and
+//! per cached object. Both are small enough to read in one sitting, and
+//! the harness's four shipped fault mixes run against them in tier-1.
+//!
 //! This is the shape production lease systems use to make lease safety
 //! mechanically checkable: the same transition code runs under the real
 //! wall clock and under simulation, so an invariant verified at

@@ -4,6 +4,15 @@
 //! the losing server bumps the volume epoch, the gaining server gates
 //! writes until every lease the loser granted has expired, and clients
 //! re-sync through the ordinary `MUST_RENEW_ALL` reconnection path.
+//!
+//! State is two tables. Per object, Figure 2's `at` set of lease
+//! holders. Per volume, one row per client ([`ClientState`]): its
+//! volume-lease expiry, its [`Link`] — membership in Figure 3's
+//! *Unreachable* set and how far the reconnection exchange has got —
+//! its membership in *Inactive* with the invalidations queued for it,
+//! and the object leases it holds. A handler reads and writes that one
+//! row, and matches `Link` without a wildcard: adding a state, or a
+//! message, is a compile error until every combination has an answer.
 
 use super::{MachineConfig, StableState, WriteMode, WriteOutcome};
 use bytes::Bytes;
@@ -45,9 +54,10 @@ pub struct ServerStats {
     pub handoffs_out: u64,
     /// Volumes adopted from another server.
     pub handoffs_in: u64,
-    /// `AckInvalidate`s that answered no awaited invalidation (a
-    /// duplicate, or one arriving after the lease was re-granted);
-    /// counted and ignored.
+    /// Acks that answered nothing outstanding, counted and ignored: an
+    /// `AckInvalidate` for no awaited invalidation (a duplicate, or one
+    /// arriving after the lease was re-granted), or an `AckVolBatch`
+    /// overtaken by a restarted reconnection exchange.
     pub stale_acks: u64,
 }
 
@@ -196,17 +206,87 @@ impl ObjState {
     }
 }
 
+/// Membership in Figure 3's *Inactive* set: the volume lease lapsed at
+/// `since` and `pending` invalidations wait for the next renewal (§3.2).
 struct Inactive {
     since: Timestamp,
     pending: BTreeSet<ObjectId>,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ReconPhase {
-    /// `MUST_RENEW_ALL` sent; waiting for `RENEW_OBJ_LEASES`.
+/// Where a client stands with respect to Figure 3's *Unreachable* set
+/// and the reconnection exchange (§3.1.1). Every handler that reads it
+/// matches all four states: what a message means in each one is decided
+/// where the message is handled, never by a fall-through.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Link {
+    /// Not in Unreachable: volume-lease requests are granted directly.
+    #[default]
+    Reachable,
+    /// In Unreachable, no exchange in progress; the next
+    /// `REQ_VOL_LEASE` starts one.
+    Unreachable,
+    /// In Unreachable, `MUST_RENEW_ALL` sent; waiting for
+    /// `RENEW_OBJ_LEASES`.
     AwaitLeaseSet,
-    /// `INVALIDATE+RENEW` sent; waiting for the batch ack.
+    /// In Unreachable, `INVALIDATE+RENEW` sent; waiting for the batch
+    /// ack.
     AwaitAck,
+}
+
+impl Link {
+    /// Membership in Figure 3's *Unreachable* set.
+    fn in_unreachable_set(self) -> bool {
+        match self {
+            Link::Reachable => false,
+            Link::Unreachable | Link::AwaitLeaseSet | Link::AwaitAck => true,
+        }
+    }
+
+    /// Figure 3's `unreachable ← unreachable ∪ {client}`; an exchange
+    /// already under way keeps its place.
+    fn mark_unreachable(&mut self) {
+        *self = match *self {
+            Link::Reachable | Link::Unreachable => Link::Unreachable,
+            Link::AwaitLeaseSet => Link::AwaitLeaseSet,
+            Link::AwaitAck => Link::AwaitAck,
+        };
+    }
+}
+
+/// Everything the server knows about one client in one volume — the
+/// row Figure 3 spreads over its volume `at` set, *Inactive* and
+/// *Unreachable*.
+#[derive(Default)]
+struct ClientState {
+    /// Volume-lease expiry; `None` until the first grant.
+    lease: Option<Timestamp>,
+    link: Link,
+    /// Queued invalidations; `Some` is membership in *Inactive*.
+    queued: Option<Box<Inactive>>,
+    /// This volume's objects the client was granted a lease on and has
+    /// not acked away: what demotion revokes.
+    held: BTreeSet<ObjectId>,
+}
+
+impl ClientState {
+    fn lease_valid(&self, now: Timestamp) -> bool {
+        self.lease.is_some_and(|e| e > now)
+    }
+
+    /// Grants the volume lease until `expire` and builds the
+    /// `VOL_LEASE` that says so, carrying every queued invalidation.
+    /// The queue stays until the client acks, so a lost reply cannot
+    /// lose them.
+    fn grant(&mut self, volume: VolumeId, epoch: Epoch, expire: Timestamp) -> ServerMsg {
+        self.lease = Some(expire);
+        let queued = self.queued.iter().flat_map(|i| &i.pending);
+        ServerMsg::VolLease {
+            volume,
+            expire,
+            epoch,
+            invalidate: queued.copied().collect(),
+        }
+    }
 }
 
 /// Per-volume protocol state: the paper's single-server state, one copy
@@ -217,12 +297,9 @@ enum ReconPhase {
 struct VolumeState {
     epoch: Epoch,
     write_gate: Timestamp,
-    leases: LeaseSet,
     // BTreeMap: demotion scans iterate this, and deterministic iteration
     // keeps simulation runs bit-reproducible.
-    inactive: BTreeMap<ClientId, Inactive>,
-    unreachable: BTreeSet<ClientId>,
-    reconnecting: HashMap<ClientId, ReconPhase>,
+    clients: BTreeMap<ClientId, ClientState>,
 }
 
 impl VolumeState {
@@ -230,10 +307,7 @@ impl VolumeState {
         VolumeState {
             epoch,
             write_gate,
-            leases: LeaseSet::new(),
-            inactive: BTreeMap::new(),
-            unreachable: BTreeSet::new(),
-            reconnecting: HashMap::new(),
+            clients: BTreeMap::new(),
         }
     }
 }
@@ -269,7 +343,6 @@ pub struct ServerMachine {
     /// seeded at boot; others arrive by handoff.
     volumes: BTreeMap<VolumeId, VolumeState>,
     objects: HashMap<ObjectId, ObjState>,
-    holdings: HashMap<ClientId, BTreeSet<ObjectId>>,
     /// Forwarding addresses for objects whose volume departed:
     /// `object → (volume, new owner)`.
     moved: HashMap<ObjectId, (VolumeId, ServerId)>,
@@ -326,7 +399,6 @@ impl ServerMachine {
             cfg,
             volumes,
             objects: HashMap::new(),
-            holdings: HashMap::new(),
             moved: HashMap::new(),
             departed: BTreeMap::new(),
             shard_map: None,
@@ -375,12 +447,13 @@ impl ServerMachine {
 
     /// Point-in-time statistics.
     pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            unreachable: self.volumes.values().map(|vs| vs.unreachable.len()).sum(),
-            inactive: self.volumes.values().map(|vs| vs.inactive.len()).sum(),
-            epoch: self.epoch(),
-            ..self.stats
+        let mut stats = self.stats;
+        stats.epoch = self.epoch();
+        for row in self.volumes.values().flat_map(|vs| vs.clients.values()) {
+            stats.unreachable += usize::from(row.link.in_unreachable_set());
+            stats.inactive += usize::from(row.queued.is_some());
         }
+        stats
     }
 
     /// Advances the machine by one input and returns the actions the
@@ -430,40 +503,20 @@ impl ServerMachine {
     /// client keeps every lease it holds (it may be alive behind a
     /// partition, serving cached reads that stay consistent exactly
     /// because we keep waiting its leases out), but it joins the
-    /// Unreachable set of every volume where it has state, so its next
-    /// `REQ_VOL_LEASE` is forced through the full reconnection
+    /// Unreachable set of every volume that has a row for it, so its
+    /// next `REQ_VOL_LEASE` is forced through the full reconnection
     /// handshake. A client with no server-side state is ignored — there
     /// is nothing to resynchronize.
     fn peer_disconnected(&mut self, client: ClientId) {
-        let mut touched: BTreeSet<VolumeId> = self
-            .volumes
-            .iter()
-            .filter(|(_, vs)| {
-                vs.leases.expiry_of(client).is_some() || vs.inactive.contains_key(&client)
-            })
-            .map(|(&v, _)| v)
-            .collect();
-        if let Some(held) = self.holdings.get(&client) {
-            for object in held {
-                if let Some(obj) = self.objects.get(object) {
-                    touched.insert(obj.volume);
-                }
-            }
-        }
-        if touched.is_empty() {
-            return;
-        }
         let mut newly = false;
-        for volume in touched {
-            let Some(vs) = self.volumes.get_mut(&volume) else {
+        for vs in self.volumes.values_mut() {
+            let Some(row) = vs.clients.get_mut(&client) else {
                 continue;
             };
+            newly |= !row.link.in_unreachable_set();
             // A half-finished handshake died with the connection; the
             // next REQ_VOL_LEASE restarts it from the top.
-            vs.reconnecting.remove(&client);
-            if vs.unreachable.insert(client) {
-                newly = true;
-            }
+            row.link = Link::Unreachable;
         }
         if newly {
             self.stats.disconnects += 1;
@@ -620,6 +673,9 @@ impl ServerMachine {
                     None => expire,
                 };
                 obj.grant(client, record);
+                if let Some(vs) = self.volumes.get_mut(&obj.volume) {
+                    vs.clients.entry(client).or_default().held.insert(object);
+                }
                 let data = (obj.version != version).then(|| obj.data.clone());
                 let reply = ServerMsg::ObjLease {
                     object,
@@ -633,41 +689,28 @@ impl ServerMachine {
                     // a post-crash write waits them out via the gate.
                     self.stable_dirty_max = self.stable_dirty_max.max(record);
                 }
-                self.holdings.entry(client).or_default().insert(object);
                 self.send(client, reply, actions);
             }
             ClientMsg::ReqVolLease { volume, epoch } => {
-                if !self.volumes.contains_key(&volume) {
+                let Some(vs) = self.volumes.get_mut(&volume) else {
                     self.redirect(volume, client, actions);
                     return;
-                }
-                let vs = self.volumes.get_mut(&volume).expect("checked above");
-                if epoch != vs.epoch || vs.unreachable.contains(&client) {
-                    // Stale epoch or known-unreachable: force the
-                    // reconnection protocol (§3.1.1 / §3.1.2).
-                    vs.unreachable.insert(client);
-                    vs.reconnecting.insert(client, ReconPhase::AwaitLeaseSet);
-                    self.send(client, ServerMsg::MustRenewAll { volume }, actions);
-                    return;
+                };
+                let row = vs.clients.entry(client).or_default();
+                match row.link {
+                    Link::Reachable if epoch == vs.epoch => {}
+                    Link::Reachable | Link::Unreachable | Link::AwaitLeaseSet | Link::AwaitAck => {
+                        // Stale epoch or known-unreachable: force the
+                        // reconnection protocol (§3.1.1 / §3.1.2), from
+                        // the top if one was already under way.
+                        row.link = Link::AwaitLeaseSet;
+                        self.send(client, ServerMsg::MustRenewAll { volume }, actions);
+                        return;
+                    }
                 }
                 let expire = now.saturating_add(self.cfg.volume_lease);
-                vs.leases.grant(client, expire);
-                let cur_epoch = vs.epoch;
-                // Deliver any queued invalidations batched into the
-                // grant; the entry stays until the client acks so a lost
-                // reply cannot lose invalidations.
-                let invalidate: Vec<ObjectId> = vs
-                    .inactive
-                    .get(&client)
-                    .map(|i| i.pending.iter().copied().collect())
-                    .unwrap_or_default();
+                let reply = row.grant(volume, vs.epoch, expire);
                 self.stable_dirty_max = self.stable_dirty_max.max(expire);
-                let reply = ServerMsg::VolLease {
-                    volume,
-                    expire,
-                    epoch: cur_epoch,
-                    invalidate,
-                };
                 self.send(client, reply, actions);
                 // Retransmit an unacked invalidation on contact: the
                 // renewal proves the client is reachable again, and
@@ -683,20 +726,28 @@ impl ServerMachine {
                 }
             }
             ClientMsg::RenewObjLeases { volume, leases } => {
-                if !self.volumes.contains_key(&volume) {
+                let Some(vs) = self.volumes.get_mut(&volume) else {
                     self.redirect(volume, client, actions);
                     return;
-                }
-                if self.volumes[&volume].reconnecting.get(&client)
-                    != Some(&ReconPhase::AwaitLeaseSet)
-                {
+                };
+                let Some(row) = vs.clients.get_mut(&client) else {
                     return;
+                };
+                match row.link {
+                    Link::AwaitLeaseSet => {}
+                    // Answers no MUST_RENEW_ALL of ours (or one whose
+                    // exchange has already moved on): ignored.
+                    Link::Reachable | Link::Unreachable | Link::AwaitAck => return,
                 }
                 let t = self.cfg.object_lease;
                 let pad = self.cfg.self_inval.unwrap_or(Duration::ZERO);
                 let mut invalidate = Vec::new();
                 let mut renew = Vec::new();
                 for (object, version) in leases {
+                    // The verdict below settles this object either way.
+                    if let Some(queued) = &mut row.queued {
+                        queued.pending.remove(&object);
+                    }
                     match self.objects.get_mut(&object) {
                         // An object reported under the wrong volume is
                         // simply invalidated; the client's copy cannot
@@ -704,16 +755,20 @@ impl ServerMachine {
                         Some(obj) if obj.volume == volume && obj.version == version => {
                             let expire = now.saturating_add(t);
                             obj.grant(client, expire.saturating_add(pad));
-                            self.holdings.entry(client).or_default().insert(object);
+                            row.held.insert(object);
                             renew.push((object, obj.version, expire));
                         }
                         _ => invalidate.push(object),
                     }
                 }
-                let vs = self.volumes.get_mut(&volume).expect("checked above");
-                // Anything we had queued is superseded by this exchange.
-                vs.inactive.remove(&client);
-                vs.reconnecting.insert(client, ReconPhase::AwaitAck);
+                // The list speaks only for the objects it names: a grant
+                // still in flight when the client wrote it is not in it,
+                // and an invalidation queued for that object since stays
+                // queued — it rides the VOL_LEASE that ends the exchange.
+                if (row.queued.as_ref()).is_some_and(|i| i.pending.is_empty()) {
+                    row.queued = None;
+                }
+                row.link = Link::AwaitAck;
                 self.send(
                     client,
                     ServerMsg::InvalRenew {
@@ -730,19 +785,21 @@ impl ServerMachine {
                 // duplicate ack (a renewal mid-write re-sends
                 // INVALIDATE) or one overtaken by the client's refetch
                 // answers nothing and must not touch the fresh lease.
-                let awaited = self.objects.get_mut(&object).is_some_and(|obj| {
+                let volume = self.objects.get_mut(&object).and_then(|obj| {
                     let awaited = obj.awaiting_ack.remove(&client);
                     if awaited {
                         obj.leases.revoke(client);
                     }
-                    awaited
+                    awaited.then_some(obj.volume)
                 });
-                if !awaited {
+                let Some(volume) = volume else {
                     self.stats.stale_acks += 1;
                     return;
-                }
-                if let Some(h) = self.holdings.get_mut(&client) {
-                    h.remove(&object);
+                };
+                if let Some(row) =
+                    (self.volumes.get_mut(&volume)).and_then(|vs| vs.clients.get_mut(&client))
+                {
+                    row.held.remove(&object);
                 }
                 if let Some(w) = &mut self.active_write {
                     if w.object == object {
@@ -754,41 +811,32 @@ impl ServerMachine {
                 let Some(vs) = self.volumes.get_mut(&volume) else {
                     return;
                 };
-                match vs.reconnecting.get(&client) {
-                    Some(ReconPhase::AwaitAck) => {
+                let Some(row) = vs.clients.get_mut(&client) else {
+                    return;
+                };
+                match row.link {
+                    Link::AwaitAck => {
                         // Reconnection complete: grant the volume lease.
-                        vs.reconnecting.remove(&client);
-                        vs.unreachable.remove(&client);
+                        // A write that ran since RENEW_OBJ_LEASES (or an
+                        // object that message did not name) left
+                        // invalidations queued; the grant carries them,
+                        // or the client would hold valid leases on a
+                        // stale copy.
+                        row.link = Link::Reachable;
                         let expire = now.saturating_add(self.cfg.volume_lease);
-                        vs.leases.grant(client, expire);
-                        let cur_epoch = vs.epoch;
-                        // A write that ran between RENEW_OBJ_LEASES and
-                        // this ack queued invalidations for the client;
-                        // the grant must carry them or the client would
-                        // hold valid leases on a stale copy. The entry
-                        // stays until the batch is acked.
-                        let invalidate: Vec<ObjectId> = vs
-                            .inactive
-                            .get(&client)
-                            .map(|i| i.pending.iter().copied().collect())
-                            .unwrap_or_default();
+                        let reply = row.grant(volume, vs.epoch, expire);
                         self.stats.reconnections += 1;
                         self.stable_dirty_max = self.stable_dirty_max.max(expire);
-                        self.send(
-                            client,
-                            ServerMsg::VolLease {
-                                volume,
-                                expire,
-                                epoch: cur_epoch,
-                                invalidate,
-                            },
-                            actions,
-                        );
+                        self.send(client, reply, actions);
                     }
-                    _ => {
-                        // Ack for a pending batch delivered with a grant.
-                        vs.inactive.remove(&client);
-                    }
+                    // Ack for a pending batch delivered with a grant.
+                    Link::Reachable | Link::Unreachable => row.queued = None,
+                    // Every grant that carried a batch predates the
+                    // MUST_RENEW_ALL now outstanding, and so does this
+                    // ack (a restarted exchange's first INVAL_RENEW, or
+                    // an old batch): it says nothing about what has
+                    // been queued since.
+                    Link::AwaitLeaseSet => self.stats.stale_acks += 1,
                 }
             }
         }
@@ -832,7 +880,10 @@ impl ServerMachine {
                     });
                 }
                 let epoch = vs.epoch.next();
-                let max_vol_expiry = vs.leases.expire_bound();
+                // The bound on every volume lease granted here: grants
+                // only ever move a client's expiry forward.
+                let max_vol_expiry =
+                    (vs.clients.values().filter_map(|c| c.lease).max()).unwrap_or(Timestamp::ZERO);
                 // Snapshot the volume's objects into the manifest,
                 // leaving a forwarding address behind. Sorted ids keep
                 // the wire image deterministic.
@@ -848,10 +899,6 @@ impl ServerMachine {
                     let o = self.objects.remove(id).expect("collected above");
                     objects.push((*id, o.version, o.data));
                     self.moved.insert(*id, (volume, to));
-                }
-                let moved_ids: BTreeSet<ObjectId> = ids.into_iter().collect();
-                for held in self.holdings.values_mut() {
-                    held.retain(|o| !moved_ids.contains(o));
                 }
                 self.departed.insert(volume, to);
                 if volume == self.cfg.volume {
@@ -966,32 +1013,24 @@ impl ServerMachine {
         // can still have a valid volume lease (its *object* lease is
         // what expired), and skipping it would let it read a stale copy.
         for client in holders {
-            let vol_valid = self
-                .volumes
-                .get(&volume)
-                .is_some_and(|vs| vs.leases.is_valid_for(client, now));
-            if vol_valid {
+            let row =
+                (self.volumes.get_mut(&volume)).map(|vs| vs.clients.entry(client).or_default());
+            if row.as_ref().is_some_and(|r| r.lease_valid(now)) {
                 w.outstanding.insert(client);
                 w.invalidations_sent += 1;
                 self.send(client, ServerMsg::Invalidate { object }, actions);
             } else {
                 // Delayed invalidation: queue it and drop the lease.
-                if let Some(vs) = self.volumes.get_mut(&volume) {
-                    let since = vs.leases.expiry_of(client).unwrap_or(now).min(now);
-                    vs.inactive
-                        .entry(client)
-                        .or_insert_with(|| Inactive {
-                            since,
-                            pending: BTreeSet::new(),
-                        })
-                        .pending
-                        .insert(object);
+                if let Some(row) = row {
+                    let since = row.lease.unwrap_or(now).min(now);
+                    let pending = BTreeSet::new();
+                    let queued =
+                        (row.queued).get_or_insert_with(|| Box::new(Inactive { since, pending }));
+                    queued.pending.insert(object);
+                    row.held.remove(&object);
                 }
                 if let Some(o) = self.objects.get_mut(&object) {
                     o.leases.revoke(client);
-                }
-                if let Some(h) = self.holdings.get_mut(&client) {
-                    h.remove(&object);
                 }
                 w.queued += 1;
             }
@@ -1027,10 +1066,9 @@ impl ServerMachine {
                     .get(&object)
                     .is_some_and(|o| o.leases.is_valid_for(c, now));
                 let vol_ok = self_inval
-                    || self
-                        .volumes
-                        .get(&volume)
-                        .is_some_and(|vs| vs.leases.is_valid_for(c, now));
+                    || (self.volumes.get(&volume))
+                        .and_then(|vs| vs.clients.get(&c))
+                        .is_some_and(|row| row.lease_valid(now));
                 !(vol_ok && obj_ok)
             })
             .collect();
@@ -1044,8 +1082,9 @@ impl ServerMachine {
             }
             w.waited_out += 1;
             // Figure 3: unreachable ← unreachable ∪ To_contact.
-            if let Some(vs) = self.volumes.get_mut(&volume) {
-                vs.unreachable.insert(c);
+            if let Some(row) = (self.volumes.get_mut(&volume)).and_then(|vs| vs.clients.get_mut(&c))
+            {
+                row.link.mark_unreachable();
             }
             if let Some(o) = self.objects.get_mut(&object) {
                 o.leases.revoke(c);
@@ -1082,44 +1121,29 @@ impl ServerMachine {
         }
     }
 
+    /// §3.2: a client inactive for longer than `d` joins Unreachable and
+    /// loses its queue and this volume's object leases. With `d` set
+    /// this walks the volume's whole client table on every input, as
+    /// does the demotion deadline in `refresh_timers`.
     fn demote_overdue(&mut self, now: Timestamp) {
         let Some(d) = self.cfg.inactive_discard else {
             return;
         };
-        let due: Vec<(VolumeId, ClientId)> = self
-            .volumes
-            .iter()
-            .flat_map(|(&v, vs)| {
-                vs.inactive
-                    .iter()
-                    .filter(move |(_, i)| now >= i.since.saturating_add(d))
-                    .map(move |(&c, _)| (v, c))
-            })
-            .collect();
-        for (volume, client) in due {
-            if let Some(vs) = self.volumes.get_mut(&volume) {
-                vs.inactive.remove(&client);
-                vs.unreachable.insert(client);
-            }
-            self.stats.demotions += 1;
-            // Revoke only this volume's objects held by the client;
-            // holdings in other volumes are governed by their own state.
-            let held: Vec<ObjectId> = self
-                .holdings
-                .get(&client)
-                .map(|h| {
-                    h.iter()
-                        .copied()
-                        .filter(|o| self.objects.get(o).is_some_and(|ob| ob.volume == volume))
-                        .collect()
-                })
-                .unwrap_or_default();
-            for object in held {
-                if let Some(o) = self.objects.get_mut(&object) {
-                    o.leases.revoke(client);
+        for vs in self.volumes.values_mut() {
+            for (&client, row) in &mut vs.clients {
+                if (row.queued.as_ref()).is_none_or(|i| now < i.since.saturating_add(d)) {
+                    continue;
                 }
-                if let Some(h) = self.holdings.get_mut(&client) {
-                    h.remove(&object);
+                row.queued = None;
+                row.link.mark_unreachable();
+                self.stats.demotions += 1;
+                // Revoke every lease the client holds in this volume;
+                // its rows in other volumes are governed by their own
+                // state.
+                for object in std::mem::take(&mut row.held) {
+                    if let Some(o) = self.objects.get_mut(&object) {
+                        o.leases.revoke(client);
+                    }
                 }
             }
         }
@@ -1146,10 +1170,8 @@ impl ServerMachine {
                             // fire the timer instantly.
                             return obj;
                         }
-                        let vol = self
-                            .volumes
-                            .get(&volume)
-                            .and_then(|vs| vs.leases.expiry_of(c))
+                        let vol = (self.volumes.get(&volume))
+                            .and_then(|vs| vs.clients.get(&c)?.lease)
                             .unwrap_or(now);
                         vol.min(obj)
                     })
@@ -1161,9 +1183,8 @@ impl ServerMachine {
             }),
         };
         let demotion = self.cfg.inactive_discard.and_then(|d| {
-            self.volumes
-                .values()
-                .flat_map(|vs| vs.inactive.values().map(move |i| i.since.saturating_add(d)))
+            let rows = self.volumes.values().flat_map(|vs| vs.clients.values());
+            rows.filter_map(|c| Some(c.queued.as_ref()?.since.saturating_add(d)))
                 .min()
         });
         for (slot, deadline) in [
@@ -1709,6 +1730,125 @@ mod tests {
         assert!(matches!(sends(&actions)[0].1, ServerMsg::VolLease { .. }));
         assert_eq!(m.stats().reconnections, 1);
         assert_eq!(m.stats().unreachable, 0);
+    }
+
+    /// Drives `client` through the rest of a reconnection exchange it
+    /// reports no cached objects in, and returns the invalidations the
+    /// closing `VOL_LEASE` carries.
+    fn finish_handshake_reporting_nothing(
+        m: &mut ServerMachine,
+        now: Timestamp,
+        client: u32,
+    ) -> Vec<ObjectId> {
+        let volume = VolumeId(0);
+        let leases = Vec::new();
+        m.handle(
+            now,
+            msg(client, ClientMsg::RenewObjLeases { volume, leases }),
+        );
+        let actions = m.handle(now, msg(client, ClientMsg::AckVolBatch { volume }));
+        match sends(&actions)[..] {
+            [(_, ServerMsg::VolLease { invalidate, .. })] => invalidate.clone(),
+            _ => panic!("the batch ack must complete the exchange: {actions:?}"),
+        }
+    }
+
+    /// Grants `client` a lease on `O`, then commits a write to it that
+    /// finds the client's volume lease lapsed and queues the
+    /// invalidation.
+    fn grant_then_queue_an_invalidation(m: &mut ServerMachine, now: Timestamp, client: u32) {
+        const O: ObjectId = ObjectId(1);
+        let version = Version::NONE;
+        let actions = m.handle(
+            now,
+            msg(client, ClientMsg::ReqObjLease { object: O, version }),
+        );
+        assert!(matches!(
+            sends(&actions)[..],
+            [(_, ServerMsg::ObjLease { .. })]
+        ));
+        let data = Bytes::from_static(b"b");
+        let actions = m.handle(now, ServerInput::Write { object: O, data });
+        let queued = actions.iter().find_map(|a| match a {
+            ServerAction::CompleteWrite { outcome } => Some(outcome.queued),
+            _ => None,
+        });
+        assert_eq!(queued, Some(1), "the write queues for the lapsed holder");
+    }
+
+    fn machine_with_object_one() -> ServerMachine {
+        let (mut m, _) = ServerMachine::new(MachineConfig::new(ServerId(0)), None);
+        m.handle(
+            Timestamp::ZERO,
+            ServerInput::CreateObject {
+                object: ObjectId(1),
+                data: Bytes::from_static(b"a"),
+                version: Version::FIRST,
+            },
+        );
+        m
+    }
+
+    /// `delays` seed 1, t = 48.33–48.48 s: the `OBJ_LEASE` grant was
+    /// still in flight when the client listed its cache, so the list
+    /// says nothing about that object and must not cancel the
+    /// invalidation queued for it since.
+    #[test]
+    fn renew_obj_leases_keeps_queued_invalidations_for_unnamed_objects() {
+        let mut m = machine_with_object_one();
+        let req = ClientMsg::ReqVolLease {
+            volume: VolumeId(0),
+            epoch: Epoch(0),
+        };
+        m.handle(Timestamp::ZERO, msg(7, req.clone()));
+        let client = ClientId(7);
+        m.handle(Timestamp::ZERO, ServerInput::PeerDisconnected { client });
+        let now = Timestamp::from_secs(10);
+        let actions = m.handle(now, msg(7, req));
+        assert!(matches!(
+            sends(&actions)[..],
+            [(_, ServerMsg::MustRenewAll { .. })]
+        ));
+        grant_then_queue_an_invalidation(&mut m, now, 7);
+        let carried = finish_handshake_reporting_nothing(&mut m, now, 7);
+        assert_eq!(carried, [ObjectId(1)], "the queued invalidation was lost");
+        // The client acks the batch it was handed; only then is it gone.
+        assert_eq!(m.stats().inactive, 1);
+        let volume = VolumeId(0);
+        m.handle(now, msg(7, ClientMsg::AckVolBatch { volume }));
+        assert_eq!(m.stats().inactive, 0);
+    }
+
+    /// `delays` seed 3, t = 39.78–40.03 s: a second `REQ_VOL_LEASE`
+    /// restarts the exchange, and the first exchange's batch ack lands
+    /// while the restarted one awaits its lease set. It acknowledges
+    /// nothing the client has been handed.
+    #[test]
+    fn stale_vol_batch_ack_during_a_restarted_handshake_keeps_pending() {
+        let mut m = machine_with_object_one();
+        let now = Timestamp::from_secs(10);
+        let volume = VolumeId(0);
+        let req = ClientMsg::ReqVolLease {
+            volume,
+            epoch: Epoch(99),
+        };
+        let leases = Vec::new();
+        m.handle(now, msg(7, req.clone()));
+        m.handle(now, msg(7, ClientMsg::RenewObjLeases { volume, leases }));
+        let actions = m.handle(now, msg(7, req));
+        assert!(matches!(
+            sends(&actions)[..],
+            [(_, ServerMsg::MustRenewAll { .. })]
+        ));
+        grant_then_queue_an_invalidation(&mut m, now, 7);
+        let actions = m.handle(now, msg(7, ClientMsg::AckVolBatch { volume }));
+        assert!(
+            sends(&actions).is_empty(),
+            "exchange 1 is over: {actions:?}"
+        );
+        assert_eq!(m.stats().stale_acks, 1);
+        let carried = finish_handshake_reporting_nothing(&mut m, now, 7);
+        assert_eq!(carried, [ObjectId(1)], "the queued invalidation was lost");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use super::Protocol;
 use crate::cache::ClientCaches;
 use crate::track::LeaseTrack;
-use crate::{Ctx, ProtocolKind};
+use crate::Ctx;
 use vl_metrics::MessageKind;
 use vl_types::{ClientId, Duration, ObjectId, Timestamp};
 use vl_workload::Universe;
@@ -42,10 +42,6 @@ impl Callback {
 }
 
 impl Protocol for Callback {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Callback
-    }
-
     #[inline]
     fn warm(&self, client: Option<ClientId>, object: ObjectId) {
         crate::mem::prefetch(&self.callbacks[object.raw() as usize]);

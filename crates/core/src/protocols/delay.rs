@@ -20,7 +20,7 @@
 use super::Protocol;
 use crate::cache::ClientCaches;
 use crate::track::{LeaseTrack, VolumeLeaseTable};
-use crate::{Ctx, ProtocolKind, LIST_ENTRY_BYTES};
+use crate::{Ctx, LIST_ENTRY_BYTES};
 use vl_metrics::{Event, EventKind, MessageKind};
 use vl_types::{ClientId, Duration, ObjectId, Timestamp, Version, VolumeId, LEASE_RECORD_BYTES};
 use vl_workload::Universe;
@@ -320,14 +320,6 @@ impl DelayedInvalidation {
 }
 
 impl Protocol for DelayedInvalidation {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::DelayedInvalidation {
-            volume_timeout: self.volume_timeout,
-            object_timeout: self.object_timeout,
-            inactive_discard: self.inactive_discard,
-        }
-    }
-
     #[inline]
     fn warm(&self, client: Option<ClientId>, object: ObjectId) {
         crate::mem::prefetch(&self.obj_leases[object.raw() as usize]);

@@ -3,7 +3,7 @@
 use super::Protocol;
 use crate::cache::ClientCaches;
 use crate::track::LeaseTrack;
-use crate::{Ctx, ProtocolKind};
+use crate::Ctx;
 use vl_metrics::MessageKind;
 use vl_types::{ClientId, Duration, ObjectId, Timestamp};
 use vl_workload::Universe;
@@ -84,18 +84,6 @@ impl ObjectLease {
 }
 
 impl Protocol for ObjectLease {
-    fn kind(&self) -> ProtocolKind {
-        if self.notify {
-            ProtocolKind::Lease {
-                timeout: self.timeout,
-            }
-        } else {
-            ProtocolKind::WaitingLease {
-                timeout: self.timeout,
-            }
-        }
-    }
-
     #[inline]
     fn warm(&self, client: Option<ClientId>, object: ObjectId) {
         crate::mem::prefetch(&self.leases[object.raw() as usize]);

@@ -15,7 +15,7 @@ pub use poll::{Poll, PollEachRead};
 pub use self_inval::SelfInval;
 pub use volume::VolumeLease;
 
-use crate::{Ctx, ProtocolKind};
+use crate::Ctx;
 use std::fmt::Debug;
 use vl_types::{ClientId, ObjectId, Timestamp};
 
@@ -30,9 +30,6 @@ use vl_types::{ClientId, ObjectId, Timestamp};
 /// Implementations record *all* of their message, state, and staleness
 /// costs through the [`Ctx`] they are handed.
 pub trait Protocol: Debug {
-    /// Which algorithm (and parameters) this is.
-    fn kind(&self) -> ProtocolKind;
-
     /// Hints that the *next-but-a-few* trace event touches `object`
     /// (read by `client`, or a write when `client` is `None`): the
     /// implementation prefetches whatever per-object bookkeeping that

@@ -3,7 +3,7 @@
 
 use super::Protocol;
 use crate::cache::ClientCaches;
-use crate::{Ctx, ProtocolKind};
+use crate::Ctx;
 use vl_metrics::MessageKind;
 use vl_types::{ClientId, Duration, ObjectId, Timestamp};
 use vl_workload::Universe;
@@ -25,10 +25,6 @@ impl PollEachRead {
 }
 
 impl Protocol for PollEachRead {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::PollEachRead
-    }
-
     #[inline]
     fn warm(&self, client: Option<ClientId>, object: ObjectId) {
         if let Some(client) = client {
@@ -94,12 +90,6 @@ impl Poll {
 }
 
 impl Protocol for Poll {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Poll {
-            timeout: self.timeout,
-        }
-    }
-
     #[inline]
     fn warm(&self, client: Option<ClientId>, object: ObjectId) {
         if let Some(client) = client {

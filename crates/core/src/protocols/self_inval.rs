@@ -3,7 +3,7 @@
 use super::Protocol;
 use crate::cache::ClientCaches;
 use crate::track::LeaseTrack;
-use crate::{Ctx, ProtocolKind};
+use crate::Ctx;
 use vl_metrics::MessageKind;
 use vl_types::{ClientId, Duration, ObjectId, Timestamp};
 use vl_workload::Universe;
@@ -76,13 +76,6 @@ impl SelfInval {
 }
 
 impl Protocol for SelfInval {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::SelfInval {
-            timeout: self.timeout,
-            skew_bound: self.skew_bound,
-        }
-    }
-
     #[inline]
     fn warm(&self, client: Option<ClientId>, object: ObjectId) {
         crate::mem::prefetch(&self.leases[object.raw() as usize]);

@@ -3,7 +3,7 @@
 use super::Protocol;
 use crate::cache::ClientCaches;
 use crate::track::{LeaseTrack, VolumeLeaseTable};
-use crate::{Ctx, ProtocolKind, LIST_ENTRY_BYTES};
+use crate::{Ctx, LIST_ENTRY_BYTES};
 use vl_metrics::MessageKind;
 use vl_types::{ClientId, Duration, ObjectId, Timestamp, Version, VolumeId};
 use vl_workload::Universe;
@@ -94,13 +94,6 @@ impl VolumeLease {
 }
 
 impl Protocol for VolumeLease {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::VolumeLease {
-            volume_timeout: self.volume_timeout,
-            object_timeout: self.object_timeout,
-        }
-    }
-
     #[inline]
     fn warm(&self, client: Option<ClientId>, object: ObjectId) {
         crate::mem::prefetch(&self.obj_leases[object.raw() as usize]);

@@ -17,7 +17,7 @@ use vl_types::{ClientId, ObjectId, ServerId, Timestamp, VolumeId};
 pub enum WorkloadPreset {
     /// Tiny: seconds to simulate; used by unit/integration tests.
     Smoke,
-    /// Mid-size: the default for Criterion benches (~100K reads).
+    /// Mid-size: the figure binaries' default (~100K reads).
     Medium,
     /// Full paper scale: 33 clients, 1000 servers, 68,665 files,
     /// ~1.03M reads over 120 days.

@@ -78,7 +78,11 @@ echo "$si_out" | grep -Eq 'stale reads: +0 ' || {
     exit 1
 }
 # Exits non-zero if any consistency invariant is violated while every
-# client clock stays within the skew bound.
+# client clock stays within the skew bound. This is the one harness run
+# CI makes through the CLI: the volume-lease protocol under all four
+# shipped mixes x 40 seeds is machine_faults.rs in the test suite above
+# (every_shipped_mix_upholds_both_invariants), which calls the same
+# FaultConfig constructors `vl sim --chaos-profile` does.
 cargo run --release -q -p vl-cli -- sim --chaos-profile havoc --chaos-seed 17 \
     --steps 600 --self-inval --skew-bound-ms 800 --clock-skew-ms 800
 
