@@ -9,10 +9,10 @@
 //! which is what lets the determinism tests compare JSONL traces
 //! byte-for-byte across runs.
 
-use super::{ClientAction, ServerAction};
+use super::{ClientAction, ServerAction, ServerMachine};
 use vl_metrics::{Event, EventKind, MessageKind};
 use vl_proto::{codec, ClientMsg, ServerMsg};
-use vl_types::{ClientId, ServerId, Timestamp, VolumeId};
+use vl_types::{ClientId, ObjectId, ServerId, Timestamp};
 
 /// The [`MessageKind`] a client→server wire message counts as.
 pub fn client_msg_kind(msg: &ClientMsg) -> MessageKind {
@@ -38,37 +38,42 @@ pub fn server_msg_kind(msg: &ServerMsg) -> MessageKind {
     }
 }
 
-/// Trace events for one applied server action. Called only when a sink
-/// is attached, so the extra encode (for the wire byte count) is off
-/// the untraced path.
+/// Trace events for one action `machine` returned, labelled with the
+/// volume it concerns: the one the message names, else the one its
+/// object belongs to. A [`ServerAction::CompleteWrite`] names neither,
+/// so the driver passes the object of its oldest unanswered write as
+/// `written`. Called only when a sink is attached, so the extra encode
+/// (for the wire byte count) is off the untraced path.
 pub fn server_action_events(
     at: Timestamp,
-    server: ServerId,
-    volume: VolumeId,
+    machine: &ServerMachine,
+    written: Option<ObjectId>,
     action: &ServerAction,
 ) -> Vec<Event> {
+    let server = machine.config().server;
     match action {
         ServerAction::Send { to, msg } => {
+            let volume = machine.volume_in(msg.scope());
             let mut ev = Event::new(at, EventKind::Message, server, *to);
             ev.msg = Some(server_msg_kind(msg));
             ev.value = codec::encode_server(msg).len() as u64;
-            ev.volume = Some(volume);
+            ev.volume = volume;
             let mut out = vec![ev];
             match msg {
                 ServerMsg::Invalidate { object } => {
                     out.push(Event {
                         object: Some(*object),
-                        volume: Some(volume),
+                        volume,
                         ..Event::new(at, EventKind::InvalidationSent, server, *to)
                     });
                 }
                 ServerMsg::VolLease { invalidate, .. } => {
                     let mut grant = Event::new(at, EventKind::VolumeLeaseGranted, server, *to);
-                    grant.volume = Some(volume);
+                    grant.volume = volume;
                     out.push(grant);
                     if !invalidate.is_empty() {
                         out.push(Event {
-                            volume: Some(volume),
+                            volume,
                             value: invalidate.len() as u64,
                             ..Event::new(at, EventKind::InvalidationBatch, server, *to)
                         });
@@ -77,13 +82,13 @@ pub fn server_action_events(
                 ServerMsg::ObjLease { object, .. } => {
                     out.push(Event {
                         object: Some(*object),
-                        volume: Some(volume),
+                        volume,
                         ..Event::new(at, EventKind::LeaseGranted, server, *to)
                     });
                 }
                 ServerMsg::InvalRenew { invalidate, .. } => {
                     out.push(Event {
-                        volume: Some(volume),
+                        volume,
                         value: invalidate.len() as u64,
                         ..Event::new(at, EventKind::Reconnected, server, *to)
                     });
@@ -92,20 +97,23 @@ pub fn server_action_events(
             }
             out
         }
-        ServerAction::CompleteWrite { outcome } => vec![
-            Event {
-                volume: Some(volume),
-                value: outcome.invalidations_sent as u64,
-                extra: outcome.queued as u64,
-                ..Event::new(at, EventKind::WriteClassified, server, ClientId(0))
-            },
-            Event {
-                volume: Some(volume),
-                value: outcome.delay.as_millis(),
-                extra: outcome.waited_out as u64,
-                ..Event::new(at, EventKind::WriteCommitted, server, ClientId(0))
-            },
-        ],
+        ServerAction::CompleteWrite { outcome } => {
+            let volume = written.and_then(|object| machine.volume_of(object));
+            vec![
+                Event {
+                    volume,
+                    value: outcome.invalidations_sent as u64,
+                    extra: outcome.queued as u64,
+                    ..Event::new(at, EventKind::WriteClassified, server, ClientId(0))
+                },
+                Event {
+                    volume,
+                    value: outcome.delay.as_millis(),
+                    extra: outcome.waited_out as u64,
+                    ..Event::new(at, EventKind::WriteCommitted, server, ClientId(0))
+                },
+            ]
+        }
         // Peer traffic (handoff) is control-plane; the per-server
         // message counters in `vl report` track client-visible load.
         ServerAction::SendPeer { .. } => Vec::new(),
@@ -145,8 +153,12 @@ pub fn client_action_events(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::WriteOutcome;
-    use vl_types::{Duration, Epoch, ObjectId, Version};
+    use crate::machine::{MachineConfig, WriteOutcome};
+    use vl_types::{Duration, Epoch, ObjectId, Version, VolumeId};
+
+    fn machine(server: u32) -> ServerMachine {
+        ServerMachine::new(MachineConfig::new(ServerId(server)), None).0
+    }
 
     #[test]
     fn send_maps_to_message_plus_detail() {
@@ -156,7 +168,7 @@ mod tests {
                 object: ObjectId(9),
             },
         };
-        let evs = server_action_events(Timestamp::ZERO, ServerId(1), VolumeId(1), &action);
+        let evs = server_action_events(Timestamp::ZERO, &machine(1), None, &action);
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].kind, EventKind::Message);
         assert_eq!(evs[0].msg, Some(MessageKind::Invalidate));
@@ -177,7 +189,7 @@ mod tests {
                 moved_to: None,
             },
         };
-        let evs = server_action_events(Timestamp::ZERO, ServerId(0), VolumeId(0), &action);
+        let evs = server_action_events(Timestamp::ZERO, &machine(0), None, &action);
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].kind, EventKind::WriteClassified);
         assert_eq!((evs[0].value, evs[0].extra), (2, 1));
@@ -207,7 +219,7 @@ mod tests {
                 invalidate: vec![ObjectId(1), ObjectId(2)],
             },
         };
-        let evs = server_action_events(Timestamp::ZERO, ServerId(0), VolumeId(0), &action);
+        let evs = server_action_events(Timestamp::ZERO, &machine(0), None, &action);
         let batch = evs
             .iter()
             .find(|e| e.kind == EventKind::InvalidationBatch)

@@ -12,12 +12,12 @@
 //! [`harness`] that fuzzes the pair under a virtual clock with seeded
 //! faults.
 //!
-//! The server keeps one row per ⟨volume, client⟩ — lease expiry,
-//! reachability and reconnection progress, queued invalidations, held
-//! objects — and decides every client message by an exhaustive match on
-//! that row's state; the client keeps one lease expiry per volume and
-//! per cached object. Both are small enough to read in one sitting, and
-//! the harness's four shipped fault mixes run against them in tier-1.
+//! Both sides keep protocol state per volume. [`ServerMachine`] routes
+//! each input to the machine of the volume it names (`volume.rs`: one
+//! row per client, every message decided by an exhaustive match on that
+//! row's state; the objects; the write in progress), as `vl-client`
+//! keeps a [`ClientMachine`] per volume. Each is small enough to read
+//! in one sitting, and the harness's four fault mixes run in tier-1.
 //!
 //! This is the shape production lease systems use to make lease safety
 //! mechanically checkable: the same transition code runs under the real
@@ -50,6 +50,7 @@ mod client;
 pub mod events;
 pub mod harness;
 mod server;
+mod volume;
 
 pub use client::{ClientAction, ClientInput, ClientMachine, ClientMachineConfig, ClientStats};
 pub use server::{ServerAction, ServerInput, ServerMachine, ServerStats, TimerKind};
@@ -111,7 +112,7 @@ pub struct StableState {
 pub struct MachineConfig {
     /// This server's identity.
     pub server: ServerId,
-    /// The (single) volume this server hosts.
+    /// The home volume, hosted from boot; others arrive by handoff.
     pub volume: VolumeId,
     /// Object lease length `t` (long).
     pub object_lease: Duration,

@@ -1,25 +1,27 @@
-//! The server half of the protocol as a pure state machine (Figure 3),
-//! generalized to host many volumes so a shard-mapped fleet can move
-//! volumes between servers with the paper's own crash-recovery trick:
-//! the losing server bumps the volume epoch, the gaining server gates
-//! writes until every lease the loser granted has expired, and clients
-//! re-sync through the ordinary `MUST_RENEW_ALL` reconnection path.
+//! The server half of the protocol as a pure state machine: a router
+//! over one [`VolumeMachine`] per hosted volume — the shape `vl-client`
+//! has as one driver over a `ClientMachine` per volume.
 //!
-//! State is two tables. Per object, Figure 2's `at` set of lease
-//! holders. Per volume, one row per client ([`ClientState`]): its
-//! volume-lease expiry, its [`Link`] — membership in Figure 3's
-//! *Unreachable* set and how far the reconnection exchange has got —
-//! its membership in *Inactive* with the invalidations queued for it,
-//! and the object leases it holds. A handler reads and writes that one
-//! row, and matches `Link` without a wildcard: adding a state, or a
-//! message, is a compile error until every combination has an answer.
+//! The protocol (Figure 3, reconnection, delayed invalidations, the
+//! write wait) is `volume.rs`, which knows one volume and nothing of
+//! where it runs. Here is what hosting several adds: which volume a
+//! message is for ([`ClientMsg::scope`], plus an `object → volume`
+//! index for messages that name only an object), what to tell a client
+//! that asked the wrong server, the queue that feeds the volumes one
+//! write at a time, the stable record, and the driver's two timers.
+//! A shard-mapped fleet moves a volume with the paper's crash-recovery
+//! trick: the loser takes the machine out of its table, bumps the
+//! epoch and ships the manifest; the gainer builds a machine from it
+//! that gates writes until every lease the loser granted has expired;
+//! clients re-sync through the ordinary `MUST_RENEW_ALL` path.
 
-use super::{MachineConfig, StableState, WriteMode, WriteOutcome};
+use super::volume::{Host, VolumeMachine};
+use super::{MachineConfig, StableState, WriteOutcome};
 use bytes::Bytes;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use vl_proto::{ClientMsg, PeerMsg, ServerMsg};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use vl_proto::{ClientMsg, PeerMsg, Scope, ServerMsg};
 use vl_types::{
-    ClientId, Duration, Epoch, LeaseSet, ObjectId, ServerId, ShardMap, Timestamp, Version, VolumeId,
+    ClientId, Duration, Epoch, ObjectId, ServerId, ShardMap, Timestamp, Version, VolumeId,
 };
 
 /// Point-in-time server statistics.
@@ -40,7 +42,7 @@ pub struct ServerStats {
     pub inactive: usize,
     /// Reconnection exchanges completed.
     pub reconnections: u64,
-    /// Inactive clients demoted after `d`.
+    /// Clients demoted after `d` of inactivity.
     pub demotions: u64,
     /// Current epoch of the home volume.
     pub epoch: Epoch,
@@ -174,161 +176,6 @@ pub enum ServerAction {
     },
 }
 
-struct ObjState {
-    data: Bytes,
-    version: Version,
-    leases: LeaseSet,
-    /// Clients the latest write sent an `INVALIDATE` and that have
-    /// neither acked it nor been granted a lease since. Acks carry no
-    /// version, so this is what ties an ack to the lease it answers.
-    awaiting_ack: BTreeSet<ClientId>,
-    /// The volume this object belongs to; handoff moves a volume's
-    /// objects as a unit.
-    volume: VolumeId,
-}
-
-impl ObjState {
-    fn new(data: Bytes, version: Version, volume: VolumeId) -> ObjState {
-        ObjState {
-            data,
-            version,
-            leases: LeaseSet::new(),
-            awaiting_ack: BTreeSet::new(),
-            volume,
-        }
-    }
-
-    /// Records a lease for `client`; whatever ack it still owed
-    /// answered an older lease than this one.
-    fn grant(&mut self, client: ClientId, expire: Timestamp) {
-        self.leases.grant(client, expire);
-        self.awaiting_ack.remove(&client);
-    }
-}
-
-/// Membership in Figure 3's *Inactive* set: the volume lease lapsed at
-/// `since` and `pending` invalidations wait for the next renewal (§3.2).
-struct Inactive {
-    since: Timestamp,
-    pending: BTreeSet<ObjectId>,
-}
-
-/// Where a client stands with respect to Figure 3's *Unreachable* set
-/// and the reconnection exchange (§3.1.1). Every handler that reads it
-/// matches all four states: what a message means in each one is decided
-/// where the message is handled, never by a fall-through.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-enum Link {
-    /// Not in Unreachable: volume-lease requests are granted directly.
-    #[default]
-    Reachable,
-    /// In Unreachable, no exchange in progress; the next
-    /// `REQ_VOL_LEASE` starts one.
-    Unreachable,
-    /// In Unreachable, `MUST_RENEW_ALL` sent; waiting for
-    /// `RENEW_OBJ_LEASES`.
-    AwaitLeaseSet,
-    /// In Unreachable, `INVALIDATE+RENEW` sent; waiting for the batch
-    /// ack.
-    AwaitAck,
-}
-
-impl Link {
-    /// Membership in Figure 3's *Unreachable* set.
-    fn in_unreachable_set(self) -> bool {
-        match self {
-            Link::Reachable => false,
-            Link::Unreachable | Link::AwaitLeaseSet | Link::AwaitAck => true,
-        }
-    }
-
-    /// Figure 3's `unreachable ← unreachable ∪ {client}`; an exchange
-    /// already under way keeps its place.
-    fn mark_unreachable(&mut self) {
-        *self = match *self {
-            Link::Reachable | Link::Unreachable => Link::Unreachable,
-            Link::AwaitLeaseSet => Link::AwaitLeaseSet,
-            Link::AwaitAck => Link::AwaitAck,
-        };
-    }
-}
-
-/// Everything the server knows about one client in one volume — the
-/// row Figure 3 spreads over its volume `at` set, *Inactive* and
-/// *Unreachable*.
-#[derive(Default)]
-struct ClientState {
-    /// Volume-lease expiry; `None` until the first grant.
-    lease: Option<Timestamp>,
-    link: Link,
-    /// Queued invalidations; `Some` is membership in *Inactive*.
-    queued: Option<Box<Inactive>>,
-    /// This volume's objects the client was granted a lease on and has
-    /// not acked away: what demotion revokes.
-    held: BTreeSet<ObjectId>,
-}
-
-impl ClientState {
-    fn lease_valid(&self, now: Timestamp) -> bool {
-        self.lease.is_some_and(|e| e > now)
-    }
-
-    /// Grants the volume lease until `expire` and builds the
-    /// `VOL_LEASE` that says so, carrying every queued invalidation.
-    /// The queue stays until the client acks, so a lost reply cannot
-    /// lose them.
-    fn grant(&mut self, volume: VolumeId, epoch: Epoch, expire: Timestamp) -> ServerMsg {
-        self.lease = Some(expire);
-        let queued = self.queued.iter().flat_map(|i| &i.pending);
-        ServerMsg::VolLease {
-            volume,
-            expire,
-            epoch,
-            invalidate: queued.copied().collect(),
-        }
-    }
-}
-
-/// Per-volume protocol state: the paper's single-server state, one copy
-/// per hosted volume. `write_gate` generalizes the crash-recovery gate
-/// (§3.1.2): writes to the volume are delayed until it passes, whether
-/// the gate came from a reboot or from adopting the volume in a
-/// handoff.
-struct VolumeState {
-    epoch: Epoch,
-    write_gate: Timestamp,
-    // BTreeMap: demotion scans iterate this, and deterministic iteration
-    // keeps simulation runs bit-reproducible.
-    clients: BTreeMap<ClientId, ClientState>,
-}
-
-impl VolumeState {
-    fn fresh(epoch: Epoch, write_gate: Timestamp) -> VolumeState {
-        VolumeState {
-            epoch,
-            write_gate,
-            clients: BTreeMap::new(),
-        }
-    }
-}
-
-struct ActiveWrite {
-    object: ObjectId,
-    volume: VolumeId,
-    data: Bytes,
-    outstanding: BTreeSet<ClientId>,
-    started: Timestamp,
-    invalidations_sent: usize,
-    queued: usize,
-    waited_out: usize,
-    /// Lease requests touching `object` that arrived mid-write. Granting
-    /// them immediately would hand out a fresh lease on the about-to-be
-    /// overwritten data to a client the writer never contacts — a stale
-    /// lease the moment the write commits. They are replayed after the
-    /// commit instead.
-    deferred: Vec<(ClientId, ClientMsg)>,
-}
-
 /// The server state machine: Figure 3 plus the reconnection protocol
 /// (§3.1.1), epoch-based crash recovery (§3.1.2), delayed invalidations
 /// (§3.2), and multi-volume hosting with epoch-bumped volume handoff,
@@ -338,22 +185,25 @@ struct ActiveWrite {
 /// execute the returned [`ServerAction`]s; see the module docs for the
 /// contract.
 pub struct ServerMachine {
-    cfg: MachineConfig,
     /// Hosted volumes. The home volume ([`MachineConfig::volume`]) is
     /// seeded at boot; others arrive by handoff.
-    volumes: BTreeMap<VolumeId, VolumeState>,
-    objects: HashMap<ObjectId, ObjState>,
-    /// Forwarding addresses for objects whose volume departed:
-    /// `object → (volume, new owner)`.
-    moved: HashMap<ObjectId, (VolumeId, ServerId)>,
+    volumes: BTreeMap<VolumeId, VolumeMachine>,
+    /// Which volume every object ever seen here belongs to. Entries
+    /// outlive their volume's departure: with `departed` they are the
+    /// forwarding address of a moved object.
+    index: HashMap<ObjectId, VolumeId>,
     /// Volumes this server handed off, and where they went. Redirects
-    /// prefer this over the shard map — it is ground truth.
+    /// prefer this over the shard map — it is ground truth. A volume
+    /// the index names is either hosted or here.
     departed: BTreeMap<VolumeId, ServerId>,
     shard_map: Option<ShardMap>,
-    active_write: Option<ActiveWrite>,
+    /// Writes not yet started, with their enqueue times. One write runs
+    /// at a time across all volumes, so completions keep this order.
     queued_writes: VecDeque<(ObjectId, Bytes, Timestamp)>,
-    stats: ServerStats,
-    stable_dirty_max: Timestamp,
+    /// The volume whose machine holds the active write.
+    writing: Option<VolumeId>,
+    /// The configuration, and where the volumes' effects collect.
+    host: Host,
     /// Last deadline emitted per [`TimerKind`], to suppress duplicates.
     last_timer: [Option<Timestamp>; 2],
 }
@@ -361,11 +211,11 @@ pub struct ServerMachine {
 impl std::fmt::Debug for ServerMachine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerMachine")
-            .field("server", &self.cfg.server)
+            .field("server", &self.host.cfg.server)
             .field("epoch", &self.epoch())
             .field("volumes", &self.volumes.len())
-            .field("objects", &self.objects.len())
-            .field("active_write", &self.active_write.is_some())
+            .field("objects", &self.index.len())
+            .field("active_write", &self.writing.is_some())
             .finish()
     }
 }
@@ -381,34 +231,27 @@ impl ServerMachine {
         cfg: MachineConfig,
         stable: Option<StableState>,
     ) -> (ServerMachine, Vec<ServerAction>) {
-        let (epoch, recovery_until, record) = match stable {
-            Some(rec) => {
-                // Reboot: bump the epoch and wait out pre-crash leases.
-                let epoch = rec.epoch.next();
-                let record = StableState {
-                    epoch,
-                    max_volume_expiry: rec.max_volume_expiry,
-                };
-                (epoch, rec.max_volume_expiry, record)
-            }
-            None => (Epoch::default(), Timestamp::ZERO, StableState::default()),
-        };
+        // Reboot: bump the epoch and wait out pre-crash leases.
+        let record = stable.map_or(StableState::default(), |rec| StableState {
+            epoch: rec.epoch.next(),
+            ..rec
+        });
+        let (epoch, recovery_until) = (record.epoch, record.max_volume_expiry);
         let mut volumes = BTreeMap::new();
-        volumes.insert(cfg.volume, VolumeState::fresh(epoch, recovery_until));
+        volumes.insert(cfg.volume, VolumeMachine::new(epoch, recovery_until));
         let machine = ServerMachine {
-            cfg,
             volumes,
-            objects: HashMap::new(),
-            moved: HashMap::new(),
+            index: HashMap::new(),
             departed: BTreeMap::new(),
             shard_map: None,
-            active_write: None,
             queued_writes: VecDeque::new(),
-            stats: ServerStats {
-                epoch,
-                ..ServerStats::default()
+            writing: None,
+            host: Host {
+                cfg,
+                actions: Vec::new(),
+                stats: ServerStats::default(),
+                unpersisted: Timestamp::ZERO,
             },
-            stable_dirty_max: Timestamp::ZERO,
             last_timer: [None, None],
         };
         (machine, vec![ServerAction::Persist { state: record }])
@@ -416,28 +259,43 @@ impl ServerMachine {
 
     /// The configuration this machine was built with.
     pub fn config(&self) -> &MachineConfig {
-        &self.cfg
+        &self.host.cfg
     }
 
     /// The home volume's current epoch. After the home volume departs in
     /// a handoff this keeps reporting the bumped (departure) epoch.
     pub fn epoch(&self) -> Epoch {
         self.volumes
-            .get(&self.cfg.volume)
-            .map_or(self.stats.epoch, |vs| vs.epoch)
+            .get(&self.host.cfg.volume)
+            .map_or(self.host.stats.epoch, |vm| vm.epoch)
     }
 
     /// The instant before which writes to the home volume stay
     /// recovery-gated (§3.1.2); [`Timestamp::ZERO`] on a clean boot.
     pub fn recovery_until(&self) -> Timestamp {
         self.volumes
-            .get(&self.cfg.volume)
-            .map_or(Timestamp::ZERO, |vs| vs.write_gate)
+            .get(&self.host.cfg.volume)
+            .map_or(Timestamp::ZERO, |vm| vm.write_gate)
     }
 
     /// Whether `volume` is currently hosted here.
     pub fn hosts(&self, volume: VolumeId) -> bool {
         self.volumes.contains_key(&volume)
+    }
+
+    /// The volume `object` belongs to, if it was ever created, written
+    /// or adopted here — still answered after that volume has left.
+    pub fn volume_of(&self, object: ObjectId) -> Option<VolumeId> {
+        self.index.get(&object).copied()
+    }
+
+    /// The volume a message is about: the one it names, else the one
+    /// its object belongs to.
+    pub(super) fn volume_in(&self, scope: Scope) -> Option<VolumeId> {
+        match scope {
+            Scope::Volume(volume) => Some(volume),
+            Scope::Object(object) => self.volume_of(object),
+        }
     }
 
     /// The shard map the machine currently redirects by, if any.
@@ -447,11 +305,10 @@ impl ServerMachine {
 
     /// Point-in-time statistics.
     pub fn stats(&self) -> ServerStats {
-        let mut stats = self.stats;
+        let mut stats = self.host.stats;
         stats.epoch = self.epoch();
-        for row in self.volumes.values().flat_map(|vs| vs.clients.values()) {
-            stats.unreachable += usize::from(row.link.in_unreachable_set());
-            stats.inactive += usize::from(row.queued.is_some());
+        for vm in self.volumes.values() {
+            vm.count_clients(&mut stats);
         }
         stats
     }
@@ -459,469 +316,215 @@ impl ServerMachine {
     /// Advances the machine by one input and returns the actions the
     /// driver must execute, in order.
     pub fn handle(&mut self, now: Timestamp, input: ServerInput) -> Vec<ServerAction> {
-        let mut actions = Vec::new();
         match input {
             ServerInput::CreateObject {
                 object,
                 data,
                 version,
             } => {
-                self.objects
-                    .entry(object)
-                    .or_insert_with(|| ObjState::new(data, version, self.cfg.volume));
+                let volume = *self.index.entry(object).or_insert(self.host.cfg.volume);
+                if let Some(vm) = self.volumes.get_mut(&volume) {
+                    vm.create_object(object, data, version);
+                }
             }
             ServerInput::Write { object, data } => {
                 self.queued_writes.push_back((object, data, now));
             }
             ServerInput::Msg { from, msg } => {
-                self.stats.msgs_in += 1;
-                self.handle_msg(now, from, msg, &mut actions);
+                self.host.stats.msgs_in += 1;
+                self.handle_msg(now, from, msg);
             }
             ServerInput::Peer { from, msg } => {
-                self.stats.msgs_in += 1;
-                self.handle_peer(now, from, msg, &mut actions);
+                self.host.stats.msgs_in += 1;
+                self.handle_peer(now, from, msg);
             }
             ServerInput::SetShardMap { map } => {
-                if self
-                    .shard_map
-                    .as_ref()
-                    .is_none_or(|m| map.version() > m.version())
-                {
+                let held = self.shard_map.as_ref();
+                if held.is_none_or(|m| map.version() > m.version()) {
                     self.shard_map = Some(map);
                 }
             }
             ServerInput::PeerDisconnected { client } => {
-                self.peer_disconnected(client);
+                // One connection, however many volumes it was seen in.
+                let mut newly = false;
+                for vm in self.volumes.values_mut() {
+                    newly |= vm.peer_disconnected(client);
+                }
+                self.host.stats.disconnects += u64::from(newly);
             }
             ServerInput::Tick => {}
         }
-        self.pump(now, &mut actions);
-        actions
-    }
-
-    /// Live-path connection loss (§3.1.1). Deliberately *minimal*: the
-    /// client keeps every lease it holds (it may be alive behind a
-    /// partition, serving cached reads that stay consistent exactly
-    /// because we keep waiting its leases out), but it joins the
-    /// Unreachable set of every volume that has a row for it, so its
-    /// next `REQ_VOL_LEASE` is forced through the full reconnection
-    /// handshake. A client with no server-side state is ignored — there
-    /// is nothing to resynchronize.
-    fn peer_disconnected(&mut self, client: ClientId) {
-        let mut newly = false;
-        for vs in self.volumes.values_mut() {
-            let Some(row) = vs.clients.get_mut(&client) else {
-                continue;
-            };
-            newly |= !row.link.in_unreachable_set();
-            // A half-finished handshake died with the connection; the
-            // next REQ_VOL_LEASE restarts it from the top.
-            row.link = Link::Unreachable;
-        }
-        if newly {
-            self.stats.disconnects += 1;
-        }
+        self.pump(now);
+        std::mem::take(&mut self.host.actions)
     }
 
     /// Post-input progress: start/advance writes, demote overdue
     /// inactive clients, flush the stable record, refresh timers.
-    fn pump(&mut self, now: Timestamp, actions: &mut Vec<ServerAction>) {
-        loop {
-            self.check_write_progress(now, actions);
-            if self.active_write.is_some() {
-                break;
+    fn pump(&mut self, now: Timestamp) {
+        // The loop ends on a blocked write, on a gated head of the
+        // queue — whose gate it yields — or on an empty queue.
+        let gate = loop {
+            if let Some(volume) = self.writing {
+                let vm = (self.volumes.get_mut(&volume)).expect("the writing volume is hosted");
+                if vm.advance_write(now, &mut self.host) {
+                    break None;
+                }
+                self.writing = None;
             }
             let Some(&(object, _, _)) = self.queued_writes.front() else {
-                break;
+                break None;
             };
-            // Writes complete strictly in enqueue order, so the head's
-            // gate blocks the whole queue.
-            if let Some(&(_, to)) = self.moved.get(&object) {
+            // Writing an object nobody has heard of creates it in the
+            // home volume.
+            let volume = *self.index.entry(object).or_insert(self.host.cfg.volume);
+            let Some(vm) = self.volumes.get_mut(&volume) else {
                 // The object's volume was handed off while the write
                 // queued; the writer retries at the new owner.
                 let (_, _, enqueued) = self.queued_writes.pop_front().expect("peeked above");
-                actions.push(ServerAction::CompleteWrite {
-                    outcome: WriteOutcome {
-                        delay: now.saturating_sub(enqueued),
-                        moved_to: Some(to),
-                        ..WriteOutcome::default()
-                    },
-                });
+                self.complete_moved(now, enqueued, self.departed.get(&volume).copied());
                 continue;
-            }
-            if now < self.write_gate_for(object) {
-                break;
+            };
+            // Writes complete strictly in enqueue order, so the head's
+            // gate blocks the whole queue.
+            if now < vm.write_gate {
+                break Some(vm.write_gate);
             }
             let (object, data, enqueued) = self.queued_writes.pop_front().expect("peeked above");
-            self.start_write(now, object, data, enqueued, actions);
-        }
-        self.demote_overdue(now);
-        if self.stable_dirty_max != Timestamp::ZERO {
-            actions.push(ServerAction::Persist {
+            vm.start_write(now, object, data, enqueued, &mut self.host);
+            self.writing = Some(volume);
+        };
+        let volumes = self.volumes.values_mut();
+        let demotion = (volumes.filter_map(|vm| vm.demote_overdue(now, &mut self.host))).min();
+        if self.host.unpersisted != Timestamp::ZERO {
+            self.host.actions.push(ServerAction::Persist {
                 state: StableState {
                     epoch: self.epoch(),
-                    max_volume_expiry: self.stable_dirty_max,
+                    max_volume_expiry: self.host.unpersisted,
                 },
             });
-            self.stable_dirty_max = Timestamp::ZERO;
+            self.host.unpersisted = Timestamp::ZERO;
         }
-        self.refresh_timers(now, actions);
-    }
-
-    /// The write gate applying to a write of `object`: the gate of its
-    /// volume (recovery or adoption), or the home volume's gate for an
-    /// object about to be created.
-    fn write_gate_for(&self, object: ObjectId) -> Timestamp {
-        let volume = self
-            .objects
-            .get(&object)
-            .map_or(self.cfg.volume, |o| o.volume);
-        self.volumes
-            .get(&volume)
-            .map_or(Timestamp::ZERO, |vs| vs.write_gate)
-    }
-
-    fn send(&mut self, to: ClientId, msg: ServerMsg, actions: &mut Vec<ServerAction>) {
-        self.stats.msgs_out += 1;
-        actions.push(ServerAction::Send { to, msg });
-    }
-
-    fn send_peer(&mut self, to: ServerId, msg: PeerMsg, actions: &mut Vec<ServerAction>) {
-        self.stats.msgs_out += 1;
-        actions.push(ServerAction::SendPeer { to, msg });
-    }
-
-    /// Builds the `WRONG_SHARD` reply for `volume`, attaching the shard
-    /// map when one is held so the client can refresh its routing.
-    fn wrong_shard(&self, volume: VolumeId, owner: ServerId) -> ServerMsg {
-        let (map_version, servers) = match &self.shard_map {
-            Some(m) => (m.version(), m.servers().to_vec()),
-            None => (0, Vec::new()),
+        let write_wait = match self.writing {
+            Some(volume) => self.volumes[&volume].wait_until,
+            None => gate,
         };
-        ServerMsg::WrongShard {
-            volume,
-            owner,
-            map_version,
-            servers,
+        for (kind, deadline) in [
+            (TimerKind::WriteWait, write_wait),
+            (TimerKind::Demotion, demotion),
+        ] {
+            let idx = kind as usize;
+            if deadline != self.last_timer[idx] {
+                self.last_timer[idx] = deadline;
+                if let Some(at) = deadline {
+                    self.host.actions.push(ServerAction::SetTimer { kind, at });
+                }
+            }
         }
     }
 
-    /// Answers a request for an unhosted volume. The departure record is
-    /// ground truth; the shard map is the fallback. With neither (or if
-    /// the map claims we own it — a map/hosting disagreement the next
-    /// rebalance will fix) the request is dropped, as the single-volume
-    /// server always did for foreign volumes.
-    fn redirect(&mut self, volume: VolumeId, client: ClientId, actions: &mut Vec<ServerAction>) {
-        let me = self.cfg.server;
-        let owner = self.departed.get(&volume).copied().or_else(|| {
-            self.shard_map
-                .as_ref()
-                .and_then(|m| m.owner(volume))
-                .filter(|&o| o != me)
+    /// Completes a write whose volume has gone to `to` without writing.
+    fn complete_moved(&mut self, now: Timestamp, since: Timestamp, to: Option<ServerId>) {
+        self.host.actions.push(ServerAction::CompleteWrite {
+            outcome: WriteOutcome {
+                delay: now.saturating_sub(since),
+                moved_to: to,
+                ..WriteOutcome::default()
+            },
         });
-        if let Some(owner) = owner {
-            let msg = self.wrong_shard(volume, owner);
-            self.stats.redirects += 1;
-            self.send(client, msg, actions);
-        }
     }
 
-    fn handle_msg(
-        &mut self,
-        now: Timestamp,
-        client: ClientId,
-        msg: ClientMsg,
-        actions: &mut Vec<ServerAction>,
-    ) {
-        // Requests that would grant a lease on the object currently being
-        // written are deferred until the write commits (see ActiveWrite).
-        if let Some(w) = &mut self.active_write {
-            let touches = match &msg {
-                ClientMsg::ReqObjLease { object, .. } => *object == w.object,
-                ClientMsg::RenewObjLeases { leases, .. } => {
-                    leases.iter().any(|&(o, _)| o == w.object)
-                }
-                _ => false,
-            };
-            if touches {
-                w.deferred.push((client, msg));
-                return;
-            }
+    fn send_peer(&mut self, to: ServerId, msg: PeerMsg) {
+        self.host.stats.msgs_out += 1;
+        self.host.actions.push(ServerAction::SendPeer { to, msg });
+    }
+
+    /// Answers a request for an unhosted volume with `WRONG_SHARD`,
+    /// attaching the shard map when one is held so the client can
+    /// refresh its routing. The departure record is ground truth; the
+    /// shard map is the fallback. With neither (or if the map claims we
+    /// own it — a map/hosting disagreement the next rebalance will fix)
+    /// the request is dropped, as the single-volume server always did
+    /// for foreign volumes.
+    fn redirect(&mut self, volume: VolumeId, client: ClientId) {
+        let me = self.host.cfg.server;
+        let map = self.shard_map.as_ref();
+        let Some(owner) = (self.departed.get(&volume).copied())
+            .or_else(|| map?.owner(volume).filter(|&o| o != me))
+        else {
+            return;
+        };
+        let (map_version, servers) =
+            map.map_or((0, Vec::new()), |m| (m.version(), m.servers().to_vec()));
+        self.host.stats.redirects += 1;
+        self.host.send(
+            client,
+            ServerMsg::WrongShard {
+                volume,
+                owner,
+                map_version,
+                servers,
+            },
+        );
+    }
+
+    /// Hands a client message to the machine of the volume it is about,
+    /// or answers for the volume that is not here.
+    fn handle_msg(&mut self, now: Timestamp, client: ClientId, msg: ClientMsg) {
+        let volume = self.volume_in(msg.scope());
+        if let Some(vm) = volume.and_then(|v| self.volumes.get_mut(&v)) {
+            return vm.handle_msg(now, client, msg, &mut self.host);
         }
-        match msg {
-            ClientMsg::ReqObjLease { object, version } => {
-                if let Some(&(volume, owner)) = self.moved.get(&object) {
-                    let msg = self.wrong_shard(volume, owner);
-                    self.stats.redirects += 1;
-                    self.send(client, msg, actions);
-                    return;
-                }
-                let t = self.cfg.object_lease;
-                let self_inval = self.cfg.self_inval;
-                let Some(obj) = self.objects.get_mut(&object) else {
-                    self.stats.unknown_objects += 1;
-                    return;
-                };
-                let expire = now.saturating_add(t);
-                // The reply carries the client-clock deadline; under
-                // self-invalidation the server records it padded by ε —
-                // a client slow by up to ε believes its copy valid
-                // until `expire + ε` true time, and that is what a
-                // write must wait out.
-                let record = match self_inval {
-                    Some(eps) => expire.saturating_add(eps),
-                    None => expire,
-                };
-                obj.grant(client, record);
-                if let Some(vs) = self.volumes.get_mut(&obj.volume) {
-                    vs.clients.entry(client).or_default().held.insert(object);
-                }
-                let data = (obj.version != version).then(|| obj.data.clone());
-                let reply = ServerMsg::ObjLease {
-                    object,
-                    version: obj.version,
-                    expire,
-                    data,
-                };
-                if self_inval.is_some() {
-                    // No volume leases gate a recovered server here, so
-                    // the stable record must bound *object* deadlines:
-                    // a post-crash write waits them out via the gate.
-                    self.stable_dirty_max = self.stable_dirty_max.max(record);
-                }
-                self.send(client, reply, actions);
-            }
-            ClientMsg::ReqVolLease { volume, epoch } => {
-                let Some(vs) = self.volumes.get_mut(&volume) else {
-                    self.redirect(volume, client, actions);
-                    return;
-                };
-                let row = vs.clients.entry(client).or_default();
-                match row.link {
-                    Link::Reachable if epoch == vs.epoch => {}
-                    Link::Reachable | Link::Unreachable | Link::AwaitLeaseSet | Link::AwaitAck => {
-                        // Stale epoch or known-unreachable: force the
-                        // reconnection protocol (§3.1.1 / §3.1.2), from
-                        // the top if one was already under way.
-                        row.link = Link::AwaitLeaseSet;
-                        self.send(client, ServerMsg::MustRenewAll { volume }, actions);
-                        return;
-                    }
-                }
-                let expire = now.saturating_add(self.cfg.volume_lease);
-                let reply = row.grant(volume, vs.epoch, expire);
-                self.stable_dirty_max = self.stable_dirty_max.max(expire);
-                self.send(client, reply, actions);
-                // Retransmit an unacked invalidation on contact: the
-                // renewal proves the client is reachable again, and
-                // without this a client whose INVALIDATE was lost could
-                // renew t_v indefinitely while the write waits out the
-                // full object lease.
-                let resend = self
-                    .active_write
-                    .as_ref()
-                    .and_then(|w| w.outstanding.contains(&client).then_some(w.object));
-                if let Some(object) = resend {
-                    self.send(client, ServerMsg::Invalidate { object }, actions);
-                }
-            }
-            ClientMsg::RenewObjLeases { volume, leases } => {
-                let Some(vs) = self.volumes.get_mut(&volume) else {
-                    self.redirect(volume, client, actions);
-                    return;
-                };
-                let Some(row) = vs.clients.get_mut(&client) else {
-                    return;
-                };
-                match row.link {
-                    Link::AwaitLeaseSet => {}
-                    // Answers no MUST_RENEW_ALL of ours (or one whose
-                    // exchange has already moved on): ignored.
-                    Link::Reachable | Link::Unreachable | Link::AwaitAck => return,
-                }
-                let t = self.cfg.object_lease;
-                let pad = self.cfg.self_inval.unwrap_or(Duration::ZERO);
-                let mut invalidate = Vec::new();
-                let mut renew = Vec::new();
-                for (object, version) in leases {
-                    // The verdict below settles this object either way.
-                    if let Some(queued) = &mut row.queued {
-                        queued.pending.remove(&object);
-                    }
-                    match self.objects.get_mut(&object) {
-                        // An object reported under the wrong volume is
-                        // simply invalidated; the client's copy cannot
-                        // be trusted to track this volume's epoch.
-                        Some(obj) if obj.volume == volume && obj.version == version => {
-                            let expire = now.saturating_add(t);
-                            obj.grant(client, expire.saturating_add(pad));
-                            row.held.insert(object);
-                            renew.push((object, obj.version, expire));
-                        }
-                        _ => invalidate.push(object),
-                    }
-                }
-                // The list speaks only for the objects it names: a grant
-                // still in flight when the client wrote it is not in it,
-                // and an invalidation queued for that object since stays
-                // queued — it rides the VOL_LEASE that ends the exchange.
-                if (row.queued.as_ref()).is_some_and(|i| i.pending.is_empty()) {
-                    row.queued = None;
-                }
-                row.link = Link::AwaitAck;
-                self.send(
-                    client,
-                    ServerMsg::InvalRenew {
-                        volume,
-                        invalidate,
-                        renew,
-                    },
-                    actions,
-                );
-            }
-            ClientMsg::AckInvalidate { object } => {
-                // The client dropped its copy: its lease is gone too —
-                // but only the lease the invalidation was sent for. A
-                // duplicate ack (a renewal mid-write re-sends
-                // INVALIDATE) or one overtaken by the client's refetch
-                // answers nothing and must not touch the fresh lease.
-                let volume = self.objects.get_mut(&object).and_then(|obj| {
-                    let awaited = obj.awaiting_ack.remove(&client);
-                    if awaited {
-                        obj.leases.revoke(client);
-                    }
-                    awaited.then_some(obj.volume)
-                });
-                let Some(volume) = volume else {
-                    self.stats.stale_acks += 1;
-                    return;
-                };
-                if let Some(row) =
-                    (self.volumes.get_mut(&volume)).and_then(|vs| vs.clients.get_mut(&client))
-                {
-                    row.held.remove(&object);
-                }
-                if let Some(w) = &mut self.active_write {
-                    if w.object == object {
-                        w.outstanding.remove(&client);
-                    }
-                }
-            }
-            ClientMsg::AckVolBatch { volume } => {
-                let Some(vs) = self.volumes.get_mut(&volume) else {
-                    return;
-                };
-                let Some(row) = vs.clients.get_mut(&client) else {
-                    return;
-                };
-                match row.link {
-                    Link::AwaitAck => {
-                        // Reconnection complete: grant the volume lease.
-                        // A write that ran since RENEW_OBJ_LEASES (or an
-                        // object that message did not name) left
-                        // invalidations queued; the grant carries them,
-                        // or the client would hold valid leases on a
-                        // stale copy.
-                        row.link = Link::Reachable;
-                        let expire = now.saturating_add(self.cfg.volume_lease);
-                        let reply = row.grant(volume, vs.epoch, expire);
-                        self.stats.reconnections += 1;
-                        self.stable_dirty_max = self.stable_dirty_max.max(expire);
-                        self.send(client, reply, actions);
-                    }
-                    // Ack for a pending batch delivered with a grant.
-                    Link::Reachable | Link::Unreachable => row.queued = None,
-                    // Every grant that carried a batch predates the
-                    // MUST_RENEW_ALL now outstanding, and so does this
-                    // ack (a restarted exchange's first INVAL_RENEW, or
-                    // an old batch): it says nothing about what has
-                    // been queued since.
-                    Link::AwaitLeaseSet => self.stats.stale_acks += 1,
-                }
-            }
+        match (volume, msg) {
+            // An ack for a volume that has left answers nothing.
+            (_, ClientMsg::AckInvalidate { .. }) => self.host.stats.stale_acks += 1,
+            (_, ClientMsg::AckVolBatch { .. }) => {}
+            (Some(volume), _) => self.redirect(volume, client),
+            (None, _) => self.host.stats.unknown_objects += 1,
         }
     }
 
     /// Handles the volume-handoff exchange (coordinator-mediated; see
     /// `vl-proto`'s [`PeerMsg`] docs for the flow).
-    fn handle_peer(
-        &mut self,
-        now: Timestamp,
-        from: ServerId,
-        msg: PeerMsg,
-        actions: &mut Vec<ServerAction>,
-    ) {
+    fn handle_peer(&mut self, now: Timestamp, from: ServerId, msg: PeerMsg) {
         match msg {
             PeerMsg::HandoffRequest { volume, to } => {
-                // Give up `volume`: bump its epoch past every lease we
-                // granted and ship a manifest. Requests for a volume we
-                // do not host are ignored (a duplicate request after
-                // the volume already left is answered by the redirect
-                // path, not a second manifest).
-                let Some(vs) = self.volumes.remove(&volume) else {
+                // Give up `volume`: take its machine out and ship what
+                // it packs. Requests for a volume we do not host are
+                // ignored (a duplicate request after the volume already
+                // left is answered by the redirect path, not a second
+                // manifest).
+                let Some(vm) = self.volumes.remove(&volume) else {
                     return;
                 };
-                // Abort an in-flight write on the departing volume; the
-                // writer retries at the new owner.
-                let mut deferred = Vec::new();
-                if self
-                    .active_write
-                    .as_ref()
-                    .is_some_and(|w| w.volume == volume)
-                {
-                    let w = self.active_write.take().expect("checked above");
-                    deferred = w.deferred;
-                    actions.push(ServerAction::CompleteWrite {
-                        outcome: WriteOutcome {
-                            delay: now.saturating_sub(w.started),
-                            moved_to: Some(to),
-                            ..WriteOutcome::default()
-                        },
-                    });
-                }
-                let epoch = vs.epoch.next();
-                // The bound on every volume lease granted here: grants
-                // only ever move a client's expiry forward.
-                let max_vol_expiry =
-                    (vs.clients.values().filter_map(|c| c.lease).max()).unwrap_or(Timestamp::ZERO);
-                // Snapshot the volume's objects into the manifest,
-                // leaving a forwarding address behind. Sorted ids keep
-                // the wire image deterministic.
-                let mut ids: Vec<ObjectId> = self
-                    .objects
-                    .iter()
-                    .filter(|(_, o)| o.volume == volume)
-                    .map(|(&id, _)| id)
-                    .collect();
-                ids.sort_unstable();
-                let mut objects = Vec::with_capacity(ids.len());
-                for id in &ids {
-                    let o = self.objects.remove(id).expect("collected above");
-                    objects.push((*id, o.version, o.data));
-                    self.moved.insert(*id, (volume, to));
-                }
+                let left = vm.depart();
                 self.departed.insert(volume, to);
-                if volume == self.cfg.volume {
+                // An active write is aborted; its writer retries at the
+                // new owner too.
+                let (started, deferred) = left.aborted.unzip();
+                if let Some(started) = started {
+                    self.writing = None;
+                    self.complete_moved(now, started, Some(to));
+                }
+                if volume == self.host.cfg.volume {
                     // epoch() keeps reporting the bumped epoch after the
                     // home volume departs.
-                    self.stats.epoch = epoch;
+                    self.host.stats.epoch = left.epoch;
                 }
-                self.stable_dirty_max = self.stable_dirty_max.max(max_vol_expiry);
-                self.stats.handoffs_out += 1;
+                self.host.unpersisted = self.host.unpersisted.max(left.max_vol_expiry);
+                self.host.stats.handoffs_out += 1;
                 self.send_peer(
                     from,
                     PeerMsg::Handoff {
                         volume,
-                        epoch,
-                        max_vol_expiry,
-                        objects,
+                        epoch: left.epoch,
+                        max_vol_expiry: left.max_vol_expiry,
+                        objects: left.objects,
                     },
-                    actions,
                 );
                 // Replay requests deferred by the aborted write: they
-                // now see the forwarding address and get redirected.
-                for (client, msg) in deferred {
-                    self.handle_msg(now, client, msg, actions);
+                // now find the volume gone and get redirected.
+                for (client, msg) in deferred.into_iter().flatten() {
+                    self.handle_msg(now, client, msg);
                 }
             }
             PeerMsg::Handoff {
@@ -930,274 +533,33 @@ impl ServerMachine {
                 max_vol_expiry,
                 objects,
             } => {
-                if let Some(vs) = self.volumes.get(&volume) {
-                    if vs.epoch >= epoch {
-                        // Duplicate delivery (coordinator retry):
-                        // re-ack idempotently, don't reinstall.
-                        let cur = vs.epoch;
-                        self.send_peer(from, PeerMsg::HandoffAck { volume, epoch: cur }, actions);
-                        return;
-                    }
+                if let Some(vm) = self.volumes.get(&volume) {
+                    // Already here (a coordinator retry): re-ack
+                    // idempotently, don't reinstall.
+                    let epoch = vm.epoch;
+                    self.send_peer(from, PeerMsg::HandoffAck { volume, epoch });
+                    return;
                 }
                 // Adopt the volume. The write gate is exactly the
                 // crash-recovery gate: no write until every lease the
                 // previous owner granted has expired. Clients arrive
                 // with the old epoch and re-sync via MUST_RENEW_ALL.
-                self.volumes
-                    .insert(volume, VolumeState::fresh(epoch, max_vol_expiry));
+                let mut vm = VolumeMachine::new(epoch, max_vol_expiry);
                 for (id, version, data) in objects {
-                    self.moved.remove(&id);
-                    self.objects
-                        .insert(id, ObjState::new(data, version, volume));
+                    self.index.insert(id, volume);
+                    vm.create_object(id, data, version);
                 }
+                self.volumes.insert(volume, vm);
                 self.departed.remove(&volume);
                 // Persist the gate so a crash right after adoption
                 // still waits out the previous owner's leases.
-                self.stable_dirty_max = self.stable_dirty_max.max(max_vol_expiry);
-                self.stats.handoffs_in += 1;
-                self.send_peer(from, PeerMsg::HandoffAck { volume, epoch }, actions);
+                self.host.unpersisted = self.host.unpersisted.max(max_vol_expiry);
+                self.host.stats.handoffs_in += 1;
+                self.send_peer(from, PeerMsg::HandoffAck { volume, epoch });
             }
             // The ack is for the coordinator; a server hearing one has
             // nothing to do.
             PeerMsg::HandoffAck { .. } => {}
-        }
-    }
-
-    fn start_write(
-        &mut self,
-        now: Timestamp,
-        object: ObjectId,
-        data: Bytes,
-        enqueued: Timestamp,
-        actions: &mut Vec<ServerAction>,
-    ) {
-        let Some(obj) = self.objects.get(&object) else {
-            // Writing an unknown object creates it in the home volume.
-            self.objects
-                .insert(object, ObjState::new(data, Version::FIRST, self.cfg.volume));
-            self.stats.writes += 1;
-            actions.push(ServerAction::CompleteWrite {
-                outcome: WriteOutcome {
-                    version: Version::FIRST,
-                    ..WriteOutcome::default()
-                },
-            });
-            return;
-        };
-        let volume = obj.volume;
-        let holders: Vec<ClientId> = obj.leases.valid_holders(now).collect();
-        let mut w = ActiveWrite {
-            object,
-            volume,
-            data,
-            outstanding: BTreeSet::new(),
-            // Delay is measured from when the writer asked, so recovery
-            // gating and queueing count toward it.
-            started: enqueued,
-            invalidations_sent: 0,
-            queued: 0,
-            waited_out: 0,
-            deferred: Vec::new(),
-        };
-        if self.cfg.self_inval.is_some() {
-            // Self-invalidation sends nothing: every holder is simply
-            // outstanding until its (ε-padded) deadline passes. Best
-            // effort does not apply — with no volume lease to fence
-            // stragglers, skipping the wait would break consistency.
-            w.outstanding.extend(holders);
-            self.active_write = Some(w);
-            return;
-        }
-        // Classification is purely by server-side volume-lease validity.
-        // Clients in `unreachable` are NOT skipped: a waited-out holder
-        // can still have a valid volume lease (its *object* lease is
-        // what expired), and skipping it would let it read a stale copy.
-        for client in holders {
-            let row =
-                (self.volumes.get_mut(&volume)).map(|vs| vs.clients.entry(client).or_default());
-            if row.as_ref().is_some_and(|r| r.lease_valid(now)) {
-                w.outstanding.insert(client);
-                w.invalidations_sent += 1;
-                self.send(client, ServerMsg::Invalidate { object }, actions);
-            } else {
-                // Delayed invalidation: queue it and drop the lease.
-                if let Some(row) = row {
-                    let since = row.lease.unwrap_or(now).min(now);
-                    let pending = BTreeSet::new();
-                    let queued =
-                        (row.queued).get_or_insert_with(|| Box::new(Inactive { since, pending }));
-                    queued.pending.insert(object);
-                    row.held.remove(&object);
-                }
-                if let Some(o) = self.objects.get_mut(&object) {
-                    o.leases.revoke(client);
-                }
-                w.queued += 1;
-            }
-        }
-        if let Some(o) = self.objects.get_mut(&object) {
-            o.awaiting_ack.clone_from(&w.outstanding);
-        }
-        if self.cfg.write_mode == WriteMode::BestEffort {
-            // Proceed without waiting; stragglers are fenced by t_v.
-            w.outstanding.clear();
-        }
-        self.active_write = Some(w);
-    }
-
-    fn check_write_progress(&mut self, now: Timestamp, actions: &mut Vec<ServerAction>) {
-        let Some(w) = &mut self.active_write else {
-            return;
-        };
-        // A holder may be waited out once either of its leases expires.
-        // Under self-invalidation only the object deadline counts —
-        // clients hold no volume leases, and the elapsed deadline is
-        // the protocol working as designed, not an unreachable client.
-        let object = w.object;
-        let volume = w.volume;
-        let self_inval = self.cfg.self_inval.is_some();
-        let expired: Vec<ClientId> = w
-            .outstanding
-            .iter()
-            .copied()
-            .filter(|&c| {
-                let obj_ok = self
-                    .objects
-                    .get(&object)
-                    .is_some_and(|o| o.leases.is_valid_for(c, now));
-                let vol_ok = self_inval
-                    || (self.volumes.get(&volume))
-                        .and_then(|vs| vs.clients.get(&c))
-                        .is_some_and(|row| row.lease_valid(now));
-                !(vol_ok && obj_ok)
-            })
-            .collect();
-        for c in expired {
-            w.outstanding.remove(&c);
-            if self_inval {
-                if let Some(o) = self.objects.get_mut(&object) {
-                    o.leases.revoke(c);
-                }
-                continue;
-            }
-            w.waited_out += 1;
-            // Figure 3: unreachable ← unreachable ∪ To_contact.
-            if let Some(row) = (self.volumes.get_mut(&volume)).and_then(|vs| vs.clients.get_mut(&c))
-            {
-                row.link.mark_unreachable();
-            }
-            if let Some(o) = self.objects.get_mut(&object) {
-                o.leases.revoke(c);
-            }
-        }
-        if !w.outstanding.is_empty() {
-            return;
-        }
-        // Commit.
-        let w = self.active_write.take().expect("checked above");
-        let obj = self
-            .objects
-            .get_mut(&w.object)
-            .expect("write target exists");
-        obj.version = obj.version.next();
-        obj.data = w.data;
-        let delay = now.saturating_sub(w.started);
-        self.stats.writes += 1;
-        self.stats.max_write_delay = self.stats.max_write_delay.max(delay);
-        actions.push(ServerAction::CompleteWrite {
-            outcome: WriteOutcome {
-                delay,
-                invalidations_sent: w.invalidations_sent,
-                queued: w.queued,
-                waited_out: w.waited_out,
-                version: obj.version,
-                moved_to: None,
-            },
-        });
-        // Replay lease requests that arrived mid-write: they now see the
-        // committed version.
-        for (client, msg) in w.deferred {
-            self.handle_msg(now, client, msg, actions);
-        }
-    }
-
-    /// §3.2: a client inactive for longer than `d` joins Unreachable and
-    /// loses its queue and this volume's object leases. With `d` set
-    /// this walks the volume's whole client table on every input, as
-    /// does the demotion deadline in `refresh_timers`.
-    fn demote_overdue(&mut self, now: Timestamp) {
-        let Some(d) = self.cfg.inactive_discard else {
-            return;
-        };
-        for vs in self.volumes.values_mut() {
-            for (&client, row) in &mut vs.clients {
-                if (row.queued.as_ref()).is_none_or(|i| now < i.since.saturating_add(d)) {
-                    continue;
-                }
-                row.queued = None;
-                row.link.mark_unreachable();
-                self.stats.demotions += 1;
-                // Revoke every lease the client holds in this volume;
-                // its rows in other volumes are governed by their own
-                // state.
-                for object in std::mem::take(&mut row.held) {
-                    if let Some(o) = self.objects.get_mut(&object) {
-                        o.leases.revoke(client);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Recomputes the two timer deadlines and emits [`ServerAction::SetTimer`]
-    /// for any that moved since last emitted.
-    fn refresh_timers(&mut self, now: Timestamp, actions: &mut Vec<ServerAction>) {
-        let write_wait = match &self.active_write {
-            Some(w) => {
-                let object = w.object;
-                let volume = w.volume;
-                w.outstanding
-                    .iter()
-                    .map(|&c| {
-                        let obj = self
-                            .objects
-                            .get(&object)
-                            .and_then(|o| o.leases.expiry_of(c))
-                            .unwrap_or(now);
-                        if self.cfg.self_inval.is_some() {
-                            // No volume leases exist in this mode; the
-                            // `unwrap_or(now)` fallback below would
-                            // fire the timer instantly.
-                            return obj;
-                        }
-                        let vol = (self.volumes.get(&volume))
-                            .and_then(|vs| vs.clients.get(&c)?.lease)
-                            .unwrap_or(now);
-                        vol.min(obj)
-                    })
-                    .min()
-            }
-            None => self.queued_writes.front().and_then(|&(object, _, _)| {
-                let gate = self.write_gate_for(object);
-                (now < gate && !self.moved.contains_key(&object)).then_some(gate)
-            }),
-        };
-        let demotion = self.cfg.inactive_discard.and_then(|d| {
-            let rows = self.volumes.values().flat_map(|vs| vs.clients.values());
-            rows.filter_map(|c| Some(c.queued.as_ref()?.since.saturating_add(d)))
-                .min()
-        });
-        for (slot, deadline) in [
-            (TimerKind::WriteWait, write_wait),
-            (TimerKind::Demotion, demotion),
-        ] {
-            let idx = slot as usize;
-            if deadline != self.last_timer[idx] {
-                self.last_timer[idx] = deadline;
-                if let Some(at) = deadline {
-                    actions.push(ServerAction::SetTimer { kind: slot, at });
-                }
-            }
         }
     }
 }
@@ -1523,7 +885,7 @@ mod tests {
         // Ack #2 answers the re-sent copy: nothing is awaited any more.
         m.handle(t0, msg(7, ClientMsg::AckInvalidate { object: O }));
         assert!(
-            m.objects[&O].leases.is_valid_for(ClientId(7), t0),
+            m.volumes[&VolumeId(0)].lease_valid_for(O, ClientId(7), t0),
             "the late ack revoked the lease granted after it was sent"
         );
         assert_eq!(m.stats().stale_acks, 1);
@@ -2201,6 +1563,142 @@ mod tests {
                 assert!(renew.is_empty());
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// Home volume 0 with object 1, plus volume 5 (object 50) adopted at
+    /// `t0` behind a write gate at 50 s; client 7 holds volume leases in
+    /// both and an object lease on 1.
+    fn two_volume_machine(t0: Timestamp) -> ServerMachine {
+        let mut m = machine_with_object_one();
+        let manifest = PeerMsg::Handoff {
+            volume: VolumeId(5),
+            epoch: Epoch(1),
+            max_vol_expiry: Timestamp::from_secs(50),
+            objects: vec![(ObjectId(50), Version(3), Bytes::from_static(b"x"))],
+        };
+        let from = ServerId(99);
+        m.handle(
+            t0,
+            ServerInput::Peer {
+                from,
+                msg: manifest,
+            },
+        );
+        for (volume, epoch) in [(VolumeId(0), Epoch(0)), (VolumeId(5), Epoch(1))] {
+            let actions = m.handle(t0, msg(7, ClientMsg::ReqVolLease { volume, epoch }));
+            assert!(matches!(
+                sends(&actions)[..],
+                [(_, ServerMsg::VolLease { .. })]
+            ));
+        }
+        let (object, version) = (ObjectId(1), Version::NONE);
+        m.handle(t0, msg(7, ClientMsg::ReqObjLease { object, version }));
+        m
+    }
+
+    fn outcomes(actions: &[ServerAction]) -> Vec<WriteOutcome> {
+        let outcome = |a: &ServerAction| match a {
+            ServerAction::CompleteWrite { outcome } => Some(*outcome),
+            _ => None,
+        };
+        actions.iter().filter_map(outcome).collect()
+    }
+
+    /// The seam between the router and its machines: one volume leaving
+    /// must not disturb a write another volume is in the middle of.
+    #[test]
+    fn a_blocked_write_survives_the_handoff_of_another_volume() {
+        let t0 = Timestamp::from_secs(10);
+        let mut m = two_volume_machine(t0);
+        let write = |object, data: &'static [u8]| ServerInput::Write {
+            object: ObjectId(object),
+            data: Bytes::from_static(data),
+        };
+        // Volume 5's adoption gate (50 s) does not hold up volume 0:
+        // the write starts at once and waits for client 7 alone.
+        let actions = m.handle(t0, write(1, b"b"));
+        assert!(matches!(
+            sends(&actions)[..],
+            [(ClientId(7), ServerMsg::Invalidate { .. })]
+        ));
+        let deadline = Timestamp::from_secs(12);
+        assert!(actions.iter().any(|a| matches!(
+            a,
+            ServerAction::SetTimer { kind: TimerKind::WriteWait, at } if *at == deadline
+        )));
+        // Client 8's request for the object is deferred behind it, and
+        // a write to volume 5 queues behind it.
+        let (object, version) = (ObjectId(1), Version::NONE);
+        let actions = m.handle(t0, msg(8, ClientMsg::ReqObjLease { object, version }));
+        assert!(sends(&actions).is_empty(), "mid-write grant must defer");
+        assert!(m.handle(t0, write(50, b"y")).is_empty());
+
+        // Volume 5 leaves: its manifest ships, nothing else happens.
+        let request = PeerMsg::HandoffRequest {
+            volume: VolumeId(5),
+            to: ServerId(1),
+        };
+        let from = ServerId(99);
+        let actions = m.handle(
+            Timestamp::from_millis(10_100),
+            ServerInput::Peer { from, msg: request },
+        );
+        match peer_sends(&actions)[..] {
+            [(
+                ServerId(99),
+                PeerMsg::Handoff {
+                    volume,
+                    epoch,
+                    max_vol_expiry,
+                    objects,
+                },
+            )] => {
+                assert_eq!((*volume, *epoch), (VolumeId(5), Epoch(2)));
+                assert_eq!(*max_vol_expiry, deadline, "client 7's lease in volume 5");
+                let x = Bytes::from_static(b"x");
+                assert_eq!(objects[..], [(ObjectId(50), Version(3), x)]);
+            }
+            _ => panic!("expected one manifest: {actions:?}"),
+        }
+        assert!(outcomes(&actions).is_empty() && sends(&actions).is_empty());
+        assert!(m.hosts(VolumeId(0)) && !m.hosts(VolumeId(5)));
+
+        // Volume 0's write still waits for client 7, to min(t, t_v) ...
+        let actions = m.handle(Timestamp::from_millis(11_999), ServerInput::Tick);
+        assert!(outcomes(&actions).is_empty(), "{actions:?}");
+        // ... commits there, grants client 8 the new version, and only
+        // then does the write queued for volume 5 learn where it went.
+        let actions = m.handle(deadline, ServerInput::Tick);
+        let done = outcomes(&actions);
+        assert_eq!(done.len(), 2, "{actions:?}");
+        assert_eq!((done[0].waited_out, done[0].moved_to), (1, None));
+        assert_eq!(done[0].delay, Duration::from_secs(2));
+        assert_eq!(done[1].moved_to, Some(ServerId(1)));
+        match sends(&actions)[..] {
+            [(ClientId(8), ServerMsg::ObjLease { version, data, .. })] => {
+                assert_eq!(*version, Version(2));
+                assert_eq!(data.as_deref(), Some(b"b".as_slice()));
+            }
+            _ => panic!("the deferred request replays once: {actions:?}"),
+        }
+    }
+
+    #[test]
+    fn disconnect_reaches_every_volume_and_counts_once() {
+        let t0 = Timestamp::from_secs(10);
+        let mut m = two_volume_machine(t0);
+        let client = ClientId(7);
+        m.handle(t0, ServerInput::PeerDisconnected { client });
+        assert_eq!(m.stats().unreachable, 2, "one row per volume");
+        assert_eq!(m.stats().disconnects, 1, "one connection dropped");
+        // Either volume now forces the full handshake.
+        for (volume, epoch) in [(VolumeId(0), Epoch(0)), (VolumeId(5), Epoch(1))] {
+            let actions = m.handle(t0, msg(7, ClientMsg::ReqVolLease { volume, epoch }));
+            assert!(matches!(
+                sends(&actions)[..],
+                [(_, ServerMsg::MustRenewAll { volume: v })] if *v == volume
+            ));
         }
     }
 

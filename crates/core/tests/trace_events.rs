@@ -12,9 +12,9 @@ use bytes::Bytes;
 use vl_analytic::{Algorithm, CostParams};
 use vl_core::machine::{events, MachineConfig, ServerAction, ServerInput, ServerMachine};
 use vl_metrics::trace::{parse_line, TraceLine};
-use vl_metrics::{EventKind, Histogram, JsonlSink, TraceSink};
-use vl_proto::ClientMsg;
-use vl_types::{ClientId, Duration, Epoch, ObjectId, ServerId, Timestamp, Version};
+use vl_metrics::{Event, EventKind, Histogram, JsonlSink, MessageKind, TraceSink};
+use vl_proto::{ClientMsg, PeerMsg};
+use vl_types::{ClientId, Duration, Epoch, ObjectId, ServerId, Timestamp, Version, VolumeId};
 
 const OBJECT: ObjectId = ObjectId(1);
 const TICK: Duration = Duration::from_millis(10);
@@ -33,8 +33,9 @@ fn run_silent_holder(t: Duration, tv: Duration, sink: &mut dyn TraceSink) {
                  input: ServerInput|
      -> bool {
         let mut committed = false;
-        for action in server.handle(now, input) {
-            for ev in events::server_action_events(now, cfg.server, cfg.volume, &action) {
+        let actions = server.handle(now, input);
+        for action in actions {
+            for ev in events::server_action_events(now, server, Some(OBJECT), &action) {
                 sink.record(&ev);
             }
             committed |= matches!(action, ServerAction::CompleteWrite { .. });
@@ -147,5 +148,102 @@ fn traced_write_delays_respect_the_analytic_ack_wait_bound() {
             max_secs <= bound + TICK.as_secs_f64(),
             "traced max write delay {max_secs}s exceeds analytic bound {bound}s"
         );
+    }
+}
+
+/// After a handoff the gainer serves two volumes; every event must be
+/// labelled with the volume it concerns, not the server's home volume.
+#[test]
+fn events_of_an_adopted_volume_carry_that_volume() {
+    const HOME: VolumeId = VolumeId(0);
+    const ADOPTED: VolumeId = VolumeId(7);
+    const THEIRS: ObjectId = ObjectId(70);
+    let (mut server, _boot) = ServerMachine::new(MachineConfig::new(ServerId(0)), None);
+    let now = Timestamp::from_secs(1);
+    let client = ClientId(3);
+    // The driver's loop: the write-reply FIFO supplies `written`.
+    let mut step = |input: ServerInput, written: Option<ObjectId>| -> Vec<Event> {
+        let actions = server.handle(now, input);
+        let events = |a| events::server_action_events(now, &server, written, a);
+        actions.iter().flat_map(events).collect()
+    };
+    let msg = |msg| ServerInput::Msg { from: client, msg };
+
+    let data = Bytes::from_static(b"v1");
+    let version = Version::FIRST;
+    step(
+        ServerInput::CreateObject {
+            object: OBJECT,
+            data: data.clone(),
+            version,
+        },
+        None,
+    );
+    let manifest = PeerMsg::Handoff {
+        volume: ADOPTED,
+        epoch: Epoch(1),
+        max_vol_expiry: Timestamp::ZERO,
+        objects: vec![(THEIRS, version, data)],
+    };
+    let from = ServerId(99);
+    step(
+        ServerInput::Peer {
+            from,
+            msg: manifest,
+        },
+        None,
+    );
+
+    for (volume, epoch, object) in [(HOME, Epoch(0), OBJECT), (ADOPTED, Epoch(1), THEIRS)] {
+        let evs = step(msg(ClientMsg::ReqVolLease { volume, epoch }), None);
+        let kinds: Vec<EventKind> = evs.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [EventKind::Message, EventKind::VolumeLeaseGranted],
+            "VOL_LEASE for {volume:?}"
+        );
+        assert!(evs.iter().all(|e| e.volume == Some(volume)), "{evs:?}");
+        let version = Version::NONE;
+        let evs = step(msg(ClientMsg::ReqObjLease { object, version }), None);
+        let kinds: Vec<EventKind> = evs.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [EventKind::Message, EventKind::LeaseGranted],
+            "OBJ_LEASE for {object:?}"
+        );
+        assert!(evs.iter().all(|e| e.volume == Some(volume)), "{evs:?}");
+    }
+
+    // A write in the adopted volume: INVALIDATE, then the commit.
+    let data = Bytes::from_static(b"v2");
+    let evs = step(
+        ServerInput::Write {
+            object: THEIRS,
+            data,
+        },
+        Some(THEIRS),
+    );
+    assert!(evs.iter().any(|e| e.kind == EventKind::InvalidationSent));
+    assert!(evs.iter().all(|e| e.volume == Some(ADOPTED)), "{evs:?}");
+    let evs = step(
+        msg(ClientMsg::AckInvalidate { object: THEIRS }),
+        Some(THEIRS),
+    );
+    assert!(evs.iter().any(|e| e.kind == EventKind::WriteCommitted));
+    assert!(evs.iter().all(|e| e.volume == Some(ADOPTED)), "{evs:?}");
+
+    // A stale epoch in the adopted volume: the reconnection exchange.
+    let stale = ClientMsg::ReqVolLease {
+        volume: ADOPTED,
+        epoch: Epoch(0),
+    };
+    let evs = step(msg(stale), None);
+    assert_eq!(evs[0].msg, Some(MessageKind::MustRenewAll));
+    let leases = Vec::new();
+    let volume = ADOPTED;
+    let verdict = step(msg(ClientMsg::RenewObjLeases { volume, leases }), None);
+    assert!(verdict.iter().any(|e| e.kind == EventKind::Reconnected));
+    for e in evs.iter().chain(&verdict) {
+        assert_eq!(e.volume, Some(ADOPTED), "{e:?}");
     }
 }

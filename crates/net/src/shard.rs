@@ -18,10 +18,10 @@
 //! Above the reactors sits **one** logical node: every shard registers
 //! with a clone of a single inbox sender, so the application (the
 //! sans-io `ServerMachine` driver) drains one ordered event stream
-//! exactly as it would from an unsharded [`PollNode`] — the server
-//! hosts a single volume, so one machine behind a sharded event channel
-//! is the natural mapping (the alternative, one machine per shard,
-//! would split the volume's lease state for no benefit). Outbound
+//! exactly as it would from an unsharded [`PollNode`] — connections
+//! are hashed to shards by 4-tuple, not by the volumes their clients
+//! read, so a machine per shard would split every volume's lease state;
+//! a reactor owning whole volumes is DESIGN.md §12's next step. Outbound
 //! frames are routed to the shard that owns the destination's
 //! connection by probing each shard's peer table (N is small; the
 //! probe is N short mutex reads).

@@ -208,6 +208,18 @@ impl PeerMsg {
 }
 
 impl ClientMsg {
+    /// The volume the message names, or the object when it names none.
+    pub fn scope(&self) -> Scope {
+        match self {
+            ClientMsg::ReqObjLease { object, .. } | ClientMsg::AckInvalidate { object } => {
+                Scope::Object(*object)
+            }
+            ClientMsg::ReqVolLease { volume, .. }
+            | ClientMsg::RenewObjLeases { volume, .. }
+            | ClientMsg::AckVolBatch { volume } => Scope::Volume(*volume),
+        }
+    }
+
     /// A short tag for logging.
     pub fn name(&self) -> &'static str {
         match self {
@@ -220,13 +232,16 @@ impl ClientMsg {
     }
 }
 
-/// What a [`ServerMsg`] is about, as far as the wire says.
+/// What a [`ClientMsg`] or [`ServerMsg`] is about, as far as the wire
+/// says.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scope {
     /// The message names its volume.
     Volume(VolumeId),
-    /// `OBJ_LEASE` and `INVALIDATE` name only an object; a client with
-    /// several volumes must remember which one it asked for it under.
+    /// `REQ_OBJ_LEASE`, `OBJ_LEASE`, `INVALIDATE` and its ack name only
+    /// an object; a client with several volumes must remember which one
+    /// it asked for it under, and a server hosting several which one
+    /// the object belongs to.
     Object(ObjectId),
 }
 
@@ -268,6 +283,11 @@ mod tests {
             epoch: Epoch(0),
         };
         assert_eq!(m.name(), "REQ_VOL_LEASE");
+        assert_eq!(m.scope(), Scope::Volume(VolumeId(1)));
+        let a = ClientMsg::AckInvalidate {
+            object: ObjectId(4),
+        };
+        assert_eq!(a.scope(), Scope::Object(ObjectId(4)));
         let s = ServerMsg::MustRenewAll {
             volume: VolumeId(1),
         };

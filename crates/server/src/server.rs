@@ -42,7 +42,7 @@ pub use vl_core::machine::{ServerStats, WriteMode, WriteOutcome};
 pub struct ServerConfig {
     /// This server's identity.
     pub server: ServerId,
-    /// The (single) volume this server hosts.
+    /// The home volume, hosted from boot; others arrive by handoff.
     pub volume: VolumeId,
     /// Object lease length `t` (long).
     pub object_lease: StdDuration,
@@ -271,10 +271,11 @@ struct Driver<C: Clock> {
     /// [`NetEvent::Woken`] on the endpoint's stream.
     cmds: Receiver<Command>,
     stable_path: Option<PathBuf>,
-    /// Writers awaiting completion, oldest first. The machine commits
-    /// writes strictly in enqueue order, so a FIFO correlates each
-    /// [`ServerAction::CompleteWrite`] with its caller.
-    write_replies: VecDeque<Sender<WriteOutcome>>,
+    /// Writers awaiting completion and the object each wrote, oldest
+    /// first. The machine commits writes strictly in enqueue order, so
+    /// a FIFO correlates each [`ServerAction::CompleteWrite`] with its
+    /// caller (and, for the trace, with its volume).
+    write_replies: VecDeque<(ObjectId, Sender<WriteOutcome>)>,
     /// Pending machine deadlines, one slot per [`TimerKind`]. A slot is
     /// cleared only once its instant has passed; the machine re-arms
     /// whenever a deadline moves.
@@ -283,7 +284,6 @@ struct Driver<C: Clock> {
     next_stats: Timestamp,
     /// Identity carried alongside the machine for event labelling.
     server: ServerId,
-    volume: VolumeId,
     /// Optional structured-event trace of every applied action.
     sink: Option<Box<dyn TraceSink>>,
 }
@@ -318,7 +318,6 @@ impl<C: Clock> Driver<C> {
             timers: [None; 2],
             next_stats: Timestamp::ZERO,
             server: cfg.server,
-            volume: cfg.volume,
             sink,
         };
         // The recovery record must hit disk before we serve anything.
@@ -386,7 +385,7 @@ impl<C: Clock> Driver<C> {
                 data,
                 reply,
             } => {
-                self.write_replies.push_back(reply);
+                self.write_replies.push_back((object, reply));
                 self.step(ServerInput::Write { object, data });
             }
             Command::Stats { reply } => {
@@ -513,7 +512,8 @@ impl<C: Clock> Driver<C> {
     fn apply(&mut self, now: Timestamp, actions: Vec<ServerAction>) {
         for action in actions {
             if let Some(sink) = &mut self.sink {
-                for ev in events::server_action_events(now, self.server, self.volume, &action) {
+                let written = self.write_replies.front().map(|&(object, _)| object);
+                for ev in events::server_action_events(now, &self.machine, written, &action) {
                     sink.record(&ev);
                 }
             }
@@ -545,7 +545,7 @@ impl<C: Clock> Driver<C> {
                     }
                 }
                 ServerAction::CompleteWrite { outcome } => {
-                    if let Some(reply) = self.write_replies.pop_front() {
+                    if let Some((_, reply)) = self.write_replies.pop_front() {
                         let _ = reply.send(outcome);
                     }
                 }

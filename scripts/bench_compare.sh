@@ -3,9 +3,9 @@
 # against the baseline committed at HEAD and fails on a throughput
 # regression beyond the tolerance.
 #
-#   bench_compare.sh sweep [FRESH]   compare BENCH_sweep.json
+#   bench_compare.sh sweep [FRESH]   compare against BENCH_sweep.json
 #                                    (parallel_events_per_sec)
-#   bench_compare.sh live  [FRESH]   compare BENCH_live.json
+#   bench_compare.sh live  [FRESH]   compare against BENCH_live.json
 #                                    (best per-connection renewal
 #                                    efficiency across the matrix)
 #   bench_compare.sh table1 [OUT]    gate the Table 1 validation: the
@@ -17,11 +17,12 @@
 #                                    transcript; omitted, the binary is
 #                                    built and run.
 #
-# FRESH defaults to the file at the repo root, i.e. whatever
-# bench_smoke.sh / bench_live.sh just wrote over the committed copy;
-# the baseline is recovered with `git show HEAD:<file>`, so the gate
-# needs no extra state and PRs that intentionally re-baseline simply
-# commit the new numbers.
+# FRESH defaults to target/bench/BENCH_{sweep,live}.json, where
+# bench_smoke.sh / bench_live.sh write; the baseline is the copy of
+# the same name committed at the repo root, recovered with
+# `git show HEAD:<file>`, so the gate needs no extra state. A PR that
+# intentionally re-baselines copies the fresh file over the root one
+# and commits it.
 #
 # The live metric is renewals/s · t_v / connections — the fraction of
 # the theoretical renewal rate (each client renews once per t_v) the
@@ -42,8 +43,8 @@ MODE="${1:-}"
 TOLERANCE="${VL_BENCH_TOLERANCE:-25}"
 
 case "$MODE" in
-sweep) FILE="${2:-BENCH_sweep.json}" BASE_PATH="BENCH_sweep.json" ;;
-live) FILE="${2:-BENCH_live.json}" BASE_PATH="BENCH_live.json" ;;
+sweep) FILE="${2:-target/bench/BENCH_sweep.json}" BASE_PATH="BENCH_sweep.json" ;;
+live) FILE="${2:-target/bench/BENCH_live.json}" BASE_PATH="BENCH_live.json" ;;
 table1)
     OUT="${2:-}"
     if [ -z "$OUT" ]; then

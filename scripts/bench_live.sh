@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Live-transport smoke benchmark: loopback TCP clients driving
 # volume-lease renewals through the readiness event loop, recorded in
-# BENCH_live.json at the repo root.
+# target/bench/BENCH_live.json. The committed BENCH_live.json at the
+# repo root is the baseline scripts/bench_compare.sh gates against and
+# is never written here: re-baselining is a deliberate
+#   cp target/bench/BENCH_live.json BENCH_live.json
 #
 # The third argument is the server reactor matrix passed straight to
 # `vl bench-live --reactors`. A single number runs one benchmark; a
@@ -28,6 +31,7 @@ HARD_TIMEOUT="${VL_LIVE_TIMEOUT:-300}"
 
 cargo build --release -p vl-cli >/dev/null
 
+mkdir -p target/bench
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
@@ -38,7 +42,7 @@ trap 'rm -f "$out"' EXIT
 if ! timeout --kill-after=30 "$HARD_TIMEOUT" \
     target/release/vl bench-live \
     --clients "$CLIENTS" --duration-s "$DURATION" --reactors "$REACTORS" \
-    --out BENCH_live.json | tee "$out"; then
+    --out target/bench/BENCH_live.json | tee "$out"; then
     echo "error: vl bench-live failed or timed out (${HARD_TIMEOUT}s cap)" >&2
     exit 1
 fi
@@ -56,4 +60,4 @@ if [ -z "$renewals" ] || [ "$renewals" -eq 0 ]; then
     exit 1
 fi
 
-echo "wrote BENCH_live.json (reactors ${REACTORS}, ${CLIENTS} clients, last run ${renewals} renewals/s)"
+echo "wrote target/bench/BENCH_live.json (reactors ${REACTORS}, ${CLIENTS} clients, last run ${renewals} renewals/s)"

@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
 # Times the paper-scale ("full") Figure 5 sweep serially vs in parallel
-# and records honest numbers in BENCH_sweep.json at the repo root.
+# and records honest numbers in target/bench/BENCH_sweep.json. The
+# committed BENCH_sweep.json at the repo root is the baseline
+# scripts/bench_compare.sh gates against and is never written here:
+# re-baselining is a deliberate
+#   cp target/bench/BENCH_sweep.json BENCH_sweep.json
 #
 # Wall-clock comes from the binary's own sweep summary line, so trace
 # generation (serial in both legs) does not dilute the parallel
@@ -69,7 +73,8 @@ fi
 
 speedup=$(echo "$serial $parallel" | awk '{printf "%.3f", ($2 > 0) ? $1 / $2 : 0}')
 
-cat > BENCH_sweep.json <<EOF
+mkdir -p target/bench
+cat > target/bench/BENCH_sweep.json <<EOF
 {
   "benchmark": "fig5 --preset ${PRESET} (sweep only; trace generation excluded)",
   "machine_cores": "${cores}",
@@ -85,4 +90,4 @@ cat > BENCH_sweep.json <<EOF
 }
 EOF
 
-echo "wrote BENCH_sweep.json (speedup ${speedup}x on ${cores} core(s))"
+echo "wrote target/bench/BENCH_sweep.json (speedup ${speedup}x on ${cores} core(s))"

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Full CI gate: formatting, the client-driver and no-event-kernel
-# layering greps, lint (warnings denied), release build (all targets,
-# so bench breakage is caught), the complete test suite including
+# Full CI gate: formatting, the client-driver, router/protocol and
+# no-event-kernel layering greps, lint (warnings denied), release build
+# (all targets, so bench breakage is caught), the complete test suite including
 # ignored tests, the benchmark package's own tests (it links crates/*),
 # a warning-clean rustdoc build, the simulator smoke benchmark, a
 # live-transport smoke benchmark run as a {1,4}-reactor scaling matrix
 # (the 4-reactor run must hold more connections than the 1-reactor
-# run), and the non-test line count per crate.
+# run), and the non-test line count per crate. The benchmarks write
+# under target/bench/, and the gate fails if it leaves
+# `git status --porcelain` different from how it found it.
 # Run from anywhere; exits non-zero on the first failure.
 set -euo pipefail
 
@@ -15,6 +17,8 @@ cd "$(dirname "$0")/.."
 # Hung tests must fail the gate, not wedge it. Overridable for slow
 # machines; `timeout` is coreutils, present everywhere CI runs.
 TEST_TIMEOUT="${VL_TEST_TIMEOUT:-900}"
+
+tree_before=$(git status --porcelain)
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -26,6 +30,24 @@ leak=$(for f in crates/client/src/*.rs; do sed '/#\[cfg(test)\]/,$d' "$f"; done 
     grep -E 'ClientMsg::|ServerMsg::' | grep -v 'ServerMsg::WrongShard' || true)
 if [ -n "$leak" ]; then
     echo "error: vl-client driver handles a protocol message itself: $leak" >&2
+    exit 1
+fi
+
+echo "==> vl-core::machine keeps routing and protocol apart (DESIGN.md §7)"
+# One machine per volume: volume.rs is the paper's single-volume server
+# and knows nothing of peers, shard maps or redirects; server.rs routes
+# and touches no lease, link state or invalidation queue.
+nontest() { sed '/#\[cfg(test)\]/,$d' "$1"; }
+leak=$(nontest crates/core/src/machine/volume.rs |
+    grep -nE 'PeerMsg|ShardMap|WrongShard|departed' || true)
+if [ -n "$leak" ]; then
+    echo "error: machine/volume.rs names routing state: $leak" >&2
+    exit 1
+fi
+leak=$(nontest crates/core/src/machine/server.rs |
+    grep -nE 'Link::|LeaseSet|Inactive|awaiting_ack' || true)
+if [ -n "$leak" ]; then
+    echo "error: machine/server.rs names per-volume protocol state: $leak" >&2
     exit 1
 fi
 
@@ -64,7 +86,7 @@ echo "==> scripts/bench_smoke.sh"
 echo "==> scripts/bench_compare.sh sweep (regression gate vs committed baseline)"
 # Auto-skips when the presets differ (the test job runs the smoke
 # preset; only the full-preset sweep is comparable to the baseline).
-./scripts/bench_compare.sh sweep
+./scripts/bench_compare.sh sweep target/bench/BENCH_sweep.json
 
 echo "==> self-inval smoke (simulator column + chaos harness run)"
 si_trace=$(mktemp)
@@ -97,9 +119,16 @@ echo "==> scripts/bench_live.sh (1k clients/reactor, reactor matrix 1,4)"
 ./scripts/bench_live.sh 1000 6 1,4
 
 echo "==> scripts/bench_compare.sh live (regression gate vs committed baseline)"
-./scripts/bench_compare.sh live
+./scripts/bench_compare.sh live target/bench/BENCH_live.json
 
 echo "==> scripts/loc.sh (non-test lines per crate)"
 ./scripts/loc.sh
+
+echo "==> the gate leaves the working tree as it found it"
+if [ "$(git status --porcelain)" != "$tree_before" ]; then
+    echo "error: scripts/ci.sh changed the working tree:" >&2
+    git status --porcelain >&2
+    exit 1
+fi
 
 echo "==> CI gate passed"
