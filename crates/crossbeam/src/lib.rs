@@ -21,6 +21,10 @@ pub mod channel {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers inside a condvar wait. Only they need a notify —
+        /// a futex syscall on Linux even when nobody is parked; any
+        /// other receiver takes the lock and sees the queue.
+        parked: usize,
     }
 
     struct Shared<T> {
@@ -76,6 +80,7 @@ pub mod channel {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                parked: 0,
             }),
             cv: Condvar::new(),
         });
@@ -113,8 +118,11 @@ pub mod channel {
                 return Err(SendError(value));
             }
             inner.queue.push_back(value);
+            let parked = inner.parked > 0;
             drop(inner);
-            self.shared.cv.notify_one();
+            if parked {
+                self.shared.cv.notify_one();
+            }
             Ok(())
         }
     }
@@ -162,11 +170,13 @@ pub mod channel {
                 if inner.senders == 0 {
                     return Err(RecvError);
                 }
+                inner.parked += 1;
                 inner = self
                     .shared
                     .cv
                     .wait(inner)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
+                inner.parked -= 1;
             }
         }
 
@@ -190,12 +200,14 @@ pub mod channel {
                 if left.is_zero() {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                inner.parked += 1;
                 let (guard, res) = self
                     .shared
                     .cv
                     .wait_timeout(inner, left)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 inner = guard;
+                inner.parked -= 1;
                 if res.timed_out() && inner.queue.is_empty() {
                     return if inner.senders == 0 {
                         Err(RecvTimeoutError::Disconnected)
@@ -299,6 +311,50 @@ pub mod channel {
             let h = thread::spawn(move || tx.send(42).unwrap());
             assert_eq!(rx.recv_timeout(Duration::from_secs(2)), Ok(42));
             h.join().unwrap();
+        }
+
+        /// Skipping the notify when nobody is parked must lose no
+        /// wake-up: a consumer that alternates short timed waits with
+        /// polls sees every value once and never sleeps out a full
+        /// timeout beside a non-empty queue.
+        #[test]
+        fn unparked_sends_lose_no_wakeup() {
+            const PRODUCERS: u64 = 4;
+            const EACH: u64 = 100_000;
+            let (tx, rx) = unbounded::<u64>();
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let tx = tx.clone();
+                    thread::spawn(move || (0..EACH).for_each(|i| tx.send(p * EACH + i).unwrap()))
+                })
+                .collect();
+            drop(tx);
+            let mut seen = vec![false; (PRODUCERS * EACH) as usize];
+            let mut record = |v: u64| assert!(!std::mem::replace(&mut seen[v as usize], true));
+            let mut longest = Duration::ZERO;
+            loop {
+                let t0 = Instant::now();
+                match rx.recv_timeout(Duration::from_micros(50)) {
+                    Ok(v) => record(v),
+                    Err(RecvTimeoutError::Timeout) => {}
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
+                longest = longest.max(t0.elapsed());
+                if let Ok(v) = rx.try_recv() {
+                    record(v);
+                }
+            }
+            // The blocking flavour parks too: one last hand-over.
+            let (tx, rx) = unbounded();
+            let h = thread::spawn(move || rx.recv());
+            while lock(&tx.shared).parked == 0 {
+                thread::yield_now();
+            }
+            tx.send(7u8).unwrap();
+            assert_eq!(h.join().unwrap(), Ok(7));
+            producers.into_iter().for_each(|p| p.join().unwrap());
+            assert!(seen.iter().all(|&s| s), "every value received");
+            assert!(longest < Duration::from_secs(1), "stalled {longest:?}");
         }
 
         #[test]

@@ -145,6 +145,43 @@ pub trait Channel: Send + Sync {
     fn shard_stats(&self) -> Option<Vec<shard::ShardStats>> {
         None
     }
+
+    /// Installs `handler` on the thread that produces this endpoint's
+    /// events and returns once it is in place: the stream, what waits
+    /// in the inbox first, then goes to [`Handler::on_event`] and
+    /// [`recv_event`](Channel::recv_event) sees nothing more.
+    ///
+    /// # Errors
+    ///
+    /// The handler, from a transport with no thread of its own (the
+    /// default): the caller runs it over `recv_event` itself.
+    fn host(&self, handler: Box<dyn Handler>) -> Result<(), Box<dyn Handler>> {
+        Err(handler)
+    }
+}
+
+/// Where a [`Handler`] sends: its host's own queues, or any `&Channel`.
+pub trait Outbox {
+    /// As [`Channel::send`], errors included.
+    fn send(&mut self, to: NodeId, bytes: bytes::Bytes) -> Result<(), NetError>;
+}
+
+impl<C: Channel + ?Sized> Outbox for &C {
+    fn send(&mut self, to: NodeId, bytes: bytes::Bytes) -> Result<(), NetError> {
+        Channel::send(*self, to, bytes)
+    }
+}
+
+/// An endpoint's consumer in callback form (see [`Channel::host`]).
+pub trait Handler: Send {
+    /// Takes the next event of the stream; `false` ends the hosting and
+    /// drops the handler. Called on the host's thread: blocking here
+    /// stalls every connection that thread serves.
+    fn on_event(&mut self, event: NetEvent, out: &mut dyn Outbox) -> bool;
+
+    /// When to send a [`NetEvent::Woken`] if nothing else arrives
+    /// first; asked when hosted and again after every batch of events.
+    fn next_deadline(&self) -> Option<std::time::Instant>;
 }
 
 impl<C: Channel + ?Sized> Channel for std::sync::Arc<C> {
@@ -165,6 +202,9 @@ impl<C: Channel + ?Sized> Channel for std::sync::Arc<C> {
     }
     fn shard_stats(&self) -> Option<Vec<shard::ShardStats>> {
         (**self).shard_stats()
+    }
+    fn host(&self, handler: Box<dyn Handler>) -> Result<(), Box<dyn Handler>> {
+        (**self).host(handler)
     }
 }
 

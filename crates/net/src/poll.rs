@@ -25,6 +25,12 @@
 //!   decode and publishes per-peer [`crate::wire::QueueStats`]
 //!   through each node's [`WireStats`].
 //!
+//! A node's stream ([`NetEvent`], in the order the loop saw it) goes
+//! to its inbox or, once [`Channel::host`] installed one, to a
+//! [`Handler`] the loop calls on the thread that read the frame; what
+//! that sends lands in the peer's queue without a command or a wake-up.
+//! Output is written once per loop iteration, whoever queued it.
+//!
 //! Blocking work is kept off the loop: initial dials run on the
 //! caller's thread, re-dials on one dedicated dialer thread per
 //! reactor (connect + hello are blocking calls with timeouts), and
@@ -33,17 +39,18 @@
 //! # Lock discipline
 //!
 //! The loop thread owns all connection state outright — sockets,
-//! decoders, write buffers, timers — and never blocks on a lock held
-//! across I/O. Frames and link-state changes leave the loop on one
-//! queue per node ([`NetEvent`]), in the order the loop saw them. The
-//! only shared state is the known-peers view (so [`Channel::send`] can
-//! reject unknown destinations synchronously) and the [`WireStats`]
-//! snapshot, each behind a short-critical-section mutex.
+//! decoders, write buffers, timers, counters — and never blocks on a
+//! lock held across I/O. Other threads reach it through its command
+//! queue, writing its eventfd only when no wake-up is already pending.
+//! The only shared state is the known-peers view (so [`Channel::send`]
+//! can reject unknown destinations synchronously) and the
+//! [`WireStats`]/[`LoopStats`] snapshots, each behind a mutex the loop
+//! takes once per batch, not per frame.
 
 use crate::retry::RetryPolicy;
 use crate::tcp::{read_frame, write_frame};
 use crate::wire::{FrameDecoder, QueueStats, WireStats};
-use crate::{recv_from, Channel, NetError, NetEvent, NodeId};
+use crate::{recv_from, Channel, Handler, NetError, NetEvent, NodeId, Outbox};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
@@ -51,7 +58,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 use vl_epoll::{Interest, PollEvent, Poller, Waker};
@@ -174,33 +181,8 @@ pub struct LoopStats {
     pub frames_out: u64,
 }
 
-#[derive(Debug, Default)]
-struct LoopCounters {
-    wakeups: AtomicU64,
-    timer_wakeups: AtomicU64,
-    io_events: AtomicU64,
-    commands: AtomicU64,
-    accepts: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-}
-
-impl LoopCounters {
-    fn snapshot(&self) -> LoopStats {
-        LoopStats {
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            timer_wakeups: self.timer_wakeups.load(Ordering::Relaxed),
-            io_events: self.io_events.load(Ordering::Relaxed),
-            commands: self.commands.load(Ordering::Relaxed),
-            accepts: self.accepts.load(Ordering::Relaxed),
-            frames_in: self.frames_in.load(Ordering::Relaxed),
-            frames_out: self.frames_out.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// App-visible side of one attached node.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct NodeShared {
     /// Known peers and their link state. Grows monotonically: once a
     /// peer is known (dialed, configured, or heard from), sends to it
@@ -209,13 +191,75 @@ struct NodeShared {
     wire: Mutex<WireStats>,
 }
 
-impl NodeShared {
-    fn new() -> NodeShared {
-        NodeShared {
-            peers: Mutex::new(HashMap::new()),
-            wire: Mutex::new(WireStats::new()),
+/// The way into a loop from any other thread: its command queue and
+/// the eventfd that interrupts its `epoll_wait`. Holding one does not
+/// keep the loop alive.
+#[derive(Clone)]
+struct Mailbox {
+    tx: Sender<Cmd>,
+    wake: Arc<Wake>,
+}
+
+struct Wake {
+    waker: Waker,
+    /// A wake-up is on its way. Set by the poster that writes the
+    /// eventfd, cleared by the loop *before* it drains the queue, so a
+    /// command queued while it is set is always seen.
+    pending: AtomicBool,
+}
+
+impl Mailbox {
+    /// Queues `cmd` and makes sure the loop will look; `false` when the
+    /// loop is gone.
+    fn post(&self, cmd: Cmd) -> bool {
+        let sent = self.tx.send(cmd).is_ok();
+        // AcqRel pairs with the loop's swap: reading `true` here orders
+        // the push above before the clear that precedes the drain.
+        if sent && !self.wake.pending.swap(true, Ordering::AcqRel) {
+            let _ = self.wake.waker.wake();
+        }
+        sent
+    }
+}
+
+/// What any thread needs to address one attached node.
+#[derive(Clone)]
+pub(crate) struct NodeRef {
+    key: u64,
+    shared: Arc<NodeShared>,
+    mail: Mailbox,
+}
+
+impl NodeRef {
+    /// Link state of `peer`: `Some(true)` live, `Some(false)` known but
+    /// down (sends queue), `None` unknown (sends error).
+    pub(crate) fn peer_state(&self, peer: NodeId) -> Option<bool> {
+        self.shared.peers.lock().get(&peer).copied()
+    }
+
+    /// Queues `frame` for `to` without asking whether the node knows it
+    /// (the caller just did).
+    pub(crate) fn post_send(&self, to: NodeId, frame: Bytes) -> Result<(), NetError> {
+        let key = self.key;
+        let sent = self.mail.post(Cmd::Send { key, to, frame });
+        sent.then_some(()).ok_or(NetError::Disconnected)
+    }
+}
+
+/// Picks a frame's shard from each shard's view of the destination:
+/// the one holding its live connection, else the first that knows it
+/// at all (the frame queues there until it reconnects — possibly
+/// elsewhere, and is then lost like any traffic on a dropped link).
+pub(crate) fn route(states: impl Iterator<Item = Option<bool>>) -> Option<usize> {
+    let mut known = None;
+    for (i, state) in states.enumerate() {
+        match state {
+            Some(true) => return Some(i),
+            Some(false) if known.is_none() => known = Some(i),
+            _ => {}
         }
     }
+    known
 }
 
 /// Commands injected into the loop by application threads (paired
@@ -223,10 +267,7 @@ impl NodeShared {
 enum Cmd {
     Register {
         key: u64,
-        id: NodeId,
-        shared: Arc<NodeShared>,
-        inbox_tx: Sender<NetEvent>,
-        listener: Option<TcpListener>,
+        node: RNode,
     },
     Send {
         key: u64,
@@ -255,6 +296,19 @@ enum Cmd {
     RemoveNode {
         key: u64,
     },
+    /// Install the handler, after feeding it what the node's inbox
+    /// holds; the sender returns it when the loop already has one.
+    Host(
+        Hosted,
+        Receiver<NetEvent>,
+        Sender<Result<(), Box<dyn Handler>>>,
+    ),
+    /// An event for node `key` produced off this loop: a forwarding
+    /// sibling's, or a [`Channel::wake`].
+    Event {
+        key: u64,
+        event: NetEvent,
+    },
     Shutdown,
 }
 
@@ -267,9 +321,8 @@ struct DialReq {
 }
 
 struct ReactorShared {
-    tx: Sender<Cmd>,
-    waker: Arc<Waker>,
-    counters: Arc<LoopCounters>,
+    mail: Mailbox,
+    counters: Arc<Mutex<LoopStats>>,
     cfg: PollConfig,
     next_key: AtomicU64,
     join: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -277,10 +330,13 @@ struct ReactorShared {
 
 impl Drop for ReactorShared {
     fn drop(&mut self) {
-        let _ = self.tx.send(Cmd::Shutdown);
-        let _ = self.waker.wake();
+        self.mail.post(Cmd::Shutdown);
+        // A hosted handler may drop the last handle on the loop thread
+        // itself, which cannot join itself; it exits on the command.
         if let Some(h) = self.join.lock().take() {
-            let _ = h.join();
+            if h.thread().id() != std::thread::current().id() {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -296,7 +352,7 @@ pub struct Reactor {
 impl std::fmt::Debug for Reactor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reactor")
-            .field("stats", &self.shared.counters.snapshot())
+            .field("stats", &*self.shared.counters.lock())
             .finish()
     }
 }
@@ -309,15 +365,20 @@ impl Reactor {
     /// Propagates epoll/eventfd setup failures.
     pub fn spawn(cfg: PollConfig) -> io::Result<Reactor> {
         let poller = Poller::new()?;
-        let waker = Arc::new(Waker::new(&poller, WAKER_TOKEN)?);
         let (tx, rx) = unbounded();
+        let mail = Mailbox {
+            tx,
+            wake: Arc::new(Wake {
+                waker: Waker::new(&poller, WAKER_TOKEN)?,
+                pending: AtomicBool::new(false),
+            }),
+        };
         let (dial_tx, dial_rx) = unbounded::<DialReq>();
-        let counters = Arc::new(LoopCounters::default());
+        let counters = Arc::new(Mutex::new(LoopStats::default()));
 
         // Dialer: blocking connect + hello, off the loop thread.
         {
-            let cmd_tx = tx.clone();
-            let waker = Arc::clone(&waker);
+            let mail = mail.clone();
             let cfg = cfg.clone();
             std::thread::Builder::new()
                 .name("vl-poll-dial".into())
@@ -342,31 +403,29 @@ impl Reactor {
                                 attempt: req.attempt,
                             },
                         };
-                        if cmd_tx.send(cmd).is_err() {
+                        if !mail.post(cmd) {
                             return;
                         }
-                        let _ = waker.wake();
                     }
                 })
                 .expect("spawn dialer thread");
         }
 
         let join = {
-            let waker = Arc::clone(&waker);
+            let wake = Arc::clone(&mail.wake);
             let counters = Arc::clone(&counters);
             let cfg = cfg.clone();
             std::thread::Builder::new()
                 .name("vl-poll-loop".into())
                 .spawn(move || {
-                    EventLoop::new(poller, waker, rx, dial_tx, cfg, counters).run();
+                    EventLoop::new(poller, wake, rx, dial_tx, cfg, counters).run();
                 })
                 .expect("spawn loop thread")
         };
 
         Ok(Reactor {
             shared: Arc::new(ReactorShared {
-                tx,
-                waker,
+                mail,
                 counters,
                 cfg,
                 next_key: AtomicU64::new(0),
@@ -377,7 +436,7 @@ impl Reactor {
 
     /// Attaches a dial-only node (no listener).
     pub fn node(&self, id: NodeId) -> PollNode {
-        self.attach(id, None, None)
+        self.attach(id, None, None, None)
     }
 
     /// Binds `addr`, deepens its backlog, and attaches a listening
@@ -390,9 +449,7 @@ impl Reactor {
     pub fn listen(&self, id: NodeId, addr: &str) -> io::Result<PollNode> {
         let listener = TcpListener::bind(addr)?;
         let _ = vl_epoll::relisten(&listener, self.shared.cfg.accept_backlog);
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        Ok(self.attach(id, Some(listener), Some(local)))
+        self.listen_on(id, listener, None)
     }
 
     fn attach(
@@ -400,43 +457,30 @@ impl Reactor {
         id: NodeId,
         listener: Option<TcpListener>,
         local_addr: Option<SocketAddr>,
+        forward: Option<NodeRef>,
     ) -> PollNode {
         let (inbox_tx, inbox) = unbounded();
-        self.attach_external(id, listener, local_addr, inbox_tx, inbox)
-    }
-
-    /// Attaches a node whose inbox endpoints are supplied by the
-    /// caller. This is the hook the sharded transport
-    /// ([`crate::shard::ShardedNode`]) builds on: N reactors each get a
-    /// `PollNode` registered with a *clone* of one shared inbox sender,
-    /// so frames from every shard funnel into a single receiver while
-    /// each reactor still owns its fd set end-to-end.
-    pub(crate) fn attach_external(
-        &self,
-        id: NodeId,
-        listener: Option<TcpListener>,
-        local_addr: Option<SocketAddr>,
-        inbox_tx: Sender<NetEvent>,
-        inbox: Receiver<NetEvent>,
-    ) -> PollNode {
         let key = self.shared.next_key.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::new(NodeShared::new());
-        let _ = self.shared.tx.send(Cmd::Register {
-            key,
+        let shared = Arc::<NodeShared>::default();
+        let node = RNode {
             id,
             shared: Arc::clone(&shared),
-            inbox_tx: inbox_tx.clone(),
+            inbox_tx,
+            forward,
             listener,
-        });
-        let _ = self.shared.waker.wake();
+            peers: HashMap::new(),
+        };
+        self.shared.mail.post(Cmd::Register { key, node });
         PollNode {
             id,
-            key,
             local_addr,
-            shared,
+            at: NodeRef {
+                key,
+                shared,
+                mail: self.shared.mail.clone(),
+            },
             reactor: Arc::clone(&self.shared),
             inbox,
-            wake_tx: inbox_tx,
         }
     }
 
@@ -444,22 +488,22 @@ impl Reactor {
     /// bound and `listen(2)`ed — e.g. one member of an `SO_REUSEPORT`
     /// group from [`vl_epoll::bind_reuseport`]). The listener is
     /// switched to nonblocking here; the backlog is whatever the
-    /// caller established.
+    /// caller established. `forward` makes the node one shard of an
+    /// endpoint whose events that node's loop delivers as its own.
     pub(crate) fn listen_on(
         &self,
         id: NodeId,
         listener: TcpListener,
-        inbox_tx: Sender<NetEvent>,
-        inbox: Receiver<NetEvent>,
+        forward: Option<NodeRef>,
     ) -> io::Result<PollNode> {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        Ok(self.attach_external(id, Some(listener), Some(local), inbox_tx, inbox))
+        Ok(self.attach(id, Some(listener), Some(local), forward))
     }
 
     /// Snapshot of the loop's wakeup/event/frame counters.
     pub fn loop_stats(&self) -> LoopStats {
-        self.shared.counters.snapshot()
+        *self.shared.counters.lock()
     }
 }
 
@@ -471,14 +515,12 @@ impl Reactor {
 /// `Reactor::spawn(cfg)?.listen(id, addr)` is a complete endpoint.
 pub struct PollNode {
     id: NodeId,
-    key: u64,
     local_addr: Option<SocketAddr>,
-    shared: Arc<NodeShared>,
+    /// This node's address for other threads.
+    pub(crate) at: NodeRef,
+    /// Keeps the loop thread alive.
     reactor: Arc<ReactorShared>,
     inbox: Receiver<NetEvent>,
-    /// For [`Channel::wake`]: straight into the inbox, not through
-    /// the loop, so a control handle costs its driver one hop.
-    wake_tx: Sender<NetEvent>,
 }
 
 impl std::fmt::Debug for PollNode {
@@ -486,7 +528,7 @@ impl std::fmt::Debug for PollNode {
         f.debug_struct("PollNode")
             .field("id", &self.id)
             .field("addr", &self.local_addr)
-            .field("peers", &self.shared.peers.lock().len())
+            .field("peers", &self.at.shared.peers.lock().len())
             .finish()
     }
 }
@@ -509,17 +551,13 @@ impl PollNode {
             self.reactor.cfg.hello_timeout,
         )?;
         let (done_tx, done_rx) = unbounded();
-        self.reactor
-            .tx
-            .send(Cmd::Adopt {
-                key: self.key,
-                peer,
-                stream,
-                addr,
-                done: Some(done_tx),
-            })
-            .map_err(|_| io::Error::new(io::ErrorKind::NotConnected, "reactor gone"))?;
-        let _ = self.reactor.waker.wake();
+        self.at.mail.post(Cmd::Adopt {
+            key: self.at.key,
+            peer,
+            stream,
+            addr,
+            done: Some(done_tx),
+        });
         done_rx
             .recv()
             .map_err(|_| io::Error::new(io::ErrorKind::NotConnected, "reactor gone"))?;
@@ -537,35 +575,39 @@ impl PollNode {
     /// a new address is reached by updating the mapping here; queued
     /// sends drain once the new connection is up.
     pub fn set_peer_addr(&self, peer: NodeId, addr: SocketAddr) {
-        self.shared.peers.lock().entry(peer).or_insert(false);
-        let _ = self.reactor.tx.send(Cmd::SetPeerAddr {
-            key: self.key,
-            peer,
-            addr,
-        });
-        let _ = self.reactor.waker.wake();
+        self.at.shared.peers.lock().entry(peer).or_insert(false);
+        let key = self.at.key;
+        self.at.mail.post(Cmd::SetPeerAddr { key, peer, addr });
     }
 
     /// Whether `peer` currently has a live connection.
     pub fn is_connected(&self, peer: NodeId) -> bool {
-        self.shared
-            .peers
-            .lock()
-            .get(&peer)
-            .copied()
-            .unwrap_or(false)
+        self.at.peer_state(peer).unwrap_or(false)
     }
 
-    /// Link state of `peer`: `Some(true)` live, `Some(false)` known but
-    /// down (sends queue), `None` unknown (sends error). The sharded
-    /// transport routes sends by probing this per shard.
-    pub(crate) fn peer_state(&self, peer: NodeId) -> Option<bool> {
-        self.shared.peers.lock().get(&peer).copied()
+    /// [`Channel::host`] for the consuming shard of an endpoint whose
+    /// other shards are `siblings`.
+    pub(crate) fn host_with(
+        &self,
+        handler: Box<dyn Handler>,
+        siblings: Vec<NodeRef>,
+    ) -> Result<(), Box<dyn Handler>> {
+        let (done, installed) = unbounded();
+        let hosted = Hosted {
+            key: self.at.key,
+            handler,
+            siblings,
+        };
+        let host = Cmd::Host(hosted, self.inbox.clone(), done);
+        self.at.mail.post(host);
+        // A loop that is gone dropped the command, handler and all.
+        installed.recv().expect("reactor alive while its node is")
     }
 
     /// Peers with a live connection on this node, unordered.
     pub fn connected_peers(&self) -> Vec<NodeId> {
-        self.shared
+        self.at
+            .shared
             .peers
             .lock()
             .iter()
@@ -577,12 +619,12 @@ impl PollNode {
     /// counts plus per-peer send-queue depth/drop/backpressure
     /// counters maintained by the loop.
     pub fn wire_stats(&self) -> WireStats {
-        self.shared.wire.lock().clone()
+        self.at.shared.wire.lock().clone()
     }
 
     /// Snapshot of the owning reactor's loop counters.
     pub fn loop_stats(&self) -> LoopStats {
-        self.reactor.counters.snapshot()
+        *self.reactor.counters.lock()
     }
 }
 
@@ -592,27 +634,24 @@ impl Channel for PollNode {
     }
 
     fn send(&self, to: NodeId, bytes: Bytes) -> Result<(), NetError> {
-        if !self.shared.peers.lock().contains_key(&to) {
-            return Err(NetError::UnknownNode(to));
+        match self.at.peer_state(to) {
+            Some(_) => self.at.post_send(to, bytes),
+            None => Err(NetError::UnknownNode(to)),
         }
-        self.reactor
-            .tx
-            .send(Cmd::Send {
-                key: self.key,
-                to,
-                frame: bytes,
-            })
-            .map_err(|_| NetError::Disconnected)?;
-        let _ = self.reactor.waker.wake();
-        Ok(())
     }
 
     fn recv_event(&self, timeout: Option<StdDuration>) -> Result<NetEvent, NetError> {
         recv_from(&self.inbox, timeout)
     }
 
+    /// Through the loop, which knows who consumes this node's stream.
     fn wake(&self) {
-        let _ = self.wake_tx.send(NetEvent::Woken);
+        let (key, event) = (self.at.key, NetEvent::Woken);
+        self.at.mail.post(Cmd::Event { key, event });
+    }
+
+    fn host(&self, handler: Box<dyn Handler>) -> Result<(), Box<dyn Handler>> {
+        self.host_with(handler, Vec::new())
     }
 
     fn wire_stats(&self) -> Option<WireStats> {
@@ -622,8 +661,7 @@ impl Channel for PollNode {
 
 impl Drop for PollNode {
     fn drop(&mut self) {
-        let _ = self.reactor.tx.send(Cmd::RemoveNode { key: self.key });
-        let _ = self.reactor.waker.wake();
+        self.at.mail.post(Cmd::RemoveNode { key: self.at.key });
     }
 }
 
@@ -633,17 +671,21 @@ impl Drop for PollNode {
 
 const WAKER_TOKEN: u64 = u64::MAX;
 const LISTENER_BIT: u64 = 1 << 63;
-/// Stop topping the per-connection write buffer up past this.
+/// Stop topping the per-connection write buffer up past this; a queue
+/// holding this much is written before it takes more.
 const WBUF_TARGET: usize = 32 * 1024;
 /// Reclaim the consumed write-buffer prefix past this.
 const WBUF_COMPACT: usize = 64 * 1024;
 
 /// Per-peer supervision state (loop-owned).
+#[derive(Default)]
 struct RPeer {
     /// Live connection token, if any.
     conn: Option<usize>,
     /// Frames awaiting a connection or buffer space, oldest first.
     queue: VecDeque<Bytes>,
+    /// Payload bytes in `queue`.
+    bytes: usize,
     /// Re-dial target; `None` for inbound-only peers.
     addr: Option<SocketAddr>,
     /// Consecutive failed dial attempts since the last success.
@@ -654,26 +696,48 @@ struct RPeer {
     q: QueueStats,
 }
 
-impl RPeer {
-    fn new() -> RPeer {
-        RPeer {
-            conn: None,
-            queue: VecDeque::new(),
-            addr: None,
-            attempt: 0,
-            dialing: false,
-            q: QueueStats::default(),
-        }
-    }
-}
-
 /// One attached node (loop-owned).
 struct RNode {
     id: NodeId,
     shared: Arc<NodeShared>,
     inbox_tx: Sender<NetEvent>,
+    /// Where this node's events go instead of to its inbox: the shard
+    /// of its endpoint that consumes them for all.
+    forward: Option<NodeRef>,
     listener: Option<TcpListener>,
     peers: HashMap<NodeId, RPeer>,
+}
+
+/// The handler one of this loop's nodes is hosting (loop-owned).
+struct Hosted {
+    key: u64,
+    handler: Box<dyn Handler>,
+    /// The endpoint's other shards, for replies to peers they own.
+    siblings: Vec<NodeRef>,
+}
+
+/// A hosted handler's way out: straight into the loop's peer queues.
+struct LoopOutbox<'a> {
+    el: &'a mut EventLoop,
+    key: u64,
+    siblings: &'a [NodeRef],
+}
+
+impl Outbox for LoopOutbox<'_> {
+    fn send(&mut self, to: NodeId, bytes: Bytes) -> Result<(), NetError> {
+        let own = (self.el.nodes.get(&self.key))
+            .and_then(|n| n.peers.get(&to))
+            .map(|p| p.conn.is_some());
+        let theirs = self.siblings.iter().map(|s| s.peer_state(to));
+        // The live connection is usually ours: probe the others' tables
+        // only when it is not.
+        match route(std::iter::once(own).chain(theirs.filter(|_| own != Some(true)))) {
+            Some(0) => self.el.enqueue(self.key, to, bytes),
+            Some(i) => return self.siblings[i - 1].post_send(to, bytes),
+            None => return Err(NetError::UnknownNode(to)),
+        }
+        Ok(())
+    }
 }
 
 /// One live connection (loop-owned).
@@ -689,6 +753,8 @@ struct RConn {
     wstart: usize,
     /// Currently registered with writable interest.
     want_write: bool,
+    /// Listed in the loop's `dirty` set: has output not yet written.
+    dirty: bool,
     /// Last inbound byte (keepalives count).
     last_activity: Instant,
     /// Last keepalive we sent.
@@ -700,8 +766,33 @@ struct RConn {
 }
 
 impl RConn {
+    fn new(stream: TcpStream, node: u64, peer: Option<NodeId>) -> RConn {
+        let now = Instant::now();
+        RConn {
+            stream,
+            node,
+            peer,
+            decoder: FrameDecoder::new(),
+            wbuf: Vec::new(),
+            wstart: 0,
+            want_write: false,
+            dirty: false,
+            last_activity: now,
+            last_ka: now,
+            frame_started: None,
+            opened: now,
+        }
+    }
+
     fn pending(&self) -> usize {
         self.wbuf.len() - self.wstart
+    }
+
+    /// Appends `frame`, length-prefixed, to the bytes awaiting a write.
+    fn stage(&mut self, frame: &[u8]) {
+        self.wbuf
+            .extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        self.wbuf.extend_from_slice(frame);
     }
 }
 
@@ -714,14 +805,23 @@ fn id_seed(id: NodeId) -> u64 {
 
 struct EventLoop {
     poller: Poller,
-    waker: Arc<Waker>,
+    wake: Arc<Wake>,
     rx: Receiver<Cmd>,
     dial_tx: Sender<DialReq>,
     cfg: PollConfig,
-    counters: Arc<LoopCounters>,
+    /// The loop's own tally, published to `counters` once an iteration.
+    stats: LoopStats,
+    counters: Arc<Mutex<LoopStats>>,
     nodes: HashMap<u64, RNode>,
+    /// Events not yet consumed, by node key. Producing one only queues
+    /// it: `dispatch` runs between units of work, never in a handler.
+    events: VecDeque<(u64, NetEvent)>,
+    hosted: Option<Hosted>,
     conns: Vec<Option<RConn>>,
     free: Vec<usize>,
+    /// Connections with output queued since their last write; each is
+    /// written once, at the end of the loop iteration.
+    dirty: Vec<usize>,
     /// Pending re-dials: earliest first (reversed for the max-heap).
     redials: BinaryHeap<std::cmp::Reverse<(Instant, u64, NodeId)>>,
     /// Coalesced next-maintenance deadline; `None` = sleep forever.
@@ -733,22 +833,26 @@ struct EventLoop {
 impl EventLoop {
     fn new(
         poller: Poller,
-        waker: Arc<Waker>,
+        wake: Arc<Wake>,
         rx: Receiver<Cmd>,
         dial_tx: Sender<DialReq>,
         cfg: PollConfig,
-        counters: Arc<LoopCounters>,
+        counters: Arc<Mutex<LoopStats>>,
     ) -> EventLoop {
         EventLoop {
             poller,
-            waker,
+            wake,
             rx,
             dial_tx,
             cfg,
+            stats: LoopStats::default(),
             counters,
             nodes: HashMap::new(),
+            events: VecDeque::new(),
+            hosted: None,
             conns: Vec::new(),
             free: Vec::new(),
+            dirty: Vec::new(),
             redials: BinaryHeap::new(),
             timer_next: None,
             scratch: vec![0u8; 64 * 1024],
@@ -768,57 +872,97 @@ impl EventLoop {
     fn run(mut self) {
         let mut events: Vec<PollEvent> = Vec::new();
         while !self.shutdown {
-            let timeout = self.timer_next.map(|at| {
-                let now = Instant::now();
-                if at > now {
-                    at - now
-                } else {
-                    StdDuration::ZERO
-                }
-            });
+            let timeout = (self.timer_next).map(|at| at.saturating_duration_since(Instant::now()));
             let n = match self.poller.wait(&mut events, timeout) {
                 Ok(n) => n,
                 Err(_) => break, // epoll itself failed: nothing to salvage
             };
-            self.counters.wakeups.fetch_add(1, Ordering::Relaxed);
+            self.stats.wakeups += 1;
             let mut io_events = 0u64;
             for &ev in events.iter().take(n) {
                 if ev.token == WAKER_TOKEN {
-                    self.waker.drain();
+                    self.wake.waker.drain();
                 } else if ev.token & LISTENER_BIT != 0 {
                     io_events += 1;
                     self.accept_ready(ev.token & !LISTENER_BIT);
                 } else {
                     io_events += 1;
                     let token = ev.token as usize;
-                    if ev.error {
-                        // Collect the error through read(); EOF/err path.
+                    // An error is collected through read(): EOF/err path.
+                    if ev.readable || ev.error {
                         self.conn_readable(token);
-                    } else {
-                        if ev.readable {
-                            self.conn_readable(token);
-                        }
-                        if ev.writable {
-                            self.conn_writable(token);
-                        }
+                    }
+                    if ev.writable && !ev.error {
+                        self.conn_writable(token);
                     }
                 }
+                self.dispatch();
             }
-            if io_events == 0 {
-                self.counters.timer_wakeups.fetch_add(1, Ordering::Relaxed);
-            }
-            self.counters
-                .io_events
-                .fetch_add(io_events, Ordering::Relaxed);
+            self.stats.timer_wakeups += u64::from(io_events == 0);
+            self.stats.io_events += io_events;
+            // Cleared before the drain, so a command that misses the
+            // drain finds it clear and writes the eventfd (see `Wake`).
+            self.wake.pending.swap(false, Ordering::AcqRel);
             self.drain_cmds();
+            self.dispatch();
             // Every timer source arms `timer_next` eagerly at its event
             // site, so maintenance only runs when a deadline is due —
             // never as a per-wakeup sweep over all connections.
             if self.timer_next.is_some_and(|at| at <= Instant::now()) {
                 self.maintain();
             }
+            // One write per connection per iteration (more only when
+            // a write finds one dead and the consumer answers that).
+            self.flush_dirty();
+            while !self.events.is_empty() {
+                self.dispatch();
+                self.flush_dirty();
+            }
+            *self.counters.lock() = self.stats;
         }
         // Drop order closes every socket; peers observe EOF.
+    }
+
+    fn handler_deadline(&self) -> Option<Instant> {
+        self.hosted.as_ref()?.handler.next_deadline()
+    }
+
+    /// Hands each queued event to its node's consumer: the hosted
+    /// handler, the loop this shard forwards to, or the inbox; then arms
+    /// the handler's deadline, which is new or may have moved.
+    fn dispatch(&mut self) {
+        while let Some((key, event)) = self.events.pop_front() {
+            match self.hosted.take() {
+                Some(mut h) if h.key == key => {
+                    let siblings = &h.siblings;
+                    let mut out = LoopOutbox {
+                        el: self,
+                        key,
+                        siblings,
+                    };
+                    if h.handler.on_event(event, &mut out) {
+                        self.hosted = Some(h);
+                    } // else dropped here, and the inbox takes over
+                }
+                other => {
+                    self.hosted = other;
+                    match self.nodes.get(&key) {
+                        Some(RNode {
+                            forward: Some(to), ..
+                        }) => {
+                            let key = to.key;
+                            to.mail.post(Cmd::Event { key, event });
+                        }
+                        // A dropped receiver is followed by RemoveNode.
+                        Some(node) => drop(node.inbox_tx.send(event)),
+                        None => {}
+                    }
+                }
+            }
+        }
+        if let Some(at) = self.handler_deadline() {
+            self.arm(at);
+        }
     }
 
     /// Lowers `timer_next` to `at` if it is earlier.
@@ -833,7 +977,7 @@ impl EventLoop {
         loop {
             match self.rx.try_recv() {
                 Ok(cmd) => {
-                    self.counters.commands.fetch_add(1, Ordering::Relaxed);
+                    self.stats.commands += 1;
                     self.handle_cmd(cmd);
                     if self.shutdown {
                         return;
@@ -850,30 +994,15 @@ impl EventLoop {
 
     fn handle_cmd(&mut self, cmd: Cmd) {
         match cmd {
-            Cmd::Register {
-                key,
-                id,
-                shared,
-                inbox_tx,
-                listener,
-            } => {
-                if let Some(l) = &listener {
+            Cmd::Register { key, node } => {
+                if let Some(l) = &node.listener {
                     let _ = self
                         .poller
                         .add(l.as_raw_fd(), LISTENER_BIT | key, Interest::READ);
                 }
-                self.nodes.insert(
-                    key,
-                    RNode {
-                        id,
-                        shared,
-                        inbox_tx,
-                        listener,
-                        peers: HashMap::new(),
-                    },
-                );
+                self.nodes.insert(key, node);
             }
-            Cmd::Send { key, to, frame } => self.send_frame(key, to, frame),
+            Cmd::Send { key, to, frame } => self.enqueue(key, to, frame),
             Cmd::Adopt {
                 key,
                 peer,
@@ -882,6 +1011,7 @@ impl EventLoop {
                 done,
             } => {
                 self.adopt(key, peer, stream, Some(addr));
+                self.dispatch(); // `dial` returns with the `Up` delivered
                 if let Some(d) = done {
                     let _ = d.send(());
                 }
@@ -908,7 +1038,7 @@ impl EventLoop {
                 let Some(node) = self.nodes.get_mut(&key) else {
                     return;
                 };
-                let p = node.peers.entry(peer).or_insert_with(RPeer::new);
+                let p = node.peers.entry(peer).or_default();
                 p.addr = Some(addr);
                 p.attempt = 0;
                 let at = Instant::now();
@@ -916,11 +1046,27 @@ impl EventLoop {
                 self.arm(at);
             }
             Cmd::RemoveNode { key } => self.remove_node(key),
+            Cmd::Host(hosted, inbox, done) => {
+                let key = hosted.key;
+                if self.hosted.is_some() || !self.nodes.contains_key(&key) {
+                    let _ = done.send(Err(hosted.handler));
+                    return;
+                }
+                self.dispatch(); // what this drain queued is older: inbox
+                self.hosted = Some(hosted);
+                while let Ok(event) = inbox.try_recv() {
+                    self.events.push_back((key, event));
+                }
+                self.dispatch(); // even with nothing queued: arms the deadline
+                let _ = done.send(Ok(()));
+            }
+            Cmd::Event { key, event } => self.events.push_back((key, event)),
             Cmd::Shutdown => self.shutdown = true,
         }
     }
 
     fn remove_node(&mut self, key: u64) {
+        self.hosted.take_if(|h| h.key == key);
         let Some(node) = self.nodes.remove(&key) else {
             return;
         };
@@ -959,8 +1105,7 @@ impl EventLoop {
         let Some(conn) = self.conns[token].as_ref() else {
             return;
         };
-        let key = conn.node;
-        let peer = conn.peer;
+        let (key, peer) = (conn.node, conn.peer);
         self.close_conn(token);
         let Some(peer) = peer else {
             return; // hello never completed: nothing was announced
@@ -968,76 +1113,52 @@ impl EventLoop {
         let Some(node) = self.nodes.get_mut(&key) else {
             return;
         };
-        let Some(p) = node.peers.get_mut(&peer) else {
-            return;
-        };
-        if p.conn != Some(token) {
+        let Some(p) = node.peers.get_mut(&peer).filter(|p| p.conn == Some(token)) else {
             return; // a newer connection already replaced this one
-        }
+        };
         p.conn = None;
         p.attempt = 0;
         node.shared.peers.lock().insert(peer, false);
-        let _ = node.inbox_tx.send(NetEvent::Down(peer));
         if p.addr.is_some() {
             let at = Instant::now();
             self.redials.push(std::cmp::Reverse((at, key, peer)));
             self.arm(at);
         }
+        self.events.push_back((key, NetEvent::Down(peer)));
     }
 
-    fn insert_conn(&mut self, conn: RConn) -> usize {
-        match self.free.pop() {
-            Some(t) => {
-                self.conns[t] = Some(conn);
-                t
-            }
-            None => {
-                self.conns.push(Some(conn));
-                self.conns.len() - 1
-            }
+    /// Gives `conn` a slab slot and registers it readable; `None` (and
+    /// the socket closed) when epoll refuses it.
+    fn insert_conn(&mut self, conn: RConn) -> Option<usize> {
+        let token = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
+        let fd = conn.stream.as_raw_fd();
+        if self.poller.add(fd, token as u64, Interest::READ).is_err() {
+            self.free.push(token);
+            return None;
         }
+        self.conns[token] = Some(conn);
+        Some(token)
     }
 
     fn accept_ready(&mut self, key: u64) {
         loop {
-            let Some(node) = self.nodes.get(&key) else {
-                return;
-            };
-            let Some(listener) = &node.listener else {
+            let Some(listener) = self.nodes.get(&key).and_then(|n| n.listener.as_ref()) else {
                 return;
             };
             match listener.accept() {
                 Ok((stream, _)) => {
-                    self.counters.accepts.fetch_add(1, Ordering::Relaxed);
+                    self.stats.accepts += 1;
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    let now = Instant::now();
-                    let token = self.insert_conn(RConn {
-                        stream,
-                        node: key,
-                        peer: None,
-                        decoder: FrameDecoder::new(),
-                        wbuf: Vec::new(),
-                        wstart: 0,
-                        want_write: false,
-                        last_activity: now,
-                        last_ka: now,
-                        frame_started: None,
-                        opened: now,
-                    });
-                    let conn = self.conns[token].as_ref().expect("just inserted");
-                    if self
-                        .poller
-                        .add(conn.stream.as_raw_fd(), token as u64, Interest::READ)
-                        .is_err()
-                    {
-                        self.close_conn(token);
-                        continue;
+                    if self.insert_conn(RConn::new(stream, key, None)).is_some() {
+                        // The hello must arrive within hello_timeout.
+                        self.arm(Instant::now() + self.cfg.hello_timeout);
                     }
-                    // The hello must arrive within hello_timeout.
-                    self.arm(now + self.cfg.hello_timeout);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -1057,30 +1178,9 @@ impl EventLoop {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(None);
         let _ = stream.set_write_timeout(None);
-        let now = Instant::now();
-        let token = self.insert_conn(RConn {
-            stream,
-            node: key,
-            peer: Some(peer),
-            decoder: FrameDecoder::new(),
-            wbuf: Vec::new(),
-            wstart: 0,
-            want_write: false,
-            last_activity: now,
-            last_ka: now,
-            frame_started: None,
-            opened: now,
-        });
-        let conn = self.conns[token].as_ref().expect("just inserted");
-        if self
-            .poller
-            .add(conn.stream.as_raw_fd(), token as u64, Interest::READ)
-            .is_err()
-        {
-            self.close_conn(token);
-            return;
+        if let Some(token) = self.insert_conn(RConn::new(stream, key, Some(peer))) {
+            self.establish(token, key, peer, addr);
         }
-        self.establish(token, key, peer, addr);
     }
 
     /// Binds `token` to `peer` on node `key`: replaces any older
@@ -1091,7 +1191,7 @@ impl EventLoop {
         let Some(node) = self.nodes.get_mut(&key) else {
             return;
         };
-        let p = node.peers.entry(peer).or_insert_with(RPeer::new);
+        let p = node.peers.entry(peer).or_default();
         let old = p.conn.replace(token);
         if let Some(a) = addr {
             p.addr = Some(a);
@@ -1099,7 +1199,6 @@ impl EventLoop {
         p.attempt = 0;
         p.dialing = false;
         node.shared.peers.lock().insert(peer, true);
-        let _ = node.inbox_tx.send(NetEvent::Up(peer));
         if let Some(old) = old {
             if old != token {
                 self.close_conn(old);
@@ -1111,109 +1210,116 @@ impl EventLoop {
         if let Some(every) = self.ka_every() {
             self.arm(Instant::now() + every);
         }
-        self.flush_conn(token);
+        self.mark_dirty(token);
+        self.events.push_back((key, NetEvent::Up(peer)));
     }
 
-    fn send_frame(&mut self, key: u64, to: NodeId, frame: Bytes) {
-        let Some(node) = self.nodes.get_mut(&key) else {
+    /// Queues `frame` for the iteration's one flush. A queue already
+    /// holding a write buffer's worth, or about to shed, is written out
+    /// first: a burst sheds only what an unwritable socket forces.
+    fn enqueue(&mut self, key: u64, to: NodeId, frame: Bytes) {
+        let cap = self.cfg.queue_cap;
+        let Some(p) = self.peer_mut(key, to) else {
             return;
         };
-        let p = node.peers.entry(to).or_insert_with(RPeer::new);
-        if p.queue.len() >= self.cfg.queue_cap {
-            p.queue.pop_front(); // bounded: oldest frame is lost
+        let p = if p.conn.is_some() && (p.bytes >= WBUF_TARGET || p.queue.len() >= cap) {
+            self.flush_dirty();
+            self.peer_mut(key, to).expect("flushing removes no node")
+        } else {
+            p
+        };
+        if p.queue.len() >= cap {
+            // Bounded: the oldest frame is lost.
+            p.bytes -= p.queue.pop_front().map_or(0, |f| f.len());
             p.q.dropped_overflow += 1;
         }
+        p.bytes += frame.len();
         p.queue.push_back(frame);
         p.q.enqueued += 1;
         p.q.depth = p.queue.len() as u64;
         p.q.peak_depth = p.q.peak_depth.max(p.q.depth);
-        let token = p.conn;
-        let q = p.q;
-        node.shared.wire.lock().record_queue(to, q);
-        if let Some(token) = token {
+        match p.conn {
+            Some(token) => self.mark_dirty(token), // its flush publishes
+            None => {
+                let q = p.q;
+                self.nodes[&key].shared.wire.lock().record_queue(to, q);
+            }
+        }
+    }
+
+    fn peer_mut(&mut self, key: u64, peer: NodeId) -> Option<&mut RPeer> {
+        let node = self.nodes.get_mut(&key)?;
+        Some(node.peers.entry(peer).or_default())
+    }
+
+    fn mark_dirty(&mut self, token: usize) {
+        let conn = self.conns[token].as_mut();
+        if conn.is_some_and(|c| !std::mem::replace(&mut c.dirty, true)) {
+            self.dirty.push(token);
+        }
+    }
+
+    /// The one place besides [`conn_writable`](EventLoop::conn_writable)
+    /// that writes a connection.
+    fn flush_dirty(&mut self) {
+        while let Some(token) = self.dirty.pop() {
             self.flush_conn(token);
         }
     }
 
-    /// Tops the write buffer up from the peer queue and writes until
-    /// the kernel blocks or everything is out. Adjusts writable
-    /// interest to match and tears the connection down on write
-    /// failure.
+    /// Writes until the kernel blocks or everything is out, topping
+    /// the write buffer up from the peer queue before each write.
+    /// Adjusts writable interest to match, publishes the queue's
+    /// counters once, and tears the connection down on write failure.
     fn flush_conn(&mut self, token: usize) {
-        let mut dead = false;
-        let mut publish: Option<(u64, NodeId, QueueStats)> = None;
-        {
-            let Some(conn) = self.conns[token].as_mut() else {
-                return;
-            };
-            let node = self.nodes.get_mut(&conn.node);
-            // Top up from the peer queue (frames become length-prefixed
-            // bytes; keepalives bypass the queue and land in wbuf
-            // directly).
-            if let (Some(peer), Some(node)) = (conn.peer, node) {
-                if let Some(p) = node.peers.get_mut(&peer) {
-                    if p.conn == Some(token) {
-                        let mut moved = false;
-                        while conn.pending() < WBUF_TARGET {
-                            let Some(frame) = p.queue.pop_front() else {
-                                break;
-                            };
-                            conn.wbuf
-                                .extend_from_slice(&(frame.len() as u32).to_le_bytes());
-                            conn.wbuf.extend_from_slice(&frame);
-                            self.counters.frames_out.fetch_add(1, Ordering::Relaxed);
-                            moved = true;
-                        }
-                        if moved {
-                            p.q.depth = p.queue.len() as u64;
-                            publish = Some((conn.node, peer, p.q));
-                        }
-                    }
-                }
-            }
-            while conn.pending() > 0 {
-                match conn.stream.write(&conn.wbuf[conn.wstart..]) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.wstart += n;
-                        if conn.wstart == conn.wbuf.len() {
-                            conn.wbuf.clear();
-                            conn.wstart = 0;
-                        } else if conn.wstart > WBUF_COMPACT {
-                            conn.wbuf.drain(..conn.wstart);
-                            conn.wstart = 0;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if dead {
-            if let Some((key, peer, q)) = publish {
-                if let Some(node) = self.nodes.get(&key) {
-                    node.shared.wire.lock().record_queue(peer, q);
-                }
-            }
-            self.teardown(token);
+        let Some(conn) = self.conns[token].as_mut() else {
             return;
+        };
+        conn.dirty = false;
+        let (key, peer) = (conn.node, conn.peer);
+        let mut queue = (self.nodes.get_mut(&key))
+            .and_then(|n| n.peers.get_mut(&peer?))
+            .filter(|p| p.conn == Some(token));
+        let (mut frames_out, mut dead, mut blocked) = (0, false, false);
+        loop {
+            // Keepalives and the hello bypass the queue: already staged.
+            if let Some(p) = &mut queue {
+                while conn.pending() < WBUF_TARGET {
+                    let Some(frame) = p.queue.pop_front() else {
+                        break;
+                    };
+                    p.bytes -= frame.len();
+                    conn.stage(&frame);
+                    frames_out += 1;
+                }
+            }
+            if conn.pending() == 0 {
+                break;
+            }
+            match conn.stream.write(&conn.wbuf[conn.wstart..]) {
+                Ok(0) => dead = true,
+                Ok(n) => {
+                    conn.wstart += n;
+                    if conn.wstart == conn.wbuf.len() {
+                        conn.wbuf.clear();
+                        conn.wstart = 0;
+                    } else if conn.wstart > WBUF_COMPACT {
+                        conn.wbuf.drain(..conn.wstart);
+                        conn.wstart = 0;
+                    }
+                    continue;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => blocked = true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => dead = true,
+            }
+            break;
         }
         // Mirror writable interest to buffer state, and count the
         // backpressure transition (blocked with bytes still pending).
-        let (want, node_key, peer) = {
-            let conn = self.conns[token].as_ref().expect("alive: not dead");
-            (conn.pending() > 0, conn.node, conn.peer)
-        };
-        let conn = self.conns[token].as_mut().expect("alive");
-        if want != conn.want_write {
-            let interest = if want {
+        let newly_blocked = blocked && !conn.want_write;
+        if !dead && blocked != conn.want_write {
+            let interest = if blocked {
                 Interest::READ_WRITE
             } else {
                 Interest::READ
@@ -1223,21 +1329,20 @@ impl EventLoop {
                 .modify(conn.stream.as_raw_fd(), token as u64, interest)
                 .is_ok()
             {
-                conn.want_write = want;
-            }
-            if want {
-                if let (Some(peer), Some(node)) = (peer, self.nodes.get_mut(&node_key)) {
-                    if let Some(p) = node.peers.get_mut(&peer) {
-                        p.q.backpressure += 1;
-                        publish = Some((node_key, peer, p.q));
-                    }
-                }
+                conn.want_write = blocked;
             }
         }
-        if let Some((key, peer, q)) = publish {
-            if let Some(node) = self.nodes.get(&key) {
-                node.shared.wire.lock().record_queue(peer, q);
+        if let (Some(p), Some(peer)) = (queue, peer) {
+            if newly_blocked || frames_out > 0 {
+                p.q.backpressure += u64::from(newly_blocked);
+                p.q.depth = p.queue.len() as u64;
+                let q = p.q;
+                self.nodes[&key].shared.wire.lock().record_queue(peer, q);
             }
+        }
+        self.stats.frames_out += frames_out;
+        if dead {
+            self.teardown(token);
         }
     }
 
@@ -1252,36 +1357,28 @@ impl EventLoop {
             let mut got_bytes = false;
             loop {
                 match conn.stream.read(&mut self.scratch) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
+                    Ok(0) => dead = true,
                     Ok(n) => {
                         got_bytes = true;
                         conn.decoder.feed(&self.scratch[..n]);
                         // Drain now so the buffer stays small even on
                         // a long read burst.
-                        loop {
+                        while !dead {
                             match conn.decoder.next_frame() {
                                 Ok(Some(f)) => frames.push(f),
                                 Ok(None) => break,
-                                Err(_) => {
-                                    dead = true;
-                                    break;
-                                }
+                                Err(_) => dead = true,
                             }
                         }
-                        if dead {
-                            break;
+                        if !dead {
+                            continue;
                         }
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
+                    Err(_) => dead = true,
                 }
+                break;
             }
             if got_bytes {
                 conn.last_activity = Instant::now();
@@ -1311,55 +1408,41 @@ impl EventLoop {
 
     /// Routes decoded frames: the first frame on an anonymous inbound
     /// connection must be the hello (answered in kind); empty frames
-    /// are keepalives; the rest go to the node's inbox.
+    /// are keepalives; the rest go to the node's consumer, and into its
+    /// [`WireStats`] once for the whole batch.
     fn deliver(&mut self, token: usize, frames: Vec<Bytes>) {
+        let mut batch = WireStats::new();
+        let mut key = 0;
         for frame in frames {
-            let (key, peer) = {
-                let Some(conn) = self.conns[token].as_ref() else {
-                    return;
-                };
-                (conn.node, conn.peer)
+            let Some(conn) = self.conns[token].as_ref() else {
+                break;
             };
-            match peer {
+            key = conn.node;
+            match conn.peer {
                 None => {
-                    let Ok(peer) = decode_hello(&frame) else {
+                    let hello = (self.nodes.get(&key)).map(|node| encode_hello(node.id));
+                    let (Ok(peer), Some(hello)) = (decode_hello(&frame), hello) else {
                         self.close_conn(token);
-                        return;
+                        break;
                     };
                     // Answer with our identity, then surface the link.
-                    let hello = {
-                        let Some(node) = self.nodes.get(&key) else {
-                            self.close_conn(token);
-                            return;
-                        };
-                        encode_hello(node.id)
-                    };
                     if let Some(conn) = self.conns[token].as_mut() {
-                        conn.wbuf
-                            .extend_from_slice(&(hello.len() as u32).to_le_bytes());
-                        conn.wbuf.extend_from_slice(&hello);
+                        conn.stage(&hello);
                     }
                     self.establish(token, key, peer, None);
                 }
-                Some(peer) => {
-                    if frame.is_empty() {
-                        continue; // keepalive: link-level only
-                    }
-                    let Some(node) = self.nodes.get(&key) else {
-                        return;
-                    };
-                    self.counters.frames_in.fetch_add(1, Ordering::Relaxed);
-                    node.shared.wire.lock().record(&frame);
-                    let event = NetEvent::Frame {
-                        from: peer,
-                        bytes: frame,
-                    };
-                    if node.inbox_tx.send(event).is_err() {
-                        // Node handle gone; RemoveNode will follow.
-                        return;
-                    }
+                Some(_) if frame.is_empty() => {} // keepalive: link-level only
+                Some(from) => {
+                    batch.record(&frame);
+                    let event = NetEvent::Frame { from, bytes: frame };
+                    self.events.push_back((key, event));
                 }
             }
+        }
+        let frames_in = batch.total_frames();
+        if let Some(node) = self.nodes.get(&key).filter(|_| frames_in > 0) {
+            self.stats.frames_in += frames_in;
+            node.shared.wire.lock().merge(&batch);
         }
     }
 
@@ -1371,8 +1454,16 @@ impl EventLoop {
     /// stalls, hello deadlines, re-dials — and recomputes the single
     /// coalesced wakeup deadline from live state.
     fn maintain(&mut self) {
+        // Asked before reading the clock: a handler that computes its
+        // deadline as "now + what is left" is due when nothing is left.
+        let due = self.handler_deadline();
         let now = Instant::now();
-        let mut next: Option<Instant> = None;
+        if due.is_some_and(|at| at <= now) {
+            let key = self.hosted.as_ref().expect("a deadline's handler").key;
+            self.events.push_back((key, NetEvent::Woken));
+            self.dispatch();
+        }
+        let mut next = self.handler_deadline();
         let bump = |n: &mut Option<Instant>, at: Instant| match n {
             Some(t) if *t <= at => {}
             _ => *n = Some(at),
@@ -1418,15 +1509,13 @@ impl EventLoop {
         let frame_deadline = self.cfg.frame_deadline;
         let hello_timeout = self.cfg.hello_timeout;
         let mut reap: Vec<usize> = Vec::new();
-        let mut reap_silent: Vec<usize> = Vec::new();
-        let mut kas: Vec<usize> = Vec::new();
         for (token, slot) in self.conns.iter_mut().enumerate() {
             let Some(conn) = slot else { continue };
             if conn.peer.is_none() {
                 // Handshaking: only the hello deadline applies.
                 let deadline = conn.opened + hello_timeout;
                 if now >= deadline {
-                    reap_silent.push(token);
+                    reap.push(token); // nothing was announced: no `Down`
                 } else {
                     bump(&mut next, deadline);
                 }
@@ -1451,25 +1540,20 @@ impl EventLoop {
                 let due = conn.last_ka + every;
                 if now >= due {
                     conn.last_ka = now;
-                    kas.push(token);
+                    conn.stage(&[]);
+                    if !std::mem::replace(&mut conn.dirty, true) {
+                        self.dirty.push(token);
+                    }
                     bump(&mut next, now + every);
                 } else {
                     bump(&mut next, due);
                 }
             }
         }
-        for token in reap_silent {
-            self.close_conn(token);
-        }
         for token in reap {
             self.teardown(token);
         }
-        for token in kas {
-            if let Some(conn) = self.conns[token].as_mut() {
-                conn.wbuf.extend_from_slice(&0u32.to_le_bytes());
-            }
-            self.flush_conn(token);
-        }
         self.timer_next = next;
+        self.dispatch(); // the reaped connections' `Down`s
     }
 }

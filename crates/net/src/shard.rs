@@ -1,4 +1,4 @@
-//! The sharded readiness core: N reactor threads, one port, one inbox.
+//! The sharded readiness core: N reactor threads, one port, one stream.
 //!
 //! [`crate::poll`] multiplexes everything through a single epoll loop —
 //! enough for 10k connections, but one thread is a hard ceiling on
@@ -9,22 +9,25 @@
 //! connection 4-tuple, so:
 //!
 //! * each accepted fd lands on exactly one reactor and never migrates —
-//!   read, write, keepalive, and teardown for that connection all
-//!   happen on the thread that accepted it, with zero cross-thread
-//!   hand-off (`tests/shard_core.rs` pins this);
+//!   read, decode, write, keepalive, and teardown for that connection
+//!   all happen on the thread that accepted it
+//!   (`tests/shard_core.rs` pins this);
 //! * there is no shared accept queue and no user-space dispatcher to
 //!   become the new bottleneck.
 //!
-//! Above the reactors sits **one** logical node: every shard registers
-//! with a clone of a single inbox sender, so the application (the
-//! sans-io `ServerMachine` driver) drains one ordered event stream
-//! exactly as it would from an unsharded [`PollNode`] — connections
-//! are hashed to shards by 4-tuple, not by the volumes their clients
-//! read, so a machine per shard would split every volume's lease state;
-//! a reactor owning whole volumes is DESIGN.md §12's next step. Outbound
-//! frames are routed to the shard that owns the destination's
-//! connection by probing each shard's peer table (N is small; the
-//! probe is N short mutex reads).
+//! Above the reactors sits **one** logical node with one consumer:
+//! shard 0's loop. The other shards hand it their decoded frames and
+//! link events, one command each, and it delivers them — to the hosted
+//! handler ([`Channel::host`]: the sans-io `ServerMachine` driver runs
+//! right there) or to the inbox behind [`Channel::recv_event`] —
+//! exactly as it delivers its own, so any N is one code path.
+//! Connections are hashed to shards by 4-tuple, not by the volumes
+//! their clients read, so a machine per shard would split every
+//! volume's lease state; a reactor owning whole volumes is DESIGN.md
+//! §12's next step. Outbound frames are routed to the shard that owns
+//! the destination's connection by probing each shard's peer table (N
+//! is small; the probe is N short mutex reads) — shard 0's own peers
+//! without leaving its thread, the others' as a command to their loop.
 //!
 //! A peer that reconnects may be hashed to a *different* shard — the
 //! 4-tuple changes with the client's ephemeral port. Frames still
@@ -36,11 +39,10 @@
 //! the old shard and the `Up` from the new one come from two threads
 //! and may land in either order.
 
-use crate::poll::{LoopStats, PollConfig, PollNode, Reactor};
+use crate::poll::{route, LoopStats, PollConfig, PollNode, Reactor};
 use crate::wire::WireStats;
-use crate::{recv_from, Channel, NetError, NetEvent, NodeId};
+use crate::{Channel, Handler, NetError, NetEvent, NodeId};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver};
 use std::io;
 use std::net::{SocketAddr, SocketAddrV4, ToSocketAddrs};
 use std::time::Duration as StdDuration;
@@ -67,11 +69,10 @@ pub struct ShardStats {
 pub struct ShardedNode {
     id: NodeId,
     local_addr: SocketAddr,
-    /// One attached node per reactor; all share the inbox below.
+    /// One attached node per reactor, each keeping its loop alive.
+    /// Shard 0 consumes the stream; the rest forward their events to
+    /// its loop.
     shards: Vec<PollNode>,
-    /// Keeps the loop threads alive; index-aligned with `shards`.
-    _reactors: Vec<Reactor>,
-    inbox: Receiver<NetEvent>,
 }
 
 impl std::fmt::Debug for ShardedNode {
@@ -119,21 +120,15 @@ impl ShardedNode {
             listeners.push(vl_epoll::bind_reuseport(concrete, cfg.accept_backlog)?);
         }
 
-        let (inbox_tx, inbox) = unbounded();
-        let mut shards = Vec::with_capacity(reactors);
-        let mut loops = Vec::with_capacity(reactors);
+        let mut shards: Vec<PollNode> = Vec::with_capacity(reactors);
         for listener in listeners {
-            let reactor = Reactor::spawn(cfg.clone())?;
-            let node = reactor.listen_on(id, listener, inbox_tx.clone(), inbox.clone())?;
-            shards.push(node);
-            loops.push(reactor);
+            let first = shards.first().map(|s| s.at.clone());
+            shards.push(Reactor::spawn(cfg.clone())?.listen_on(id, listener, first)?);
         }
         Ok(ShardedNode {
             id,
             local_addr,
             shards,
-            _reactors: loops,
-            inbox,
         })
     }
 
@@ -189,32 +184,30 @@ impl Channel for ShardedNode {
         self.id
     }
 
-    /// Routes to the shard owning `to`'s live connection; falls back
-    /// to the first shard that knows the peer at all (sends queue
-    /// there until it reconnects — possibly on another shard, in
-    /// which case the queued frames are lost like any in-flight
-    /// traffic on a dropped link).
+    /// One probe of each shard's peer table: to the shard holding
+    /// `to`'s live connection, else the first that knows it at all.
     fn send(&self, to: NodeId, bytes: Bytes) -> Result<(), NetError> {
-        let mut known = None;
-        for (i, s) in self.shards.iter().enumerate() {
-            match s.peer_state(to) {
-                Some(true) => return s.send(to, bytes),
-                Some(false) if known.is_none() => known = Some(i),
-                _ => {}
-            }
-        }
-        match known {
-            Some(i) => self.shards[i].send(to, bytes),
+        match route(self.shards.iter().map(|s| s.at.peer_state(to))) {
+            Some(i) => self.shards[i].at.post_send(to, bytes),
             None => Err(NetError::UnknownNode(to)),
         }
     }
 
     fn recv_event(&self, timeout: Option<StdDuration>) -> Result<NetEvent, NetError> {
-        recv_from(&self.inbox, timeout)
+        self.shards[0].recv_event(timeout)
     }
 
     fn wake(&self) {
-        self.shards[0].wake(); // every shard feeds the one inbox
+        self.shards[0].wake();
+    }
+
+    /// The handler lives on shard 0's loop, where the other shards'
+    /// events already arrive, one command each; shard 0 routes the
+    /// replies for their peers back as sends. With one shard that is
+    /// exactly [`PollNode`]'s hosting.
+    fn host(&self, handler: Box<dyn Handler>) -> Result<(), Box<dyn Handler>> {
+        let (first, rest) = self.shards.split_first().expect("at least one shard");
+        first.host_with(handler, rest.iter().map(|s| s.at.clone()).collect())
     }
 
     fn wire_stats(&self) -> Option<WireStats> {

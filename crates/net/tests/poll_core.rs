@@ -7,11 +7,12 @@
 use bytes::Bytes;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use vl_net::poll::{decode_hello, encode_hello, PollConfig, PollNode, Reactor};
 use vl_net::retry::RetryPolicy;
 use vl_net::tcp::{read_frame, write_frame, MAX_FRAME_LEN};
-use vl_net::{Channel, NetError, NetEvent, NodeId};
+use vl_net::{Channel, Handler, NetError, NetEvent, NodeId, Outbox};
 use vl_types::{ClientId, ServerId};
 
 fn srv(n: u32) -> NodeId {
@@ -447,4 +448,228 @@ fn keepalives_hold_an_idle_link_open() {
         vec![NetEvent::Up(cli(2)), frame(cli(2), b"still here")],
         "no Down, and no keepalive surfaces as a frame"
     );
+}
+
+/// The redial drain used to top the write buffer up once: with no
+/// keepalive to re-enter the flush, a backlog larger than the buffer
+/// sat in the queue until the next send.
+#[test]
+fn large_backlog_drains_after_redial() {
+    let cfg = PollConfig {
+        idle_deadline: None,
+        ..quick_cfg()
+    };
+    let server = listen(srv(0), cfg.clone());
+    let client = dial(cli(1), server.local_addr().unwrap(), cfg.clone());
+    drop(server);
+    assert!(wait_for(|| !client.is_connected(srv(0)), 5));
+
+    for i in 0..40u8 {
+        client.send(srv(0), Bytes::from(vec![i; 4096])).unwrap();
+    }
+    assert!(wait_for(
+        || client.wire_stats().queue(srv(0)).depth == 40,
+        5
+    ));
+
+    let revived = listen(srv(0), cfg);
+    client.set_peer_addr(srv(0), revived.local_addr().unwrap());
+    for i in 0..40u8 {
+        let (_, frame) = revived
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|e| panic!("frame {i} of the backlog never arrived: {e}"));
+        assert_eq!(&frame[..], &vec![i; 4096][..]);
+    }
+    assert!(wait_for(|| client.wire_stats().queue(srv(0)).depth == 0, 5));
+}
+
+/// A hosted handler: reports every event (and whether it ran on the
+/// loop thread), answers each frame with `replies` numbered frames,
+/// and asks to be woken at `deadline` until it has been.
+struct Probe {
+    seen: mpsc::Sender<(NetEvent, bool)>,
+    replies: u32,
+    deadline: Option<Instant>,
+}
+
+impl Handler for Probe {
+    fn on_event(&mut self, event: NetEvent, out: &mut dyn Outbox) -> bool {
+        match &event {
+            NetEvent::Frame { from, .. } => {
+                for i in 0..self.replies {
+                    out.send(*from, Bytes::from(i.to_le_bytes().to_vec()))
+                        .unwrap();
+                }
+            }
+            NetEvent::Woken => self.deadline = self.deadline.filter(|&at| Instant::now() < at),
+            _ => {}
+        }
+        let on_loop = std::thread::current().name() == Some("vl-poll-loop");
+        self.seen.send((event, on_loop)).is_ok()
+    }
+
+    fn next_deadline(&self) -> Option<Instant> {
+        self.deadline
+    }
+}
+
+fn host(
+    node: &PollNode,
+    replies: u32,
+    deadline: Option<Instant>,
+) -> mpsc::Receiver<(NetEvent, bool)> {
+    let (seen, events) = mpsc::channel();
+    let probe = Probe {
+        seen,
+        replies,
+        deadline,
+    };
+    assert!(node.host(Box::new(probe)).is_ok(), "a PollNode hosts");
+    events
+}
+
+/// `stream_orders_up_frames_down_per_connection` for a hosted handler:
+/// the same stream, delivered by calls on the loop thread, with the
+/// events that were already in the inbox first and `wake` arriving as
+/// `Woken` on that thread too.
+#[test]
+fn hosted_stream_orders_up_frames_down_per_connection() {
+    let server = listen(srv(0), quick_cfg());
+    let mut early = raw_peer(cli(2), server.local_addr().unwrap());
+    write_frame(&mut early, &Bytes::from_static(b"early")).unwrap();
+    assert!(wait_for(|| server.wire_stats().total_frames() == 1, 5));
+
+    let events = host(&server, 0, None);
+    let mut raw = raw_peer(cli(3), server.local_addr().unwrap());
+    for i in 0..5u8 {
+        write_frame(&mut raw, &Bytes::from(vec![i])).unwrap();
+    }
+    drop(raw);
+
+    let mut want = vec![NetEvent::Up(cli(2)), frame(cli(2), b"early")];
+    want.push(NetEvent::Up(cli(3)));
+    want.extend((0..5u8).map(|i| frame(cli(3), &[i])));
+    want.push(NetEvent::Down(cli(3)));
+    for want in want {
+        let (got, on_loop) = events.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(got, want);
+        assert!(on_loop, "{want:?} reached the handler off the loop thread");
+    }
+    server.wake();
+    let woken = events.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert_eq!(woken, (NetEvent::Woken, true));
+    assert_eq!(
+        server.recv_event(Some(Duration::from_millis(100))),
+        Err(NetError::Timeout),
+        "a hosted node's inbox stays empty"
+    );
+    assert!(
+        server
+            .host(Box::new(Probe {
+                seen: mpsc::channel().0,
+                replies: 0,
+                deadline: None
+            }))
+            .is_err(),
+        "one handler per loop: the second comes back"
+    );
+}
+
+/// The handler's deadline is one more source of the loop's single
+/// timeout: it is woken when it falls due, once, and the loop goes
+/// back to sleeping indefinitely.
+#[test]
+fn hosted_deadline_wakes_the_handler_once() {
+    let cfg = PollConfig {
+        idle_deadline: None,
+        ..PollConfig::default()
+    };
+    let server = listen(srv(0), cfg);
+    let due = Instant::now() + Duration::from_millis(200);
+    // Idle from the start: the loop asks for the deadline as it hosts.
+    let events = host(&server, 0, Some(due));
+    assert_eq!(
+        events.recv_timeout(Duration::from_secs(5)).unwrap(),
+        (NetEvent::Woken, true)
+    );
+    assert!(Instant::now() >= due, "woken early");
+    std::thread::sleep(Duration::from_millis(50));
+    let before = server.loop_stats();
+    assert!(events.recv_timeout(Duration::from_millis(300)).is_err());
+    assert_eq!(server.loop_stats().wakeups, before.wakeups, "no timer left");
+}
+
+/// One event answered with four queues' worth of replies: nothing is
+/// written until the handler returns, so the queue must be flushed as
+/// it fills rather than shed what the eager path would have sent.
+#[test]
+fn hosted_burst_past_queue_cap_sheds_nothing() {
+    let cfg = PollConfig::default();
+    let burst = 4 * cfg.queue_cap as u32;
+    let server = listen(srv(0), cfg);
+    let _events = host(&server, burst, None);
+    let mut raw = raw_peer(cli(5), server.local_addr().unwrap());
+    write_frame(&mut raw, &Bytes::from_static(b"go")).unwrap();
+    for i in 0..burst {
+        let got = read_frame(&mut raw).unwrap();
+        assert_eq!(&got[..], &i.to_le_bytes(), "reply {i} out of order or lost");
+    }
+    // The last flush publishes after its write, which the reads race.
+    let queue = || server.wire_stats().queue(cli(5));
+    assert!(wait_for(|| queue().enqueued == u64::from(burst), 5));
+    assert_eq!((queue().dropped_overflow, queue().depth), (0, 0));
+}
+
+/// Wire accounting is published per batch, not per frame; the totals
+/// must not notice. 10 000 frames out through the command queue, back
+/// through a hosted echo: both sides count every frame and byte once.
+#[test]
+fn wire_totals_match_a_burst_exactly() {
+    const FRAMES: u64 = 10_000;
+    let cfg = PollConfig {
+        queue_cap: FRAMES as usize, // a slow reader must not shed
+        ..PollConfig::default()
+    };
+    struct Echo;
+    impl Handler for Echo {
+        fn on_event(&mut self, event: NetEvent, out: &mut dyn Outbox) -> bool {
+            if let NetEvent::Frame { from, bytes } = event {
+                out.send(from, bytes).unwrap();
+            }
+            true
+        }
+        fn next_deadline(&self) -> Option<Instant> {
+            None
+        }
+    }
+    let server = listen(srv(0), cfg.clone());
+    assert!(server.host(Box::new(Echo)).is_ok());
+    let client = dial(cli(1), server.local_addr().unwrap(), cfg);
+
+    let mut bytes = 0;
+    for i in 0..FRAMES {
+        let body = vec![(i % 7) as u8 + 1; 1 + (i % 50) as usize];
+        bytes += body.len() as u64;
+        client.send(srv(0), Bytes::from(body)).unwrap();
+    }
+    for i in 0..FRAMES {
+        let (_, echoed) = client.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(echoed.len(), 1 + (i % 50) as usize, "echo {i}");
+    }
+    for (side, peer) in [(&server, cli(1)), (&client, srv(0))] {
+        let wire = side.wire_stats();
+        assert_eq!((wire.total_frames(), wire.total_bytes()), (FRAMES, bytes));
+        // Queue counters are published after the flush's write, loop
+        // counters as the iteration ends: both may trail the last read.
+        let queue = || side.wire_stats().queue(peer);
+        assert!(wait_for(|| queue().enqueued == FRAMES, 5), "{:?}", queue());
+        let q = side.wire_stats().queue_totals();
+        assert_eq!((q.enqueued, q.dropped_overflow, q.depth), (FRAMES, 0, 0));
+        let frames = || (side.loop_stats().frames_in, side.loop_stats().frames_out);
+        assert!(
+            wait_for(|| frames() == (FRAMES, FRAMES), 5),
+            "{:?}",
+            frames()
+        );
+    }
 }

@@ -39,9 +39,9 @@
 //!
 //! Under DESIGN.md §7 this crate is a *thin driver*: all protocol
 //! decisions live in the pure [`vl_core::machine::ServerMachine`], and
-//! [`LeaseServer`] only owns the endpoint, its one driver thread, the
-//! clock and the stable file — feeding inputs in and executing the
-//! returned actions
+//! [`LeaseServer`] only owns the clock, the stable file and a driver
+//! the endpoint's own thread runs (or, for an endpoint without one, a
+//! pump thread) — feeding inputs in and executing the returned actions
 //! (including mapping them to trace events when a
 //! [`vl_metrics::TraceSink`] is attached via
 //! [`LeaseServer::spawn_traced`]).

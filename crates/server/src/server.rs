@@ -8,12 +8,13 @@
 //! the returned [`ServerAction`]s — encoding replies, persisting the
 //! stable record, and completing writer rendezvous.
 //!
-//! The driver is one thread with one blocking receive and no tick: it
-//! parks on the endpoint's event stream ([`Channel::recv_event`] —
-//! frames and link state on one queue) until the machine's earliest
-//! [`ServerAction::SetTimer`] deadline, indefinitely when none is
-//! armed. [`ServerHandle`] commands queue beside it and interrupt the
-//! receive through [`Channel::wake`].
+//! The driver is a [`Handler`] with no tick: it takes the endpoint's
+//! event stream (frames and link state, in order) and otherwise wants
+//! to run only at the machine's earliest [`ServerAction::SetTimer`]
+//! deadline. An endpoint with a thread of its own ([`Channel::host`])
+//! runs it there, on the thread that read the frame; any other gets a
+//! small pump thread blocked in its receive. [`ServerHandle`] commands
+//! queue beside the stream and arrive through [`Channel::wake`].
 
 use crate::stable::StableRecord;
 use bytes::Bytes;
@@ -23,13 +24,13 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration as StdDuration;
+use std::time::{Duration as StdDuration, Instant};
 use vl_core::machine::{
     events, MachineConfig, ServerAction, ServerInput, ServerMachine, StableState, TimerKind,
 };
 use vl_metrics::trace::{Event as TraceEvent, EventKind};
 use vl_metrics::TraceSink;
-use vl_net::{Channel, NetError, NetEvent, NodeId};
+use vl_net::{Channel, Handler, NetError, NetEvent, NodeId, Outbox};
 use vl_proto::codec;
 use vl_types::{
     ClientId, Clock, Duration, ObjectId, ServerId, ShardMap, Timestamp, Version, VolumeId,
@@ -125,7 +126,8 @@ enum Command {
 pub struct LeaseServer;
 
 impl LeaseServer {
-    /// Starts the server loop on its own thread, reading time from any
+    /// Starts the server driver on the endpoint's own thread when it
+    /// has one, else on a thread of its own, reading time from any
     /// [`Clock`] (the live [`WallClock`](crate::WallClock), or a test
     /// clock).
     ///
@@ -161,17 +163,40 @@ impl LeaseServer {
     ) -> ServerHandle {
         let endpoint: Arc<dyn Channel> = Arc::new(endpoint);
         let (cmd, cmds) = unbounded();
-        let thread = {
+        let (alive, stopped) = bounded(0);
+        let name = format!("vl-server-{}", config.server);
+        let driver = Driver::new(config, Arc::clone(&endpoint), clock, cmds, sink, alive);
+        let thread = endpoint.host(Box::new(driver)).err().map(|driver| {
             let endpoint = Arc::clone(&endpoint);
             std::thread::Builder::new()
-                .name(format!("vl-server-{}", config.server))
-                .spawn(move || Driver::new(config, endpoint, clock, cmds, sink).run())
+                .name(name)
+                .spawn(move || pump(driver, &*endpoint))
                 .expect("spawn server thread")
-        };
+        });
         ServerHandle {
             cmd,
             endpoint,
+            stopped,
             thread,
+        }
+    }
+}
+
+/// Runs `driver` over an endpoint that cannot host it: one blocking
+/// receive per event, bounded by the driver's own deadline.
+fn pump(mut driver: Box<dyn Handler>, mut endpoint: &dyn Channel) {
+    loop {
+        let timeout = driver
+            .next_deadline()
+            .map(|at| at.saturating_duration_since(Instant::now()));
+        let event = match endpoint.recv_event(timeout) {
+            Ok(event) => event,
+            Err(NetError::Timeout) => NetEvent::Woken,
+            // The endpoint is gone (replaced or network dropped).
+            Err(_) => return,
+        };
+        if !driver.on_event(event, &mut endpoint) {
+            return;
         }
     }
 }
@@ -181,7 +206,10 @@ pub struct ServerHandle {
     cmd: Sender<Command>,
     /// The driver's endpoint, to wake it when a command is queued.
     endpoint: Arc<dyn Channel>,
-    thread: JoinHandle<()>,
+    /// Disconnects when the driver is dropped, wherever it ran.
+    stopped: Receiver<()>,
+    /// The pump thread, when the endpoint did not host the driver.
+    thread: Option<JoinHandle<()>>,
 }
 
 impl fmt::Debug for ServerHandle {
@@ -193,18 +221,22 @@ impl fmt::Debug for ServerHandle {
 }
 
 impl ServerHandle {
-    /// Queues `cmd` and interrupts the driver's blocking receive.
+    /// Queues `cmd` and has the driver's host run it.
     fn submit(&self, cmd: Command) {
         self.cmd.send(cmd).expect("server loop alive");
         self.endpoint.wake();
     }
 
-    /// Stops the driver with `cmd` and waits for it (the driver may
-    /// already be gone, e.g. its endpoint was replaced).
+    /// Stops the driver with `cmd` and waits until it is dropped, its
+    /// trace flushed (it may already be gone, e.g. its endpoint was
+    /// replaced).
     fn stop(self, cmd: Command) {
         let _ = self.cmd.send(cmd);
         self.endpoint.wake();
-        let _ = self.thread.join();
+        let _ = self.stopped.recv();
+        if let Some(thread) = self.thread {
+            let _ = thread.join();
+        }
     }
 
     /// Creates an object with initial `data` at version 1. An object
@@ -260,11 +292,13 @@ impl ServerHandle {
     }
 }
 
-/// The I/O shell: owns the endpoint, the clock, the stable file, and
-/// the writer rendezvous channels. Every protocol decision is delegated
-/// to the [`ServerMachine`].
+/// The I/O shell: owns the clock, the stable file, and the writer
+/// rendezvous channels; its host owns the receive and the sends. Every
+/// protocol decision is delegated to the [`ServerMachine`].
 struct Driver<C: Clock> {
     machine: ServerMachine,
+    /// For the transport's own counters when tracing; events and
+    /// sends come through the [`Handler`] calls.
     endpoint: Arc<dyn Channel>,
     clock: C,
     /// [`ServerHandle`] commands; each arrives with a
@@ -286,6 +320,8 @@ struct Driver<C: Clock> {
     server: ServerId,
     /// Optional structured-event trace of every applied action.
     sink: Option<Box<dyn TraceSink>>,
+    /// Dropped with the driver, after the flush: `stop` waits on it.
+    _alive: Sender<()>,
 }
 
 impl<C: Clock> Driver<C> {
@@ -295,6 +331,7 @@ impl<C: Clock> Driver<C> {
         clock: C,
         cmds: Receiver<Command>,
         sink: Option<Box<dyn TraceSink>>,
+        alive: Sender<()>,
     ) -> Driver<C> {
         let recovered = match &cfg.stable_path {
             None => None,
@@ -319,65 +356,30 @@ impl<C: Clock> Driver<C> {
             next_stats: Timestamp::ZERO,
             server: cfg.server,
             sink,
+            _alive: alive,
         };
         // The recovery record must hit disk before we serve anything.
         let now = driver.clock.now();
-        driver.apply(now, boot);
+        let endpoint = Arc::clone(&driver.endpoint);
+        driver.apply(now, boot, &mut &*endpoint);
         driver
     }
 
-    fn run(mut self) {
-        loop {
-            match self.endpoint.recv_event(self.next_timeout()) {
-                Ok(NetEvent::Frame { from, bytes }) => match from {
-                    NodeId::Client(client) => match codec::decode_client(&bytes) {
-                        Ok(msg) => self.step(ServerInput::Msg { from: client, msg }),
-                        Err(_) => { /* corrupt frame: drop, as UDP would */ }
-                    },
-                    // Peer traffic: another server or the rebalance
-                    // coordinator driving the volume-handoff exchange.
-                    NodeId::Server(peer) => match codec::decode_peer(&bytes) {
-                        Ok(msg) => self.step(ServerInput::Peer { from: peer, msg }),
-                        Err(_) => { /* corrupt frame: drop */ }
-                    },
-                },
-                // Transport-level connection loss: demote that client to
-                // the unreachable set so the next handshake is a full
-                // MUST_RENEW_ALL reconnect (leases themselves are
-                // untouched).
-                Ok(NetEvent::Down(NodeId::Client(client))) => {
-                    self.step(ServerInput::PeerDisconnected { client });
-                }
-                Ok(NetEvent::Up(_) | NetEvent::Down(_)) => {}
-                Ok(NetEvent::Woken) => {
-                    while let Ok(cmd) = self.cmds.try_recv() {
-                        if !self.command(cmd) {
-                            return self.exit();
-                        }
-                    }
-                }
-                Err(NetError::Timeout) => {}
-                // The endpoint is gone (replaced or network dropped).
-                Err(_) => return self.exit(),
-            }
-            self.fire_timers();
-            self.sample_wire_stats();
-        }
-    }
-
     /// Executes one handle command; `false` stops the driver.
-    fn command(&mut self, cmd: Command) -> bool {
+    fn command(&mut self, cmd: Command, out: &mut dyn Outbox) -> bool {
         match cmd {
             Command::CreateObject {
                 object,
                 data,
                 reply,
             } => {
-                self.step(ServerInput::CreateObject {
+                let version = Version::FIRST;
+                let input = ServerInput::CreateObject {
                     object,
                     data,
-                    version: Version::FIRST,
-                });
+                    version,
+                };
+                self.step(input, out);
                 let _ = reply.send(());
             }
             Command::Write {
@@ -386,13 +388,13 @@ impl<C: Clock> Driver<C> {
                 reply,
             } => {
                 self.write_replies.push_back((object, reply));
-                self.step(ServerInput::Write { object, data });
+                self.step(ServerInput::Write { object, data }, out);
             }
             Command::Stats { reply } => {
                 let _ = reply.send(self.machine.stats());
             }
             Command::SetShardMap { map, reply } => {
-                self.step(ServerInput::SetShardMap { map });
+                self.step(ServerInput::SetShardMap { map }, out);
                 let _ = reply.send(());
             }
             Command::Crash | Command::Shutdown => return false,
@@ -400,32 +402,10 @@ impl<C: Clock> Driver<C> {
         true
     }
 
-    fn exit(&mut self) {
-        if let Some(sink) = &mut self.sink {
-            sink.flush();
-        }
-    }
-
-    /// How long to park: until the earliest armed machine deadline or,
-    /// when tracing, the next stats sample; indefinitely with neither.
-    fn next_timeout(&self) -> Option<StdDuration> {
-        let next = self
-            .timers
-            .iter()
-            .flatten()
-            .copied()
-            .chain(self.sink.is_some().then_some(self.next_stats))
-            .min()?;
-        let now = self.clock.now().as_millis();
-        Some(StdDuration::from_millis(
-            next.as_millis().saturating_sub(now),
-        ))
-    }
-
     /// Ticks the machine if any armed deadline has passed. Slots clear
     /// only once due — a deadline that merely moved later was already
     /// re-armed by the corresponding [`ServerAction::SetTimer`].
-    fn fire_timers(&mut self) {
+    fn fire_timers(&mut self, out: &mut dyn Outbox) {
         let now = self.clock.now();
         let mut due = false;
         for slot in self.timers.iter_mut() {
@@ -435,7 +415,7 @@ impl<C: Clock> Driver<C> {
             }
         }
         if due {
-            self.step(ServerInput::Tick);
+            self.step(ServerInput::Tick, out);
         }
     }
 
@@ -503,13 +483,13 @@ impl<C: Clock> Driver<C> {
 
     /// Feeds one input to the machine at the current time and executes
     /// the resulting actions.
-    fn step(&mut self, input: ServerInput) {
+    fn step(&mut self, input: ServerInput, out: &mut dyn Outbox) {
         let now = self.clock.now();
         let actions = self.machine.handle(now, input);
-        self.apply(now, actions);
+        self.apply(now, actions, out);
     }
 
-    fn apply(&mut self, now: Timestamp, actions: Vec<ServerAction>) {
+    fn apply(&mut self, now: Timestamp, actions: Vec<ServerAction>, out: &mut dyn Outbox) {
         for action in actions {
             if let Some(sink) = &mut self.sink {
                 let written = self.write_replies.front().map(|&(object, _)| object);
@@ -519,14 +499,10 @@ impl<C: Clock> Driver<C> {
             }
             match action {
                 ServerAction::Send { to, msg } => {
-                    let _ = self
-                        .endpoint
-                        .send(NodeId::Client(to), codec::encode_server(&msg));
+                    let _ = out.send(NodeId::Client(to), codec::encode_server(&msg));
                 }
                 ServerAction::SendPeer { to, msg } => {
-                    let _ = self
-                        .endpoint
-                        .send(NodeId::Server(to), codec::encode_peer(&msg));
+                    let _ = out.send(NodeId::Server(to), codec::encode_peer(&msg));
                 }
                 ServerAction::SetTimer { kind, at } => {
                     let idx = match kind {
@@ -550,6 +526,61 @@ impl<C: Clock> Driver<C> {
                     }
                 }
             }
+        }
+    }
+}
+
+impl<C: Clock + Send> Handler for Driver<C> {
+    fn on_event(&mut self, event: NetEvent, out: &mut dyn Outbox) -> bool {
+        match event {
+            NetEvent::Frame { from, bytes } => match from {
+                NodeId::Client(client) => match codec::decode_client(&bytes) {
+                    Ok(msg) => self.step(ServerInput::Msg { from: client, msg }, out),
+                    Err(_) => { /* corrupt frame: drop, as UDP would */ }
+                },
+                // Peer traffic: another server or the rebalance
+                // coordinator driving the volume-handoff exchange.
+                NodeId::Server(peer) => match codec::decode_peer(&bytes) {
+                    Ok(msg) => self.step(ServerInput::Peer { from: peer, msg }, out),
+                    Err(_) => { /* corrupt frame: drop */ }
+                },
+            },
+            // Transport-level connection loss: demote that client to
+            // the unreachable set so the next handshake is a full
+            // MUST_RENEW_ALL reconnect (leases themselves are
+            // untouched).
+            NetEvent::Down(NodeId::Client(client)) => {
+                self.step(ServerInput::PeerDisconnected { client }, out);
+            }
+            NetEvent::Up(_) | NetEvent::Down(_) => {}
+            // A handle command, or the deadline below.
+            NetEvent::Woken => {
+                while let Ok(cmd) = self.cmds.try_recv() {
+                    if !self.command(cmd, out) {
+                        return false;
+                    }
+                }
+            }
+        }
+        self.fire_timers(out);
+        self.sample_wire_stats();
+        true
+    }
+
+    /// The earliest armed machine deadline or, when tracing, the next
+    /// stats sample; none with neither.
+    fn next_deadline(&self) -> Option<Instant> {
+        let sample = self.sink.is_some().then_some(self.next_stats);
+        let next = self.timers.iter().flatten().copied().chain(sample).min()?;
+        let left = next.saturating_sub(self.clock.now()).as_millis();
+        Some(Instant::now() + StdDuration::from_millis(left))
+    }
+}
+
+impl<C: Clock> Drop for Driver<C> {
+    fn drop(&mut self) {
+        if let Some(sink) = &mut self.sink {
+            sink.flush();
         }
     }
 }

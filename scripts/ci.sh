@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# Full CI gate: formatting, the client-driver, router/protocol and
-# no-event-kernel layering greps, lint (warnings denied), release build
-# (all targets, so bench breakage is caught), the complete test suite including
-# ignored tests, the benchmark package's own tests (it links crates/*),
-# a warning-clean rustdoc build, the simulator smoke benchmark, a
-# live-transport smoke benchmark run as a {1,4}-reactor scaling matrix
-# (the 4-reactor run must hold more connections than the 1-reactor
-# run), and the non-test line count per crate. The benchmarks write
-# under target/bench/, and the gate fails if it leaves
-# `git status --porcelain` different from how it found it.
+# Full CI gate: formatting, the client-driver, router/protocol,
+# one-server-driver and no-event-kernel layering greps, lint (warnings
+# denied), release build (all targets, so bench breakage is caught), the
+# complete test suite including ignored tests, the benchmark package's
+# own tests (it links crates/*), a warning-clean rustdoc build, the
+# simulator smoke benchmark, a live-transport smoke benchmark run as a
+# {1,4}-reactor scaling matrix (the 4-reactor run must hold more
+# connections than the 1-reactor run), and the non-test line count per
+# crate. The benchmarks write under target/bench/, and the gate fails if
+# it leaves `git status --porcelain` different from how it found it.
 # Run from anywhere; exits non-zero on the first failure.
 set -euo pipefail
 
@@ -48,6 +48,16 @@ leak=$(nontest crates/core/src/machine/server.rs |
     grep -nE 'Link::|LeaseSet|Inactive|awaiting_ack' || true)
 if [ -n "$leak" ]; then
     echo "error: machine/server.rs names per-volume protocol state: $leak" >&2
+    exit 1
+fi
+
+echo "==> vl-server blocks in a receive only in its pump (DESIGN.md §12)"
+# One driver, two hosts: the reactor calls it, or `pump` does for an
+# endpoint that cannot. A second receive loop is a second driver.
+leak=$(for f in crates/server/src/*.rs; do nontest "$f" | sed '/^fn pump(/,/^}/d'; done |
+    grep -n 'recv_event' || true)
+if [ -n "$leak" ]; then
+    echo "error: vl-server receives outside pump(): $leak" >&2
     exit 1
 fi
 

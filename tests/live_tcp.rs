@@ -2,12 +2,16 @@
 //! sockets.
 
 use bytes::Bytes;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use vl_client::{CacheClient, ClientConfig};
-use vl_net::poll::{PollConfig, PollNode, Reactor};
+use vl_net::poll::{encode_hello, PollConfig, PollNode, Reactor};
+use vl_net::shard::ShardedNode;
+use vl_net::tcp::{read_frame, write_frame};
 use vl_net::NodeId;
+use vl_proto::{codec, ClientMsg, ServerMsg};
 use vl_server::{LeaseServer, ServerConfig, WallClock};
-use vl_types::{ClientId, ObjectId, ServerId};
+use vl_types::{ClientId, Epoch, ObjectId, ServerId, Version, VolumeId};
 
 const OBJ: ObjectId = ObjectId(1);
 const SRV: ServerId = ServerId(0);
@@ -85,5 +89,64 @@ fn many_objects_many_rounds_over_tcp() {
     let stats = c.stats();
     assert_eq!(stats.local_reads + stats.remote_reads, 60);
     c.shutdown();
+    server.shutdown();
+}
+
+/// One driver hosted across two reactors: it lives on shard 0's loop,
+/// shard 1 forwards its events there and gets its replies back as
+/// sends. A client on each shard must see the same server.
+#[test]
+fn two_reactors_host_one_driver() {
+    let node = ShardedNode::listen(NodeId::Server(SRV), "127.0.0.1:0", 2, PollConfig::default());
+    let node = Arc::new(node.unwrap());
+    let server = LeaseServer::spawn(ServerConfig::new(SRV), Arc::clone(&node), WallClock::new());
+    server.create_object(OBJ, Bytes::from_static(b"v1"));
+
+    // The kernel picks the shard by 4-tuple: connect until each has one.
+    let mut clients: [Option<TcpStream>; 2] = [None, None];
+    for id in 1..=64 {
+        let mut stream = TcpStream::connect(node.local_addr()).unwrap();
+        write_frame(&mut stream, &encode_hello(NodeId::Client(ClientId(id)))).unwrap();
+        read_frame(&mut stream).unwrap();
+        let shard = node
+            .shard_of(NodeId::Client(ClientId(id)))
+            .expect("hello answered");
+        clients[shard].get_or_insert(stream);
+        if clients.iter().all(Option::is_some) {
+            break;
+        }
+    }
+    let mut clients = clients.map(|c| c.expect("64 connections landed on one shard"));
+
+    let (mut sent, mut received) = (0, 0);
+    let mut ask = |stream: &mut TcpStream, msg: ClientMsg| {
+        write_frame(stream, &codec::encode_client(&msg)).unwrap();
+        sent += 1;
+    };
+    let mut hear = |stream: &mut TcpStream| {
+        received += 1;
+        codec::decode_server(&read_frame(stream).unwrap()).unwrap()
+    };
+    for stream in &mut clients {
+        let (volume, epoch) = (VolumeId(SRV.raw()), Epoch(0));
+        ask(stream, ClientMsg::ReqVolLease { volume, epoch });
+        assert!(matches!(hear(stream), ServerMsg::VolLease { .. }));
+        let (object, version) = (OBJ, Version::NONE);
+        ask(stream, ClientMsg::ReqObjLease { object, version });
+        assert!(matches!(hear(stream), ServerMsg::ObjLease { .. }));
+    }
+    let out = std::thread::scope(|scope| {
+        let write = scope.spawn(|| server.write(OBJ, Bytes::from_static(b"v2")));
+        for stream in &mut clients {
+            let ServerMsg::Invalidate { object } = hear(stream) else {
+                panic!("the write must invalidate the holder on either shard");
+            };
+            ask(stream, ClientMsg::AckInvalidate { object });
+        }
+        write.join().unwrap()
+    });
+    assert_eq!((out.invalidations_sent, out.waited_out), (2, 0));
+    let stats = server.stats();
+    assert_eq!((stats.msgs_in, stats.msgs_out), (sent, received));
     server.shutdown();
 }
