@@ -960,6 +960,128 @@ mod tests {
         assert_eq!(m.stats().unreachable, 1);
     }
 
+    const VOL_LEASE_REQ: ClientMsg = ClientMsg::ReqVolLease {
+        volume: VolumeId(0),
+        epoch: Epoch(0),
+    };
+
+    /// t = 60 s, t_v = 2 s: client 7 takes both leases at `t0`, and a
+    /// write to the object starts there and blocks on its ack, due to
+    /// wait the holder out at `t0` + 2 s.
+    fn write_blocked_on_silent_client_seven(m: &mut ServerMachine, t0: Timestamp) {
+        let (object, version) = (ObjectId(1), Version::NONE);
+        m.handle(t0, msg(7, VOL_LEASE_REQ));
+        m.handle(t0, msg(7, ClientMsg::ReqObjLease { object, version }));
+        let data = Bytes::from_static(b"b");
+        let actions = m.handle(t0, ServerInput::Write { object, data });
+        assert!(outcomes(&actions).is_empty(), "{actions:?}");
+        assert_eq!(write_wait(&actions), Some(t0 + Duration::from_secs(2)));
+    }
+
+    fn write_wait(actions: &[ServerAction]) -> Option<Timestamp> {
+        actions.iter().find_map(|a| match a {
+            ServerAction::SetTimer { kind, at } if *kind == TimerKind::WriteWait => Some(*at),
+            _ => None,
+        })
+    }
+
+    /// Ticks at `early`, where the write must still be blocked, then at
+    /// `deadline`, where it must wait its one holder out.
+    fn commits_at_and_not_before(m: &mut ServerMachine, early: Timestamp, deadline: Timestamp) {
+        let actions = m.handle(early, ServerInput::Tick);
+        assert!(outcomes(&actions).is_empty(), "early commit: {actions:?}");
+        commits_waiting_out_one(&m.handle(deadline, ServerInput::Tick));
+    }
+
+    fn commits_waiting_out_one(actions: &[ServerAction]) {
+        match outcomes(actions)[..] {
+            [outcome] => assert_eq!(outcome.waited_out, 1),
+            _ => panic!("the lapsed holder must unblock the write: {actions:?}"),
+        }
+    }
+
+    /// A write's wait for a holder is min(t, t_v) as the leases stand,
+    /// not as they stood at fan-out: a renewal moves it later.
+    #[test]
+    fn volume_renewal_mid_write_moves_the_wait_out_deadline() {
+        let mut m = machine_with_object_one();
+        write_blocked_on_silent_client_seven(&mut m, Timestamp::ZERO);
+        let actions = m.handle(Timestamp::from_millis(1_500), msg(7, VOL_LEASE_REQ));
+        assert!(matches!(
+            sends(&actions)[..],
+            [
+                (_, ServerMsg::VolLease { .. }),
+                (_, ServerMsg::Invalidate { .. })
+            ]
+        ));
+        let deadline = Timestamp::from_millis(3_500);
+        assert_eq!(write_wait(&actions), Some(deadline));
+        commits_at_and_not_before(&mut m, Timestamp::from_secs(2), deadline);
+    }
+
+    /// The same through reconnection: the volume lease that ends the
+    /// exchange is as good as a renewed one, even to a client that
+    /// reported no copy of the object being written.
+    #[test]
+    fn reconnection_mid_write_moves_the_wait_out_deadline() {
+        let mut m = machine_with_object_one();
+        write_blocked_on_silent_client_seven(&mut m, Timestamp::ZERO);
+        let client = ClientId(7);
+        m.handle(
+            Timestamp::from_millis(500),
+            ServerInput::PeerDisconnected { client },
+        );
+        let now = Timestamp::from_secs(1);
+        let actions = m.handle(now, msg(7, VOL_LEASE_REQ));
+        assert!(matches!(
+            sends(&actions)[..],
+            [(_, ServerMsg::MustRenewAll { .. })]
+        ));
+        let volume = VolumeId(0);
+        let leases = Vec::new();
+        m.handle(now, msg(7, ClientMsg::RenewObjLeases { volume, leases }));
+        let actions = m.handle(now, msg(7, ClientMsg::AckVolBatch { volume }));
+        assert!(matches!(
+            sends(&actions)[..],
+            [(_, ServerMsg::VolLease { .. })]
+        ));
+        let deadline = Timestamp::from_secs(3);
+        assert_eq!(write_wait(&actions), Some(deadline));
+        commits_at_and_not_before(&mut m, Timestamp::from_secs(2), deadline);
+    }
+
+    /// Demotion revokes object leases, and a holder without one holds
+    /// nothing up: the write waits it out at the demotion, well before
+    /// min(t, t_v).
+    #[test]
+    fn demotion_of_an_outstanding_holder_ends_its_wait() {
+        let mut cfg = MachineConfig::new(ServerId(0));
+        cfg.inactive_discard = Some(Duration::from_secs(1));
+        let (mut m, _) = ServerMachine::new(cfg, None);
+        let (object, version) = (ObjectId(1), Version::FIRST);
+        let data = Bytes::from_static(b"a");
+        m.handle(
+            Timestamp::ZERO,
+            ServerInput::CreateObject {
+                object,
+                data,
+                version,
+            },
+        );
+        m.handle(Timestamp::ZERO, msg(7, VOL_LEASE_REQ));
+        // Inactive since its volume lease lapsed at 2 s, so due for
+        // demotion at 3 s: the batch its renewal carries is never acked.
+        grant_then_queue_an_invalidation(&mut m, Timestamp::from_millis(2_500), 7);
+        let t0 = Timestamp::from_millis(2_600);
+        write_blocked_on_silent_client_seven(&mut m, t0);
+        let demotion = Timestamp::from_secs(3);
+        let actions = m.handle(demotion, ServerInput::Tick);
+        assert!(outcomes(&actions).is_empty(), "{actions:?}");
+        assert_eq!(write_wait(&actions), Some(demotion));
+        assert_eq!(m.stats().inactive, 0, "client 7 was demoted");
+        commits_waiting_out_one(&m.handle(demotion, ServerInput::Tick));
+    }
+
     #[test]
     fn deferred_lease_request_replays_after_commit() {
         let (mut m, _) = ServerMachine::new(MachineConfig::new(ServerId(0)), None);

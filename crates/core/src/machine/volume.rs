@@ -156,7 +156,14 @@ impl ClientState {
 struct ActiveWrite {
     object: ObjectId,
     data: Bytes,
-    outstanding: BTreeSet<ClientId>,
+    /// Holders neither acked nor waited out, each with the instant it
+    /// may be waited out ([`wait_out_at`]). An index over the lease
+    /// tables, not a snapshot: what moves an outstanding holder's lease
+    /// mid-write moves its entry ([`follow`](ActiveWrite::follow)), or
+    /// the write commits at a deadline the leases no longer have.
+    outstanding: BTreeMap<ClientId, Timestamp>,
+    /// The same pairs by deadline; the front is the volume's `wait_until`.
+    by_deadline: BTreeSet<(Timestamp, ClientId)>,
     started: Timestamp,
     /// What the commit will report, filled in as the write goes.
     outcome: WriteOutcome,
@@ -166,6 +173,50 @@ struct ActiveWrite {
     /// lease the moment the write commits. They are replayed after the
     /// commit instead.
     deferred: Vec<(ClientId, ClientMsg)>,
+}
+
+impl ActiveWrite {
+    /// `client` no longer holds the write up.
+    fn settle(&mut self, client: ClientId) {
+        if let Some(at) = self.outstanding.remove(&client) {
+            self.by_deadline.remove(&(at, client));
+        }
+    }
+
+    /// Starts waiting for `holders`, ⟨client, deadline⟩ by ascending
+    /// client; both orderings are built in bulk from sorted runs.
+    fn await_holders(&mut self, holders: Vec<(ClientId, Timestamp)>) {
+        self.by_deadline = holders.iter().map(|&(c, at)| (at, c)).collect();
+        self.outstanding = holders.into_iter().collect();
+    }
+
+    /// `client`, outstanding, may now be waited out at `at`.
+    fn follow(&mut self, client: ClientId, at: Timestamp) {
+        self.settle(client);
+        self.outstanding.insert(client, at);
+        self.by_deadline.insert((at, client));
+    }
+}
+
+/// When a write may stop waiting for `client`'s ack: once either of its
+/// leases expires — min(t, t_v), the paper's write bound. Under
+/// self-invalidation only the object deadline counts — clients hold no
+/// volume leases, and the elapsed deadline is the protocol working as
+/// designed, not an unreachable client. A lease that is gone altogether
+/// holds nothing up.
+fn wait_out_at(
+    obj: &ObjState,
+    clients: &BTreeMap<ClientId, ClientState>,
+    client: ClientId,
+    now: Timestamp,
+    self_inval: bool,
+) -> Timestamp {
+    let at = obj.leases.expiry_of(client).unwrap_or(now);
+    if self_inval {
+        return at;
+    }
+    let vol = clients.get(&client).and_then(|row| row.lease);
+    at.min(vol.unwrap_or(now))
 }
 
 /// What a volume takes to its next owner: the handoff manifest, and the
@@ -326,9 +377,7 @@ impl VolumeMachine {
                 // without this a client whose INVALIDATE was lost could
                 // renew t_v indefinitely while the write waits out the
                 // full object lease.
-                let resend = (self.write.as_ref())
-                    .and_then(|w| w.outstanding.contains(&client).then_some(w.object));
-                if let Some(object) = resend {
+                if let Some(object) = self.vol_granted(now, client, host) {
                     host.send(client, ServerMsg::Invalidate { object });
                 }
             }
@@ -401,10 +450,8 @@ impl VolumeMachine {
                 if let Some(row) = self.clients.get_mut(&client) {
                     row.held.remove(&object);
                 }
-                if let Some(w) = &mut self.write {
-                    if w.object == object {
-                        w.outstanding.remove(&client);
-                    }
+                if let Some(w) = self.write.as_mut().filter(|w| w.object == object) {
+                    w.settle(client);
                 }
             }
             ClientMsg::AckVolBatch { volume } => {
@@ -425,6 +472,7 @@ impl VolumeMachine {
                         host.stats.reconnections += 1;
                         host.unpersisted = host.unpersisted.max(expire);
                         host.send(client, reply);
+                        self.vol_granted(now, client, host);
                     }
                     // Ack for a pending batch delivered with a grant.
                     Link::Reachable | Link::Unreachable => row.queued = None,
@@ -437,6 +485,17 @@ impl VolumeMachine {
                 }
             }
         }
+    }
+
+    /// `client` was just granted a volume lease, which moves its
+    /// min(t, t_v) later: if the active write awaits `client` the
+    /// deadline follows, and the object being written is returned.
+    fn vol_granted(&mut self, now: Timestamp, client: ClientId, host: &Host) -> Option<ObjectId> {
+        let w = (self.write.as_mut()).filter(|w| w.outstanding.contains_key(&client))?;
+        let (obj, self_inval) = (&self.objects[&w.object], host.cfg.self_inval.is_some());
+        let at = wait_out_at(obj, &self.clients, client, now, self_inval);
+        w.follow(client, at);
+        Some(w.object)
     }
 
     /// Begins the write of `data` to `object` that was enqueued at
@@ -465,11 +524,13 @@ impl VolumeMachine {
             });
             return;
         };
-        let holders: Vec<ClientId> = obj.leases.valid_holders(now).collect();
+        let valid = obj.leases.iter().filter(|&(_, expire)| expire > now);
+        let mut holders: Vec<(ClientId, Timestamp)> = valid.collect();
         let mut w = ActiveWrite {
             object,
             data,
-            outstanding: BTreeSet::new(),
+            outstanding: BTreeMap::new(),
+            by_deadline: BTreeSet::new(),
             // Delay is measured from when the writer asked, so recovery
             // gating and queueing count toward it.
             started: enqueued,
@@ -481,7 +542,7 @@ impl VolumeMachine {
             // outstanding until its (ε-padded) deadline passes. Best
             // effort does not apply — with no volume lease to fence
             // stragglers, skipping the wait would break consistency.
-            w.outstanding.extend(holders);
+            w.await_holders(holders);
             self.write = Some(w);
             return;
         }
@@ -489,12 +550,14 @@ impl VolumeMachine {
         // Clients in `unreachable` are NOT skipped: a waited-out holder
         // can still have a valid volume lease (its *object* lease is
         // what expired), and skipping it would let it read a stale copy.
-        for client in holders {
+        host.actions.reserve(holders.len());
+        holders.retain_mut(|&mut (client, ref mut at)| {
             let row = self.clients.entry(client).or_default();
-            if row.lease_valid(now) {
-                w.outstanding.insert(client);
+            if let Some(vol) = row.lease.filter(|_| row.lease_valid(now)) {
+                *at = vol.min(*at);
                 w.outcome.invalidations_sent += 1;
                 host.send(client, ServerMsg::Invalidate { object });
+                true
             } else {
                 // Delayed invalidation: queue it and drop the lease.
                 let since = row.lease.unwrap_or(now).min(now);
@@ -505,45 +568,39 @@ impl VolumeMachine {
                 row.held.remove(&object);
                 obj.leases.revoke(client);
                 w.outcome.queued += 1;
+                false
             }
-        }
-        obj.awaiting_ack.clone_from(&w.outstanding);
-        if host.cfg.write_mode == WriteMode::BestEffort {
-            // Proceed without waiting; stragglers are fenced by t_v.
-            w.outstanding.clear();
+        });
+        obj.awaiting_ack = holders.iter().map(|&(client, _)| client).collect();
+        // Best effort proceeds without waiting; t_v fences stragglers.
+        if host.cfg.write_mode != WriteMode::BestEffort {
+            w.await_holders(holders);
         }
         self.write = Some(w);
     }
 
-    /// Advances the active write in one pass over its outstanding
-    /// holders: waits out those whose deadline has come, notes the
-    /// earliest deadline still ahead, and once nobody is outstanding
-    /// commits and replays the deferred lease requests against the new
-    /// version. Returns whether a write is still blocked.
+    /// Advances the active write: waits out the holders at the front of
+    /// its index whose deadline has come, notes the earliest deadline
+    /// still ahead, and once nobody is outstanding commits and replays
+    /// the deferred lease requests against the new version. Returns
+    /// whether a write is still blocked.
     pub(super) fn advance_write(&mut self, now: Timestamp, host: &mut Host) -> bool {
         let Some(w) = &mut self.write else {
             return false;
         };
         let obj = (self.objects.get_mut(&w.object)).expect("a write's target exists");
-        // A holder may be waited out once either of its leases expires:
-        // min(t, t_v), the paper's write bound. Under self-invalidation
-        // only the object deadline counts — clients hold no volume
-        // leases, and the elapsed deadline is the protocol working as
-        // designed, not an unreachable client. A lease that is gone
-        // altogether holds nothing up.
         let self_inval = host.cfg.self_inval.is_some();
-        let (outstanding, clients) = (&mut w.outstanding, &mut self.clients);
-        self.wait_until = None;
-        outstanding.retain(|&c| {
-            let mut at = obj.leases.expiry_of(c).unwrap_or(now);
-            if !self_inval {
-                let vol = clients.get(&c).and_then(|row| row.lease);
-                at = at.min(vol.unwrap_or(now));
-            }
-            if now < at {
-                self.wait_until = Some(self.wait_until.map_or(at, |u| u.min(at)));
-                return true;
-            }
+        let clients = &mut self.clients;
+        // The pass over everyone outstanding that the index replaced
+        // stays as its reference: what it would compute from the tables
+        // is what the index holds, deadlines already due aside (a lease
+        // that is gone is due "now", whenever that is).
+        debug_assert!(w.outstanding.iter().all(|(&c, &at)| {
+            let table = wait_out_at(obj, clients, c, now, self_inval);
+            at == table || at.max(table) <= now
+        }));
+        while let Some(&(_, c)) = w.by_deadline.first().filter(|&&(at, _)| at <= now) {
+            w.settle(c);
             obj.leases.revoke(c);
             if !self_inval {
                 w.outcome.waited_out += 1;
@@ -552,9 +609,11 @@ impl VolumeMachine {
                     row.link.mark_unreachable();
                 }
             }
-            false
-        });
-        if !w.outstanding.is_empty() {
+        }
+        self.wait_until = w.by_deadline.first().map(|&(at, _)| at);
+        let tables = |&c| wait_out_at(obj, clients, c, now, self_inval);
+        debug_assert_eq!(self.wait_until, w.outstanding.keys().map(tables).min());
+        if self.wait_until.is_some() {
             return true;
         }
         // Commit.
@@ -602,7 +661,8 @@ impl VolumeMachine {
             }
             // With its object lease gone, a holder the active write
             // still awaits can be waited out at once.
-            if (self.write.as_ref()).is_some_and(|w| w.outstanding.contains(&client)) {
+            if let Some(w) = (self.write.as_mut()).filter(|w| w.outstanding.contains_key(&client)) {
+                w.follow(client, now);
                 self.wait_until = Some(now);
             }
         }

@@ -1,26 +1,47 @@
 #!/usr/bin/env bash
-# Alternating-pair comparison of one benchmark workload between a parent
+# Alternating-pair comparison of benchmark workloads between a parent
 # commit and the working tree (choosing-metrics §8):
 #
-#   scripts/bench_pairs.sh <parent-ref> <workload> [pairs=10]
+#   scripts/bench_pairs.sh <parent-ref> <workload>... [pairs=10]
 #
-# Extracts <parent-ref> with `git archive` into target/pairs/parent (so
-# neither the index nor .git is touched, and `git status --porcelain`
-# reads afterwards as it did before; an extraction of the same commit,
-# and its build, is kept from one invocation to the next), then runs
-# `benchmark/run.sh --workload W --seed i` on the parent and on this
-# tree for pair i = 1..pairs, the parent first on odd pairs and the
-# change first on even ones. Each side builds its own checkout's benchmark into its own
-# target directory on its first run. Prints every run, then for each
-# end-to-end metric of BENCHMARK.json both sides' median and quartiles
-# and the pairs the change won (ties count for neither side).
+# `all` stands for every workload BENCHMARK.json names. Extracts
+# <parent-ref> with `git archive` into target/pairs/parent (so neither
+# the index nor .git is touched, and `git status --porcelain` reads
+# afterwards as it did before; an extraction of the same commit, and
+# its build, is kept from one invocation to the next), then for each
+# workload runs `benchmark/run.sh --workload W --seed i` on the parent
+# and on this tree for pair i = 1..pairs, the parent first on odd pairs
+# and the change first on even ones. Each side builds its own checkout's
+# benchmark into its own target directory on its first run. Prints every
+# run, then per workload and end-to-end metric of BENCHMARK.json both
+# sides' median and quartiles, the pairs the change won (ties count for
+# neither side) and the verdict:
+#   better            the change won >= 9/10 of the pairs and the medians
+#                     are apart by more than the parent's quartiles are
+#   worse than bound  the change's median is worse by more than the
+#                     metric's `bound`
+#   unresolved        the parent's quartiles are further apart than the
+#                     bound and not every run of the change beat every
+#                     run of the parent
+#   inside bound      none of these
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-ref="${1:?usage: $0 <parent-ref> <workload> [pairs=10]}"
-workload="${2:?usage: $0 <parent-ref> <workload> [pairs=10]}"
-pairs="${3:-10}"
+usage="usage: $0 <parent-ref> <workload>... [pairs=10]"
+ref="${1:?$usage}"
+shift
+pairs=10
+workloads=()
+for arg in "$@"; do
+    case "$arg" in
+        all) workloads+=($(python3 -c \
+            'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]])')) ;;
+        *[!0-9]*) workloads+=("$arg") ;;
+        *) pairs="$arg" ;;
+    esac
+done
+[ "${#workloads[@]}" -gt 0 ] || { echo "$usage" >&2; exit 2; }
 
 tree_before=$(git status --porcelain)
 parent=target/pairs/parent
@@ -34,54 +55,72 @@ fi
 
 runs=target/pairs/runs.txt
 : >"$runs"
-run() { # side dir pair
+run() { # workload side dir pair
     local json
-    json=$(cd "$2" && CARGO_TARGET_DIR="$PWD/target/benchmark" \
-        bash benchmark/run.sh --workload "$workload" --seed "$3" | tail -n 1)
-    echo "$1 $3 $json" | tee -a "$runs"
+    json=$(cd "$3" && CARGO_TARGET_DIR="$PWD/target/benchmark" \
+        bash benchmark/run.sh --workload "$1" --seed "$4" | tail -n 1)
+    echo "$1 $2 $4 $json" | tee -a "$runs"
 }
-for i in $(seq 1 "$pairs"); do
-    if [ $((i % 2)) -eq 1 ]; then
-        run parent "$parent" "$i"
-        run change . "$i"
-    else
-        run change . "$i"
-        run parent "$parent" "$i"
-    fi
+for workload in "${workloads[@]}"; do
+    for i in $(seq 1 "$pairs"); do
+        if [ $((i % 2)) -eq 1 ]; then
+            run "$workload" parent "$parent" "$i"
+            run "$workload" change . "$i"
+        else
+            run "$workload" change . "$i"
+            run "$workload" parent "$parent" "$i"
+        fi
+    done
 done
 
 python3 - "$runs" <<'PY'
 import json, statistics, sys
 
-better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
-sides = {"parent": {}, "change": {}}
-failed = {"parent": 0, "change": 0}
+metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
+runs = {}  # workload -> side -> pair -> run.sh's closing JSON object
 for line in open(sys.argv[1]):
-    side, pair, blob = line.split(" ", 2)
-    out = json.loads(blob)
-    failed[side] += out["failed"]
-    sides[side][int(pair)] = {k: v["value"] for k, v in out["metrics"].items()}
+    workload, side, pair, blob = line.split(" ", 3)
+    runs.setdefault(workload, {"parent": {}, "change": {}})[side][int(pair)] = json.loads(blob)
 
 def num(x):
     return f"{x:,.0f}" if abs(x) >= 1000 else f"{x:.4g}"
 
+def quartiles(values):
+    return statistics.quantiles(values, n=4, method="inclusive")
+
 def summary(values):
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, med, q3 = quartiles(values)
     return f"median {num(med)} [q1 {num(q1)}, q3 {num(q3)}]"
 
-pairs = sorted(sides["parent"])
-for name, direction in better.items():
-    p = [sides["parent"][i][name] for i in pairs]
-    c = [sides["change"][i][name] for i in pairs]
-    sign = 1 if direction == "higher" else -1
-    wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
-    losses = sum(sign * (b - a) < 0 for a, b in zip(p, c))
-    ratio = statistics.median(c) / statistics.median(p) if statistics.median(p) else float("nan")
-    print(f"{name} ({direction} is better)")
-    print(f"  parent  {summary(p)}")
-    print(f"  change  {summary(c)}")
-    print(f"  change/parent {ratio:.3f}; change won {wins} of {len(pairs)} pairs, lost {losses}")
-print(f"failed operations: parent {failed['parent']}, change {failed['change']}")
+for workload, sides in runs.items():
+    pairs = sorted(sides["parent"])
+    print(f"== {workload}: {len(pairs)} pairs")
+    for m in metrics:
+        name, sign = m["name"], 1 if m["better"] == "higher" else -1
+        p = [sides["parent"][i]["metrics"][name]["value"] for i in pairs]
+        c = [sides["change"][i]["metrics"][name]["value"] for i in pairs]
+        wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+        losses = sum(sign * (b - a) < 0 for a, b in zip(p, c))
+        (q1, p_med, q3), c_med = quartiles(p), statistics.median(c)
+        gain = sign * (c_med - p_med)  # positive: the change reads better
+        all_better = min(sign * v for v in c) > max(sign * v for v in p)
+        if 10 * wins >= 9 * len(pairs) and gain > q3 - q1:
+            verdict = "better"
+        elif -gain > m["bound"] * abs(p_med):
+            verdict = "worse than bound"
+        elif q3 - q1 > m["bound"] * abs(p_med) and not all_better:
+            verdict = "unresolved"
+        else:
+            verdict = "inside bound"
+        ratio = c_med / p_med if p_med else float("nan")
+        print(f"{name} ({m['better']} is better, bound {m['bound']}): {verdict}")
+        print(f"  parent  {summary(p)}")
+        print(f"  change  {summary(c)}")
+        print(f"  change/parent {ratio:.3f}; change won {wins} of {len(pairs)} pairs, lost {losses}")
+    for side, by_pair in sides.items():
+        failed = sum(r["failed"] for r in by_pair.values())
+        attempted = sum(r["attempted"] for r in by_pair.values())
+        print(f"failed operations, {side}: {failed} of {attempted}")
 PY
 
 if [ "$(git status --porcelain)" != "$tree_before" ]; then
