@@ -206,6 +206,9 @@ pub struct ServerMachine {
     host: Host,
     /// Last deadline emitted per [`TimerKind`], to suppress duplicates.
     last_timer: [Option<Timestamp>; 2],
+    /// The stable record as last emitted in [`ServerAction::Persist`]
+    /// (at boot: the recovered one, epoch bumped). Its bound only rises.
+    persisted: StableState,
 }
 
 impl std::fmt::Debug for ServerMachine {
@@ -253,6 +256,7 @@ impl ServerMachine {
                 unpersisted: Timestamp::ZERO,
             },
             last_timer: [None, None],
+            persisted: record,
         };
         (machine, vec![ServerAction::Persist { state: record }])
     }
@@ -316,6 +320,16 @@ impl ServerMachine {
     /// Advances the machine by one input and returns the actions the
     /// driver must execute, in order.
     pub fn handle(&mut self, now: Timestamp, input: ServerInput) -> Vec<ServerAction> {
+        let mut actions = Vec::new();
+        self.handle_into(now, input, &mut actions);
+        actions
+    }
+
+    /// [`handle`](ServerMachine::handle) appending to `out`, so a driver
+    /// that drains and reuses one buffer allocates nothing per input.
+    pub fn handle_into(&mut self, now: Timestamp, input: ServerInput, out: &mut Vec<ServerAction>) {
+        // Empty between inputs: the volumes push onto the caller's buffer.
+        std::mem::swap(&mut self.host.actions, out);
         match input {
             ServerInput::CreateObject {
                 object,
@@ -355,7 +369,7 @@ impl ServerMachine {
             ServerInput::Tick => {}
         }
         self.pump(now);
-        std::mem::take(&mut self.host.actions)
+        std::mem::swap(&mut self.host.actions, out);
     }
 
     /// Post-input progress: start/advance writes, demote overdue
@@ -395,14 +409,21 @@ impl ServerMachine {
         };
         let volumes = self.volumes.values_mut();
         let demotion = (volumes.filter_map(|vm| vm.demote_overdue(now, &mut self.host))).min();
-        if self.host.unpersisted != Timestamp::ZERO {
-            self.host.actions.push(ServerAction::Persist {
-                state: StableState {
-                    epoch: self.epoch(),
-                    max_volume_expiry: self.host.unpersisted,
-                },
-            });
-            self.host.unpersisted = Timestamp::ZERO;
+        // The record bounds every lease ever granted or adopted here, so
+        // it never moves back: a later, shorter bound (an adopted or
+        // departing volume's) would let a reboot write under a lease
+        // still valid. Grants of one millisecond share one expiry, so
+        // it is also not rewritten per renewal.
+        let owed = std::mem::replace(&mut self.host.unpersisted, Timestamp::ZERO);
+        if owed != Timestamp::ZERO {
+            let state = StableState {
+                epoch: self.epoch(),
+                max_volume_expiry: self.persisted.max_volume_expiry.max(owed),
+            };
+            if state != self.persisted {
+                self.persisted = state;
+                self.host.actions.push(ServerAction::Persist { state });
+            }
         }
         let write_wait = match self.writing {
             Some(volume) => self.volumes[&volume].wait_until,
@@ -1822,6 +1843,149 @@ mod tests {
                 [(_, ServerMsg::MustRenewAll { volume: v })] if *v == volume
             ));
         }
+    }
+
+    /// `handle_into` appends to a buffer the driver drains and reuses,
+    /// and grants that share an expiry share one `Persist`.
+    #[test]
+    fn handle_into_appends_and_same_millisecond_grants_persist_once() {
+        let mut m = machine_with_object_one();
+        let req = |client| {
+            let (volume, epoch) = (VolumeId(0), Epoch(0));
+            msg(client, ClientMsg::ReqVolLease { volume, epoch })
+        };
+        let mut actions = m.handle(Timestamp::from_secs(1), req(7));
+        assert!(matches!(
+            actions[..],
+            [ServerAction::Send { .. }, ServerAction::Persist { .. }]
+        ));
+        m.handle_into(Timestamp::from_secs(1), req(8), &mut actions);
+        assert!(matches!(actions[2..], [ServerAction::Send { .. }]));
+        actions.clear();
+        m.handle_into(Timestamp::from_millis(1001), req(9), &mut actions);
+        assert!(matches!(
+            actions[..],
+            [ServerAction::Send { .. }, ServerAction::Persist { .. }]
+        ));
+    }
+
+    /// A driver's stable file: each [`ServerAction::Persist`] overwrites it.
+    fn store(record: &mut StableState, actions: &[ServerAction]) {
+        for action in actions {
+            if let ServerAction::Persist { state } = action {
+                *record = *state;
+            }
+        }
+    }
+
+    /// A machine with t_v = 10 s whose client 7 was granted the home
+    /// volume's lease at 90 s, and the stable record that left behind.
+    fn lease_until_100s(
+        mut m: ServerMachine,
+        mut record: StableState,
+    ) -> (ServerMachine, StableState) {
+        let req = ClientMsg::ReqVolLease {
+            volume: VolumeId(0),
+            epoch: Epoch(0),
+        };
+        let actions = m.handle(Timestamp::from_secs(90), msg(7, req));
+        assert!(matches!(
+            sends(&actions)[..],
+            [(_, ServerMsg::VolLease { expire, .. })] if *expire == Timestamp::from_secs(100)
+        ));
+        store(&mut record, &actions);
+        assert_eq!(record.max_volume_expiry, Timestamp::from_secs(100));
+        (m, record)
+    }
+
+    fn ten_second_volume_leases() -> MachineConfig {
+        MachineConfig {
+            volume_lease: Duration::from_secs(10),
+            ..MachineConfig::new(ServerId(0))
+        }
+    }
+
+    /// §3.1.2 across PR 9's handoff: the manifest of a volume adopted at
+    /// 91 s bounds the loser's leases at 95 s, below the 100 s already
+    /// owed here. The record used to be overwritten with the newer,
+    /// smaller bound, so a reboot at 96 s wrote under a valid lease.
+    #[test]
+    fn adopting_a_volume_never_lowers_the_stable_bound() {
+        let cfg = ten_second_volume_leases();
+        let (m, boot) = ServerMachine::new(cfg, None);
+        let mut record = StableState::default();
+        store(&mut record, &boot);
+        let (mut m, mut record) = lease_until_100s(m, record);
+        let manifest = PeerMsg::Handoff {
+            volume: VolumeId(5),
+            epoch: Epoch(1),
+            max_vol_expiry: Timestamp::from_secs(95),
+            objects: vec![(ObjectId(50), Version(3), Bytes::from_static(b"x"))],
+        };
+        let adopt = ServerInput::Peer {
+            from: ServerId(99),
+            msg: manifest,
+        };
+        store(&mut record, &m.handle(Timestamp::from_secs(91), adopt));
+        assert_eq!(record.max_volume_expiry, Timestamp::from_secs(100));
+
+        // Crash at 92 s, reboot at 96 s: client 7's lease runs to 100 s.
+        let (mut m, _) = ServerMachine::new(cfg, Some(record));
+        let (object, data) = (ObjectId(1), Bytes::from_static(b"b"));
+        let actions = m.handle(
+            Timestamp::from_secs(96),
+            ServerInput::Write { object, data },
+        );
+        assert!(outcomes(&actions).is_empty(), "{actions:?}");
+        assert_eq!(write_wait(&actions), Some(Timestamp::from_secs(100)));
+        let actions = m.handle(Timestamp::from_secs(100), ServerInput::Tick);
+        assert_eq!(outcomes(&actions).len(), 1);
+    }
+
+    /// The same from the losing side: a departing volume's bound (95 s)
+    /// is owed to the record, and must not replace the 100 s it holds.
+    #[test]
+    fn handing_a_volume_off_never_lowers_the_stable_bound() {
+        let (mut m, boot) = ServerMachine::new(ten_second_volume_leases(), None);
+        let mut record = StableState::default();
+        store(&mut record, &boot);
+        let manifest = PeerMsg::Handoff {
+            volume: VolumeId(5),
+            epoch: Epoch(1),
+            max_vol_expiry: Timestamp::from_secs(20),
+            objects: Vec::new(),
+        };
+        let adopt = ServerInput::Peer {
+            from: ServerId(99),
+            msg: manifest,
+        };
+        store(&mut record, &m.handle(Timestamp::from_secs(10), adopt));
+        let req = ClientMsg::ReqVolLease {
+            volume: VolumeId(5),
+            epoch: Epoch(1),
+        };
+        store(
+            &mut record,
+            &m.handle(Timestamp::from_secs(85), msg(7, req)),
+        );
+        assert_eq!(record.max_volume_expiry, Timestamp::from_secs(95));
+        let (mut m, mut record) = lease_until_100s(m, record);
+
+        let request = ServerInput::Peer {
+            from: ServerId(99),
+            msg: PeerMsg::HandoffRequest {
+                volume: VolumeId(5),
+                to: ServerId(2),
+            },
+        };
+        let actions = m.handle(Timestamp::from_secs(91), request);
+        assert!(matches!(
+            peer_sends(&actions)[..],
+            [(_, PeerMsg::Handoff { max_vol_expiry, .. })]
+                if *max_vol_expiry == Timestamp::from_secs(95)
+        ));
+        store(&mut record, &actions);
+        assert_eq!(record.max_volume_expiry, Timestamp::from_secs(100));
     }
 
     #[test]

@@ -164,6 +164,29 @@ pub trait Channel: Send + Sync {
 pub trait Outbox {
     /// As [`Channel::send`], errors included.
     fn send(&mut self, to: NodeId, bytes: bytes::Bytes) -> Result<(), NetError>;
+
+    /// Sends the frame `encode` appends to the buffer it is given
+    /// (which may already hold other bytes: append only). A host that
+    /// has `to`'s connection in hand passes that connection's write
+    /// buffer; the default encodes aside and [`send`](Outbox::send)s.
+    ///
+    /// # Errors
+    ///
+    /// As [`Channel::send`].
+    fn send_with(
+        &mut self,
+        to: NodeId,
+        encode: &mut dyn FnMut(&mut Vec<u8>),
+    ) -> Result<(), NetError> {
+        self.send(to, encoded(encode))
+    }
+}
+
+/// The frame `encode` appends, as a message of its own.
+pub(crate) fn encoded(encode: &mut dyn FnMut(&mut Vec<u8>)) -> bytes::Bytes {
+    let mut frame = Vec::with_capacity(64);
+    encode(&mut frame);
+    frame.into()
 }
 
 impl<C: Channel + ?Sized> Outbox for &C {
@@ -178,6 +201,14 @@ pub trait Handler: Send {
     /// drops the handler. Called on the host's thread: blocking here
     /// stalls every connection that thread serves.
     fn on_event(&mut self, event: NetEvent, out: &mut dyn Outbox) -> bool;
+
+    /// [`on_event`](Handler::on_event) for a [`NetEvent::Frame`] still
+    /// in the buffer it was read into. A host calls this for frames it
+    /// reads itself; the default copies the frame out.
+    fn on_frame(&mut self, from: NodeId, frame: &[u8], out: &mut dyn Outbox) -> bool {
+        let bytes = bytes::Bytes::copy_from_slice(frame);
+        self.on_event(NetEvent::Frame { from, bytes }, out)
+    }
 
     /// When to send a [`NetEvent::Woken`] if nothing else arrives
     /// first; asked when hosted and again after every batch of events.

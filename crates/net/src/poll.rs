@@ -27,9 +27,11 @@
 //!
 //! A node's stream ([`NetEvent`], in the order the loop saw it) goes
 //! to its inbox or, once [`Channel::host`] installed one, to a
-//! [`Handler`] the loop calls on the thread that read the frame; what
-//! that sends lands in the peer's queue without a command or a wake-up.
-//! Output is written once per loop iteration, whoever queued it.
+//! [`Handler`] the loop calls on the thread that read the frame, with
+//! the frame still in the read buffer. Its reply to that peer is built
+//! in the connection's write buffer; whatever else it sends lands in a
+//! peer's queue without a command or a wake-up. Output is written once
+//! per loop iteration, whoever staged it.
 //!
 //! Blocking work is kept off the loop: initial dials run on the
 //! caller's thread, re-dials on one dedicated dialer thread per
@@ -49,8 +51,8 @@
 
 use crate::retry::RetryPolicy;
 use crate::tcp::{read_frame, write_frame};
-use crate::wire::{FrameDecoder, QueueStats, WireStats};
-use crate::{recv_from, Channel, Handler, NetError, NetEvent, NodeId, Outbox};
+use crate::wire::{FrameDecoder, QueueStats, WireStats, FRAME_HEADER_LEN};
+use crate::{encoded, recv_from, Channel, Handler, NetError, NetEvent, NodeId, Outbox};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
@@ -82,7 +84,7 @@ pub fn encode_hello(id: NodeId) -> Bytes {
 /// # Errors
 ///
 /// [`io::ErrorKind::InvalidData`] on wrong length or unknown kind.
-pub fn decode_hello(bytes: &Bytes) -> io::Result<NodeId> {
+pub fn decode_hello(bytes: &[u8]) -> io::Result<NodeId> {
     if bytes.len() != 5 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -716,11 +718,15 @@ struct Hosted {
     siblings: Vec<NodeRef>,
 }
 
-/// A hosted handler's way out: straight into the loop's peer queues.
+/// A hosted handler's way out: straight into the loop's peer queues,
+/// or into the write buffer of the connection its frame came in on.
 struct LoopOutbox<'a> {
     el: &'a mut EventLoop,
     key: u64,
     siblings: &'a [NodeRef],
+    /// The peer whose frame is being handled and its connection, when
+    /// the loop read that frame itself.
+    reading: Option<(NodeId, usize)>,
 }
 
 impl Outbox for LoopOutbox<'_> {
@@ -737,6 +743,19 @@ impl Outbox for LoopOutbox<'_> {
             None => return Err(NetError::UnknownNode(to)),
         }
         Ok(())
+    }
+
+    /// A reply to the peer being read is built in its connection's
+    /// write buffer; anything else is an ordinary [`send`](Outbox::send).
+    fn send_with(
+        &mut self,
+        to: NodeId,
+        encode: &mut dyn FnMut(&mut Vec<u8>),
+    ) -> Result<(), NetError> {
+        match self.reading {
+            Some((peer, token)) if peer == to && self.el.stage_with(token, to, encode) => Ok(()),
+            _ => self.send(to, encoded(encode)),
+        }
     }
 }
 
@@ -755,6 +774,11 @@ struct RConn {
     want_write: bool,
     /// Listed in the loop's `dirty` set: has output not yet written.
     dirty: bool,
+    /// Frames in the peer's queue that this connection has yet to take:
+    /// what a frame staged directly would overtake.
+    queued: usize,
+    /// Frames staged directly since the last flush, which counts them.
+    staged: u64,
     /// Last inbound byte (keepalives count).
     last_activity: Instant,
     /// Last keepalive we sent.
@@ -777,6 +801,8 @@ impl RConn {
             wstart: 0,
             want_write: false,
             dirty: false,
+            queued: 0,
+            staged: 0,
             last_activity: now,
             last_ka: now,
             frame_started: None,
@@ -790,9 +816,17 @@ impl RConn {
 
     /// Appends `frame`, length-prefixed, to the bytes awaiting a write.
     fn stage(&mut self, frame: &[u8]) {
-        self.wbuf
-            .extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        self.wbuf.extend_from_slice(frame);
+        self.stage_with(&mut |buf| buf.extend_from_slice(frame));
+    }
+
+    /// [`stage`](RConn::stage) for a frame built in place: `encode`
+    /// appends it behind a length patched in afterwards.
+    fn stage_with(&mut self, encode: &mut dyn FnMut(&mut Vec<u8>)) {
+        let at = self.wbuf.len();
+        self.wbuf.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+        encode(&mut self.wbuf);
+        let len = (self.wbuf.len() - at - FRAME_HEADER_LEN) as u32;
+        self.wbuf[at..at + FRAME_HEADER_LEN].copy_from_slice(&len.to_le_bytes());
     }
 }
 
@@ -893,7 +927,7 @@ impl EventLoop {
                         self.conn_readable(token);
                     }
                     if ev.writable && !ev.error {
-                        self.conn_writable(token);
+                        self.flush_conn(token);
                     }
                 }
                 self.dispatch();
@@ -932,36 +966,51 @@ impl EventLoop {
     /// the handler's deadline, which is new or may have moved.
     fn dispatch(&mut self) {
         while let Some((key, event)) = self.events.pop_front() {
-            match self.hosted.take() {
-                Some(mut h) if h.key == key => {
-                    let siblings = &h.siblings;
-                    let mut out = LoopOutbox {
-                        el: self,
-                        key,
-                        siblings,
-                    };
-                    if h.handler.on_event(event, &mut out) {
-                        self.hosted = Some(h);
-                    } // else dropped here, and the inbox takes over
+            if self.hosts(key) {
+                self.with_handler(None, |h, out| h.on_event(event, out));
+                continue;
+            }
+            match self.nodes.get(&key) {
+                Some(RNode {
+                    forward: Some(to), ..
+                }) => {
+                    let key = to.key;
+                    to.mail.post(Cmd::Event { key, event });
                 }
-                other => {
-                    self.hosted = other;
-                    match self.nodes.get(&key) {
-                        Some(RNode {
-                            forward: Some(to), ..
-                        }) => {
-                            let key = to.key;
-                            to.mail.post(Cmd::Event { key, event });
-                        }
-                        // A dropped receiver is followed by RemoveNode.
-                        Some(node) => drop(node.inbox_tx.send(event)),
-                        None => {}
-                    }
-                }
+                // A dropped receiver is followed by RemoveNode.
+                Some(node) => drop(node.inbox_tx.send(event)),
+                None => {}
             }
         }
         if let Some(at) = self.handler_deadline() {
             self.arm(at);
+        }
+    }
+
+    fn hosts(&self, key: u64) -> bool {
+        self.hosted.as_ref().is_some_and(|h| h.key == key)
+    }
+
+    /// Lends the hosted handler the loop to send into — and, for a frame
+    /// the loop read itself, the connection `reading` names to answer
+    /// on. A handler that says it is done is dropped here, and its
+    /// node's inbox takes over.
+    fn with_handler(
+        &mut self,
+        reading: Option<(NodeId, usize)>,
+        f: impl FnOnce(&mut dyn Handler, &mut dyn Outbox) -> bool,
+    ) {
+        let Some(mut h) = self.hosted.take() else {
+            return;
+        };
+        let mut out = LoopOutbox {
+            el: self,
+            key: h.key,
+            siblings: &h.siblings,
+            reading,
+        };
+        if f(&mut *h.handler, &mut out) {
+            self.hosted = Some(h);
         }
     }
 
@@ -1199,6 +1248,7 @@ impl EventLoop {
         p.attempt = 0;
         p.dialing = false;
         node.shared.peers.lock().insert(peer, true);
+        let backlog = p.queue.len();
         if let Some(old) = old {
             if old != token {
                 self.close_conn(old);
@@ -1206,6 +1256,7 @@ impl EventLoop {
         }
         if let Some(conn) = self.conns[token].as_mut() {
             conn.peer = Some(peer);
+            conn.queued = backlog;
         }
         if let Some(every) = self.ka_every() {
             self.arm(Instant::now() + every);
@@ -1238,8 +1289,14 @@ impl EventLoop {
         p.q.enqueued += 1;
         p.q.depth = p.queue.len() as u64;
         p.q.peak_depth = p.q.peak_depth.max(p.q.depth);
+        let queued = p.queue.len();
         match p.conn {
-            Some(token) => self.mark_dirty(token), // its flush publishes
+            Some(token) => {
+                if let Some(conn) = self.conns[token].as_mut() {
+                    conn.queued = queued;
+                }
+                self.mark_dirty(token); // its flush publishes
+            }
             None => {
                 let q = p.q;
                 self.nodes[&key].shared.wire.lock().record_queue(to, q);
@@ -1252,6 +1309,35 @@ impl EventLoop {
         Some(node.peers.entry(peer).or_default())
     }
 
+    /// Builds a frame for `peer` where it will be written from, in
+    /// connection `token`'s write buffer. `false`, with nothing staged,
+    /// when that would overtake frames in the peer's queue, the
+    /// connection is gone or no longer the peer's, or its buffer is
+    /// still full after a flush: the queue's shedding decides then.
+    fn stage_with(
+        &mut self,
+        token: usize,
+        peer: NodeId,
+        encode: &mut dyn FnMut(&mut Vec<u8>),
+    ) -> bool {
+        match self.conns[token].as_ref() {
+            Some(c) if c.peer == Some(peer) && c.queued == 0 => {
+                if c.pending() >= WBUF_TARGET {
+                    self.flush_conn(token);
+                }
+            }
+            _ => return false,
+        }
+        let open = self.conns[token].as_mut();
+        let Some(conn) = open.filter(|c| c.pending() < WBUF_TARGET) else {
+            return false;
+        };
+        conn.stage_with(encode);
+        conn.staged += 1;
+        self.mark_dirty(token);
+        true
+    }
+
     fn mark_dirty(&mut self, token: usize) {
         let conn = self.conns[token].as_mut();
         if conn.is_some_and(|c| !std::mem::replace(&mut c.dirty, true)) {
@@ -1259,8 +1345,7 @@ impl EventLoop {
         }
     }
 
-    /// The one place besides [`conn_writable`](EventLoop::conn_writable)
-    /// that writes a connection.
+    /// The one place besides writable readiness that writes a connection.
     fn flush_dirty(&mut self) {
         while let Some(token) = self.dirty.pop() {
             self.flush_conn(token);
@@ -1280,7 +1365,9 @@ impl EventLoop {
         let mut queue = (self.nodes.get_mut(&key))
             .and_then(|n| n.peers.get_mut(&peer?))
             .filter(|p| p.conn == Some(token));
-        let (mut frames_out, mut dead, mut blocked) = (0, false, false);
+        // Frames staged directly are counted here, like the queue's.
+        let staged = std::mem::take(&mut conn.staged);
+        let (mut frames_out, mut dead, mut blocked) = (staged, false, false);
         loop {
             // Keepalives and the hello bypass the queue: already staged.
             if let Some(p) = &mut queue {
@@ -1333,7 +1420,9 @@ impl EventLoop {
             }
         }
         if let (Some(p), Some(peer)) = (queue, peer) {
+            conn.queued = p.queue.len();
             if newly_blocked || frames_out > 0 {
+                p.q.enqueued += staged;
                 p.q.backpressure += u64::from(newly_blocked);
                 p.q.depth = p.queue.len() as u64;
                 let q = p.q;
@@ -1346,97 +1435,52 @@ impl EventLoop {
         }
     }
 
+    /// Reads until the kernel blocks, handling each frame as it is
+    /// decoded: the first on an anonymous inbound connection must be
+    /// the hello; empty frames are keepalives; the rest go to the
+    /// node's consumer, and into its [`WireStats`] once for the batch.
     fn conn_readable(&mut self, token: usize) {
-        let mut dead = false;
-        let mut arm_at: Option<Instant> = None;
-        let mut frames: Vec<Bytes> = Vec::new();
-        {
-            let Some(conn) = self.conns[token].as_mut() else {
-                return;
-            };
-            let mut got_bytes = false;
-            loop {
-                match conn.stream.read(&mut self.scratch) {
-                    Ok(0) => dead = true,
-                    Ok(n) => {
-                        got_bytes = true;
-                        conn.decoder.feed(&self.scratch[..n]);
-                        // Drain now so the buffer stays small even on
-                        // a long read burst.
-                        while !dead {
-                            match conn.decoder.next_frame() {
-                                Ok(Some(f)) => frames.push(f),
-                                Ok(None) => break,
-                                Err(_) => dead = true,
+        let Some(conn) = self.conns[token].as_mut() else {
+            return;
+        };
+        let (key, mut peer) = (conn.node, conn.peer);
+        // Out of the connection while its frames are handled: a hosted
+        // handler's outbox borrows the whole loop.
+        let mut decoder = std::mem::take(&mut conn.decoder);
+        let mut batch = WireStats::new();
+        let (mut dead, mut got_bytes) = (false, false);
+        // A reply's flush may find the connection dead under the batch:
+        // what was decoded is still its stream, ahead of the `Down`.
+        while let Some(conn) = self.conns[token].as_mut().filter(|_| !dead) {
+            match conn.stream.read(&mut self.scratch) {
+                Ok(0) => dead = true,
+                Ok(n) => {
+                    got_bytes = true;
+                    decoder.feed(&self.scratch[..n]);
+                    // Drain now so the buffer stays small even on
+                    // a long read burst.
+                    loop {
+                        match (decoder.next_slice(), peer) {
+                            (Ok(Some(frame)), None) => match self.hello(token, key, frame) {
+                                None => return, // closed; nothing was announced
+                                known => peer = known,
+                            },
+                            (Ok(Some([])), Some(_)) => {} // keepalive: link-level only
+                            (Ok(Some(frame)), Some(from)) => {
+                                batch.record(frame);
+                                self.frame_in(token, key, from, frame);
+                            }
+                            (Ok(None), _) => break,
+                            (Err(_), _) => {
+                                dead = true;
+                                break;
                             }
                         }
-                        if !dead {
-                            continue;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => dead = true,
-                }
-                break;
-            }
-            if got_bytes {
-                conn.last_activity = Instant::now();
-            }
-            if conn.decoder.mid_frame() {
-                if conn.frame_started.is_none() {
-                    let started = Instant::now();
-                    conn.frame_started = Some(started);
-                    // Stall enforcement rides the idle machinery; with
-                    // idle disabled there is no liveness policing.
-                    if self.cfg.idle_deadline.is_some() {
-                        arm_at = Some(started + self.cfg.frame_deadline);
                     }
                 }
-            } else {
-                conn.frame_started = None;
-            }
-        }
-        if let Some(at) = arm_at {
-            self.arm(at);
-        }
-        self.deliver(token, frames);
-        if dead {
-            self.teardown(token);
-        }
-    }
-
-    /// Routes decoded frames: the first frame on an anonymous inbound
-    /// connection must be the hello (answered in kind); empty frames
-    /// are keepalives; the rest go to the node's consumer, and into its
-    /// [`WireStats`] once for the whole batch.
-    fn deliver(&mut self, token: usize, frames: Vec<Bytes>) {
-        let mut batch = WireStats::new();
-        let mut key = 0;
-        for frame in frames {
-            let Some(conn) = self.conns[token].as_ref() else {
-                break;
-            };
-            key = conn.node;
-            match conn.peer {
-                None => {
-                    let hello = (self.nodes.get(&key)).map(|node| encode_hello(node.id));
-                    let (Ok(peer), Some(hello)) = (decode_hello(&frame), hello) else {
-                        self.close_conn(token);
-                        break;
-                    };
-                    // Answer with our identity, then surface the link.
-                    if let Some(conn) = self.conns[token].as_mut() {
-                        conn.stage(&hello);
-                    }
-                    self.establish(token, key, peer, None);
-                }
-                Some(_) if frame.is_empty() => {} // keepalive: link-level only
-                Some(from) => {
-                    batch.record(&frame);
-                    let event = NetEvent::Frame { from, bytes: frame };
-                    self.events.push_back((key, event));
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => dead = true,
             }
         }
         let frames_in = batch.total_frames();
@@ -1444,10 +1488,60 @@ impl EventLoop {
             self.stats.frames_in += frames_in;
             node.shared.wire.lock().merge(&batch);
         }
+        // Nothing opens a connection while one is read, so a slot still
+        // taken is this connection's; one torn down keeps no decoder.
+        let Some(conn) = self.conns[token].as_mut() else {
+            return;
+        };
+        if got_bytes {
+            conn.last_activity = Instant::now();
+        }
+        let stalled = decoder.mid_frame();
+        conn.decoder = decoder;
+        if !stalled {
+            conn.frame_started = None;
+        } else if conn.frame_started.is_none() {
+            let started = Instant::now();
+            conn.frame_started = Some(started);
+            // Stall enforcement rides the idle machinery; with
+            // idle disabled there is no liveness policing.
+            if self.cfg.idle_deadline.is_some() {
+                self.arm(started + self.cfg.frame_deadline);
+            }
+        }
+        if dead {
+            self.teardown(token);
+        }
     }
 
-    fn conn_writable(&mut self, token: usize) {
-        self.flush_conn(token);
+    /// Answers an inbound connection's first frame with our identity
+    /// and surfaces the link, `Up` ahead of the frames behind the hello;
+    /// closes the connection on anything but a hello.
+    fn hello(&mut self, token: usize, key: u64, frame: &[u8]) -> Option<NodeId> {
+        let hello = (self.nodes.get(&key)).map(|node| encode_hello(node.id));
+        let (Ok(peer), Some(hello)) = (decode_hello(frame), hello) else {
+            self.close_conn(token);
+            return None;
+        };
+        if let Some(conn) = self.conns[token].as_mut() {
+            conn.stage(&hello);
+        }
+        self.establish(token, key, peer, None);
+        self.dispatch();
+        Some(peer)
+    }
+
+    /// Hands node `key`'s consumer a frame read on connection `token`:
+    /// the hosted handler where the frame lies, with the connection at
+    /// hand for its reply; anyone else a copy, on the event queue.
+    fn frame_in(&mut self, token: usize, key: u64, from: NodeId, frame: &[u8]) {
+        if self.hosts(key) {
+            let reading = Some((from, token));
+            return self.with_handler(reading, |h, out| h.on_frame(from, frame, out));
+        }
+        let bytes = Bytes::copy_from_slice(frame);
+        self.events
+            .push_back((key, NetEvent::Frame { from, bytes }));
     }
 
     /// Runs every due timer — keepalives, idle reaping, mid-frame

@@ -62,6 +62,7 @@ impl std::error::Error for FrameTooLong {}
 ///
 /// Feed it arbitrary chunks with [`feed`](FrameDecoder::feed), then
 /// drain complete frames with [`next_frame`](FrameDecoder::next_frame)
+/// (or, borrowed, [`next_slice`](FrameDecoder::next_slice))
 /// until it returns `Ok(None)` (no complete frame buffered yet). A
 /// truncated trailing frame is *not* an error — it simply stays
 /// buffered until the rest arrives; EOF-with-partial-bytes is the
@@ -121,6 +122,13 @@ impl FrameDecoder {
     /// The next complete frame, `Ok(None)` if more bytes are needed,
     /// or [`FrameTooLong`] if the stream is unrecoverably corrupt.
     pub fn next_frame(&mut self) -> Result<Option<Bytes>, FrameTooLong> {
+        Ok(self.next_slice()?.map(Bytes::copy_from_slice))
+    }
+
+    /// [`next_frame`](FrameDecoder::next_frame) without the copy: the
+    /// frame where it was fed, intact until the next call on the
+    /// decoder.
+    pub fn next_slice(&mut self) -> Result<Option<&[u8]>, FrameTooLong> {
         let pending = &self.buf[self.start..];
         if pending.len() < FRAME_HEADER_LEN {
             return Ok(None);
@@ -136,10 +144,10 @@ impl FrameDecoder {
         if pending.len() < total {
             return Ok(None);
         }
-        let frame = Bytes::copy_from_slice(&pending[FRAME_HEADER_LEN..total]);
+        self.compact(); // what earlier calls lent out is done with
+        let payload = self.start + FRAME_HEADER_LEN;
         self.start += total;
-        self.compact();
-        Ok(Some(frame))
+        Ok(Some(&self.buf[payload..self.start]))
     }
 
     /// Bytes buffered but not yet returned as frames.

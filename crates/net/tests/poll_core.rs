@@ -11,6 +11,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use vl_net::poll::{decode_hello, encode_hello, PollConfig, PollNode, Reactor};
 use vl_net::retry::RetryPolicy;
+use vl_net::shard::ShardedNode;
 use vl_net::tcp::{read_frame, write_frame, MAX_FRAME_LEN};
 use vl_net::{Channel, Handler, NetError, NetEvent, NodeId, Outbox};
 use vl_types::{ClientId, ServerId};
@@ -671,5 +672,257 @@ fn wire_totals_match_a_burst_exactly() {
             "{:?}",
             frames()
         );
+    }
+}
+
+/// A hosted handler on the borrowed path: answers each frame it is
+/// handed in place with `reply` bytes led by the frame's first four
+/// (its number) through [`Outbox::send_with`], pauses `pause` first,
+/// reports what it saw, and ends the hosting after `frames_left` frames.
+struct Echo {
+    seen: mpsc::Sender<NetEvent>,
+    reply: usize,
+    pause: Duration,
+    frames_left: usize,
+}
+
+impl Handler for Echo {
+    fn on_event(&mut self, event: NetEvent, out: &mut dyn Outbox) -> bool {
+        match event {
+            NetEvent::Frame { from, bytes } => self.on_frame(from, &bytes, out),
+            other => self.seen.send(other).is_ok(),
+        }
+    }
+
+    fn on_frame(&mut self, from: NodeId, bytes: &[u8], out: &mut dyn Outbox) -> bool {
+        std::thread::sleep(self.pause);
+        let reply = self.reply.max(bytes.len());
+        out.send_with(from, &mut |buf| {
+            let start = buf.len();
+            buf.extend_from_slice(bytes);
+            buf.resize(start + reply, 0xEC);
+        })
+        .unwrap();
+        let _ = self.seen.send(frame(from, bytes));
+        self.frames_left -= 1;
+        self.frames_left > 0
+    }
+
+    fn next_deadline(&self) -> Option<Instant> {
+        None
+    }
+}
+
+fn echo(
+    reply: usize,
+    pause: Duration,
+    frames_left: usize,
+) -> (Box<Echo>, mpsc::Receiver<NetEvent>) {
+    let (seen, events) = mpsc::channel();
+    let echo = Echo {
+        seen,
+        reply,
+        pause,
+        frames_left,
+    };
+    (Box::new(echo), events)
+}
+
+/// `count` numbered frames of `len` bytes, as one buffer to write.
+fn numbered(count: u32, len: usize) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for i in 0..count {
+        let mut body = i.to_le_bytes().to_vec();
+        body.resize(len.max(4), 0xAB);
+        write_frame(&mut wire, &Bytes::from(body)).unwrap();
+    }
+    wire
+}
+
+/// Reads frames until the peer has been quiet for `quiet`; returns the
+/// number each one leads with.
+fn read_numbers(raw: &mut TcpStream, quiet: Duration) -> Vec<u32> {
+    raw.set_read_timeout(Some(quiet)).unwrap();
+    let mut got = Vec::new();
+    while let Ok(frame) = read_frame(raw) {
+        if !frame.is_empty() {
+            got.push(u32::from_le_bytes(frame[..4].try_into().unwrap()));
+        } // else a keepalive
+    }
+    got
+}
+
+/// (a) Replies built in the connection's write buffer and replies that
+/// fell back to the peer's queue are one byte stream in send order, and
+/// the queue's accounting covers both: a peer that stops reading fills
+/// the kernel's buffers, then the write buffer, then the bounded queue,
+/// which sheds its oldest.
+#[test]
+fn staged_and_queued_replies_are_one_ordered_stream() {
+    const FRAMES: u32 = 4096;
+    const LEN: usize = 4096; // 16 MiB of echo: past any loopback buffering
+    let cfg = PollConfig {
+        queue_cap: 64,
+        idle_deadline: None,
+        ..PollConfig::default()
+    };
+    let server = listen(srv(0), cfg);
+    let (handler, _events) = echo(0, Duration::ZERO, usize::MAX);
+    assert!(server.host(handler).is_ok());
+    let mut raw = raw_peer(cli(4), server.local_addr().unwrap());
+    let queue = || server.wire_stats().queue(cli(4));
+
+    // A peer that reads is answered without the queue ever holding a frame.
+    for i in 0..100u32 {
+        raw.write_all(&numbered(1, 8)).unwrap();
+        assert_eq!(read_frame(&mut raw).unwrap().len(), 8, "echo {i}");
+    }
+    assert!(wait_for(|| queue().enqueued == 100, 5), "{:?}", queue());
+    assert_eq!((queue().peak_depth, queue().backpressure), (0, 0));
+
+    // One that does not is answered into the kernel until it blocks...
+    raw.write_all(&numbered(FRAMES, LEN)).unwrap();
+    let all_in = || server.loop_stats().frames_in == 100 + u64::from(FRAMES);
+    assert!(wait_for(all_in, 20), "{:?}", server.loop_stats());
+    // ...and reads what survived as one stream: ascending, from the first.
+    let got = read_numbers(&mut raw, Duration::from_secs(1));
+    assert_eq!(got[0], 0);
+    assert!(got.windows(2).all(|w| w[0] < w[1]), "out of order: {got:?}");
+    let q = queue();
+    assert_eq!(
+        q.enqueued,
+        100 + u64::from(FRAMES),
+        "every reply counted once"
+    );
+    assert!(q.backpressure > 0 && q.dropped_overflow > 0, "{q:?}");
+    assert_eq!(got.len() as u64, u64::from(FRAMES) - q.dropped_overflow);
+    assert!(q.peak_depth <= 64 && q.depth == 0, "{q:?}");
+    assert_eq!(
+        server.loop_stats().frames_out,
+        q.enqueued - q.dropped_overflow
+    );
+}
+
+/// (b) A handler that ends its hosting on the k-th frame of one read
+/// has seen k frames; the rest of that read, and everything after,
+/// reaches the inbox in order.
+#[test]
+fn frames_behind_a_departing_handler_reach_the_inbox_in_order() {
+    let server = listen(srv(0), quick_cfg());
+    let (handler, events) = echo(0, Duration::ZERO, 4);
+    assert!(server.host(handler).is_ok());
+    let mut raw = raw_peer(cli(6), server.local_addr().unwrap());
+    raw.write_all(&numbered(10, 4)).unwrap(); // one segment, one read
+
+    let mut want = vec![NetEvent::Up(cli(6))];
+    want.extend((0..4u32).map(|i| frame(cli(6), &i.to_le_bytes())));
+    for want in want {
+        assert_eq!(events.recv_timeout(Duration::from_secs(5)).unwrap(), want);
+    }
+    assert!(
+        events.recv_timeout(Duration::from_secs(5)).is_err(),
+        "dropped"
+    );
+    let rest: Vec<NetEvent> = (4..10u32)
+        .map(|i| frame(cli(6), &i.to_le_bytes()))
+        .collect();
+    assert_eq!(collect(&server, 5, |seen| seen.len() == rest.len()), rest);
+    assert_eq!(
+        read_numbers(&mut raw, Duration::from_millis(200)),
+        [0, 1, 2, 3]
+    );
+}
+
+/// (c) A reply's flush that finds the connection dead tears it down
+/// under the batch being read: the handler still gets every frame of
+/// the batch, then one `Down`; replies from then on wait in the peer's
+/// queue; and the slot's next connection starts with a clean decoder.
+#[test]
+fn connection_dying_under_its_batch_yields_one_down_after_its_frames() {
+    const REPLY: usize = 16 * 1024; // two fill the write buffer: a flush every other frame
+    let cfg = PollConfig {
+        idle_deadline: None,
+        ..PollConfig::default()
+    };
+    let server = listen(srv(0), cfg);
+    // The pause lets the peer's reset come back between flushes.
+    let (handler, events) = echo(REPLY, Duration::from_millis(5), usize::MAX);
+    assert!(server.host(handler).is_ok());
+    let mut raw = raw_peer(cli(9), server.local_addr().unwrap());
+    // Twelve frames and the first half of a thirteenth, then gone.
+    let mut wire = numbered(12, 4);
+    wire.extend_from_slice(&[8, 0, 0, 0, 0xDE, 0xAD]);
+    raw.write_all(&wire).unwrap();
+    drop(raw);
+
+    let mut want = vec![NetEvent::Up(cli(9))];
+    want.extend((0..12u32).map(|i| frame(cli(9), &i.to_le_bytes())));
+    want.push(NetEvent::Down(cli(9)));
+    for want in want {
+        assert_eq!(events.recv_timeout(Duration::from_secs(5)).unwrap(), want);
+    }
+    assert!(
+        events.recv_timeout(Duration::from_millis(200)).is_err(),
+        "one Down"
+    );
+    let stranded = server.wire_stats().queue(cli(9)).depth;
+    assert!(
+        stranded > 0,
+        "the connection outlived its batch: nothing was tested"
+    );
+
+    // The freed slot is the next connection's.
+    let mut next = raw_peer(cli(10), server.local_addr().unwrap());
+    next.write_all(&numbered(1, 4)).unwrap();
+    assert_eq!(read_frame(&mut next).unwrap().len(), REPLY);
+    assert_eq!(
+        events.recv_timeout(Duration::from_secs(5)).unwrap(),
+        NetEvent::Up(cli(10))
+    );
+    let first = events.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert_eq!(first, frame(cli(10), &0u32.to_le_bytes()));
+}
+
+/// (d) Two reactors, one handler on shard 0: a frame shard 0 read
+/// itself is answered in its connection's buffer, one forwarded from
+/// shard 1 through shard 1's queue — both by the same `send_with`.
+#[test]
+fn sharded_replies_take_the_fast_path_only_on_the_reading_shard() {
+    let cfg = PollConfig {
+        idle_deadline: None,
+        ..PollConfig::default()
+    };
+    let server = ShardedNode::listen(srv(0), "127.0.0.1:0", 2, cfg).unwrap();
+    let (handler, _events) = echo(0, Duration::ZERO, usize::MAX);
+    assert!(server.host(handler).is_ok());
+    // The kernel places connections by 4-tuple: dial until both shards
+    // hold one.
+    let mut peers: [Option<(NodeId, TcpStream)>; 2] = [None, None];
+    for i in 0..64 {
+        let raw = raw_peer(cli(i), server.local_addr());
+        assert!(wait_for(|| server.shard_of(cli(i)).is_some(), 5));
+        let shard = server.shard_of(cli(i)).unwrap();
+        peers[shard].get_or_insert((cli(i), raw));
+        if peers.iter().all(Option::is_some) {
+            break;
+        }
+    }
+    for (shard, peer) in peers.iter_mut().enumerate() {
+        let (id, raw) = peer.as_mut().expect("64 dials reach both shards");
+        raw.write_all(&numbered(1, 32)).unwrap();
+        let reply = read_frame(raw).unwrap();
+        assert_eq!(
+            (reply.len(), &reply[..4]),
+            (32, &[0u8; 4][..]),
+            "shard {shard}"
+        );
+        let queue = || server.shard_stats()[shard].wire.queue(*id);
+        assert!(
+            wait_for(|| queue().enqueued == 1, 5),
+            "shard {shard}: {:?}",
+            queue()
+        );
+        // Only a frame that went through the queue ever gave it depth.
+        assert_eq!(queue().peak_depth, shard as u64, "shard {shard}");
     }
 }

@@ -6,13 +6,15 @@
 //! byte stream, [`FrameDecoder`] must produce exactly the frame
 //! sequence the blocking [`read_frame`] oracle produces, and a
 //! truncated trailing frame must leave it parked mid-frame, not
-//! erroring or emitting garbage.
+//! erroring or emitting garbage. The borrowed `next_slice` and the
+//! copying `next_frame` are one framing implementation: in lockstep
+//! they must agree on every frame, error and byte count.
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use vl_net::tcp::{read_frame, write_frame};
-use vl_net::wire::FrameDecoder;
+use vl_net::wire::{FrameDecoder, FrameTooLong};
 
 /// Decodes `stream` via the blocking oracle until it runs dry.
 fn oracle(stream: &[u8]) -> Vec<Bytes> {
@@ -181,6 +183,108 @@ fn oversize_header_errors_at_any_split() {
             assert!(matches!(r, Ok(None)), "byte {i}: header incomplete");
         } else {
             assert!(r.is_err(), "completed oversize header must error");
+        }
+    }
+}
+
+/// Feeds `stream` in `split`-sized chunks to two decoders with ceiling
+/// `max_frame`, draining one with `next_frame` and the other with
+/// `next_slice` after every feed, and checks after every call that
+/// they returned the same thing and agree on `buffered()` and
+/// `mid_frame()`. Stops at the first error, which it returns with the
+/// frames before it.
+fn lockstep(
+    stream: &[u8],
+    max_frame: u32,
+    mut split: impl FnMut(usize) -> usize,
+) -> (Vec<Bytes>, Option<FrameTooLong>) {
+    let mut copying = FrameDecoder::with_max_frame(max_frame);
+    let mut borrowing = FrameDecoder::with_max_frame(max_frame);
+    let mut out = Vec::new();
+    let mut pos = 0;
+    while pos < stream.len() {
+        let n = split(stream.len() - pos).clamp(1, stream.len() - pos);
+        copying.feed(&stream[pos..pos + n]);
+        borrowing.feed(&stream[pos..pos + n]);
+        pos += n;
+        loop {
+            let copied = copying.next_frame();
+            // The slice is read here, before any other call on its
+            // decoder: that is as long as it promises to stay intact.
+            let lent = borrowing
+                .next_slice()
+                .map(|f| f.map(Bytes::copy_from_slice));
+            assert_eq!(lent, copied, "at byte {pos} of the stream");
+            assert_eq!(borrowing.buffered(), copying.buffered(), "at byte {pos}");
+            assert_eq!(borrowing.mid_frame(), copying.mid_frame(), "at byte {pos}");
+            match copied {
+                Ok(Some(frame)) => out.push(frame),
+                Ok(None) => break,
+                Err(e) => {
+                    // Unrecoverable: asking again says the same.
+                    assert_eq!(borrowing.next_slice(), Err(e));
+                    assert_eq!(copying.next_frame(), Err(e));
+                    return (out, Some(e));
+                }
+            }
+        }
+    }
+    (out, None)
+}
+
+/// Picks the next chunk's size from the bytes left.
+type Split = Box<dyn FnMut(usize) -> usize>;
+
+/// The chunkings the tests above use one at a time: 1-byte reads,
+/// chunks that split every header, the whole stream fused, and seeded
+/// random sizes biased small.
+fn chunkings(seed: u64) -> Vec<(&'static str, Split)> {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9));
+    vec![
+        ("1-byte", Box::new(|_| 1)),
+        ("3-byte", Box::new(|_| 3)),
+        ("fused", Box::new(|rest| rest)),
+        (
+            "random",
+            Box::new(move |rest| match rng.gen_range(0..3u32) {
+                0 => rng.gen_range(1..4usize),
+                1 => rng.gen_range(1..64.min(rest).max(2)),
+                _ => rng.gen_range(1..4096.min(rest).max(2)),
+            }),
+        ),
+    ]
+}
+
+#[test]
+fn next_slice_and_next_frame_agree_under_every_chunking() {
+    const MAX: u32 = 20_000; // what `seeded_frames` stays under
+    for seed in 0..20u64 {
+        let mut rng = StdRng::seed_from_u64(0x51_1ce ^ seed);
+        let frames = seeded_frames(&mut rng, 24);
+        let clean = stream_of(&frames);
+        // The same stream with an oversize header after frame 16 and
+        // bytes behind it that must never come out as frames.
+        let cut = stream_of(&frames[..16]).len();
+        let mut corrupt = clean[..cut].to_vec();
+        corrupt.extend_from_slice(&(MAX + 1).to_le_bytes());
+        corrupt.extend_from_slice(&clean[cut..]);
+        let too_long = FrameTooLong {
+            claimed: MAX + 1,
+            max: MAX,
+        };
+
+        for (name, split) in chunkings(seed) {
+            let (got, err) = lockstep(&clean, MAX, split);
+            assert_eq!((got, err), (frames.clone(), None), "seed {seed}, {name}");
+        }
+        for (name, split) in chunkings(seed) {
+            let (got, err) = lockstep(&corrupt, MAX, split);
+            assert_eq!(
+                got,
+                &frames[..16],
+                "seed {seed}, {name}: frames before the header"
+            );
+            assert_eq!(err, Some(too_long), "seed {seed}, {name}");
         }
     }
 }

@@ -83,6 +83,12 @@ pub fn tag_name(tag: u8) -> Option<&'static str> {
 /// Encodes a client→server message.
 pub fn encode_client(msg: &ClientMsg) -> Bytes {
     let mut b = BytesMut::with_capacity(32);
+    encode_client_into(msg, &mut b);
+    b.freeze()
+}
+
+/// Appends the encoding of a client→server message to `b`.
+pub fn encode_client_into(msg: &ClientMsg, b: &mut impl BufMut) {
     match msg {
         ClientMsg::ReqObjLease { object, version } => {
             b.put_u8(T_REQ_OBJ);
@@ -112,12 +118,17 @@ pub fn encode_client(msg: &ClientMsg) -> Bytes {
             b.put_u32_le(volume.raw());
         }
     }
-    b.freeze()
 }
 
 /// Encodes a server→client message.
 pub fn encode_server(msg: &ServerMsg) -> Bytes {
     let mut b = BytesMut::with_capacity(64);
+    encode_server_into(msg, &mut b);
+    b.freeze()
+}
+
+/// Appends the encoding of a server→client message to `b`.
+pub fn encode_server_into(msg: &ServerMsg, b: &mut impl BufMut) {
     match msg {
         ServerMsg::ObjLease {
             object,
@@ -195,12 +206,17 @@ pub fn encode_server(msg: &ServerMsg) -> Bytes {
             }
         }
     }
-    b.freeze()
 }
 
 /// Encodes a peer (server↔server / coordinator) message.
 pub fn encode_peer(msg: &PeerMsg) -> Bytes {
     let mut b = BytesMut::with_capacity(64);
+    encode_peer_into(msg, &mut b);
+    b.freeze()
+}
+
+/// Appends the encoding of a peer (server↔server / coordinator) message to `b`.
+pub fn encode_peer_into(msg: &PeerMsg, b: &mut impl BufMut) {
     match msg {
         PeerMsg::HandoffRequest { volume, to } => {
             b.put_u8(T_HANDOFF_REQ);
@@ -231,7 +247,6 @@ pub fn encode_peer(msg: &PeerMsg) -> Bytes {
             b.put_u64_le(epoch.0);
         }
     }
-    b.freeze()
 }
 
 fn need(buf: &impl Buf, n: usize) -> Result<(), DecodeError> {
@@ -583,6 +598,27 @@ mod tests {
             let bytes = encode_peer(&msg);
             assert_eq!(decode_peer(&bytes).unwrap(), msg, "{}", msg.name());
         }
+    }
+
+    /// The `_into` forms append: what a caller already staged in the
+    /// buffer (a length placeholder, earlier frames) is left alone.
+    #[test]
+    fn encoding_into_a_buffer_appends_the_same_bytes() {
+        let mut buf = vec![0xEE; 4];
+        let mut want = buf.clone();
+        for msg in client_samples() {
+            encode_client_into(&msg, &mut buf);
+            want.extend_from_slice(&encode_client(&msg));
+        }
+        for msg in server_samples() {
+            encode_server_into(&msg, &mut buf);
+            want.extend_from_slice(&encode_server(&msg));
+        }
+        for msg in peer_samples() {
+            encode_peer_into(&msg, &mut buf);
+            want.extend_from_slice(&encode_peer(&msg));
+        }
+        assert_eq!(buf, want);
     }
 
     #[test]

@@ -12,9 +12,12 @@
 //! event stream (frames and link state, in order) and otherwise wants
 //! to run only at the machine's earliest [`ServerAction::SetTimer`]
 //! deadline. An endpoint with a thread of its own ([`Channel::host`])
-//! runs it there, on the thread that read the frame; any other gets a
-//! small pump thread blocked in its receive. [`ServerHandle`] commands
-//! queue beside the stream and arrive through [`Channel::wake`].
+//! runs it there, on the thread that read the frame — decoding the
+//! frame from the read buffer and encoding each reply into whatever
+//! buffer its [`Outbox`] offers; any other gets a small pump thread
+//! blocked in its receive. The clock is read once per event.
+//! [`ServerHandle`] commands queue beside the stream and arrive through
+//! [`Channel::wake`].
 
 use crate::stable::StableRecord;
 use bytes::Bytes;
@@ -310,6 +313,9 @@ struct Driver<C: Clock> {
     /// a FIFO correlates each [`ServerAction::CompleteWrite`] with its
     /// caller (and, for the trace, with its volume).
     write_replies: VecDeque<(ObjectId, Sender<WriteOutcome>)>,
+    /// The machine's actions for the input being applied; drained and
+    /// reused, so a renewal allocates nothing here.
+    actions: Vec<ServerAction>,
     /// Pending machine deadlines, one slot per [`TimerKind`]. A slot is
     /// cleared only once its instant has passed; the machine re-arms
     /// whenever a deadline moves.
@@ -352,6 +358,7 @@ impl<C: Clock> Driver<C> {
             cmds,
             stable_path: cfg.stable_path,
             write_replies: VecDeque::new(),
+            actions: boot,
             timers: [None; 2],
             next_stats: Timestamp::ZERO,
             server: cfg.server,
@@ -361,12 +368,12 @@ impl<C: Clock> Driver<C> {
         // The recovery record must hit disk before we serve anything.
         let now = driver.clock.now();
         let endpoint = Arc::clone(&driver.endpoint);
-        driver.apply(now, boot, &mut &*endpoint);
+        driver.apply(now, &mut &*endpoint);
         driver
     }
 
     /// Executes one handle command; `false` stops the driver.
-    fn command(&mut self, cmd: Command, out: &mut dyn Outbox) -> bool {
+    fn command(&mut self, now: Timestamp, cmd: Command, out: &mut dyn Outbox) -> bool {
         match cmd {
             Command::CreateObject {
                 object,
@@ -379,7 +386,7 @@ impl<C: Clock> Driver<C> {
                     data,
                     version,
                 };
-                self.step(input, out);
+                self.step(now, input, out);
                 let _ = reply.send(());
             }
             Command::Write {
@@ -388,13 +395,13 @@ impl<C: Clock> Driver<C> {
                 reply,
             } => {
                 self.write_replies.push_back((object, reply));
-                self.step(ServerInput::Write { object, data }, out);
+                self.step(now, ServerInput::Write { object, data }, out);
             }
             Command::Stats { reply } => {
                 let _ = reply.send(self.machine.stats());
             }
             Command::SetShardMap { map, reply } => {
-                self.step(ServerInput::SetShardMap { map }, out);
+                self.step(now, ServerInput::SetShardMap { map }, out);
                 let _ = reply.send(());
             }
             Command::Crash | Command::Shutdown => return false,
@@ -405,8 +412,7 @@ impl<C: Clock> Driver<C> {
     /// Ticks the machine if any armed deadline has passed. Slots clear
     /// only once due — a deadline that merely moved later was already
     /// re-armed by the corresponding [`ServerAction::SetTimer`].
-    fn fire_timers(&mut self, out: &mut dyn Outbox) {
-        let now = self.clock.now();
+    fn fire_timers(&mut self, now: Timestamp, out: &mut dyn Outbox) {
         let mut due = false;
         for slot in self.timers.iter_mut() {
             if slot.is_some_and(|at| at <= now) {
@@ -415,7 +421,7 @@ impl<C: Clock> Driver<C> {
             }
         }
         if due {
-            self.step(ServerInput::Tick, out);
+            self.step(now, ServerInput::Tick, out);
         }
     }
 
@@ -426,12 +432,8 @@ impl<C: Clock> Driver<C> {
     /// shard index, and one `shard_sample` event per shard records
     /// frame throughput and live connection count — the shard is a
     /// reporting dimension only, so totals match an unsharded run.
-    fn sample_wire_stats(&mut self) {
-        if self.sink.is_none() {
-            return;
-        }
-        let now = self.clock.now();
-        if now < self.next_stats {
+    fn sample_wire_stats(&mut self, now: Timestamp) {
+        if self.sink.is_none() || now < self.next_stats {
             return;
         }
         self.next_stats = now.saturating_add(Duration::from_secs(1));
@@ -481,16 +483,43 @@ impl<C: Clock> Driver<C> {
         sink.flush();
     }
 
-    /// Feeds one input to the machine at the current time and executes
-    /// the resulting actions.
-    fn step(&mut self, input: ServerInput, out: &mut dyn Outbox) {
-        let now = self.clock.now();
-        let actions = self.machine.handle(now, input);
-        self.apply(now, actions, out);
+    /// Feeds one input to the machine at `now` and executes the
+    /// resulting actions. `now` is the event's one clock reading, so a
+    /// little old by the time it is used: the machine then believes
+    /// less time has passed than has, which grants a lease that ends
+    /// sooner and waits a write out longer — never the reverse.
+    fn step(&mut self, now: Timestamp, input: ServerInput, out: &mut dyn Outbox) {
+        self.machine.handle_into(now, input, &mut self.actions);
+        self.apply(now, out);
     }
 
-    fn apply(&mut self, now: Timestamp, actions: Vec<ServerAction>, out: &mut dyn Outbox) {
-        for action in actions {
+    /// A decoded frame is one machine input; a corrupt one is dropped,
+    /// as UDP would. Peer traffic is another server or the rebalance
+    /// coordinator driving the volume-handoff exchange.
+    fn frame(&mut self, now: Timestamp, from: NodeId, frame: &[u8], out: &mut dyn Outbox) {
+        let input = match from {
+            NodeId::Client(from) => {
+                (codec::decode_client(frame).ok()).map(|msg| ServerInput::Msg { from, msg })
+            }
+            NodeId::Server(from) => {
+                (codec::decode_peer(frame).ok()).map(|msg| ServerInput::Peer { from, msg })
+            }
+        };
+        if let Some(input) = input {
+            self.step(now, input, out);
+        }
+    }
+
+    /// What every event ends with: due timers, and the trace's sample.
+    fn settle(&mut self, now: Timestamp, out: &mut dyn Outbox) {
+        self.fire_timers(now, out);
+        self.sample_wire_stats(now);
+    }
+
+    /// Executes and drains `self.actions`.
+    fn apply(&mut self, now: Timestamp, out: &mut dyn Outbox) {
+        let mut actions = std::mem::take(&mut self.actions);
+        for action in actions.drain(..) {
             if let Some(sink) = &mut self.sink {
                 let written = self.write_replies.front().map(|&(object, _)| object);
                 for ev in events::server_action_events(now, &self.machine, written, &action) {
@@ -499,10 +528,12 @@ impl<C: Clock> Driver<C> {
             }
             match action {
                 ServerAction::Send { to, msg } => {
-                    let _ = out.send(NodeId::Client(to), codec::encode_server(&msg));
+                    let to = NodeId::Client(to);
+                    let _ = out.send_with(to, &mut |b| codec::encode_server_into(&msg, b));
                 }
                 ServerAction::SendPeer { to, msg } => {
-                    let _ = out.send(NodeId::Server(to), codec::encode_peer(&msg));
+                    let to = NodeId::Server(to);
+                    let _ = out.send_with(to, &mut |b| codec::encode_peer_into(&msg, b));
                 }
                 ServerAction::SetTimer { kind, at } => {
                     let idx = match kind {
@@ -527,43 +558,40 @@ impl<C: Clock> Driver<C> {
                 }
             }
         }
+        self.actions = actions;
     }
 }
 
 impl<C: Clock + Send> Handler for Driver<C> {
     fn on_event(&mut self, event: NetEvent, out: &mut dyn Outbox) -> bool {
+        let now = self.clock.now();
         match event {
-            NetEvent::Frame { from, bytes } => match from {
-                NodeId::Client(client) => match codec::decode_client(&bytes) {
-                    Ok(msg) => self.step(ServerInput::Msg { from: client, msg }, out),
-                    Err(_) => { /* corrupt frame: drop, as UDP would */ }
-                },
-                // Peer traffic: another server or the rebalance
-                // coordinator driving the volume-handoff exchange.
-                NodeId::Server(peer) => match codec::decode_peer(&bytes) {
-                    Ok(msg) => self.step(ServerInput::Peer { from: peer, msg }, out),
-                    Err(_) => { /* corrupt frame: drop */ }
-                },
-            },
+            NetEvent::Frame { from, bytes } => self.frame(now, from, &bytes, out),
             // Transport-level connection loss: demote that client to
             // the unreachable set so the next handshake is a full
             // MUST_RENEW_ALL reconnect (leases themselves are
             // untouched).
             NetEvent::Down(NodeId::Client(client)) => {
-                self.step(ServerInput::PeerDisconnected { client }, out);
+                self.step(now, ServerInput::PeerDisconnected { client }, out);
             }
             NetEvent::Up(_) | NetEvent::Down(_) => {}
             // A handle command, or the deadline below.
             NetEvent::Woken => {
                 while let Ok(cmd) = self.cmds.try_recv() {
-                    if !self.command(cmd, out) {
+                    if !self.command(now, cmd, out) {
                         return false;
                     }
                 }
             }
         }
-        self.fire_timers(out);
-        self.sample_wire_stats();
+        self.settle(now, out);
+        true
+    }
+
+    fn on_frame(&mut self, from: NodeId, frame: &[u8], out: &mut dyn Outbox) -> bool {
+        let now = self.clock.now();
+        self.frame(now, from, frame, out);
+        self.settle(now, out);
         true
     }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full CI gate: formatting, the client-driver, router/protocol,
-# one-server-driver and no-event-kernel layering greps, lint (warnings
-# denied), release build (all targets, so bench breakage is caught), the
+# one-server-driver, one-read-loop and no-event-kernel layering greps,
+# lint (warnings denied), release build (all targets, so bench breakage
+# is caught), the
 # complete test suite including ignored tests, the benchmark package's
 # own tests (it links crates/*), a warning-clean rustdoc build, the
 # simulator smoke benchmark, a live-transport smoke benchmark run as a
@@ -58,6 +59,24 @@ leak=$(for f in crates/server/src/*.rs; do nontest "$f" | sed '/^fn pump(/,/^}/d
     grep -n 'recv_event' || true)
 if [ -n "$leak" ]; then
     echo "error: vl-server receives outside pump(): $leak" >&2
+    exit 1
+fi
+
+echo "==> the hosted path reads in one loop and encodes in place (DESIGN.md §12)"
+# A frame is handled where it was read and its reply built where it is
+# written from. The driver has one way to encode, into the buffer its
+# Outbox hands it (rebalance.rs is the coordinator, not the driver, and
+# sends whole messages); the reactor has one read loop whose per-frame
+# step picks the sink. A second `stream.read(` is a second loop.
+leak=$(nontest crates/server/src/server.rs |
+    grep -nE 'codec::encode_(server|peer)\(' || true)
+if [ -n "$leak" ]; then
+    echo "error: the server driver encodes a reply aside: $leak" >&2
+    exit 1
+fi
+reads=$(nontest crates/net/src/poll.rs | grep -c 'stream\.read(' || true)
+if [ "$reads" != 1 ]; then
+    echo "error: crates/net/src/poll.rs has $reads read loops, not 1" >&2
     exit 1
 fi
 
