@@ -6,8 +6,7 @@
 //! bumps it after each write event.
 
 use crate::protocols::{
-    Callback, DelayedInvalidation, ObjectLease, Poll, PollEachRead, Protocol, SelfInval,
-    VolumeLease,
+    Callback, DelayedInvalidation, ObjectLease, Poll, PollEachRead, Protocol, VolumeLease,
 };
 use crate::{Ctx, ProtocolKind};
 use std::time::Instant;
@@ -218,7 +217,7 @@ impl SimulationBuilder {
                 timeout,
                 skew_bound,
             } => drive(
-                &mut SelfInval::new(timeout, skew_bound, universe),
+                &mut ObjectLease::new_self_inval(timeout, skew_bound, universe),
                 trace,
                 &mut versions,
                 &mut metrics,

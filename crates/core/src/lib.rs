@@ -67,7 +67,6 @@ pub use ctx::{Ctx, LIST_ENTRY_BYTES};
 pub use engine::{Report, SimulationBuilder};
 pub use kind::ProtocolKind;
 pub use protocols::{
-    Callback, DelayedInvalidation, ObjectLease, Poll, PollEachRead, Protocol, SelfInval,
-    VolumeLease,
+    Callback, DelayedInvalidation, ObjectLease, Poll, PollEachRead, Protocol, VolumeLease,
 };
 pub use track::{LeaseTrack, VolumeLeaseTable};

@@ -41,18 +41,6 @@ pub struct ClientStats {
     pub redirects: u64,
 }
 
-impl ClientStats {
-    /// Mean latency of successful reads, milliseconds (0 when none).
-    pub fn mean_read_latency_ms(&self) -> f64 {
-        let reads = self.local_reads + self.remote_reads;
-        if reads == 0 {
-            0.0
-        } else {
-            self.read_time_total_ms as f64 / reads as f64
-        }
-    }
-}
-
 /// Identity of one client machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClientMachineConfig {

@@ -12,7 +12,7 @@
 use super::{ClientAction, ServerAction, ServerMachine};
 use vl_metrics::{Event, EventKind, MessageKind};
 use vl_proto::{codec, ClientMsg, ServerMsg};
-use vl_types::{ClientId, ObjectId, ServerId, Timestamp};
+use vl_types::{ClientId, ServerId, Timestamp};
 
 /// The [`MessageKind`] a client→server wire message counts as.
 pub fn client_msg_kind(msg: &ClientMsg) -> MessageKind {
@@ -40,14 +40,11 @@ pub fn server_msg_kind(msg: &ServerMsg) -> MessageKind {
 
 /// Trace events for one action `machine` returned, labelled with the
 /// volume it concerns: the one the message names, else the one its
-/// object belongs to. A [`ServerAction::CompleteWrite`] names neither,
-/// so the driver passes the object of its oldest unanswered write as
-/// `written`. Called only when a sink is attached, so the extra encode
-/// (for the wire byte count) is off the untraced path.
+/// object belongs to. Called only when a sink is attached, so the extra
+/// encode (for the wire byte count) is off the untraced path.
 pub fn server_action_events(
     at: Timestamp,
     machine: &ServerMachine,
-    written: Option<ObjectId>,
     action: &ServerAction,
 ) -> Vec<Event> {
     let server = machine.config().server;
@@ -97,8 +94,11 @@ pub fn server_action_events(
             }
             out
         }
+        // Nothing was written here: the writer's retry is traced where
+        // it commits.
+        ServerAction::CompleteWrite { outcome } if outcome.moved_to.is_some() => Vec::new(),
         ServerAction::CompleteWrite { outcome } => {
-            let volume = written.and_then(|object| machine.volume_of(object));
+            let volume = machine.volume_of(outcome.object);
             vec![
                 Event {
                     volume,
@@ -168,7 +168,7 @@ mod tests {
                 object: ObjectId(9),
             },
         };
-        let evs = server_action_events(Timestamp::ZERO, &machine(1), None, &action);
+        let evs = server_action_events(Timestamp::ZERO, &machine(1), &action);
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].kind, EventKind::Message);
         assert_eq!(evs[0].msg, Some(MessageKind::Invalidate));
@@ -181,6 +181,7 @@ mod tests {
     fn complete_write_maps_to_classify_and_commit() {
         let action = ServerAction::CompleteWrite {
             outcome: WriteOutcome {
+                object: ObjectId(1),
                 delay: Duration::from_millis(120),
                 invalidations_sent: 2,
                 queued: 1,
@@ -189,13 +190,29 @@ mod tests {
                 moved_to: None,
             },
         };
-        let evs = server_action_events(Timestamp::ZERO, &machine(0), None, &action);
+        let evs = server_action_events(Timestamp::ZERO, &machine(0), &action);
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].kind, EventKind::WriteClassified);
         assert_eq!((evs[0].value, evs[0].extra), (2, 1));
         assert_eq!(evs[1].kind, EventKind::WriteCommitted);
         assert_eq!(evs[1].value, 120);
         assert_eq!(evs[1].extra, 1);
+    }
+
+    /// A write aborted by a handoff wrote nothing here; the retry is
+    /// traced at the new owner, once.
+    #[test]
+    fn a_moved_write_is_not_traced_as_a_commit() {
+        let action = ServerAction::CompleteWrite {
+            outcome: WriteOutcome {
+                object: ObjectId(1),
+                delay: Duration::from_millis(120),
+                moved_to: Some(ServerId(1)),
+                ..WriteOutcome::default()
+            },
+        };
+        let evs = server_action_events(Timestamp::ZERO, &machine(0), &action);
+        assert!(evs.is_empty(), "{evs:?}");
     }
 
     #[test]
@@ -219,7 +236,7 @@ mod tests {
                 invalidate: vec![ObjectId(1), ObjectId(2)],
             },
         };
-        let evs = server_action_events(Timestamp::ZERO, &machine(0), None, &action);
+        let evs = server_action_events(Timestamp::ZERO, &machine(0), &action);
         let batch = evs
             .iter()
             .find(|e| e.kind == EventKind::InvalidationBatch)

@@ -247,8 +247,8 @@ struct Harness {
     /// finished or superseded read are ignored by id mismatch).
     pending_reads: BTreeMap<(ClientId, ObjectId), u64>,
     next_read_id: u64,
-    /// FIFO mirror of the server machine's write queue; CompleteWrite
-    /// actions resolve these oldest-first.
+    /// FIFO mirror of the one hosted volume's write queue; CompleteWrite
+    /// actions resolve these oldest-first and must name the same object.
     pending_writes: VecDeque<(ObjectId, Bytes)>,
     write_seq: u64,
     report: FaultReport,
@@ -629,6 +629,14 @@ impl Harness {
                         self.report.violations.push(v);
                         continue;
                     };
+                    if outcome.object != object {
+                        let v = format!(
+                            "[{now}] COMPLETION names {}, the oldest pending write is to {object}",
+                            outcome.object
+                        );
+                        self.log.push(v.clone());
+                        self.report.violations.push(v);
+                    }
                     // Invariant 2: at commit, nobody still holds valid
                     // leases on the old version — every non-acked
                     // holder's min(object, volume) lease has expired.

@@ -15,7 +15,8 @@
 //! Both sides keep protocol state per volume. [`ServerMachine`] routes
 //! each input to the machine of the volume it names (`volume.rs`: one
 //! row per client, every message decided by an exhaustive match on that
-//! row's state; the objects; the write in progress), as `vl-client`
+//! row's state; the objects; the write queue and the write in progress),
+//! as `vl-client`
 //! keeps a [`ClientMachine`] per volume. Each is small enough to read
 //! in one sitting, and the harness's four fault mixes run in tier-1.
 //!
@@ -55,7 +56,7 @@ mod volume;
 pub use client::{ClientAction, ClientInput, ClientMachine, ClientMachineConfig, ClientStats};
 pub use server::{ServerAction, ServerInput, ServerMachine, ServerStats, TimerKind};
 
-use vl_types::{Duration, Epoch, ServerId, Timestamp, Version, VolumeId};
+use vl_types::{Duration, Epoch, ObjectId, ServerId, Timestamp, Version, VolumeId};
 
 /// How a write treats invalidation acknowledgments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,6 +73,9 @@ pub enum WriteMode {
 /// Result of one server write.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WriteOutcome {
+    /// The object written: what ties a completion to its writer, the
+    /// oldest one still waiting on this object.
+    pub object: ObjectId,
     /// How long the write blocked waiting for acks or expiries.
     pub delay: Duration,
     /// Immediate invalidations sent (clients with valid volume leases).

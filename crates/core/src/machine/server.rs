@@ -3,12 +3,13 @@
 //! has as one driver over a `ClientMachine` per volume.
 //!
 //! The protocol (Figure 3, reconnection, delayed invalidations, the
-//! write wait) is `volume.rs`, which knows one volume and nothing of
-//! where it runs. Here is what hosting several adds: which volume a
-//! message is for ([`ClientMsg::scope`], plus an `object → volume`
-//! index for messages that name only an object), what to tell a client
-//! that asked the wrong server, the queue that feeds the volumes one
-//! write at a time, the stable record, and the driver's two timers.
+//! write queue and its wait) is `volume.rs`, which knows one volume and
+//! nothing of where it runs. Here is what hosting several adds: which
+//! volume a message or a write is for ([`ClientMsg::scope`], plus an
+//! `object → volume` index for what names only an object), what to tell
+//! a client or a writer that asked the wrong server, the stable record,
+//! and the driver's two timers. Nothing here schedules: every volume
+//! runs its own writes, and none waits for another's.
 //! A shard-mapped fleet moves a volume with the paper's crash-recovery
 //! trick: the loser takes the machine out of its table, bumps the
 //! epoch and ships the manifest; the gainer builds a machine from it
@@ -18,7 +19,7 @@
 use super::volume::{Host, VolumeMachine};
 use super::{MachineConfig, StableState, WriteOutcome};
 use bytes::Bytes;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use vl_proto::{ClientMsg, PeerMsg, Scope, ServerMsg};
 use vl_types::{
     ClientId, Duration, Epoch, ObjectId, ServerId, ShardMap, Timestamp, Version, VolumeId,
@@ -168,8 +169,11 @@ pub enum ServerAction {
         /// The record to persist.
         state: StableState,
     },
-    /// The oldest enqueued write has committed with `outcome`. Writes
-    /// complete strictly in enqueue order.
+    /// The oldest uncommitted write of
+    /// [`outcome.object`](WriteOutcome::object) is over: committed, or
+    /// aborted with [`moved_to`](WriteOutcome::moved_to) set. The writes
+    /// of one volume complete in enqueue order; volumes do not wait for
+    /// each other.
     CompleteWrite {
         /// The result to hand to the writer.
         outcome: WriteOutcome,
@@ -197,11 +201,6 @@ pub struct ServerMachine {
     /// the index names is either hosted or here.
     departed: BTreeMap<VolumeId, ServerId>,
     shard_map: Option<ShardMap>,
-    /// Writes not yet started, with their enqueue times. One write runs
-    /// at a time across all volumes, so completions keep this order.
-    queued_writes: VecDeque<(ObjectId, Bytes, Timestamp)>,
-    /// The volume whose machine holds the active write.
-    writing: Option<VolumeId>,
     /// The configuration, and where the volumes' effects collect.
     host: Host,
     /// Last deadline emitted per [`TimerKind`], to suppress duplicates.
@@ -218,7 +217,6 @@ impl std::fmt::Debug for ServerMachine {
             .field("epoch", &self.epoch())
             .field("volumes", &self.volumes.len())
             .field("objects", &self.index.len())
-            .field("active_write", &self.writing.is_some())
             .finish()
     }
 }
@@ -247,8 +245,6 @@ impl ServerMachine {
             index: HashMap::new(),
             departed: BTreeMap::new(),
             shard_map: None,
-            queued_writes: VecDeque::new(),
-            writing: None,
             host: Host {
                 cfg,
                 actions: Vec::new(),
@@ -342,7 +338,16 @@ impl ServerMachine {
                 }
             }
             ServerInput::Write { object, data } => {
-                self.queued_writes.push_back((object, data, now));
+                // Writing an object nobody has heard of creates it in
+                // the home volume.
+                let volume = *self.index.entry(object).or_insert(self.host.cfg.volume);
+                if let Some(vm) = self.volumes.get_mut(&volume) {
+                    vm.enqueue_write(now, object, data);
+                } else {
+                    // The writer retries at the volume's new owner.
+                    let to = self.departed.get(&volume).copied();
+                    self.complete_moved(object, Duration::ZERO, to);
+                }
             }
             ServerInput::Msg { from, msg } => {
                 self.host.stats.msgs_in += 1;
@@ -372,43 +377,20 @@ impl ServerMachine {
         std::mem::swap(&mut self.host.actions, out);
     }
 
-    /// Post-input progress: start/advance writes, demote overdue
-    /// inactive clients, flush the stable record, refresh timers.
+    /// Post-input progress: every volume's writes, then every volume's
+    /// demotions, the stable record, and the earliest of the deadlines.
     fn pump(&mut self, now: Timestamp) {
-        // The loop ends on a blocked write, on a gated head of the
-        // queue — whose gate it yields — or on an empty queue.
-        let gate = loop {
-            if let Some(volume) = self.writing {
-                let vm = (self.volumes.get_mut(&volume)).expect("the writing volume is hosted");
-                if vm.advance_write(now, &mut self.host) {
-                    break None;
-                }
-                self.writing = None;
-            }
-            let Some(&(object, _, _)) = self.queued_writes.front() else {
-                break None;
-            };
-            // Writing an object nobody has heard of creates it in the
-            // home volume.
-            let volume = *self.index.entry(object).or_insert(self.host.cfg.volume);
-            let Some(vm) = self.volumes.get_mut(&volume) else {
-                // The object's volume was handed off while the write
-                // queued; the writer retries at the new owner.
-                let (_, _, enqueued) = self.queued_writes.pop_front().expect("peeked above");
-                self.complete_moved(now, enqueued, self.departed.get(&volume).copied());
-                continue;
-            };
-            // Writes complete strictly in enqueue order, so the head's
-            // gate blocks the whole queue.
-            if now < vm.write_gate {
-                break Some(vm.write_gate);
-            }
-            let (object, data, enqueued) = self.queued_writes.pop_front().expect("peeked above");
-            vm.start_write(now, object, data, enqueued, &mut self.host);
-            self.writing = Some(volume);
-        };
-        let volumes = self.volumes.values_mut();
-        let demotion = (volumes.filter_map(|vm| vm.demote_overdue(now, &mut self.host))).min();
+        for vm in self.volumes.values_mut() {
+            vm.pump_writes(now, &mut self.host);
+        }
+        // A volume's deadline is read after its demotions: one may have
+        // made its write due now.
+        let (mut write_wait, mut demotion) = (None::<Timestamp>, None::<Timestamp>);
+        for vm in self.volumes.values_mut() {
+            let due = vm.demote_overdue(now, &mut self.host);
+            demotion = demotion.into_iter().chain(due).min();
+            write_wait = write_wait.into_iter().chain(vm.write_deadline()).min();
+        }
         // The record bounds every lease ever granted or adopted here, so
         // it never moves back: a later, shorter bound (an adopted or
         // departing volume's) would let a reboot write under a lease
@@ -425,10 +407,6 @@ impl ServerMachine {
                 self.host.actions.push(ServerAction::Persist { state });
             }
         }
-        let write_wait = match self.writing {
-            Some(volume) => self.volumes[&volume].wait_until,
-            None => gate,
-        };
         for (kind, deadline) in [
             (TimerKind::WriteWait, write_wait),
             (TimerKind::Demotion, demotion),
@@ -443,11 +421,13 @@ impl ServerMachine {
         }
     }
 
-    /// Completes a write whose volume has gone to `to` without writing.
-    fn complete_moved(&mut self, now: Timestamp, since: Timestamp, to: Option<ServerId>) {
+    /// Completes a write to `object`, whose volume has gone to `to`:
+    /// nothing is written here.
+    fn complete_moved(&mut self, object: ObjectId, delay: Duration, to: Option<ServerId>) {
         self.host.actions.push(ServerAction::CompleteWrite {
             outcome: WriteOutcome {
-                delay: now.saturating_sub(since),
+                object,
+                delay,
                 moved_to: to,
                 ..WriteOutcome::default()
             },
@@ -519,12 +499,10 @@ impl ServerMachine {
                 };
                 let left = vm.depart();
                 self.departed.insert(volume, to);
-                // An active write is aborted; its writer retries at the
-                // new owner too.
-                let (started, deferred) = left.aborted.unzip();
-                if let Some(started) = started {
-                    self.writing = None;
-                    self.complete_moved(now, started, Some(to));
+                // Its uncommitted writes are aborted; their writers
+                // retry at the new owner too.
+                for (object, enqueued) in left.aborted {
+                    self.complete_moved(object, now.saturating_sub(enqueued), Some(to));
                 }
                 if volume == self.host.cfg.volume {
                     // epoch() keeps reporting the bumped epoch after the
@@ -544,7 +522,7 @@ impl ServerMachine {
                 );
                 // Replay requests deferred by the aborted write: they
                 // now find the volume gone and get redirected.
-                for (client, msg) in deferred.into_iter().flatten() {
+                for (client, msg) in left.deferred {
                     self.handle_msg(now, client, msg);
                 }
             }
@@ -1643,7 +1621,8 @@ mod tests {
                 at
             } if *at == Timestamp::from_secs(50)
         )));
-        // ...while the home volume is not gated.
+        // ...while the home volume is not gated: its write commits at
+        // once, past the one still standing at the other volume's gate.
         let actions = m.handle(
             t0,
             ServerInput::Write {
@@ -1651,24 +1630,21 @@ mod tests {
                 data: Bytes::from_static(b"h"),
             },
         );
-        assert!(
-            !actions
-                .iter()
-                .any(|a| matches!(a, ServerAction::CompleteWrite { .. })),
-            "FIFO: the gated head write blocks the queue: {actions:?}"
+        let done = outcomes(&actions);
+        assert_eq!(done.len(), 1, "{actions:?}");
+        assert_eq!(
+            (done[0].object, done[0].version),
+            (ObjectId(7), Version::FIRST)
         );
-        // At the gate both writes drain in order.
+        assert_eq!(done[0].delay, Duration::ZERO);
+        // The adopted volume's stays gated to 50 s.
+        let actions = m.handle(Timestamp::from_millis(49_999), ServerInput::Tick);
+        assert!(outcomes(&actions).is_empty(), "{actions:?}");
         let actions = m.handle(Timestamp::from_secs(50), ServerInput::Tick);
-        let outcomes: Vec<&WriteOutcome> = actions
-            .iter()
-            .filter_map(|a| match a {
-                ServerAction::CompleteWrite { outcome } => Some(outcome),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[0].version, Version(4));
-        assert_eq!(outcomes[0].delay, Duration::from_secs(40));
+        let done = outcomes(&actions);
+        assert_eq!(done.len(), 1, "{actions:?}");
+        assert_eq!((done[0].object, done[0].version), (ObjectId(1), Version(4)));
+        assert_eq!(done[0].delay, Duration::from_secs(40));
         // A client arriving with the pre-handoff epoch re-syncs through
         // MUST_RENEW_ALL — the ordinary reconnection path.
         let t1 = Timestamp::from_secs(51);
@@ -1771,13 +1747,14 @@ mod tests {
             ServerAction::SetTimer { kind: TimerKind::WriteWait, at } if *at == deadline
         )));
         // Client 8's request for the object is deferred behind it, and
-        // a write to volume 5 queues behind it.
+        // a write to volume 5 stands at that volume's gate.
         let (object, version) = (ObjectId(1), Version::NONE);
         let actions = m.handle(t0, msg(8, ClientMsg::ReqObjLease { object, version }));
         assert!(sends(&actions).is_empty(), "mid-write grant must defer");
         assert!(m.handle(t0, write(50, b"y")).is_empty());
 
-        // Volume 5 leaves: its manifest ships, nothing else happens.
+        // Volume 5 leaves: its manifest ships and its queued write
+        // learns where it went; nothing else happens.
         let request = PeerMsg::HandoffRequest {
             volume: VolumeId(5),
             to: ServerId(1),
@@ -1804,20 +1781,31 @@ mod tests {
             }
             _ => panic!("expected one manifest: {actions:?}"),
         }
-        assert!(outcomes(&actions).is_empty() && sends(&actions).is_empty());
+        let done = outcomes(&actions);
+        assert_eq!(done.len(), 1, "{actions:?}");
+        assert_eq!(
+            (done[0].object, done[0].moved_to),
+            (ObjectId(50), Some(ServerId(1)))
+        );
+        assert_eq!(done[0].delay, Duration::from_millis(100));
+        assert!(sends(&actions).is_empty());
+        assert!(!actions
+            .iter()
+            .any(|a| matches!(a, ServerAction::SetTimer { .. })));
         assert!(m.hosts(VolumeId(0)) && !m.hosts(VolumeId(5)));
 
         // Volume 0's write still waits for client 7, to min(t, t_v) ...
         let actions = m.handle(Timestamp::from_millis(11_999), ServerInput::Tick);
         assert!(outcomes(&actions).is_empty(), "{actions:?}");
-        // ... commits there, grants client 8 the new version, and only
-        // then does the write queued for volume 5 learn where it went.
+        // ... commits there and grants client 8 the new version.
         let actions = m.handle(deadline, ServerInput::Tick);
         let done = outcomes(&actions);
-        assert_eq!(done.len(), 2, "{actions:?}");
-        assert_eq!((done[0].waited_out, done[0].moved_to), (1, None));
-        assert_eq!(done[0].delay, Duration::from_secs(2));
-        assert_eq!(done[1].moved_to, Some(ServerId(1)));
+        assert_eq!(done.len(), 1, "{actions:?}");
+        assert_eq!((done[0].object, done[0].moved_to), (ObjectId(1), None));
+        assert_eq!(
+            (done[0].waited_out, done[0].delay),
+            (1, Duration::from_secs(2))
+        );
         match sends(&actions)[..] {
             [(ClientId(8), ServerMsg::ObjLease { version, data, .. })] => {
                 assert_eq!(*version, Version(2));
@@ -1825,6 +1813,92 @@ mod tests {
             }
             _ => panic!("the deferred request replays once: {actions:?}"),
         }
+    }
+
+    /// The paper's bound is per volume: a write waits on the holders of
+    /// its own volume and on nothing else the server hosts.
+    #[test]
+    fn a_blocked_write_in_one_volume_does_not_hold_up_another() {
+        // Past volume 5's adoption gate (50 s).
+        let t0 = Timestamp::from_secs(60);
+        let mut m = two_volume_machine(t0);
+        let write = |object, data: &'static [u8]| ServerInput::Write {
+            object: ObjectId(object),
+            data: Bytes::from_static(data),
+        };
+        // Volume 0's write waits for client 7, to 62 s.
+        let actions = m.handle(t0, write(1, b"b"));
+        assert!(outcomes(&actions).is_empty(), "{actions:?}");
+        let deadline = Timestamp::from_secs(62);
+        let wait = TimerKind::WriteWait;
+        assert!(actions.contains(&ServerAction::SetTimer {
+            kind: wait,
+            at: deadline
+        }));
+        // A write to volume 5, issued later, commits in the same call.
+        let actions = m.handle(Timestamp::from_millis(60_100), write(50, b"y"));
+        let done = outcomes(&actions);
+        assert_eq!(done.len(), 1, "{actions:?}");
+        assert_eq!(
+            (done[0].object, done[0].version),
+            (ObjectId(50), Version(4))
+        );
+        assert_eq!((done[0].delay, done[0].moved_to), (Duration::ZERO, None));
+        // Volume 0's still waits, and commits at its own deadline.
+        let actions = m.handle(Timestamp::from_millis(61_999), ServerInput::Tick);
+        assert!(outcomes(&actions).is_empty(), "{actions:?}");
+        let actions = m.handle(deadline, ServerInput::Tick);
+        let done = outcomes(&actions);
+        assert_eq!(done.len(), 1, "{actions:?}");
+        assert_eq!((done[0].object, done[0].version), (ObjectId(1), Version(2)));
+        assert_eq!(
+            (done[0].waited_out, done[0].delay),
+            (1, Duration::from_secs(2))
+        );
+    }
+
+    /// A departing volume takes its whole pipeline with it: the active
+    /// write, then the queue, each writer told where to retry.
+    #[test]
+    fn a_departing_volume_completes_every_uncommitted_write_as_moved() {
+        let t0 = Timestamp::from_secs(10);
+        let mut m = machine_with_object_one();
+        let (volume, epoch) = (VolumeId(0), Epoch(0));
+        m.handle(t0, msg(7, ClientMsg::ReqVolLease { volume, epoch }));
+        let (object, version) = (ObjectId(1), Version::NONE);
+        m.handle(t0, msg(7, ClientMsg::ReqObjLease { object, version }));
+        // One write blocked on client 7, two queued behind it.
+        for (ms, object) in [(0, 1), (100, 2), (200, 1)] {
+            let input = ServerInput::Write {
+                object: ObjectId(object),
+                data: Bytes::from_static(b"w"),
+            };
+            let actions = m.handle(t0.saturating_add(Duration::from_millis(ms)), input);
+            assert!(outcomes(&actions).is_empty(), "{actions:?}");
+        }
+        let request = PeerMsg::HandoffRequest {
+            volume,
+            to: ServerId(1),
+        };
+        let from = ServerId(99);
+        let actions = m.handle(
+            Timestamp::from_millis(10_500),
+            ServerInput::Peer { from, msg: request },
+        );
+        let moved = |object, ms| WriteOutcome {
+            object: ObjectId(object),
+            delay: Duration::from_millis(ms),
+            moved_to: Some(ServerId(1)),
+            ..WriteOutcome::default()
+        };
+        assert_eq!(
+            outcomes(&actions),
+            [moved(1, 500), moved(2, 400), moved(1, 300)]
+        );
+        assert_eq!(m.stats().writes, 0, "nothing was written here");
+        // No timer is left behind for a pipeline that is gone.
+        let actions = m.handle(Timestamp::from_secs(12), ServerInput::Tick);
+        assert!(actions.is_empty(), "{actions:?}");
     }
 
     #[test]

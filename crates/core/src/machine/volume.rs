@@ -8,18 +8,19 @@
 //! row ([`ClientState`]) — volume-lease expiry, [`Link`] (membership in
 //! *Unreachable* and progress of the reconnection exchange), membership
 //! in *Inactive* with its queued invalidations, object leases held; and
-//! the write in progress with the requests deferred behind it. A handler
-//! reads and writes one row and matches `Link` without a wildcard:
-//! adding a state, or a message, is a compile error until every
-//! combination has an answer. Where the volume runs — which server,
-//! beside which other volumes, fed writes by what queue — is the
-//! router's business (`server.rs`), which moves a volume by moving
-//! this value.
+//! the write pipeline — the queue, the gate it stands at, the write in
+//! progress with the requests deferred behind it. A handler reads and
+//! writes one row and matches `Link` without a wildcard: adding a state,
+//! or a message, is a compile error until every combination has an
+//! answer. The writes of one volume complete in enqueue order and wait
+//! for nothing outside it. Where the volume runs — which server, beside
+//! which other volumes — is the router's business (`server.rs`), which
+//! moves a volume by moving this value.
 
 use super::server::{ServerAction, ServerStats};
 use super::{MachineConfig, WriteMode, WriteOutcome};
 use bytes::Bytes;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use vl_proto::{ClientMsg, ServerMsg};
 use vl_types::{ClientId, Duration, Epoch, LeaseSet, ObjectId, Timestamp, Version, VolumeId};
 
@@ -220,7 +221,7 @@ fn wait_out_at(
 }
 
 /// What a volume takes to its next owner: the handoff manifest, and the
-/// write its leaving cut short.
+/// writes its leaving cut short.
 pub(super) struct Departure {
     /// The volume's epoch, bumped past every lease granted here.
     pub(super) epoch: Epoch,
@@ -228,27 +229,32 @@ pub(super) struct Departure {
     pub(super) max_vol_expiry: Timestamp,
     /// Every object, by ascending id so the wire image is deterministic.
     pub(super) objects: Vec<(ObjectId, Version, Bytes)>,
-    /// The aborted write's enqueue time and the requests deferred
-    /// behind it, if one was active.
-    pub(super) aborted: Option<(Timestamp, Vec<(ClientId, ClientMsg)>)>,
+    /// Every write that had not committed — the active one, then the
+    /// queue — by object and enqueue time.
+    pub(super) aborted: Vec<(ObjectId, Timestamp)>,
+    /// The requests deferred behind the active write.
+    pub(super) deferred: Vec<(ClientId, ClientMsg)>,
 }
 
 /// The server state of one volume; see the module docs.
 #[derive(Default)]
 pub(super) struct VolumeMachine {
     pub(super) epoch: Epoch,
-    /// Generalizes the crash-recovery gate (§3.1.2): the router starts
-    /// no write here until it passes, whether it came from a reboot or
-    /// from adopting the volume in a handoff.
+    /// Generalizes the crash-recovery gate (§3.1.2): no write starts
+    /// here until it passes, whether it came from a reboot or from
+    /// adopting the volume in a handoff.
     pub(super) write_gate: Timestamp,
     // BTreeMap: demotion scans iterate this, and deterministic iteration
     // keeps simulation runs bit-reproducible.
     clients: BTreeMap<ClientId, ClientState>,
     objects: HashMap<ObjectId, ObjState>,
+    /// Writes not yet started, with their enqueue times, oldest first.
+    queued_writes: VecDeque<(ObjectId, Bytes, Timestamp)>,
     write: Option<ActiveWrite>,
     /// Until when the active write can stay blocked at most, as of the
-    /// last [`advance_write`](VolumeMachine::advance_write).
-    pub(super) wait_until: Option<Timestamp>,
+    /// last [`advance_write`](VolumeMachine::advance_write); `None`
+    /// when no write is active.
+    wait_until: Option<Timestamp>,
     /// When [`demote_overdue`](VolumeMachine::demote_overdue) next has
     /// work: the earliest `since + d` its last pass saw — or at once,
     /// after an input has reached this volume.
@@ -498,11 +504,35 @@ impl VolumeMachine {
         Some(w.object)
     }
 
+    /// Queues the write of `data` to `object`, asked for at `now`.
+    pub(super) fn enqueue_write(&mut self, now: Timestamp, object: ObjectId, data: Bytes) {
+        self.queued_writes.push_back((object, data, now));
+    }
+
+    /// Runs the pipeline as far as it goes: advances the active write,
+    /// then starts the next one, until a write blocks, the head of the
+    /// queue stands at the write gate, or the queue is empty.
+    pub(super) fn pump_writes(&mut self, now: Timestamp, host: &mut Host) {
+        while !self.advance_write(now, host) && now >= self.write_gate {
+            let Some((object, data, enqueued)) = self.queued_writes.pop_front() else {
+                return;
+            };
+            self.start_write(now, object, data, enqueued, host);
+        }
+    }
+
+    /// When the pipeline can next make progress: the active write's
+    /// `wait_until`, else the gate its queue stands at.
+    pub(super) fn write_deadline(&self) -> Option<Timestamp> {
+        let gated = || (!self.queued_writes.is_empty()).then_some(self.write_gate);
+        self.wait_until.or_else(gated)
+    }
+
     /// Begins the write of `data` to `object` that was enqueued at
-    /// `enqueued`: invalidates or queues for every valid holder. The
-    /// caller has checked the write gate and that no write is active,
-    /// and follows up with [`advance_write`](VolumeMachine::advance_write).
-    pub(super) fn start_write(
+    /// `enqueued`: invalidates or queues for every valid holder.
+    /// [`pump_writes`](VolumeMachine::pump_writes) has checked the write
+    /// gate and that no write is active, and advances it next.
+    fn start_write(
         &mut self,
         now: Timestamp,
         object: ObjectId,
@@ -518,6 +548,7 @@ impl VolumeMachine {
             host.stats.writes += 1;
             host.actions.push(ServerAction::CompleteWrite {
                 outcome: WriteOutcome {
+                    object,
                     version: Version::FIRST,
                     ..WriteOutcome::default()
                 },
@@ -584,7 +615,7 @@ impl VolumeMachine {
     /// still ahead, and once nobody is outstanding commits and replays
     /// the deferred lease requests against the new version. Returns
     /// whether a write is still blocked.
-    pub(super) fn advance_write(&mut self, now: Timestamp, host: &mut Host) -> bool {
+    fn advance_write(&mut self, now: Timestamp, host: &mut Host) -> bool {
         let Some(w) = &mut self.write else {
             return false;
         };
@@ -620,6 +651,7 @@ impl VolumeMachine {
         let mut w = self.write.take().expect("checked above");
         obj.version = obj.version.next();
         obj.data = w.data;
+        w.outcome.object = w.object;
         w.outcome.version = obj.version;
         w.outcome.delay = now.saturating_sub(w.started);
         host.stats.writes += 1;
@@ -670,8 +702,8 @@ impl VolumeMachine {
     }
 
     /// Gives the volume up: bumps its epoch past every lease granted
-    /// here and packs what the next owner needs. An active write is
-    /// aborted; the writer retries at the new owner.
+    /// here and packs what the next owner needs. Every uncommitted
+    /// write is aborted; the writers retry at the new owner.
     pub(super) fn depart(self) -> Departure {
         let mut objects: Vec<(ObjectId, Version, Bytes)> = (self.objects.into_iter())
             .map(|(id, o)| (id, o.version, o.data))
@@ -683,7 +715,10 @@ impl VolumeMachine {
             max_vol_expiry: (self.clients.values().filter_map(|c| c.lease).max())
                 .unwrap_or(Timestamp::ZERO),
             objects,
-            aborted: self.write.map(|w| (w.started, w.deferred)),
+            aborted: (self.write.iter().map(|w| (w.object, w.started)))
+                .chain(self.queued_writes.iter().map(|&(o, _, at)| (o, at)))
+                .collect(),
+            deferred: self.write.map_or(Vec::new(), |w| w.deferred),
         }
     }
 

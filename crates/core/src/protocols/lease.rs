@@ -1,4 +1,5 @@
-//! Gray & Cheriton object leases (§2.4).
+//! Gray & Cheriton object leases (§2.4), and the two protocols that are
+//! their waiting mode: waiting leases and self-invalidation.
 
 use super::Protocol;
 use crate::cache::ClientCaches;
@@ -21,12 +22,23 @@ use vl_workload::Universe;
 /// leases on the object expire (§2.4's unexplored option). The simulator
 /// commits the write at the write event and records the wait as write
 /// delay; a holder's first post-expiry read renews and refetches.
+///
+/// Dynamic self-invalidation with precise clocks (Misra et al.;
+/// [`ObjectLease::new_self_inval`]) is that mode read the other way
+/// round: the lease is a server-assigned drop-deadline the client
+/// discards its copy at by its own clock, and the write also waits the
+/// deployment's clock-skew bound `ε` — a client whose clock runs slow by
+/// up to `ε` still believes its copy valid for `ε` past the true
+/// deadline. The trace simulator has one global clock, so skew shows up
+/// only as that extra write delay here; the hazard it creates (a
+/// drifted clock serving stale reads) is exercised in the machine fault
+/// harness, which models per-client clock error.
 #[derive(Debug)]
 pub struct ObjectLease {
     timeout: Duration,
-    /// `true` = classic Gray–Cheriton (invalidate and wait for acks);
-    /// `false` = wait out the leases instead of messaging.
-    notify: bool,
+    /// `None` = classic Gray–Cheriton (invalidate and wait for acks);
+    /// `Some(pad)` = send nothing, wait the latest lease out plus `pad`.
+    wait_out: Option<Duration>,
     leases: Vec<LeaseTrack>,
     caches: ClientCaches,
     /// Scratch holder list reused by every `on_write`.
@@ -38,7 +50,7 @@ impl ObjectLease {
     pub fn new(timeout: Duration, universe: &Universe) -> ObjectLease {
         ObjectLease {
             timeout,
-            notify: true,
+            wait_out: None,
             leases: universe
                 .objects()
                 .iter()
@@ -52,8 +64,19 @@ impl ObjectLease {
     /// Creates the waiting variant: writes block until leases expire
     /// instead of invalidating.
     pub fn new_waiting(timeout: Duration, universe: &Universe) -> ObjectLease {
+        ObjectLease::new_self_inval(timeout, Duration::ZERO, universe)
+    }
+
+    /// Creates self-invalidation with deadline horizon `timeout`: the
+    /// waiting variant whose writes also wait out the clock-skew bound
+    /// `skew_bound`.
+    pub fn new_self_inval(
+        timeout: Duration,
+        skew_bound: Duration,
+        universe: &Universe,
+    ) -> ObjectLease {
         ObjectLease {
-            notify: false,
+            wait_out: Some(skew_bound),
             ..ObjectLease::new(timeout, universe)
         }
     }
@@ -112,36 +135,41 @@ impl Protocol for ObjectLease {
         let server = self.leases[oi].server();
         let mut holders = std::mem::take(&mut self.holders);
         self.leases[oi].valid_holders_into(now, &mut holders);
-        if self.notify {
-            for &client in &holders {
-                ctx.send_pair_to_server(
-                    MessageKind::Invalidate,
-                    0,
-                    MessageKind::AckInvalidate,
-                    0,
-                    server,
-                    client,
-                    now,
-                );
-                self.leases[oi].revoke(client, now, ctx.metrics);
-                self.caches.drop_copy(client, object, volume);
+        match self.wait_out {
+            None => {
+                for &client in &holders {
+                    ctx.send_pair_to_server(
+                        MessageKind::Invalidate,
+                        0,
+                        MessageKind::AckInvalidate,
+                        0,
+                        server,
+                        client,
+                        now,
+                    );
+                    self.leases[oi].revoke(client, now, ctx.metrics);
+                    self.caches.drop_copy(client, object, volume);
+                }
+                ctx.metrics.record_write_delay(Duration::ZERO);
             }
-            ctx.metrics.record_write_delay(Duration::ZERO);
-        } else {
-            // Waiting mode: block until every valid lease runs out, send
-            // nothing. The record occupies server memory to its natural
-            // expiry, and each holder's copy is dead once the write
-            // commits.
-            let wait = holders
-                .iter()
-                .filter_map(|&c| self.leases[oi].expiry_of(c))
-                .max()
-                .map_or(Duration::ZERO, |e| e.saturating_sub(now));
-            for &client in &holders {
-                self.leases[oi].close_at_expiry(client, ctx.metrics);
-                self.caches.drop_copy(client, object, volume);
+            // Waiting mode: block until every valid lease has run out —
+            // on every clock, hence the pad — and send nothing. The
+            // record occupies server memory to its natural expiry, and
+            // each holder's copy is dead once the write commits.
+            Some(pad) => {
+                let wait = holders
+                    .iter()
+                    .filter_map(|&c| self.leases[oi].expiry_of(c))
+                    .max()
+                    .map_or(Duration::ZERO, |e| {
+                        e.saturating_sub(now).saturating_add(pad)
+                    });
+                for &client in &holders {
+                    self.leases[oi].close_at_expiry(client, ctx.metrics);
+                    self.caches.drop_copy(client, object, volume);
+                }
+                ctx.metrics.record_write_delay(wait);
             }
-            ctx.metrics.record_write_delay(wait);
         }
         self.holders = holders;
         // Lapsed records are server garbage; reclaim while we are here.
@@ -306,5 +334,95 @@ mod tests {
         // Record lives exactly 10 of 1000 seconds → 0.16 bytes average.
         let avg = m.avg_state_bytes(ServerId(0), Duration::from_secs(1000));
         assert!((avg - 0.16).abs() < 1e-9, "avg {avg}");
+    }
+
+    fn self_inval(t: u64, eps: u64) -> (vl_workload::Universe, ObjectLease) {
+        let u = two_volume_universe();
+        let (t, eps) = (Duration::from_secs(t), Duration::from_secs(eps));
+        let p = ObjectLease::new_self_inval(t, eps, &u);
+        (u, p)
+    }
+
+    #[test]
+    fn self_inval_reads_within_deadline_are_free() {
+        let (u, mut p) = self_inval(10, 1);
+        let vers = versions(3);
+        let mut m = Metrics::new();
+        for s in 0..10 {
+            p.on_read(ts(s), ClientId(0), ObjectId(0), ctx!(u, vers, m));
+        }
+        assert_eq!(m.total_messages(), 2, "one grant covers the window");
+        p.on_read(ts(10), ClientId(0), ObjectId(0), ctx!(u, vers, m));
+        assert_eq!(m.total_messages(), 4, "deadline passed exactly at t=10");
+    }
+
+    #[test]
+    fn self_inval_write_sends_nothing_and_waits_deadline_plus_skew() {
+        let (u, mut p) = self_inval(100, 2);
+        let mut vers = versions(3);
+        let mut m = Metrics::new();
+        p.on_read(ts(0), ClientId(0), ObjectId(0), ctx!(u, vers, m)); // deadline 100
+        p.on_read(ts(40), ClientId(1), ObjectId(0), ctx!(u, vers, m)); // deadline 140
+        let before = m.total_messages();
+        p.on_write(ts(50), ObjectId(0), ctx!(u, vers, m));
+        vers[0] = vers[0].next();
+        assert_eq!(m.total_messages(), before, "zero invalidation traffic");
+        // Latest deadline 140, plus ε = 2: the write waited 92 s.
+        assert_eq!(m.max_write_delay(), Duration::from_secs(92));
+        // Post-deadline reads refetch — never stale.
+        p.on_read(ts(150), ClientId(0), ObjectId(0), ctx!(u, vers, m));
+        assert_eq!(m.staleness().stale_reads(), 0);
+    }
+
+    #[test]
+    fn self_inval_write_without_holders_is_instant() {
+        let (u, mut p) = self_inval(100, 5);
+        let vers = versions(3);
+        let mut m = Metrics::new();
+        p.on_write(ts(5), ObjectId(0), ctx!(u, vers, m));
+        assert_eq!(m.total_messages(), 0);
+        assert_eq!(
+            m.max_write_delay(),
+            Duration::ZERO,
+            "no deadline outstanding ⇒ no skew pad either"
+        );
+    }
+
+    #[test]
+    fn self_inval_no_stale_reads_ever() {
+        let (u, mut p) = self_inval(100, 1);
+        let mut vers = versions(3);
+        let mut m = Metrics::new();
+        p.on_read(ts(0), ClientId(0), ObjectId(0), ctx!(u, vers, m));
+        p.on_write(ts(5), ObjectId(0), ctx!(u, vers, m));
+        vers[0] = vers[0].next();
+        p.on_read(ts(200), ClientId(0), ObjectId(0), ctx!(u, vers, m));
+        assert_eq!(m.staleness().stale_reads(), 0);
+        assert_eq!(m.staleness().reads(), 2);
+    }
+
+    #[test]
+    fn message_cost_matches_waiting_lease() {
+        // Same grants, same renewals — the only difference from the
+        // waiting-lease column is the ε pad on write delay.
+        let u = two_volume_universe();
+        let mut vers = versions(3);
+        let (mut m_si, mut m_wl) = (Metrics::new(), Metrics::new());
+        let (t, eps) = (Duration::from_secs(50), Duration::from_secs(1));
+        let mut si = ObjectLease::new_self_inval(t, eps, &u);
+        let mut wl = ObjectLease::new_waiting(t, &u);
+        for s in [0u64, 10, 60, 61, 200] {
+            si.on_read(ts(s), ClientId(0), ObjectId(0), ctx!(u, vers, m_si));
+            wl.on_read(ts(s), ClientId(0), ObjectId(0), ctx!(u, vers, m_wl));
+        }
+        si.on_write(ts(220), ObjectId(0), ctx!(u, vers, m_si));
+        wl.on_write(ts(220), ObjectId(0), ctx!(u, vers, m_wl));
+        vers[0] = vers[0].next();
+        assert_eq!(m_si.total_messages(), m_wl.total_messages());
+        assert_eq!(m_si.total_bytes(), m_wl.total_bytes());
+        assert_eq!(
+            m_si.max_write_delay(),
+            m_wl.max_write_delay().saturating_add(eps)
+        );
     }
 }

@@ -1,18 +1,17 @@
 //! The consistency algorithms behind one trait: the paper's six plus
-//! the waiting-lease and self-invalidation extensions.
+//! the waiting-lease and self-invalidation extensions (both modes of
+//! `lease.rs`).
 
 mod callback;
 mod delay;
 mod lease;
 mod poll;
-mod self_inval;
 mod volume;
 
 pub use callback::Callback;
 pub use delay::DelayedInvalidation;
 pub use lease::ObjectLease;
 pub use poll::{Poll, PollEachRead};
-pub use self_inval::SelfInval;
 pub use volume::VolumeLease;
 
 use crate::Ctx;

@@ -453,11 +453,6 @@ impl VolumeLeaseTable {
         self.starts.clear();
         self.expires.clear();
     }
-
-    /// Bytes of backing storage currently allocated for lease slots.
-    pub fn table_bytes(&self) -> usize {
-        (self.starts.capacity() + self.expires.capacity()) * std::mem::size_of::<Timestamp>()
-    }
 }
 
 #[cfg(test)]

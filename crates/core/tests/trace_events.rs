@@ -35,7 +35,7 @@ fn run_silent_holder(t: Duration, tv: Duration, sink: &mut dyn TraceSink) {
         let mut committed = false;
         let actions = server.handle(now, input);
         for action in actions {
-            for ev in events::server_action_events(now, server, Some(OBJECT), &action) {
+            for ev in events::server_action_events(now, server, &action) {
                 sink.record(&ev);
             }
             committed |= matches!(action, ServerAction::CompleteWrite { .. });
@@ -161,24 +161,21 @@ fn events_of_an_adopted_volume_carry_that_volume() {
     let (mut server, _boot) = ServerMachine::new(MachineConfig::new(ServerId(0)), None);
     let now = Timestamp::from_secs(1);
     let client = ClientId(3);
-    // The driver's loop: the write-reply FIFO supplies `written`.
-    let mut step = |input: ServerInput, written: Option<ObjectId>| -> Vec<Event> {
+    // The driver's loop; a completion names the object written.
+    let mut step = |input: ServerInput| -> Vec<Event> {
         let actions = server.handle(now, input);
-        let events = |a| events::server_action_events(now, &server, written, a);
+        let events = |a| events::server_action_events(now, &server, a);
         actions.iter().flat_map(events).collect()
     };
     let msg = |msg| ServerInput::Msg { from: client, msg };
 
     let data = Bytes::from_static(b"v1");
     let version = Version::FIRST;
-    step(
-        ServerInput::CreateObject {
-            object: OBJECT,
-            data: data.clone(),
-            version,
-        },
-        None,
-    );
+    step(ServerInput::CreateObject {
+        object: OBJECT,
+        data: data.clone(),
+        version,
+    });
     let manifest = PeerMsg::Handoff {
         volume: ADOPTED,
         epoch: Epoch(1),
@@ -186,16 +183,13 @@ fn events_of_an_adopted_volume_carry_that_volume() {
         objects: vec![(THEIRS, version, data)],
     };
     let from = ServerId(99);
-    step(
-        ServerInput::Peer {
-            from,
-            msg: manifest,
-        },
-        None,
-    );
+    step(ServerInput::Peer {
+        from,
+        msg: manifest,
+    });
 
     for (volume, epoch, object) in [(HOME, Epoch(0), OBJECT), (ADOPTED, Epoch(1), THEIRS)] {
-        let evs = step(msg(ClientMsg::ReqVolLease { volume, epoch }), None);
+        let evs = step(msg(ClientMsg::ReqVolLease { volume, epoch }));
         let kinds: Vec<EventKind> = evs.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
@@ -204,7 +198,7 @@ fn events_of_an_adopted_volume_carry_that_volume() {
         );
         assert!(evs.iter().all(|e| e.volume == Some(volume)), "{evs:?}");
         let version = Version::NONE;
-        let evs = step(msg(ClientMsg::ReqObjLease { object, version }), None);
+        let evs = step(msg(ClientMsg::ReqObjLease { object, version }));
         let kinds: Vec<EventKind> = evs.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
@@ -216,19 +210,13 @@ fn events_of_an_adopted_volume_carry_that_volume() {
 
     // A write in the adopted volume: INVALIDATE, then the commit.
     let data = Bytes::from_static(b"v2");
-    let evs = step(
-        ServerInput::Write {
-            object: THEIRS,
-            data,
-        },
-        Some(THEIRS),
-    );
+    let evs = step(ServerInput::Write {
+        object: THEIRS,
+        data,
+    });
     assert!(evs.iter().any(|e| e.kind == EventKind::InvalidationSent));
     assert!(evs.iter().all(|e| e.volume == Some(ADOPTED)), "{evs:?}");
-    let evs = step(
-        msg(ClientMsg::AckInvalidate { object: THEIRS }),
-        Some(THEIRS),
-    );
+    let evs = step(msg(ClientMsg::AckInvalidate { object: THEIRS }));
     assert!(evs.iter().any(|e| e.kind == EventKind::WriteCommitted));
     assert!(evs.iter().all(|e| e.volume == Some(ADOPTED)), "{evs:?}");
 
@@ -237,11 +225,11 @@ fn events_of_an_adopted_volume_carry_that_volume() {
         volume: ADOPTED,
         epoch: Epoch(0),
     };
-    let evs = step(msg(stale), None);
+    let evs = step(msg(stale));
     assert_eq!(evs[0].msg, Some(MessageKind::MustRenewAll));
     let leases = Vec::new();
     let volume = ADOPTED;
-    let verdict = step(msg(ClientMsg::RenewObjLeases { volume, leases }), None);
+    let verdict = step(msg(ClientMsg::RenewObjLeases { volume, leases }));
     assert!(verdict.iter().any(|e| e.kind == EventKind::Reconnected));
     for e in evs.iter().chain(&verdict) {
         assert_eq!(e.volume, Some(ADOPTED), "{e:?}");

@@ -79,7 +79,6 @@ pub struct Metrics {
     msgs: MessageCounters,
     staleness: StalenessCounters,
     per_server_msgs: Vec<u64>,
-    per_server_bytes: Vec<u64>,
     per_client_msgs: Vec<u64>,
     state: StateIntegral,
     load: LoadTracker,
@@ -101,16 +100,12 @@ impl std::fmt::Debug for Metrics {
     }
 }
 
-/// The four observability histograms of a run, kept together so sweep
+/// The two observability histograms of a run, kept together so sweep
 /// shards can be combined with one lossless [`Observability::merge`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Observability {
     /// Write delay in milliseconds (0 for undelayed writes).
     pub write_delay_ms: Histogram,
-    /// Client-observed read latency in milliseconds (live path only).
-    pub read_latency_ms: Histogram,
-    /// Lease-renewal round-trip time in milliseconds (live path only).
-    pub renewal_rtt_ms: Histogram,
     /// Delivered invalidation-batch sizes (delayed invalidations).
     pub inval_batch: Histogram,
 }
@@ -120,8 +115,6 @@ impl Observability {
     /// [`Histogram::merge`].
     pub fn merge(&mut self, other: &Observability) {
         self.write_delay_ms.merge(&other.write_delay_ms);
-        self.read_latency_ms.merge(&other.read_latency_ms);
-        self.renewal_rtt_ms.merge(&other.renewal_rtt_ms);
         self.inval_batch.merge(&other.inval_batch);
     }
 }
@@ -155,7 +148,6 @@ impl Metrics {
     ) {
         self.msgs.record(kind, bytes);
         bump(&mut self.per_server_msgs, server.raw() as usize, 1);
-        bump(&mut self.per_server_bytes, server.raw() as usize, bytes);
         bump(&mut self.per_client_msgs, client.raw() as usize, 1);
         self.load.record(server, now);
         if let Some(sink) = &mut self.sink {
@@ -188,11 +180,6 @@ impl Metrics {
         self.msgs.record(kind_a, bytes_a);
         self.msgs.record(kind_b, bytes_b);
         bump(&mut self.per_server_msgs, server.raw() as usize, 2);
-        bump(
-            &mut self.per_server_bytes,
-            server.raw() as usize,
-            bytes_a + bytes_b,
-        );
         bump(&mut self.per_client_msgs, client.raw() as usize, 2);
         self.load.record_n(server, now, 2);
         if let Some(sink) = &mut self.sink {
@@ -230,16 +217,6 @@ impl Metrics {
             self.write_delay_total += delay;
             self.write_delay_max = self.write_delay_max.max(delay);
         }
-    }
-
-    /// Records one client-observed read latency (live path).
-    pub fn record_read_latency(&mut self, millis: u64) {
-        self.obs.read_latency_ms.record(millis);
-    }
-
-    /// Records one lease-renewal round-trip time (live path).
-    pub fn record_renewal_rtt(&mut self, millis: u64) {
-        self.obs.renewal_rtt_ms.record(millis);
     }
 
     /// Records the size of one delivered invalidation batch.
@@ -313,14 +290,6 @@ impl Metrics {
     /// Messages sent or received by `server`.
     pub fn server_messages(&self, server: ServerId) -> u64 {
         self.per_server_msgs
-            .get(server.raw() as usize)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Bytes sent or received by `server`.
-    pub fn server_bytes(&self, server: ServerId) -> u64 {
-        self.per_server_bytes
             .get(server.raw() as usize)
             .copied()
             .unwrap_or(0)

@@ -419,11 +419,6 @@ impl ChaosNet {
         core.windows.clear();
     }
 
-    /// Re-enables fault injection after [`stop`](ChaosNet::stop).
-    pub fn resume(&self) {
-        self.core.lock().active = true;
-    }
-
     /// Explicitly opens a one-way partition window from `from` to `to`
     /// for `dur` — deterministic test hook, no RNG involved.
     pub fn partition_one_way(&self, from: NodeId, to: NodeId, dur: StdDuration) {

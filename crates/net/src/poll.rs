@@ -130,10 +130,6 @@ pub struct PollConfig {
     /// disables keepalives, idle reaping, *and* mid-frame stall
     /// enforcement — the loop then sleeps indefinitely when idle.
     pub idle_deadline: Option<StdDuration>,
-    /// A frame whose first byte arrived must complete within this, or
-    /// the peer is declared dead (guards against mid-frame stalls).
-    /// Enforced at keepalive-sweep granularity.
-    pub frame_deadline: StdDuration,
     /// Backoff schedule for re-dialing a dropped peer. Exhaustion does
     /// not give up: further attempts repeat at the schedule's cap.
     pub redial: RetryPolicy,
@@ -144,21 +140,24 @@ pub struct PollConfig {
     pub dial_timeout: StdDuration,
     /// Deadline for the identity-hello exchange on a new connection.
     pub hello_timeout: StdDuration,
-    /// Accept backlog re-applied to listeners (std hardcodes 128,
-    /// which a connect storm overflows). Clamped by `somaxconn`.
-    pub accept_backlog: i32,
 }
+
+/// A frame whose first byte arrived must complete within this, or the
+/// peer is declared dead (guards against mid-frame stalls). Enforced at
+/// keepalive-sweep granularity.
+const FRAME_DEADLINE: StdDuration = StdDuration::from_secs(5);
+/// Accept backlog re-applied to listeners (std hardcodes 128, which a
+/// connect storm overflows). Clamped by `somaxconn`.
+pub(crate) const ACCEPT_BACKLOG: i32 = 4096;
 
 impl Default for PollConfig {
     fn default() -> PollConfig {
         PollConfig {
             idle_deadline: Some(StdDuration::from_secs(10)),
-            frame_deadline: StdDuration::from_secs(5),
             redial: RetryPolicy::default(),
             queue_cap: 1024,
             dial_timeout: StdDuration::from_secs(1),
             hello_timeout: StdDuration::from_secs(2),
-            accept_backlog: 4096,
         }
     }
 }
@@ -450,7 +449,7 @@ impl Reactor {
     /// Propagates bind failures.
     pub fn listen(&self, id: NodeId, addr: &str) -> io::Result<PollNode> {
         let listener = TcpListener::bind(addr)?;
-        let _ = vl_epoll::relisten(&listener, self.shared.cfg.accept_backlog);
+        let _ = vl_epoll::relisten(&listener, ACCEPT_BACKLOG);
         self.listen_on(id, listener, None)
     }
 
@@ -1506,7 +1505,7 @@ impl EventLoop {
             // Stall enforcement rides the idle machinery; with
             // idle disabled there is no liveness policing.
             if self.cfg.idle_deadline.is_some() {
-                self.arm(started + self.cfg.frame_deadline);
+                self.arm(started + FRAME_DEADLINE);
             }
         }
         if dead {
@@ -1600,7 +1599,6 @@ impl EventLoop {
         // Connection sweep: keepalives + deadlines.
         let ka_every = self.ka_every();
         let idle = self.cfg.idle_deadline;
-        let frame_deadline = self.cfg.frame_deadline;
         let hello_timeout = self.cfg.hello_timeout;
         let mut reap: Vec<usize> = Vec::new();
         for (token, slot) in self.conns.iter_mut().enumerate() {
@@ -1623,7 +1621,7 @@ impl EventLoop {
                 }
                 bump(&mut next, deadline);
                 if let Some(started) = conn.frame_started {
-                    let deadline = started + frame_deadline;
+                    let deadline = started + FRAME_DEADLINE;
                     if now >= deadline {
                         reap.push(token);
                         continue;

@@ -39,7 +39,7 @@
 //! the old shard and the `Up` from the new one come from two threads
 //! and may land in either order.
 
-use crate::poll::{route, LoopStats, PollConfig, PollNode, Reactor};
+use crate::poll::{route, LoopStats, PollConfig, PollNode, Reactor, ACCEPT_BACKLOG};
 use crate::wire::WireStats;
 use crate::{Channel, Handler, NetError, NetEvent, NodeId};
 use bytes::Bytes;
@@ -112,12 +112,12 @@ impl ShardedNode {
 
         // The first member may bind port 0; everyone after binds the
         // concrete port the kernel picked for it.
-        let first = vl_epoll::bind_reuseport(v4, cfg.accept_backlog)?;
+        let first = vl_epoll::bind_reuseport(v4, ACCEPT_BACKLOG)?;
         let local_addr = first.local_addr()?;
         let concrete = SocketAddrV4::new(*v4.ip(), local_addr.port());
         let mut listeners = vec![first];
         for _ in 1..reactors {
-            listeners.push(vl_epoll::bind_reuseport(concrete, cfg.accept_backlog)?);
+            listeners.push(vl_epoll::bind_reuseport(concrete, ACCEPT_BACKLOG)?);
         }
 
         let mut shards: Vec<PollNode> = Vec::with_capacity(reactors);

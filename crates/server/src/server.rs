@@ -309,9 +309,9 @@ struct Driver<C: Clock> {
     cmds: Receiver<Command>,
     stable_path: Option<PathBuf>,
     /// Writers awaiting completion and the object each wrote, oldest
-    /// first. The machine commits writes strictly in enqueue order, so
-    /// a FIFO correlates each [`ServerAction::CompleteWrite`] with its
-    /// caller (and, for the trace, with its volume).
+    /// first. A [`ServerAction::CompleteWrite`] names its object and is
+    /// for the oldest writer of it: a volume commits in enqueue order,
+    /// and volumes do not wait for each other.
     write_replies: VecDeque<(ObjectId, Sender<WriteOutcome>)>,
     /// The machine's actions for the input being applied; drained and
     /// reused, so a renewal allocates nothing here.
@@ -521,8 +521,7 @@ impl<C: Clock> Driver<C> {
         let mut actions = std::mem::take(&mut self.actions);
         for action in actions.drain(..) {
             if let Some(sink) = &mut self.sink {
-                let written = self.write_replies.front().map(|&(object, _)| object);
-                for ev in events::server_action_events(now, &self.machine, written, &action) {
+                for ev in events::server_action_events(now, &self.machine, &action) {
                     sink.record(&ev);
                 }
             }
@@ -552,7 +551,9 @@ impl<C: Clock> Driver<C> {
                     }
                 }
                 ServerAction::CompleteWrite { outcome } => {
-                    if let Some((_, reply)) = self.write_replies.pop_front() {
+                    let mut waiting = self.write_replies.iter();
+                    let oldest = waiting.position(|&(object, _)| object == outcome.object);
+                    if let Some((_, reply)) = oldest.and_then(|i| self.write_replies.remove(i)) {
                         let _ = reply.send(outcome);
                     }
                 }

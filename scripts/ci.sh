@@ -51,6 +51,22 @@ if [ -n "$leak" ]; then
     echo "error: machine/server.rs names per-volume protocol state: $leak" >&2
     exit 1
 fi
+# A volume owns its writes — queue, gate, fan-out, wait, commit — and
+# the router schedules nothing: a write queue or an active-write marker
+# in server.rs, or a pipeline stage of volume.rs the router can call,
+# is the global FIFO growing back.
+leak=$(nontest crates/core/src/machine/server.rs |
+    grep -nE 'queued_writes|writing|VecDeque' || true)
+if [ -n "$leak" ]; then
+    echo "error: machine/server.rs schedules writes: $leak" >&2
+    exit 1
+fi
+leak=$(nontest crates/core/src/machine/volume.rs |
+    grep -nE 'pub(\(super\))? +(fn +(start_write|advance_write)|wait_until)\b' || true)
+if [ -n "$leak" ]; then
+    echo "error: machine/volume.rs exposes a stage of its write pipeline: $leak" >&2
+    exit 1
+fi
 
 echo "==> vl-server blocks in a receive only in its pump (DESIGN.md §12)"
 # One driver, two hosts: the reactor calls it, or `pump` does for an

@@ -8,6 +8,8 @@
 use bytes::Bytes;
 use std::time::{Duration as StdDuration, Instant};
 use vl_client::{CacheClient, ClientConfig, ObjectLocation, ReadError};
+use vl_metrics::trace::TraceLine;
+use vl_metrics::EventKind;
 use vl_net::chaos::{ChaosNet, ChaosProfile};
 use vl_net::{InMemoryNetwork, NodeId};
 use vl_server::{rebalance, LeaseServer, ServerConfig, ServerHandle, WallClock};
@@ -156,6 +158,70 @@ fn partition_isolates_failures_to_one_origin() {
     }
 }
 
+/// The write bound is per volume: with volumes A = 0 and B = 1 on one
+/// server and A's only holder partitioned, a write to B returns at once
+/// while A's waits its t_v out.
+#[test]
+fn a_stalled_write_stalls_its_volume_not_the_server() {
+    let t_v = StdDuration::from_secs(2);
+    let net = InMemoryNetwork::new();
+    let clock = WallClock::new();
+    let servers: Vec<ServerHandle> = (0..2)
+        .map(|s| {
+            let handle = LeaseServer::spawn(
+                ServerConfig {
+                    volume_lease: t_v,
+                    ..ServerConfig::new(ServerId(s))
+                },
+                net.endpoint(NodeId::Server(ServerId(s))),
+                clock,
+            );
+            handle.create_object(obj(s, 0), Bytes::from(format!("s{s}o0v1")));
+            handle
+        })
+        .collect();
+    // Nobody ever held a lease in B, so its adoption gate is open.
+    let coord = net.endpoint(NodeId::Server(ServerId(1000)));
+    let (from, to) = (ServerId(1), ServerId(0));
+    rebalance(&coord, from, &coord, to, VolumeId(1), t_v).expect("handoff completes");
+    let cache = CacheClient::spawn(
+        ClientConfig::new(ME, ServerId(0)),
+        net.endpoint(NodeId::Client(ME)),
+        clock,
+    );
+    cache
+        .read_at(ObjectLocation::origin(ServerId(0)), obj(0, 0))
+        .unwrap();
+    net.partition(NodeId::Client(ME), NodeId::Server(ServerId(0)));
+
+    let server = &servers[0];
+    let sent = server.stats().msgs_out;
+    std::thread::scope(|scope| {
+        let (done, a_done) = std::sync::mpsc::channel();
+        scope.spawn(move || {
+            let out = server.write(obj(0, 0), Bytes::from_static(b"s0o0v2"));
+            done.send(out).unwrap();
+        });
+        // A's write is in the machine once its INVALIDATE has gone out.
+        assert!(eventually(1_000, || server.stats().msgs_out > sent));
+        let asked = Instant::now();
+        let b = server.write(obj(1, 0), Bytes::from_static(b"s1o0v2"));
+        let took = asked.elapsed();
+        assert!(a_done.try_recv().is_err(), "A's write is still blocked");
+        assert_eq!((b.object, b.moved_to), (obj(1, 0), None));
+        assert_eq!(b.version, vl_types::Version(2));
+        assert!(took < t_v / 4, "B's write waited {took:?} behind A's");
+        let a = a_done.recv_timeout(2 * t_v).expect("A's write commits");
+        assert_eq!((a.object, a.waited_out), (obj(0, 0), 1));
+        let waited = StdDuration::from_millis(a.delay.as_millis());
+        assert!(waited > t_v / 2 && waited <= t_v, "A waited {waited:?}");
+    });
+    cache.shutdown();
+    for s in servers {
+        s.shutdown();
+    }
+}
+
 /// The CI chaos matrix sets `VL_CHAOS_PROFILE`; locally the test runs
 /// the `drops` profile by default.
 fn chaos_profile() -> ChaosProfile {
@@ -223,7 +289,10 @@ fn write_at_owner(
 /// * write delay bounded by t_v plus slack even across the migration
 ///   (the gainer's write gate is the loser's max lease expiry);
 /// * the client re-syncing through WRONG_SHARD redirects and the
-///   ordinary MUST_RENEW_ALL reconnection — no new client states.
+///   ordinary MUST_RENEW_ALL reconnection — no new client states;
+/// * one `write_committed` per write in the servers' traces: the first
+///   write after each handoff goes to the old owner, which answers
+///   `moved_to` and must not trace a commit it did not make.
 #[test]
 fn handoff_under_chaos_keeps_reads_fresh_and_writes_bounded() {
     let profile = chaos_profile();
@@ -306,9 +375,9 @@ fn handoff_under_chaos_keeps_reads_fresh_and_writes_bounded() {
             .expect("handoff completes");
             assert_eq!(out.epoch, Epoch(u64::from(round) / 4), "epoch per handoff");
             assert_eq!(out.objects, 3, "manifest ships the whole volume");
-            owner = to.raw() as usize;
         }
         version += 1;
+        // After a handoff `owner` is stale; `moved_to` corrects it.
         let (out, now_at) = write_at_owner(
             &servers,
             owner,
@@ -371,6 +440,18 @@ fn handoff_under_chaos_keeps_reads_fresh_and_writes_bounded() {
     for s in servers {
         s.shutdown();
     }
+    let committed: usize = (0..ORIGINS)
+        .map(|s| {
+            let trace = trace_dir.join(format!("{profile}-s{s}.jsonl"));
+            let trace = std::fs::read_to_string(trace).unwrap();
+            let commit = |line| match vl_metrics::trace::parse_line(line) {
+                Some(TraceLine::Event(e)) => e.kind == EventKind::WriteCommitted,
+                _ => false,
+            };
+            trace.lines().filter(|&line| commit(line)).count()
+        })
+        .sum();
+    assert_eq!(committed as u64, version - 1, "one commit per write");
 }
 
 /// Nightly soak: volume 0 orbits the fleet 0 → 1 → 2 → 0 → … while a
