@@ -124,8 +124,8 @@ pub fn run(args: &Args) {
         .collect();
 
     // Dial + spawn all clients from a few threads; each client's
-    // receive loop blocks on its event stream, so idle clients cost no
-    // CPU.
+    // driver is hosted on its reactor, so idle clients cost no thread
+    // and no CPU.
     let connect_t0 = Instant::now();
     let dial_threads = 8u32;
     let clients: Vec<CacheClient> = std::thread::scope(|scope| {
@@ -298,8 +298,8 @@ pub fn run(args: &Args) {
         let _ = child.kill();
         let _ = child.wait();
     }
-    // 10k clients mean 10k receive threads; an orderly shutdown joins
-    // them one by one for no benefit. Exit hard instead.
+    // An orderly shutdown stops 10k clients one by one for no benefit.
+    // Exit hard instead.
     exit(if renewals == 0 { 1 } else { 0 });
 }
 

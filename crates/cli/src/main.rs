@@ -560,7 +560,7 @@ fn serve(args: &Args) {
         Some((profile, seed)) => {
             let chaos = ChaosNet::new(profile.config(seed));
             println!("(chaos profile '{profile}' seed {seed} injected on the server endpoint)");
-            Arc::new(chaos.wrap_arc(node))
+            Arc::new(chaos.wrap(node))
         }
     };
     let clock = WallClock::new();

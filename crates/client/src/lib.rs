@@ -5,11 +5,12 @@
 //! the object's volume, renew lapsed leases, answer invalidations with
 //! acks, and run the client half of the reconnection protocol — lives in
 //! the pure state machine [`vl_core::machine::ClientMachine`], one per
-//! volume. [`CacheClient`] is the thin live driver around them: it owns
-//! the network endpoint, one receive thread blocked on the endpoint's
-//! event stream (no tick), and a condition variable; it routes wire
-//! messages, link-state changes and read requests to the machine of
-//! the volume they concern, and executes the actions it returns.
+//! volume. [`CacheClient`] is the thin live driver around them: a
+//! `vl_net::Handler` its endpoint hosts (on the reactor that reads its
+//! frames, over TCP; no thread of its own, no tick), and a condition
+//! variable reading threads wait on; it routes wire messages,
+//! link-state changes and read requests to the machine of the volume
+//! they concern, and executes the actions it returns.
 //!
 //! If the server cannot be reached, [`CacheClient::read`] fails with
 //! [`ReadError::Unavailable`] rather than returning possibly-stale data —
@@ -85,17 +86,16 @@ pub use routes::ObjectLocation;
 pub use vl_core::machine::ClientStats;
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use routes::Routes;
 use std::collections::btree_map::Entry;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration as StdDuration, Instant};
 use vl_core::machine::{events, ClientAction, ClientInput};
 use vl_metrics::{Event, EventKind, TraceSink};
-use vl_net::{Channel, NetEvent, NodeId};
+use vl_net::{Channel, Handler, NetEvent, NodeId, Outbox};
 use vl_proto::codec;
 use vl_types::{ClientId, Clock, Epoch, ObjectId, ServerId, ShardMap, Version, VolumeId};
 
@@ -170,11 +170,10 @@ impl fmt::Display for ReadError {
 
 impl std::error::Error for ReadError {}
 
-/// What the reading threads and the receive thread share.
+/// What the reading threads and the hosted driver share.
 struct Shared {
     cfg: ClientConfig,
     clock: Box<dyn Clock + Send + Sync>,
-    endpoint: Box<dyn Channel>,
     /// All protocol state lives in the per-volume machines inside.
     routes: Mutex<Routes>,
     /// Signalled after every frame the machines handled.
@@ -186,27 +185,35 @@ struct Shared {
 }
 
 impl Shared {
+    fn routes(&self) -> MutexGuard<'_, Routes> {
+        self.routes.lock().expect("routes poisoned by a panic")
+    }
+
+    fn sink(&self) -> Option<MutexGuard<'_, Box<dyn TraceSink>>> {
+        let sink = self.sink.as_ref()?;
+        Some(sink.lock().expect("sink poisoned by a panic"))
+    }
+
     /// Records one event about `server` (no-op when untraced).
     fn trace(&self, server: ServerId, kind: EventKind, fill: impl FnOnce(&mut Event)) {
-        if let Some(sink) = &self.sink {
+        if let Some(mut sink) = self.sink() {
             let mut event = Event::new(self.clock.now(), kind, server, self.cfg.client);
             fill(&mut event);
-            sink.lock().record(&event);
+            sink.record(&event);
         }
     }
 
     /// Transmits the messages among a machine's `actions` to `to`.
-    fn send(&self, to: ServerId, actions: Vec<ClientAction>) {
+    fn send(&self, out: &mut dyn Outbox, to: ServerId, actions: Vec<ClientAction>) {
         for action in actions {
             let ClientAction::Send(msg) = &action else {
                 continue;
             };
-            let _ = self
-                .endpoint
-                .send(NodeId::Server(to), codec::encode_client(msg));
-            if let Some(sink) = &self.sink {
+            let _ = out.send_with(NodeId::Server(to), &mut |b| {
+                codec::encode_client_into(msg, b)
+            });
+            if let Some(mut sink) = self.sink() {
                 let now = self.clock.now();
-                let mut sink = sink.lock();
                 for event in events::client_action_events(now, to, self.cfg.client, &action) {
                     sink.record(&event);
                 }
@@ -242,16 +249,20 @@ impl Shared {
     }
 }
 
-/// A live cache client (owns a background receive thread).
+/// A live cache client: a driver its endpoint hosts, and the handle
+/// application threads read through.
 ///
 /// All protocol state lives in the wrapped per-volume
 /// [`ClientMachine`](vl_core::machine::ClientMachine)s; this type only
-/// adds the thread, the condition variable readers block on, the
-/// volume → server routes, and wall-clock timing for the latency
-/// statistics.
+/// adds the condition variable readers block on, the volume → server
+/// routes, and wall-clock timing for the latency statistics.
 pub struct CacheClient {
     shared: Arc<Shared>,
-    thread: Option<JoinHandle<()>>,
+    /// Where reading threads send their requests; the driver has its
+    /// host's [`Outbox`] instead.
+    endpoint: Arc<dyn Channel>,
+    /// Disconnects when the driver is dropped, wherever it ran.
+    stopped: Receiver<()>,
 }
 
 impl fmt::Debug for CacheClient {
@@ -259,16 +270,16 @@ impl fmt::Debug for CacheClient {
         f.debug_struct("CacheClient")
             .field("client", &self.shared.cfg.client)
             .field("server", &self.shared.cfg.server)
-            .field("volumes", &self.shared.routes.lock().volumes.len())
+            .field("volumes", &self.shared.routes().volumes.len())
             .finish()
     }
 }
 
 impl CacheClient {
-    /// Starts the client's receive loop.
+    /// Hosts the client's driver on the endpoint ([`Channel::host`]).
     pub fn spawn(
         cfg: ClientConfig,
-        endpoint: impl Channel + 'static,
+        endpoint: impl Channel,
         clock: impl Clock + Send + Sync + 'static,
     ) -> CacheClient {
         CacheClient::spawn_inner(cfg, endpoint, clock, None)
@@ -280,7 +291,7 @@ impl CacheClient {
     /// labelled with the server it concerned.
     pub fn spawn_traced(
         cfg: ClientConfig,
-        endpoint: impl Channel + 'static,
+        endpoint: impl Channel,
         clock: impl Clock + Send + Sync + 'static,
         sink: Box<dyn TraceSink>,
     ) -> CacheClient {
@@ -289,11 +300,10 @@ impl CacheClient {
 
     fn spawn_inner(
         cfg: ClientConfig,
-        endpoint: impl Channel + 'static,
+        endpoint: impl Channel,
         clock: impl Clock + Send + Sync + 'static,
         sink: Option<Box<dyn TraceSink>>,
     ) -> CacheClient {
-        let name = format!("vl-client-{}", cfg.client);
         // The configured volume exists from the start, so the link
         // coming up already fetches its lease.
         let mut routes = Routes::default();
@@ -301,22 +311,22 @@ impl CacheClient {
         let shared = Arc::new(Shared {
             cfg,
             clock: Box::new(clock),
-            endpoint: Box::new(endpoint),
             routes: Mutex::new(routes),
             progress: Condvar::new(),
             running: AtomicBool::new(true),
             sink: sink.map(Mutex::new),
         });
-        let thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(name)
-                .spawn(move || receive_loop(&shared))
-                .expect("spawn client thread")
+        let endpoint: Arc<dyn Channel> = Arc::new(endpoint);
+        let (alive, stopped) = bounded(0);
+        let driver = Driver {
+            shared: Arc::clone(&shared),
+            _alive: alive,
         };
+        Arc::clone(&endpoint).host(Box::new(driver));
         CacheClient {
             shared,
-            thread: Some(thread),
+            endpoint,
+            stopped,
         }
     }
 
@@ -353,7 +363,7 @@ impl CacheClient {
             // route is read per attempt, so a redirect between attempts
             // re-aims the retry.
             let (to, requests) = {
-                let mut routes = shared.routes.lock();
+                let mut routes = shared.routes();
                 if attempt > 0 {
                     routes.stats.retries += 1;
                 }
@@ -375,10 +385,10 @@ impl CacheClient {
                 routes.remember(object, at.volume);
                 (to, requests)
             };
-            shared.send(to, requests);
-            // Wait for the receive loop to make progress.
+            shared.send(&mut &*self.endpoint, to, requests);
+            // Wait for the driver to make progress.
             let deadline = Instant::now() + shared.cfg.request_timeout;
-            let mut routes = shared.routes.lock();
+            let mut routes = shared.routes();
             loop {
                 let vol = routes.volume(&shared.cfg, at);
                 let to = vol.server;
@@ -386,13 +396,13 @@ impl CacheClient {
                     shared.finish(&mut routes, started, to, object, false);
                     return Ok(data);
                 }
-                if shared
-                    .progress
-                    .wait_until(&mut routes, deadline)
-                    .timed_out()
-                {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let waited = shared.progress.wait_timeout(routes, left);
+                let (guard, wait) = waited.expect("routes poisoned by a panic");
+                if wait.timed_out() {
                     break;
                 }
+                routes = guard;
             }
         }
         Err(ReadError::Unavailable { object })
@@ -402,19 +412,19 @@ impl CacheClient {
     /// "return suspect data with a warning" client policy. `None` if
     /// nothing is cached.
     pub fn read_suspect(&self, object: ObjectId) -> Option<Bytes> {
-        let routes = self.shared.routes.lock();
+        let routes = self.shared.routes();
         routes.machine_of(object)?.read_suspect(object)
     }
 
     /// The version this client has cached for `object`.
     pub fn cached_version(&self, object: ObjectId) -> Option<Version> {
-        let routes = self.shared.routes.lock();
+        let routes = self.shared.routes();
         routes.machine_of(object)?.cached_version(object)
     }
 
     /// Whether both leases covering `object` are currently valid.
     pub fn holds_valid_leases(&self, object: ObjectId) -> bool {
-        let routes = self.shared.routes.lock();
+        let routes = self.shared.routes();
         let now = self.shared.clock.now();
         routes
             .machine_of(object)
@@ -423,7 +433,7 @@ impl CacheClient {
 
     /// Number of volumes with a currently valid lease.
     pub fn live_volumes(&self) -> usize {
-        let routes = self.shared.routes.lock();
+        let routes = self.shared.routes();
         let now = self.shared.clock.now();
         let live = routes
             .volumes
@@ -438,7 +448,7 @@ impl CacheClient {
     /// that is the paper's whole point — but renewals will fail until
     /// the link returns.
     pub fn is_degraded(&self) -> bool {
-        let routes = self.shared.routes.lock();
+        let routes = self.shared.routes();
         routes.down.contains_key(&self.shared.cfg.server)
     }
 
@@ -446,14 +456,14 @@ impl CacheClient {
     /// this set degrades only its own volumes; everything else keeps
     /// working.
     pub fn degraded_origins(&self) -> Vec<ServerId> {
-        self.shared.routes.lock().down.keys().copied().collect()
+        self.shared.routes().down.keys().copied().collect()
     }
 
     /// The epoch this client last observed for the configured volume;
     /// changes exactly when its server recovered from a crash (§3.1.2)
     /// or the volume was handed to another server.
     pub fn server_epoch(&self) -> Epoch {
-        let routes = self.shared.routes.lock();
+        let routes = self.shared.routes();
         let home = routes.volumes.get(&self.shared.cfg.volume);
         home.map_or(Epoch::default(), |vol| vol.machine.epoch())
     }
@@ -463,40 +473,36 @@ impl CacheClient {
     /// cannot undo a redirect.
     pub fn set_shard_map(&self, map: ShardMap) {
         let shared = &*self.shared;
-        let probes = shared
-            .routes
-            .lock()
-            .adopt_map(shared.clock.now(), map, None);
+        let probes = shared.routes().adopt_map(shared.clock.now(), map, None);
         for (to, actions) in probes {
-            shared.send(to, actions);
+            shared.send(&mut &*self.endpoint, to, actions);
         }
     }
 
     /// Version of the routing table currently in use (0 when unset).
     pub fn shard_map_version(&self) -> u64 {
-        self.shared.routes.lock().shard_map_version()
+        self.shared.routes().shard_map_version()
     }
 
     /// Statistics snapshot, summed across volumes.
     pub fn stats(&self) -> ClientStats {
-        self.shared.routes.lock().total_stats()
+        self.shared.routes().total_stats()
     }
 
-    /// Stops the receive loop and drops the endpoint.
+    /// Stops the driver and drops the endpoint.
     pub fn shutdown(mut self) {
         self.stop();
-        if let Some(sink) = &self.shared.sink {
-            sink.lock().flush();
+        if let Some(mut sink) = self.shared.sink() {
+            sink.flush();
         }
     }
 
-    /// Lowers `running`, wakes the receive loop out of its blocking
-    /// receive so it notices, and joins it.
+    /// Lowers `running`, wakes the driver so it notices, and waits until
+    /// its host has dropped it.
     fn stop(&mut self) {
-        self.shared.running.store(false, Ordering::SeqCst);
-        self.shared.endpoint.wake();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
+        if self.shared.running.swap(false, Ordering::SeqCst) {
+            self.endpoint.wake();
+            let _ = self.stopped.recv();
         }
     }
 }
@@ -507,51 +513,58 @@ impl Drop for CacheClient {
     }
 }
 
-fn receive_loop(shared: &Shared) {
-    while shared.running.load(Ordering::SeqCst) {
+/// The client's consumer of its endpoint's stream. It holds no
+/// endpoint: what it sends goes through its host's [`Outbox`], so
+/// hosting it keeps no node alive.
+struct Driver {
+    shared: Arc<Shared>,
+    /// Dropped with the driver: `stop` waits on it.
+    _alive: Sender<()>,
+}
+
+impl Handler for Driver {
+    fn on_event(&mut self, event: NetEvent, out: &mut dyn Outbox) -> bool {
+        let shared = &*self.shared;
+        if !shared.running.load(Ordering::SeqCst) {
+            return false;
+        }
         // Link state arrives on the same stream as the frames, per
         // server. Losing a link degrades that origin's volumes (cached
         // reads under valid leases stay legal; renewals will stall);
         // regaining it makes each of them probe with its last-seen
         // epoch — the server answers MUST_RENEW_ALL if it bumped the
         // epoch or demoted us while we were away.
-        let (from, msg, wire_bytes) = match shared.endpoint.recv_event(None) {
-            Ok(NetEvent::Frame {
+        let (from, msg, wire_bytes) = match event {
+            NetEvent::Frame {
                 from: NodeId::Server(from),
                 bytes,
-            }) => match codec::decode_server(&bytes) {
+            } => match codec::decode_server(&bytes) {
                 Ok(msg) => (from, msg, bytes.len() as u64),
-                Err(_) => continue, // corrupt frame
+                Err(_) => return true, // corrupt frame
             },
-            Ok(NetEvent::Down(NodeId::Server(server))) => {
-                let mut routes = shared.routes.lock();
+            NetEvent::Down(NodeId::Server(server)) => {
+                let mut routes = shared.routes();
                 if let Entry::Vacant(spell) = routes.down.entry(server) {
                     spell.insert(Instant::now());
                     drop(routes);
                     shared.trace(server, EventKind::Degraded, |_| {});
                 }
-                continue;
+                return true;
             }
-            Ok(NetEvent::Up(NodeId::Server(server))) => {
+            NetEvent::Up(NodeId::Server(server)) => {
                 let now = shared.clock.now();
-                let mut routes = shared.routes.lock();
-                let probes = routes
-                    .volumes
-                    .values_mut()
+                let probes = (shared.routes().volumes.values_mut())
                     .filter(|vol| vol.server == server)
                     .flat_map(|vol| vol.machine.handle(now, ClientInput::Reconnected))
                     .collect();
-                drop(routes);
-                shared.send(server, probes);
-                continue;
+                shared.send(out, server, probes);
+                return true;
             }
-            // A client peer's link or frame, or a wake: re-check
-            // `running`.
-            Ok(_) => continue,
-            Err(_) => return,
+            // A client peer's link or frame, or a wake.
+            _ => return true,
         };
         let kind = events::server_msg_kind(&msg);
-        let mut routes = shared.routes.lock();
+        let mut routes = shared.routes();
         // A decoded message from a down-marked origin proves it is
         // back, even if the transport's connect event raced past us:
         // close the degraded spell before processing it.
@@ -569,9 +582,10 @@ fn receive_loop(shared: &Shared) {
             event.value = wire_bytes;
         });
         for (to, actions) in outbox {
-            shared.send(to, actions);
+            shared.send(out, to, actions);
         }
         shared.progress.notify_all();
+        true
     }
 }
 

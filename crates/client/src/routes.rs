@@ -191,8 +191,7 @@ mod tests {
     use crate::CacheClient;
     use bytes::Bytes;
     use crossbeam::channel::{unbounded, Receiver, Sender};
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
     use std::time::Duration as StdDuration;
     use vl_net::{Channel, NetError, NetEvent, NodeId};
     use vl_proto::{codec, ClientMsg};
@@ -226,7 +225,7 @@ mod tests {
 
         /// Everything sent since the last call, decoded.
         fn drain(&self) -> Vec<(NodeId, ClientMsg)> {
-            let sent = self.sent.lock().drain(..).collect::<Vec<_>>();
+            let sent = self.sent.lock().unwrap().drain(..).collect::<Vec<_>>();
             sent.into_iter()
                 .map(|(to, bytes)| (to, codec::decode_client(&bytes).expect("own encoding")))
                 .collect()
@@ -244,7 +243,7 @@ mod tests {
         }
 
         fn send(&self, to: NodeId, bytes: Bytes) -> Result<(), NetError> {
-            self.sent.lock().push((to, bytes));
+            self.sent.lock().unwrap().push((to, bytes));
             Ok(())
         }
 
@@ -368,7 +367,10 @@ mod tests {
             };
             std::thread::scope(|scope| {
                 let reader = scope.spawn(|| cache.read_at(at, obj(v)));
-                assert!(wait_for(|| net.sent.lock().len() == 2), "both requests");
+                assert!(
+                    wait_for(|| net.sent.lock().unwrap().len() == 2),
+                    "both requests"
+                );
                 net.drain();
                 net.inject(
                     s0,
@@ -407,7 +409,10 @@ mod tests {
         for v in 0..VOLUMES {
             let volume = VolumeId(v);
             net.inject(s0, &ServerMsg::MustRenewAll { volume });
-            assert!(wait_for(|| !net.sent.lock().is_empty()), "volume {v}");
+            assert!(
+                wait_for(|| !net.sent.lock().unwrap().is_empty()),
+                "volume {v}"
+            );
             let report = ClientMsg::RenewObjLeases {
                 volume,
                 leases: vec![(obj(v), Version::FIRST)],

@@ -10,16 +10,17 @@
 //! (`vl_core::machine::harness`).
 //!
 //! The wrapper injects faults on the **send** side only: wrapping each
-//! node's endpoint is enough to perturb every link, and the receive
-//! path stays a plain delegation so blocking semantics are untouched.
-//! This holds for the readiness transport too: a wrapped `PollNode` or
-//! `ShardedNode` still runs its own epoll loop untouched — chaos verdicts
-//! apply *before* a frame is handed to the nonblocking send queue, so
-//! drops/delays/resets compose with (rather than interfere with) the
-//! loop's keepalives, re-dials, and backpressure accounting. The
-//! delayed-release thread calls the inner channel's `send` later,
-//! which is safe because the readiness transports' send path is a
-//! thread-safe command enqueue.
+//! node's endpoint is enough to perturb every link, and the frames it
+//! receives are the inner channel's, untouched. It adds no thread. A
+//! wrapped `PollNode` or `ShardedNode` still runs its own epoll loop,
+//! and hosting the wrapper hosts the handler *there*, behind an
+//! [`Outbox`] that draws each send's verdict before the frame reaches
+//! the loop's queues — so a driver under chaos runs on the same path
+//! as without, and drops/delays/resets compose with the loop's
+//! keepalives, re-dials and backpressure accounting. A delayed or held
+//! message is released from the hosted handler's deadline, or, on an
+//! endpoint nobody hosts, by its own next `send` or `recv_event`;
+//! [`ChaosNet::stop`] releases everything at once.
 //!
 //! Determinism contract: the RNG verdict is drawn for *every* send, in
 //! send order, before any wall-clock state (partition windows, reset
@@ -45,17 +46,14 @@
 //! # drop(server);
 //! ```
 
-use crate::{Channel, NetError, NetEvent, NodeId};
+use crate::{lock, Channel, Handler, NetError, NetEvent, NodeId, Outbox};
 use bytes::Bytes;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration as StdDuration, Instant};
 
 /// Named fault mixes for the CLI (`--chaos-profile`) and tests.
@@ -229,6 +227,8 @@ struct ChaosCore {
     /// One-way partition windows: directed link → expiry.
     windows: HashMap<(NodeId, NodeId), Instant>,
     counters: ChaosCounters,
+    /// Every endpoint wrapped so far, for [`ChaosNet::stop`] to flush.
+    wrapped: Vec<Weak<Wrapped>>,
 }
 
 impl ChaosCore {
@@ -340,7 +340,7 @@ pub struct ChaosNet {
 
 impl fmt::Debug for ChaosNet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let core = self.core.lock();
+        let core = lock(&self.core);
         f.debug_struct("ChaosNet")
             .field("seed", &core.cfg.seed)
             .field("active", &core.active)
@@ -363,214 +363,213 @@ impl ChaosNet {
                 bursts: HashMap::new(),
                 windows: HashMap::new(),
                 counters: ChaosCounters::default(),
+                wrapped: Vec::new(),
             })),
         }
     }
 
     /// Wraps `inner` so every send draws a fault verdict first. The
-    /// returned endpoint implements [`Channel`] and delegates receives
-    /// untouched.
-    pub fn wrap<C: Channel + 'static>(&self, inner: C) -> ChaosEndpoint {
-        self.wrap_arc(Arc::new(inner))
-    }
-
-    /// [`wrap`](ChaosNet::wrap) for an already-shared channel.
-    pub fn wrap_arc(&self, inner: Arc<dyn Channel>) -> ChaosEndpoint {
-        let delayed: Arc<Mutex<Vec<Parked>>> = Arc::new(Mutex::new(Vec::new()));
-        let held: Arc<Mutex<Option<Parked>>> = Arc::new(Mutex::new(None));
-        let closed = Arc::new(AtomicBool::new(false));
-        let pump = {
-            let inner = Arc::clone(&inner);
-            let delayed = Arc::clone(&delayed);
-            let held = Arc::clone(&held);
-            let closed = Arc::clone(&closed);
-            let core = Arc::clone(&self.core);
-            std::thread::Builder::new()
-                .name(format!("chaos-pump-{}", inner.id()))
-                .spawn(move || {
-                    while !closed.load(Ordering::SeqCst) {
-                        std::thread::sleep(PUMP_TICK);
-                        let flush_all = !core.lock().active;
-                        pump_once(&inner, &delayed, &held, flush_all);
-                    }
-                    // Final flush so no message is stranded at shutdown.
-                    pump_once(&inner, &delayed, &held, true);
-                })
-                .expect("spawn chaos pump")
-        };
-        ChaosEndpoint {
-            inner,
+    /// returned endpoint implements [`Channel`]; it starts no thread.
+    pub fn wrap<C: Channel>(&self, inner: C) -> ChaosEndpoint {
+        let inner: Arc<dyn Channel> = Arc::new(inner);
+        let wrapped = Arc::new(Wrapped {
+            id: inner.id(),
+            inner: Arc::downgrade(&inner),
             core: Arc::clone(&self.core),
-            delayed,
-            held,
-            closed,
-            pump: Mutex::new(Some(pump)),
-        }
+            parked: Mutex::default(),
+        });
+        let mut core = lock(&self.core);
+        core.wrapped.retain(|w| w.strong_count() > 0);
+        core.wrapped.push(Arc::downgrade(&wrapped));
+        ChaosEndpoint { inner, wrapped }
     }
 
-    /// Turns all fault injection off. In-flight delayed/held messages
-    /// flush within one pump tick; burst and partition state clears, so
-    /// the network delivers cleanly from here on — the "faults stop"
-    /// half of a liveness test.
+    /// Turns all fault injection off and hands every delayed or held
+    /// message to its endpoint's inner channel before returning; burst
+    /// and partition state clears, so the network delivers cleanly from
+    /// here on — the "faults stop" half of a liveness test.
     pub fn stop(&self) {
-        let mut core = self.core.lock();
-        core.active = false;
-        core.bursts.clear();
-        core.windows.clear();
+        let wrapped: Vec<Arc<Wrapped>> = {
+            let mut core = lock(&self.core);
+            core.active = false;
+            core.bursts.clear();
+            core.windows.clear();
+            core.wrapped.iter().filter_map(Weak::upgrade).collect()
+        };
+        for w in wrapped {
+            if let Some(inner) = w.inner.upgrade() {
+                w.release(&mut &*inner, true);
+            }
+        }
     }
 
     /// Explicitly opens a one-way partition window from `from` to `to`
     /// for `dur` — deterministic test hook, no RNG involved.
     pub fn partition_one_way(&self, from: NodeId, to: NodeId, dur: StdDuration) {
-        self.core
-            .lock()
-            .windows
-            .insert((from, to), Instant::now() + dur);
+        let until = Instant::now() + dur;
+        lock(&self.core).windows.insert((from, to), until);
     }
 
     /// The RNG-decided fault schedule so far, one line per fault
     /// (`"<seq> drop"`, `"<seq> delay <ms>"`, …). Byte-identical for
     /// equal seeds and send sequences.
     pub fn schedule(&self) -> String {
-        self.core.lock().log.join("\n")
+        lock(&self.core).log.join("\n")
     }
 
     /// Snapshot of fault counters.
     pub fn counters(&self) -> ChaosCounters {
-        self.core.lock().counters
+        lock(&self.core).counters
     }
 }
 
-/// A message parked by a delay or reorder verdict.
-struct Parked {
+/// A message held back by a delay or reorder verdict.
+struct Held {
     due: Instant,
-    seq: u64,
     to: NodeId,
     bytes: Bytes,
 }
 
-const PUMP_TICK: StdDuration = StdDuration::from_millis(5);
+/// One endpoint's held-back messages.
+#[derive(Default)]
+struct Parked {
+    /// Delay verdicts, in send order.
+    delayed: Vec<Held>,
+    /// The one reorder hold, released by the next clean delivery.
+    held: Option<Held>,
+}
+
+/// What a wrapped endpoint shares with the handler it hosts and with
+/// [`ChaosNet::stop`].
+struct Wrapped {
+    id: NodeId,
+    /// Weak, so a hosted handler does not keep its own node alive.
+    inner: Weak<dyn Channel>,
+    core: Arc<Mutex<ChaosCore>>,
+    parked: Mutex<Parked>,
+}
+
 /// How long a reorder hold lasts if no later send overtakes it.
 const REORDER_HOLD: StdDuration = StdDuration::from_millis(25);
 
-fn pump_once(
-    inner: &Arc<dyn Channel>,
-    delayed: &Mutex<Vec<Parked>>,
-    held: &Mutex<Option<Parked>>,
-    flush_all: bool,
-) {
-    let now = Instant::now();
-    let due: Vec<Parked> = {
-        let mut parked = delayed.lock();
-        let mut due: Vec<Parked> = Vec::new();
-        let mut keep: Vec<Parked> = Vec::new();
-        for p in parked.drain(..) {
-            if flush_all || p.due <= now {
-                due.push(p);
-            } else {
-                keep.push(p);
+impl Wrapped {
+    /// Draws the verdict for one send to `to` and carries it out
+    /// through `out`; `Ok(true)` when the message was parked.
+    fn send(&self, to: NodeId, bytes: Bytes, out: &mut dyn Outbox) -> Result<bool, NetError> {
+        let (verdict, suppressed) = {
+            let mut core = lock(&self.core);
+            // Verdict is drawn unconditionally (RNG stream stays a pure
+            // function of send order); overrides apply afterwards, and
+            // only to verdicts that would otherwise deliver — a message
+            // the verdict already dropped can't be dropped again.
+            let v = core.verdict(self.id, to);
+            let sup = matches!(v, Verdict::Deliver | Verdict::Delay(_) | Verdict::Reorder)
+                && core.suppressed(self.id, to);
+            core.counters.delivered += u64::from(matches!(v, Verdict::Deliver) && !sup);
+            (v, sup)
+        };
+        let park = |hold, bytes| Held {
+            due: Instant::now() + hold,
+            to,
+            bytes,
+        };
+        let mut parked = lock(&self.parked);
+        match verdict {
+            _ if suppressed => Ok(false),
+            Verdict::Deliver => {
+                let sent = out.send(to, bytes);
+                // A clean delivery overtakes any held (reordered)
+                // message: release it now, out of order.
+                if let Some(p) = parked.held.take() {
+                    let _ = out.send(p.to, p.bytes);
+                }
+                sent.map(|()| false)
+            }
+            Verdict::Drop | Verdict::Reset | Verdict::Partition => Ok(false),
+            Verdict::Delay(ms) => {
+                let held = park(StdDuration::from_millis(ms), bytes);
+                parked.delayed.push(held);
+                Ok(true)
+            }
+            Verdict::Reorder => {
+                if let Some(p) = parked.held.replace(park(REORDER_HOLD, bytes)) {
+                    let _ = out.send(p.to, p.bytes);
+                }
+                Ok(true)
             }
         }
-        *parked = keep;
-        due.sort_by_key(|p| (p.due, p.seq));
-        due
-    };
-    for p in due {
-        let _ = inner.send(p.to, p.bytes);
     }
-    let release = {
-        let mut h = held.lock();
-        match h.as_ref() {
-            Some(p) if flush_all || p.due <= now => h.take(),
-            _ => None,
+
+    /// Sends what is due (everything, with `all`) through `out`: the
+    /// delays in due order, then the reorder hold.
+    fn release(&self, out: &mut dyn Outbox, all: bool) {
+        let now = Instant::now();
+        let mut parked = lock(&self.parked);
+        let mut due: Vec<Held> = (parked.delayed)
+            .extract_if(.., |p| all || p.due <= now)
+            .collect();
+        due.sort_by_key(|p| p.due); // stable: send order among equals
+        due.extend(parked.held.take_if(|p| all || p.due <= now));
+        for p in due {
+            let _ = out.send(p.to, p.bytes);
         }
-    };
-    if let Some(p) = release {
-        let _ = inner.send(p.to, p.bytes);
+    }
+
+    /// When the next parked message falls due.
+    fn next_due(&self) -> Option<Instant> {
+        let parked = lock(&self.parked);
+        let all = parked.delayed.iter().chain(&parked.held);
+        all.map(|p| p.due).min()
     }
 }
 
-/// A fault-injecting view of an inner [`Channel`]. Created by
-/// [`ChaosNet::wrap`]; drop it to stop its background pump.
+/// A fault-injecting view of an inner [`Channel`], created by
+/// [`ChaosNet::wrap`]. Unhosted, it releases what it parked from its
+/// own `send` and `recv_event`; hosted, from its handler's deadline.
+/// Dropping it hands whatever is still parked to the inner channel.
 pub struct ChaosEndpoint {
     inner: Arc<dyn Channel>,
-    core: Arc<Mutex<ChaosCore>>,
-    delayed: Arc<Mutex<Vec<Parked>>>,
-    held: Arc<Mutex<Option<Parked>>>,
-    closed: Arc<AtomicBool>,
-    pump: Mutex<Option<JoinHandle<()>>>,
+    wrapped: Arc<Wrapped>,
 }
 
 impl fmt::Debug for ChaosEndpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ChaosEndpoint")
-            .field("id", &self.inner.id())
-            .field("delayed", &self.delayed.lock().len())
+            .field("id", &self.wrapped.id)
+            .field("delayed", &lock(&self.wrapped.parked).delayed.len())
             .finish()
     }
 }
 
 impl Channel for ChaosEndpoint {
     fn id(&self) -> NodeId {
-        self.inner.id()
+        self.wrapped.id
     }
 
+    /// Wakes the inner channel when it parks the message: a hosted
+    /// handler's deadline moved (an unhosted consumer sees a spurious
+    /// [`NetEvent::Woken`]).
     fn send(&self, to: NodeId, bytes: Bytes) -> Result<(), NetError> {
-        let from = self.inner.id();
-        let (verdict, seq, suppressed) = {
-            let mut core = self.core.lock();
-            // Verdict is drawn unconditionally (RNG stream stays a pure
-            // function of send order); overrides apply afterwards, and
-            // only to verdicts that would otherwise deliver — a message
-            // the verdict already dropped can't be dropped again.
-            let v = core.verdict(from, to);
-            let seq = core.seq - 1;
-            let sup = matches!(v, Verdict::Deliver | Verdict::Delay(_) | Verdict::Reorder)
-                && core.suppressed(from, to);
-            (v, seq, sup)
-        };
-        if suppressed {
-            return Ok(());
+        self.wrapped.release(&mut &*self.inner, false);
+        if self.wrapped.send(to, bytes, &mut &*self.inner)? {
+            self.inner.wake();
         }
-        match verdict {
-            Verdict::Deliver => {
-                let out = self.inner.send(to, bytes);
-                // A clean delivery overtakes any held (reordered)
-                // message: release it now, out of order.
-                let release = self.held.lock().take();
-                if let Some(p) = release {
-                    let _ = self.inner.send(p.to, p.bytes);
-                }
-                self.core.lock().counters.delivered += 1;
-                out
-            }
-            Verdict::Drop | Verdict::Reset | Verdict::Partition => Ok(()),
-            Verdict::Delay(ms) => {
-                self.delayed.lock().push(Parked {
-                    due: Instant::now() + StdDuration::from_millis(ms),
-                    seq,
-                    to,
-                    bytes,
-                });
-                Ok(())
-            }
-            Verdict::Reorder => {
-                let evicted = self.held.lock().replace(Parked {
-                    due: Instant::now() + REORDER_HOLD,
-                    seq,
-                    to,
-                    bytes,
-                });
-                if let Some(p) = evicted {
-                    let _ = self.inner.send(p.to, p.bytes);
-                }
-                Ok(())
-            }
-        }
+        Ok(())
     }
 
+    /// The inner receive, interrupted whenever a parked message falls
+    /// due to release it.
     fn recv_event(&self, timeout: Option<StdDuration>) -> Result<NetEvent, NetError> {
-        self.inner.recv_event(timeout)
+        let until = timeout.map(|t| Instant::now() + t);
+        loop {
+            self.wrapped.release(&mut &*self.inner, false);
+            let at = [until, self.wrapped.next_due()].into_iter().flatten().min();
+            let wait = at.map(|at| at.saturating_duration_since(Instant::now()));
+            match self.inner.recv_event(wait) {
+                Err(NetError::Timeout) if until.is_none_or(|u| Instant::now() < u) => {}
+                got => return got,
+            }
+        }
     }
 
     fn wake(&self) {
@@ -586,14 +585,55 @@ impl Channel for ChaosEndpoint {
     fn shard_stats(&self) -> Option<Vec<crate::shard::ShardStats>> {
         self.inner.shard_stats()
     }
+
+    /// On the inner channel's host, behind the same verdicts: the
+    /// handler's sends go through a fault-injecting [`Outbox`], and its
+    /// deadline includes the next parked message's.
+    fn host(self: Arc<Self>, handler: Box<dyn Handler>) {
+        let wrapped = Arc::clone(&self.wrapped);
+        Arc::clone(&self.inner).host(Box::new(ChaosHandler { handler, wrapped }));
+    }
 }
 
 impl Drop for ChaosEndpoint {
     fn drop(&mut self) {
-        self.closed.store(true, Ordering::SeqCst);
-        if let Some(h) = self.pump.lock().take() {
-            let _ = h.join();
-        }
+        self.wrapped.release(&mut &*self.inner, true);
+    }
+}
+
+/// A hosted handler behind a [`ChaosEndpoint`]: each call first
+/// releases what is due, then lends the handler its host's outbox
+/// behind the verdicts.
+struct ChaosHandler {
+    handler: Box<dyn Handler>,
+    wrapped: Arc<Wrapped>,
+}
+
+impl Handler for ChaosHandler {
+    fn on_event(&mut self, event: NetEvent, out: &mut dyn Outbox) -> bool {
+        self.wrapped.release(out, false);
+        let out = &mut ChaosOutbox(&self.wrapped, out);
+        self.handler.on_event(event, out)
+    }
+
+    fn on_frame(&mut self, from: NodeId, frame: &[u8], out: &mut dyn Outbox) -> bool {
+        self.wrapped.release(out, false);
+        let out = &mut ChaosOutbox(&self.wrapped, out);
+        self.handler.on_frame(from, frame, out)
+    }
+
+    fn next_deadline(&self) -> Option<Instant> {
+        let own = self.handler.next_deadline();
+        own.into_iter().chain(self.wrapped.next_due()).min()
+    }
+}
+
+/// A hosted handler's sends, each drawing its verdict first.
+struct ChaosOutbox<'a>(&'a Wrapped, &'a mut dyn Outbox);
+
+impl Outbox for ChaosOutbox<'_> {
+    fn send(&mut self, to: NodeId, bytes: Bytes) -> Result<(), NetError> {
+        self.0.send(to, bytes, self.1).map(drop)
     }
 }
 
@@ -682,7 +722,7 @@ mod tests {
         let b = net.endpoint(s(0));
         // Arm a burst as a Reset verdict would: the next two sends on
         // the link are lost, the third goes through.
-        chaos.core.lock().bursts.insert((c(1), s(0)), 2);
+        lock(&chaos.core).bursts.insert((c(1), s(0)), 2);
         for i in 0..3u8 {
             a.send(s(0), Bytes::from(vec![i])).unwrap();
         }
@@ -752,9 +792,8 @@ mod tests {
         let b = net.endpoint(s(0));
         // Drive the reorder path deterministically through the held
         // slot: hold "first" by hand, then a clean send releases it.
-        a.held.lock().replace(Parked {
+        lock(&a.wrapped.parked).held.replace(Held {
             due: Instant::now() + StdDuration::from_secs(5),
-            seq: 0,
             to: s(0),
             bytes: Bytes::from_static(b"first"),
         });

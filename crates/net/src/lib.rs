@@ -35,9 +35,13 @@
 //! This crate is driver territory under DESIGN.md §7: everything that
 //! blocks, owns a socket, or loses messages lives here, behind the
 //! [`Channel`] trait, so the protocol machines above it never touch
-//! I/O. The router also keeps per-message-tag delivery accounting
-//! ([`WireStats`]) — transport-level observability that needs no
-//! decoding, since every `vl-proto` frame begins with its codec tag.
+//! I/O. It also owns every thread that consumes a stream: a driver is a
+//! [`Handler`] that [`Channel::host`] installs on the reactor that reads
+//! its frames, or, for a transport with no thread of its own, on one
+//! blocked in its receive. The router also keeps per-message-tag
+//! delivery accounting ([`WireStats`]) — transport-level observability
+//! that needs no decoding, since every `vl-proto` frame begins with its
+//! codec tag.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -83,7 +87,7 @@ pub enum NetEvent {
 /// the live server and client stack is written against. Implemented by
 /// the in-memory [`Endpoint`] and by the readiness transports in
 /// [`poll`] and [`shard`].
-pub trait Channel: Send + Sync {
+pub trait Channel: Send + Sync + 'static {
     /// This node's address.
     fn id(&self) -> NodeId;
 
@@ -146,17 +150,32 @@ pub trait Channel: Send + Sync {
         None
     }
 
-    /// Installs `handler` on the thread that produces this endpoint's
-    /// events and returns once it is in place: the stream, what waits
-    /// in the inbox first, then goes to [`Handler::on_event`] and
-    /// [`recv_event`](Channel::recv_event) sees nothing more.
-    ///
-    /// # Errors
-    ///
-    /// The handler, from a transport with no thread of its own (the
-    /// default): the caller runs it over `recv_event` itself.
-    fn host(&self, handler: Box<dyn Handler>) -> Result<(), Box<dyn Handler>> {
-        Err(handler)
+    /// Makes `handler` this endpoint's consumer and returns once it is
+    /// in place: the stream, what waits in the inbox first, then goes to
+    /// [`Handler::on_event`] and [`recv_event`](Channel::recv_event)
+    /// sees nothing more. A transport with a thread of its own calls the
+    /// handler there. The default is the pump: a thread of vl-net's
+    /// blocked in `recv_event`, bounded by the handler's deadline, until
+    /// the handler ends the hosting or the endpoint disconnects.
+    fn host(self: Arc<Self>, mut handler: Box<dyn Handler>) {
+        let name = format!("vl-pump-{}", self.id());
+        let pump = move || loop {
+            let timeout = (handler.next_deadline())
+                .map(|at| at.saturating_duration_since(std::time::Instant::now()));
+            let event = match self.recv_event(timeout) {
+                Ok(event) => event,
+                Err(NetError::Timeout) => NetEvent::Woken,
+                // The endpoint is gone (replaced or network dropped).
+                Err(_) => return,
+            };
+            if !handler.on_event(event, &mut &*self) {
+                return;
+            }
+        };
+        std::thread::Builder::new()
+            .name(name)
+            .spawn(pump)
+            .expect("spawn pump thread");
     }
 }
 
@@ -212,10 +231,12 @@ pub trait Handler: Send {
 
     /// When to send a [`NetEvent::Woken`] if nothing else arrives
     /// first; asked when hosted and again after every batch of events.
-    fn next_deadline(&self) -> Option<std::time::Instant>;
+    fn next_deadline(&self) -> Option<std::time::Instant> {
+        None
+    }
 }
 
-impl<C: Channel + ?Sized> Channel for std::sync::Arc<C> {
+impl<C: Channel + ?Sized> Channel for Arc<C> {
     fn id(&self) -> NodeId {
         (**self).id()
     }
@@ -234,17 +255,16 @@ impl<C: Channel + ?Sized> Channel for std::sync::Arc<C> {
     fn shard_stats(&self) -> Option<Vec<shard::ShardStats>> {
         (**self).shard_stats()
     }
-    fn host(&self, handler: Box<dyn Handler>) -> Result<(), Box<dyn Handler>> {
-        (**self).host(handler)
+    fn host(self: Arc<Self>, handler: Box<dyn Handler>) {
+        C::host(Arc::clone(&*self), handler)
     }
 }
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration as StdDuration;
 use vl_types::{ClientId, ServerId};
 
@@ -303,6 +323,11 @@ pub(crate) fn recv_from(
     }
 }
 
+/// Locks `mutex`, propagating a panic another thread had holding it.
+pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().expect("a thread panicked holding this lock")
+}
+
 #[derive(Default)]
 struct Router {
     inboxes: HashMap<NodeId, Sender<NetEvent>>,
@@ -344,7 +369,7 @@ impl InMemoryNetwork {
     /// process rejoins.
     pub fn endpoint(&self, id: NodeId) -> Endpoint {
         let (tx, rx) = unbounded();
-        self.router.lock().inboxes.insert(id, tx);
+        lock(&self.router).inboxes.insert(id, tx);
         Endpoint {
             id,
             router: Arc::clone(&self.router),
@@ -355,35 +380,35 @@ impl InMemoryNetwork {
     /// Silently drops all traffic between `a` and `b` (both directions)
     /// until [`heal`](InMemoryNetwork::heal).
     pub fn partition(&self, a: NodeId, b: NodeId) {
-        self.router.lock().partitions.insert(pair(a, b));
+        lock(&self.router).partitions.insert(pair(a, b));
     }
 
     /// Removes the partition between `a` and `b`.
     pub fn heal(&self, a: NodeId, b: NodeId) {
-        self.router.lock().partitions.remove(&pair(a, b));
+        lock(&self.router).partitions.remove(&pair(a, b));
     }
 
     /// Messages delivered so far.
     pub fn delivered(&self) -> u64 {
-        self.router.lock().delivered
+        lock(&self.router).delivered
     }
 
     /// Messages dropped by partitions so far.
     pub fn dropped(&self) -> u64 {
-        self.router.lock().dropped
+        lock(&self.router).dropped
     }
 
     /// Snapshot of per-message-tag delivery accounting. The tag is the
     /// frame's first byte — for `vl-proto` frames, the codec tag that
     /// `vl_proto::codec::tag_name` maps back to a message name.
     pub fn wire_stats(&self) -> WireStats {
-        self.router.lock().wire.clone()
+        lock(&self.router).wire.clone()
     }
 }
 
 impl fmt::Debug for InMemoryNetwork {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let r = self.router.lock();
+        let r = lock(&self.router);
         f.debug_struct("InMemoryNetwork")
             .field("nodes", &r.inboxes.len())
             .field("partitions", &r.partitions.len())
@@ -414,7 +439,7 @@ impl Endpoint {
     /// partition does **not** error: the message is silently dropped,
     /// as on a real network.
     pub fn send(&self, to: NodeId, bytes: Bytes) -> Result<(), NetError> {
-        let mut r = self.router.lock();
+        let mut r = lock(&self.router);
         if r.partitions.contains(&pair(self.id, to)) {
             r.dropped += 1;
             return Ok(());
@@ -476,7 +501,7 @@ impl Channel for Endpoint {
     /// [`NetError::Disconnected`] after being replaced. Once replaced,
     /// the wake lands on the successor, where it is merely spurious.
     fn wake(&self) {
-        if let Some(tx) = self.router.lock().inboxes.get(&self.id) {
+        if let Some(tx) = lock(&self.router).inboxes.get(&self.id) {
             let _ = tx.send(NetEvent::Woken);
         }
     }

@@ -52,16 +52,15 @@
 use crate::retry::RetryPolicy;
 use crate::tcp::{read_frame, write_frame};
 use crate::wire::{FrameDecoder, QueueStats, WireStats, FRAME_HEADER_LEN};
-use crate::{encoded, recv_from, Channel, Handler, NetError, NetEvent, NodeId, Outbox};
+use crate::{encoded, lock, recv_from, Channel, Handler, NetError, NetEvent, NodeId, Outbox};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use parking_lot::Mutex;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration as StdDuration, Instant};
 use vl_epoll::{Interest, PollEvent, Poller, Waker};
 use vl_types::{ClientId, ServerId};
@@ -235,7 +234,7 @@ impl NodeRef {
     /// Link state of `peer`: `Some(true)` live, `Some(false)` known but
     /// down (sends queue), `None` unknown (sends error).
     pub(crate) fn peer_state(&self, peer: NodeId) -> Option<bool> {
-        self.shared.peers.lock().get(&peer).copied()
+        lock(&self.shared.peers).get(&peer).copied()
     }
 
     /// Queues `frame` for `to` without asking whether the node knows it
@@ -297,13 +296,9 @@ enum Cmd {
     RemoveNode {
         key: u64,
     },
-    /// Install the handler, after feeding it what the node's inbox
-    /// holds; the sender returns it when the loop already has one.
-    Host(
-        Hosted,
-        Receiver<NetEvent>,
-        Sender<Result<(), Box<dyn Handler>>>,
-    ),
+    /// Install node `key`'s handler, after feeding it what the node's
+    /// inbox holds; the sender reports it installed.
+    Host(u64, Hosted, Receiver<NetEvent>, Sender<()>),
     /// An event for node `key` produced off this loop: a forwarding
     /// sibling's, or a [`Channel::wake`].
     Event {
@@ -326,7 +321,7 @@ struct ReactorShared {
     counters: Arc<Mutex<LoopStats>>,
     cfg: PollConfig,
     next_key: AtomicU64,
-    join: Mutex<Option<std::thread::JoinHandle<()>>>,
+    join: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Drop for ReactorShared {
@@ -334,7 +329,7 @@ impl Drop for ReactorShared {
         self.mail.post(Cmd::Shutdown);
         // A hosted handler may drop the last handle on the loop thread
         // itself, which cannot join itself; it exits on the command.
-        if let Some(h) = self.join.lock().take() {
+        if let Some(h) = self.join.take() {
             if h.thread().id() != std::thread::current().id() {
                 let _ = h.join();
             }
@@ -353,7 +348,7 @@ pub struct Reactor {
 impl std::fmt::Debug for Reactor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reactor")
-            .field("stats", &*self.shared.counters.lock())
+            .field("stats", &*lock(&self.shared.counters))
             .finish()
     }
 }
@@ -430,7 +425,7 @@ impl Reactor {
                 counters,
                 cfg,
                 next_key: AtomicU64::new(0),
-                join: Mutex::new(Some(join)),
+                join: Some(join),
             }),
         })
     }
@@ -470,6 +465,7 @@ impl Reactor {
             forward,
             listener,
             peers: HashMap::new(),
+            host: None,
         };
         self.shared.mail.post(Cmd::Register { key, node });
         PollNode {
@@ -504,7 +500,7 @@ impl Reactor {
 
     /// Snapshot of the loop's wakeup/event/frame counters.
     pub fn loop_stats(&self) -> LoopStats {
-        *self.shared.counters.lock()
+        *lock(&self.shared.counters)
     }
 }
 
@@ -529,7 +525,7 @@ impl std::fmt::Debug for PollNode {
         f.debug_struct("PollNode")
             .field("id", &self.id)
             .field("addr", &self.local_addr)
-            .field("peers", &self.at.shared.peers.lock().len())
+            .field("peers", &lock(&self.at.shared.peers).len())
             .finish()
     }
 }
@@ -576,7 +572,7 @@ impl PollNode {
     /// a new address is reached by updating the mapping here; queued
     /// sends drain once the new connection is up.
     pub fn set_peer_addr(&self, peer: NodeId, addr: SocketAddr) {
-        self.at.shared.peers.lock().entry(peer).or_insert(false);
+        lock(&self.at.shared.peers).entry(peer).or_insert(false);
         let key = self.at.key;
         self.at.mail.post(Cmd::SetPeerAddr { key, peer, addr });
     }
@@ -588,29 +584,22 @@ impl PollNode {
 
     /// [`Channel::host`] for the consuming shard of an endpoint whose
     /// other shards are `siblings`.
-    pub(crate) fn host_with(
-        &self,
-        handler: Box<dyn Handler>,
-        siblings: Vec<NodeRef>,
-    ) -> Result<(), Box<dyn Handler>> {
+    pub(crate) fn host_with(&self, handler: Box<dyn Handler>, siblings: Vec<NodeRef>) {
         let (done, installed) = unbounded();
         let hosted = Hosted {
-            key: self.at.key,
             handler,
             siblings,
+            deadline: None,
         };
-        let host = Cmd::Host(hosted, self.inbox.clone(), done);
+        let host = Cmd::Host(self.at.key, hosted, self.inbox.clone(), done);
         self.at.mail.post(host);
         // A loop that is gone dropped the command, handler and all.
-        installed.recv().expect("reactor alive while its node is")
+        installed.recv().expect("reactor alive while its node is");
     }
 
     /// Peers with a live connection on this node, unordered.
     pub fn connected_peers(&self) -> Vec<NodeId> {
-        self.at
-            .shared
-            .peers
-            .lock()
+        lock(&self.at.shared.peers)
             .iter()
             .filter_map(|(&p, &up)| up.then_some(p))
             .collect()
@@ -620,12 +609,12 @@ impl PollNode {
     /// counts plus per-peer send-queue depth/drop/backpressure
     /// counters maintained by the loop.
     pub fn wire_stats(&self) -> WireStats {
-        self.at.shared.wire.lock().clone()
+        lock(&self.at.shared.wire).clone()
     }
 
     /// Snapshot of the owning reactor's loop counters.
     pub fn loop_stats(&self) -> LoopStats {
-        *self.reactor.counters.lock()
+        *lock(&self.reactor.counters)
     }
 }
 
@@ -651,8 +640,11 @@ impl Channel for PollNode {
         self.at.mail.post(Cmd::Event { key, event });
     }
 
-    fn host(&self, handler: Box<dyn Handler>) -> Result<(), Box<dyn Handler>> {
-        self.host_with(handler, Vec::new())
+    /// On the node's reactor, which calls it for every frame this node
+    /// reads, where the frame lies. A node hosts one handler: hosting
+    /// another replaces it.
+    fn host(self: Arc<Self>, handler: Box<dyn Handler>) {
+        self.host_with(handler, Vec::new());
     }
 
     fn wire_stats(&self) -> Option<WireStats> {
@@ -707,14 +699,19 @@ struct RNode {
     forward: Option<NodeRef>,
     listener: Option<TcpListener>,
     peers: HashMap<NodeId, RPeer>,
+    /// The node's consumer, when it hosts one; out of the node while
+    /// it is being called.
+    host: Option<Hosted>,
 }
 
 /// The handler one of this loop's nodes is hosting (loop-owned).
 struct Hosted {
-    key: u64,
     handler: Box<dyn Handler>,
     /// The endpoint's other shards, for replies to peers they own.
     siblings: Vec<NodeRef>,
+    /// Its answer to `next_deadline` when last asked, after its last
+    /// call (or batch of calls, for the frames of one read).
+    deadline: Option<Instant>,
 }
 
 /// A hosted handler's way out: straight into the loop's peer queues,
@@ -849,7 +846,6 @@ struct EventLoop {
     /// Events not yet consumed, by node key. Producing one only queues
     /// it: `dispatch` runs between units of work, never in a handler.
     events: VecDeque<(u64, NetEvent)>,
-    hosted: Option<Hosted>,
     conns: Vec<Option<RConn>>,
     free: Vec<usize>,
     /// Connections with output queued since their last write; each is
@@ -882,7 +878,6 @@ impl EventLoop {
             counters,
             nodes: HashMap::new(),
             events: VecDeque::new(),
-            hosted: None,
             conns: Vec::new(),
             free: Vec::new(),
             dirty: Vec::new(),
@@ -951,65 +946,67 @@ impl EventLoop {
                 self.dispatch();
                 self.flush_dirty();
             }
-            *self.counters.lock() = self.stats;
+            *lock(&self.counters) = self.stats;
         }
         // Drop order closes every socket; peers observe EOF.
     }
 
-    fn handler_deadline(&self) -> Option<Instant> {
-        self.hosted.as_ref()?.handler.next_deadline()
-    }
-
     /// Hands each queued event to its node's consumer: the hosted
-    /// handler, the loop this shard forwards to, or the inbox; then arms
-    /// the handler's deadline, which is new or may have moved.
+    /// handler, the loop this shard forwards to, or the inbox.
     fn dispatch(&mut self) {
         while let Some((key, event)) = self.events.pop_front() {
-            if self.hosts(key) {
-                self.with_handler(None, |h, out| h.on_event(event, out));
+            let Some(node) = self.nodes.get_mut(&key) else {
                 continue;
-            }
-            match self.nodes.get(&key) {
-                Some(RNode {
-                    forward: Some(to), ..
-                }) => {
-                    let key = to.key;
-                    to.mail.post(Cmd::Event { key, event });
-                }
+            };
+            if let Some(h) = node.host.take() {
+                let h = self.call(key, h, None, |h, out| h.on_event(event, out));
+                self.restore(key, h);
+            } else if let Some(to) = &node.forward {
+                let key = to.key;
+                to.mail.post(Cmd::Event { key, event });
+            } else {
                 // A dropped receiver is followed by RemoveNode.
-                Some(node) => drop(node.inbox_tx.send(event)),
-                None => {}
+                drop(node.inbox_tx.send(event));
             }
         }
-        if let Some(at) = self.handler_deadline() {
-            self.arm(at);
-        }
     }
 
-    fn hosts(&self, key: u64) -> bool {
-        self.hosted.as_ref().is_some_and(|h| h.key == key)
+    fn take_host(&mut self, key: u64) -> Option<Hosted> {
+        self.nodes.get_mut(&key)?.host.take()
     }
 
-    /// Lends the hosted handler the loop to send into — and, for a frame
-    /// the loop read itself, the connection `reading` names to answer
-    /// on. A handler that says it is done is dropped here, and its
-    /// node's inbox takes over.
-    fn with_handler(
+    /// Lends node `key`'s handler `h` the loop to send into — and, for a
+    /// frame the loop read itself, the connection `reading` names to
+    /// answer on. A handler that says it is done is not given back.
+    fn call(
         &mut self,
+        key: u64,
+        mut h: Hosted,
         reading: Option<(NodeId, usize)>,
         f: impl FnOnce(&mut dyn Handler, &mut dyn Outbox) -> bool,
-    ) {
-        let Some(mut h) = self.hosted.take() else {
-            return;
-        };
+    ) -> Option<Hosted> {
+        let siblings = &h.siblings;
         let mut out = LoopOutbox {
             el: self,
-            key: h.key,
-            siblings: &h.siblings,
+            key,
+            siblings,
             reading,
         };
-        if f(&mut *h.handler, &mut out) {
-            self.hosted = Some(h);
+        f(&mut *h.handler, &mut out).then_some(h)
+    }
+
+    /// Puts node `key`'s handler back after its call (or the calls of
+    /// one read) and arms its deadline, which is new or may have moved.
+    /// One that is done stays dropped, and the node's inbox takes over.
+    fn restore(&mut self, key: u64, h: Option<Hosted>) {
+        let (Some(mut h), Some(node)) = (h, self.nodes.get_mut(&key)) else {
+            return;
+        };
+        h.deadline = h.handler.next_deadline();
+        let at = h.deadline;
+        node.host = Some(h);
+        if let Some(at) = at {
+            self.arm(at);
         }
     }
 
@@ -1094,19 +1091,18 @@ impl EventLoop {
                 self.arm(at);
             }
             Cmd::RemoveNode { key } => self.remove_node(key),
-            Cmd::Host(hosted, inbox, done) => {
-                let key = hosted.key;
-                if self.hosted.is_some() || !self.nodes.contains_key(&key) {
-                    let _ = done.send(Err(hosted.handler));
-                    return;
-                }
+            Cmd::Host(key, hosted, inbox, done) => {
                 self.dispatch(); // what this drain queued is older: inbox
-                self.hosted = Some(hosted);
-                while let Ok(event) = inbox.try_recv() {
-                    self.events.push_back((key, event));
+                if let Some(node) = self.nodes.get_mut(&key) {
+                    node.host = Some(hosted); // replacing any it had
+                    while let Ok(event) = inbox.try_recv() {
+                        self.events.push_back((key, event));
+                    }
+                    self.dispatch();
+                    let hosted = self.take_host(key);
+                    self.restore(key, hosted); // arms it, even with nothing queued
                 }
-                self.dispatch(); // even with nothing queued: arms the deadline
-                let _ = done.send(Ok(()));
+                let _ = done.send(());
             }
             Cmd::Event { key, event } => self.events.push_back((key, event)),
             Cmd::Shutdown => self.shutdown = true,
@@ -1114,7 +1110,6 @@ impl EventLoop {
     }
 
     fn remove_node(&mut self, key: u64) {
-        self.hosted.take_if(|h| h.key == key);
         let Some(node) = self.nodes.remove(&key) else {
             return;
         };
@@ -1166,7 +1161,7 @@ impl EventLoop {
         };
         p.conn = None;
         p.attempt = 0;
-        node.shared.peers.lock().insert(peer, false);
+        lock(&node.shared.peers).insert(peer, false);
         if p.addr.is_some() {
             let at = Instant::now();
             self.redials.push(std::cmp::Reverse((at, key, peer)));
@@ -1246,7 +1241,7 @@ impl EventLoop {
         }
         p.attempt = 0;
         p.dialing = false;
-        node.shared.peers.lock().insert(peer, true);
+        lock(&node.shared.peers).insert(peer, true);
         let backlog = p.queue.len();
         if let Some(old) = old {
             if old != token {
@@ -1298,7 +1293,7 @@ impl EventLoop {
             }
             None => {
                 let q = p.q;
-                self.nodes[&key].shared.wire.lock().record_queue(to, q);
+                lock(&self.nodes[&key].shared.wire).record_queue(to, q);
             }
         }
     }
@@ -1425,7 +1420,7 @@ impl EventLoop {
                 p.q.backpressure += u64::from(newly_blocked);
                 p.q.depth = p.queue.len() as u64;
                 let q = p.q;
-                self.nodes[&key].shared.wire.lock().record_queue(peer, q);
+                lock(&self.nodes[&key].shared.wire).record_queue(peer, q);
             }
         }
         self.stats.frames_out += frames_out;
@@ -1446,6 +1441,9 @@ impl EventLoop {
         // Out of the connection while its frames are handled: a hosted
         // handler's outbox borrows the whole loop.
         let mut decoder = std::mem::take(&mut conn.decoder);
+        // The handler, too, once any hello in this read is in: looked up
+        // once for the batch, so no frame takes a hash look-up.
+        let mut host = peer.and_then(|_| self.take_host(key));
         let mut batch = WireStats::new();
         let (mut dead, mut got_bytes) = (false, false);
         // A reply's flush may find the connection dead under the batch:
@@ -1462,12 +1460,15 @@ impl EventLoop {
                         match (decoder.next_slice(), peer) {
                             (Ok(Some(frame)), None) => match self.hello(token, key, frame) {
                                 None => return, // closed; nothing was announced
-                                known => peer = known,
+                                known => {
+                                    peer = known;
+                                    host = self.take_host(key);
+                                }
                             },
                             (Ok(Some([])), Some(_)) => {} // keepalive: link-level only
                             (Ok(Some(frame)), Some(from)) => {
                                 batch.record(frame);
-                                self.frame_in(token, key, from, frame);
+                                self.frame_in(token, &mut host, key, from, frame);
                             }
                             (Ok(None), _) => break,
                             (Err(_), _) => {
@@ -1482,10 +1483,11 @@ impl EventLoop {
                 Err(_) => dead = true,
             }
         }
+        self.restore(key, host);
         let frames_in = batch.total_frames();
         if let Some(node) = self.nodes.get(&key).filter(|_| frames_in > 0) {
             self.stats.frames_in += frames_in;
-            node.shared.wire.lock().merge(&batch);
+            lock(&node.shared.wire).merge(&batch);
         }
         // Nothing opens a connection while one is read, so a slot still
         // taken is this connection's; one torn down keeps no decoder.
@@ -1531,12 +1533,20 @@ impl EventLoop {
     }
 
     /// Hands node `key`'s consumer a frame read on connection `token`:
-    /// the hosted handler where the frame lies, with the connection at
+    /// its handler, `host`, where the frame lies, with the connection at
     /// hand for its reply; anyone else a copy, on the event queue.
-    fn frame_in(&mut self, token: usize, key: u64, from: NodeId, frame: &[u8]) {
-        if self.hosts(key) {
+    fn frame_in(
+        &mut self,
+        token: usize,
+        host: &mut Option<Hosted>,
+        key: u64,
+        from: NodeId,
+        frame: &[u8],
+    ) {
+        if let Some(h) = host.take() {
             let reading = Some((from, token));
-            return self.with_handler(reading, |h, out| h.on_frame(from, frame, out));
+            *host = self.call(key, h, reading, |h, out| h.on_frame(from, frame, out));
+            return;
         }
         let bytes = Bytes::copy_from_slice(frame);
         self.events
@@ -1547,16 +1557,17 @@ impl EventLoop {
     /// stalls, hello deadlines, re-dials — and recomputes the single
     /// coalesced wakeup deadline from live state.
     fn maintain(&mut self) {
-        // Asked before reading the clock: a handler that computes its
-        // deadline as "now + what is left" is due when nothing is left.
-        let due = self.handler_deadline();
         let now = Instant::now();
-        if due.is_some_and(|at| at <= now) {
-            let key = self.hosted.as_ref().expect("a deadline's handler").key;
-            self.events.push_back((key, NetEvent::Woken));
-            self.dispatch();
+        for (&key, node) in &mut self.nodes {
+            let host = node.host.as_mut();
+            if let Some(h) = host.filter(|h| h.deadline.is_some_and(|at| at <= now)) {
+                h.deadline = None; // asked again once called
+                self.events.push_back((key, NetEvent::Woken));
+            }
         }
-        let mut next = self.handler_deadline();
+        self.dispatch();
+        let hosts = self.nodes.values().filter_map(|node| node.host.as_ref());
+        let mut next = hosts.filter_map(|h| h.deadline).min();
         let bump = |n: &mut Option<Instant>, at: Instant| match n {
             Some(t) if *t <= at => {}
             _ => *n = Some(at),

@@ -45,6 +45,7 @@ use crate::{Channel, Handler, NetError, NetEvent, NodeId};
 use bytes::Bytes;
 use std::io;
 use std::net::{SocketAddr, SocketAddrV4, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 /// One reactor's slice of a [`ShardedNode`]'s transport accounting.
@@ -205,9 +206,9 @@ impl Channel for ShardedNode {
     /// events already arrive, one command each; shard 0 routes the
     /// replies for their peers back as sends. With one shard that is
     /// exactly [`PollNode`]'s hosting.
-    fn host(&self, handler: Box<dyn Handler>) -> Result<(), Box<dyn Handler>> {
+    fn host(self: Arc<Self>, handler: Box<dyn Handler>) {
         let (first, rest) = self.shards.split_first().expect("at least one shard");
-        first.host_with(handler, rest.iter().map(|s| s.at.clone()).collect())
+        first.host_with(handler, rest.iter().map(|s| s.at.clone()).collect());
     }
 
     fn wire_stats(&self) -> Option<WireStats> {

@@ -7,7 +7,7 @@
 use bytes::Bytes;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use vl_net::poll::{decode_hello, encode_hello, PollConfig, PollNode, Reactor};
 use vl_net::retry::RetryPolicy;
@@ -166,17 +166,25 @@ fn keepalive_wakeups_are_batched_not_per_connection() {
     std::thread::sleep(Duration::from_secs(2));
     let after = server_reactor.loop_stats();
 
-    // ~2 keepalive sweeps of our own + ~2 × 50 inbound keepalive
-    // frames from clients, which arrive clustered (each client
-    // reactor sends all its keepalives in one sweep, so they land in
-    // few epoll batches). Allow generous slack; the failure mode this
-    // guards against is per-connection timers (≥ 100 wakeups just for
-    // our own keepalives) or a poll tick (~100 wakeups flat).
+    // A handful of sweeps of our own (7–11 timer wakeups: connections
+    // dialed a few ms apart fall due a few ms apart). The failure modes
+    // this guards against are per-connection timers (≥ 100 timer
+    // wakeups just for our own keepalives) or a poll tick (~100 flat).
+    let timer = after.timer_wakeups - before.timer_wakeups;
+    assert!(
+        timer < 40,
+        "keepalive upkeep for 50 connections took {timer} timer wakeups in 2 s; \
+         sweeps must be batched"
+    );
+    // The ~2 × 50 inbound keepalive frames wake the loop for I/O too,
+    // in as many epoll batches as scheduling splits them into (28–66
+    // of all wakeups), and at worst about once each (~110 in all). A
+    // loop that woke twice for each inbound frame would read 200 or more.
     let wakeups = after.wakeups - before.wakeups;
     assert!(
-        wakeups < 60,
-        "keepalive upkeep for 50 connections took {wakeups} wakeups in 2 s; \
-         sweeps must be batched"
+        wakeups < 150,
+        "50 keepalive connections woke the loop {wakeups} times in 2 s; \
+         inbound keepalives must share epoll batches"
     );
     drop(clients);
 }
@@ -515,7 +523,7 @@ impl Handler for Probe {
 }
 
 fn host(
-    node: &PollNode,
+    node: &Arc<PollNode>,
     replies: u32,
     deadline: Option<Instant>,
 ) -> mpsc::Receiver<(NetEvent, bool)> {
@@ -525,7 +533,7 @@ fn host(
         replies,
         deadline,
     };
-    assert!(node.host(Box::new(probe)).is_ok(), "a PollNode hosts");
+    Arc::clone(node).host(Box::new(probe));
     events
 }
 
@@ -535,12 +543,13 @@ fn host(
 /// `Woken` on that thread too.
 #[test]
 fn hosted_stream_orders_up_frames_down_per_connection() {
-    let server = listen(srv(0), quick_cfg());
+    let node = Arc::new(listen(srv(0), quick_cfg()));
+    let server = &*node;
     let mut early = raw_peer(cli(2), server.local_addr().unwrap());
     write_frame(&mut early, &Bytes::from_static(b"early")).unwrap();
     assert!(wait_for(|| server.wire_stats().total_frames() == 1, 5));
 
-    let events = host(&server, 0, None);
+    let events = host(&node, 0, None);
     let mut raw = raw_peer(cli(3), server.local_addr().unwrap());
     for i in 0..5u8 {
         write_frame(&mut raw, &Bytes::from(vec![i])).unwrap();
@@ -564,16 +573,49 @@ fn hosted_stream_orders_up_frames_down_per_connection() {
         Err(NetError::Timeout),
         "a hosted node's inbox stays empty"
     );
-    assert!(
-        server
-            .host(Box::new(Probe {
-                seen: mpsc::channel().0,
-                replies: 0,
-                deadline: None
-            }))
-            .is_err(),
-        "one handler per loop: the second comes back"
+}
+
+/// A reactor hosts one handler per node, not per loop: two listening
+/// nodes on one loop each see exactly their own connection's stream,
+/// and hosting a node again replaces its handler, not its sibling's.
+#[test]
+fn two_nodes_of_one_reactor_each_host_a_handler() {
+    let reactor = Reactor::spawn(quick_cfg()).unwrap();
+    let nodes = [srv(0), srv(1)].map(|id| Arc::new(reactor.listen(id, "127.0.0.1:0").unwrap()));
+    let events = nodes.each_ref().map(|node| host(node, 0, None));
+    for (i, node) in nodes.iter().enumerate() {
+        let mut raw = raw_peer(cli(20 + i as u32), node.local_addr().unwrap());
+        write_frame(&mut raw, &Bytes::from(vec![i as u8])).unwrap();
+    } // each raw peer hangs up here
+    for (i, events) in events.iter().enumerate() {
+        let peer = cli(20 + i as u32);
+        for want in [
+            NetEvent::Up(peer),
+            frame(peer, &[i as u8]),
+            NetEvent::Down(peer),
+        ] {
+            let (got, on_loop) = events.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(got, want, "node {i}");
+            assert!(
+                on_loop,
+                "node {i}: {want:?} reached its handler off the loop"
+            );
+        }
+        let extra = events.recv_timeout(Duration::from_millis(200));
+        assert!(extra.is_err(), "node {i} also saw {extra:?}");
+    }
+
+    let replacement = host(&nodes[0], 0, None);
+    assert_eq!(
+        events[0].recv_timeout(Duration::from_secs(5)),
+        Err(mpsc::RecvTimeoutError::Disconnected),
+        "the replaced handler is dropped"
     );
+    for (node, events) in [(&nodes[0], &replacement), (&nodes[1], &events[1])] {
+        node.wake();
+        let woken = events.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(woken, (NetEvent::Woken, true));
+    }
 }
 
 /// The handler's deadline is one more source of the loop's single
@@ -585,10 +627,11 @@ fn hosted_deadline_wakes_the_handler_once() {
         idle_deadline: None,
         ..PollConfig::default()
     };
-    let server = listen(srv(0), cfg);
+    let node = Arc::new(listen(srv(0), cfg));
+    let server = &*node;
     let due = Instant::now() + Duration::from_millis(200);
     // Idle from the start: the loop asks for the deadline as it hosts.
-    let events = host(&server, 0, Some(due));
+    let events = host(&node, 0, Some(due));
     assert_eq!(
         events.recv_timeout(Duration::from_secs(5)).unwrap(),
         (NetEvent::Woken, true)
@@ -607,8 +650,9 @@ fn hosted_deadline_wakes_the_handler_once() {
 fn hosted_burst_past_queue_cap_sheds_nothing() {
     let cfg = PollConfig::default();
     let burst = 4 * cfg.queue_cap as u32;
-    let server = listen(srv(0), cfg);
-    let _events = host(&server, burst, None);
+    let node = Arc::new(listen(srv(0), cfg));
+    let server = &*node;
+    let _events = host(&node, burst, None);
     let mut raw = raw_peer(cli(5), server.local_addr().unwrap());
     write_frame(&mut raw, &Bytes::from_static(b"go")).unwrap();
     for i in 0..burst {
@@ -639,12 +683,10 @@ fn wire_totals_match_a_burst_exactly() {
             }
             true
         }
-        fn next_deadline(&self) -> Option<Instant> {
-            None
-        }
     }
-    let server = listen(srv(0), cfg.clone());
-    assert!(server.host(Box::new(Echo)).is_ok());
+    let node = Arc::new(listen(srv(0), cfg.clone()));
+    let server = &*node;
+    Arc::clone(&node).host(Box::new(Echo));
     let client = dial(cli(1), server.local_addr().unwrap(), cfg);
 
     let mut bytes = 0;
@@ -657,7 +699,7 @@ fn wire_totals_match_a_burst_exactly() {
         let (_, echoed) = client.recv_timeout(Duration::from_secs(10)).unwrap();
         assert_eq!(echoed.len(), 1 + (i % 50) as usize, "echo {i}");
     }
-    for (side, peer) in [(&server, cli(1)), (&client, srv(0))] {
+    for (side, peer) in [(server, cli(1)), (&client, srv(0))] {
         let wire = side.wire_stats();
         assert_eq!((wire.total_frames(), wire.total_bytes()), (FRAMES, bytes));
         // Queue counters are published after the flush's write, loop
@@ -706,10 +748,6 @@ impl Handler for Echo {
         let _ = self.seen.send(frame(from, bytes));
         self.frames_left -= 1;
         self.frames_left > 0
-    }
-
-    fn next_deadline(&self) -> Option<Instant> {
-        None
     }
 }
 
@@ -766,9 +804,10 @@ fn staged_and_queued_replies_are_one_ordered_stream() {
         idle_deadline: None,
         ..PollConfig::default()
     };
-    let server = listen(srv(0), cfg);
+    let node = Arc::new(listen(srv(0), cfg));
+    let server = &*node;
     let (handler, _events) = echo(0, Duration::ZERO, usize::MAX);
-    assert!(server.host(handler).is_ok());
+    Arc::clone(&node).host(handler);
     let mut raw = raw_peer(cli(4), server.local_addr().unwrap());
     let queue = || server.wire_stats().queue(cli(4));
 
@@ -808,9 +847,10 @@ fn staged_and_queued_replies_are_one_ordered_stream() {
 /// reaches the inbox in order.
 #[test]
 fn frames_behind_a_departing_handler_reach_the_inbox_in_order() {
-    let server = listen(srv(0), quick_cfg());
+    let node = Arc::new(listen(srv(0), quick_cfg()));
+    let server = &*node;
     let (handler, events) = echo(0, Duration::ZERO, 4);
-    assert!(server.host(handler).is_ok());
+    Arc::clone(&node).host(handler);
     let mut raw = raw_peer(cli(6), server.local_addr().unwrap());
     raw.write_all(&numbered(10, 4)).unwrap(); // one segment, one read
 
@@ -826,7 +866,7 @@ fn frames_behind_a_departing_handler_reach_the_inbox_in_order() {
     let rest: Vec<NetEvent> = (4..10u32)
         .map(|i| frame(cli(6), &i.to_le_bytes()))
         .collect();
-    assert_eq!(collect(&server, 5, |seen| seen.len() == rest.len()), rest);
+    assert_eq!(collect(server, 5, |seen| seen.len() == rest.len()), rest);
     assert_eq!(
         read_numbers(&mut raw, Duration::from_millis(200)),
         [0, 1, 2, 3]
@@ -844,10 +884,11 @@ fn connection_dying_under_its_batch_yields_one_down_after_its_frames() {
         idle_deadline: None,
         ..PollConfig::default()
     };
-    let server = listen(srv(0), cfg);
+    let node = Arc::new(listen(srv(0), cfg));
+    let server = &*node;
     // The pause lets the peer's reset come back between flushes.
     let (handler, events) = echo(REPLY, Duration::from_millis(5), usize::MAX);
-    assert!(server.host(handler).is_ok());
+    Arc::clone(&node).host(handler);
     let mut raw = raw_peer(cli(9), server.local_addr().unwrap());
     // Twelve frames and the first half of a thirteenth, then gone.
     let mut wire = numbered(12, 4);
@@ -892,9 +933,10 @@ fn sharded_replies_take_the_fast_path_only_on_the_reading_shard() {
         idle_deadline: None,
         ..PollConfig::default()
     };
-    let server = ShardedNode::listen(srv(0), "127.0.0.1:0", 2, cfg).unwrap();
+    let node = Arc::new(ShardedNode::listen(srv(0), "127.0.0.1:0", 2, cfg).unwrap());
+    let server = &*node;
     let (handler, _events) = echo(0, Duration::ZERO, usize::MAX);
-    assert!(server.host(handler).is_ok());
+    Arc::clone(&node).host(handler);
     // The kernel places connections by 4-tuple: dial until both shards
     // hold one.
     let mut peers: [Option<(NodeId, TcpStream)>; 2] = [None, None];

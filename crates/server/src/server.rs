@@ -11,13 +11,12 @@
 //! The driver is a [`Handler`] with no tick: it takes the endpoint's
 //! event stream (frames and link state, in order) and otherwise wants
 //! to run only at the machine's earliest [`ServerAction::SetTimer`]
-//! deadline. An endpoint with a thread of its own ([`Channel::host`])
-//! runs it there, on the thread that read the frame — decoding the
-//! frame from the read buffer and encoding each reply into whatever
-//! buffer its [`Outbox`] offers; any other gets a small pump thread
-//! blocked in its receive. The clock is read once per event.
-//! [`ServerHandle`] commands queue beside the stream and arrive through
-//! [`Channel::wake`].
+//! deadline. The endpoint hosts it ([`Channel::host`]) and owns the
+//! thread it runs on: a reactor calls it on the thread that read the
+//! frame — decoding the frame from the read buffer and encoding each
+//! reply into whatever buffer its [`Outbox`] offers. The clock is read
+//! once per event. [`ServerHandle`] commands queue beside the stream
+//! and arrive through [`Channel::wake`].
 
 use crate::stable::StableRecord;
 use bytes::Bytes;
@@ -26,14 +25,13 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 use vl_core::machine::{
     events, MachineConfig, ServerAction, ServerInput, ServerMachine, StableState, TimerKind,
 };
 use vl_metrics::trace::{Event as TraceEvent, EventKind};
 use vl_metrics::TraceSink;
-use vl_net::{Channel, Handler, NetError, NetEvent, NodeId, Outbox};
+use vl_net::{Channel, Handler, NetEvent, NodeId, Outbox};
 use vl_proto::codec;
 use vl_types::{
     ClientId, Clock, Duration, ObjectId, ServerId, ShardMap, Timestamp, Version, VolumeId,
@@ -129,10 +127,9 @@ enum Command {
 pub struct LeaseServer;
 
 impl LeaseServer {
-    /// Starts the server driver on the endpoint's own thread when it
-    /// has one, else on a thread of its own, reading time from any
-    /// [`Clock`] (the live [`WallClock`](crate::WallClock), or a test
-    /// clock).
+    /// Hosts the server driver on the endpoint ([`Channel::host`]),
+    /// reading time from any [`Clock`] (the live
+    /// [`WallClock`](crate::WallClock), or a test clock).
     ///
     /// If `config.stable_path` holds a pre-crash [`StableRecord`], the
     /// epoch is bumped and writes are delayed until every pre-crash
@@ -167,39 +164,12 @@ impl LeaseServer {
         let endpoint: Arc<dyn Channel> = Arc::new(endpoint);
         let (cmd, cmds) = unbounded();
         let (alive, stopped) = bounded(0);
-        let name = format!("vl-server-{}", config.server);
         let driver = Driver::new(config, Arc::clone(&endpoint), clock, cmds, sink, alive);
-        let thread = endpoint.host(Box::new(driver)).err().map(|driver| {
-            let endpoint = Arc::clone(&endpoint);
-            std::thread::Builder::new()
-                .name(name)
-                .spawn(move || pump(driver, &*endpoint))
-                .expect("spawn server thread")
-        });
+        Arc::clone(&endpoint).host(Box::new(driver));
         ServerHandle {
             cmd,
             endpoint,
             stopped,
-            thread,
-        }
-    }
-}
-
-/// Runs `driver` over an endpoint that cannot host it: one blocking
-/// receive per event, bounded by the driver's own deadline.
-fn pump(mut driver: Box<dyn Handler>, mut endpoint: &dyn Channel) {
-    loop {
-        let timeout = driver
-            .next_deadline()
-            .map(|at| at.saturating_duration_since(Instant::now()));
-        let event = match endpoint.recv_event(timeout) {
-            Ok(event) => event,
-            Err(NetError::Timeout) => NetEvent::Woken,
-            // The endpoint is gone (replaced or network dropped).
-            Err(_) => return,
-        };
-        if !driver.on_event(event, &mut endpoint) {
-            return;
         }
     }
 }
@@ -211,8 +181,6 @@ pub struct ServerHandle {
     endpoint: Arc<dyn Channel>,
     /// Disconnects when the driver is dropped, wherever it ran.
     stopped: Receiver<()>,
-    /// The pump thread, when the endpoint did not host the driver.
-    thread: Option<JoinHandle<()>>,
 }
 
 impl fmt::Debug for ServerHandle {
@@ -237,9 +205,6 @@ impl ServerHandle {
         let _ = self.cmd.send(cmd);
         self.endpoint.wake();
         let _ = self.stopped.recv();
-        if let Some(thread) = self.thread {
-            let _ = thread.join();
-        }
     }
 
     /// Creates an object with initial `data` at version 1. An object

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full CI gate: formatting, the client-driver, router/protocol,
-# one-server-driver, one-read-loop and no-event-kernel layering greps,
+# hosted-driver, one-read-loop and no-event-kernel layering greps,
 # lint (warnings denied), release build (all targets, so bench breakage
 # is caught), the
 # complete test suite including ignored tests, the benchmark package's
@@ -68,13 +68,24 @@ if [ -n "$leak" ]; then
     exit 1
 fi
 
-echo "==> vl-server blocks in a receive only in its pump (DESIGN.md §12)"
-# One driver, two hosts: the reactor calls it, or `pump` does for an
-# endpoint that cannot. A second receive loop is a second driver.
-leak=$(for f in crates/server/src/*.rs; do nontest "$f" | sed '/^fn pump(/,/^}/d'; done |
-    grep -n 'recv_event' || true)
+echo "==> every driver is hosted; vl-net owns every consumer thread (DESIGN.md §7, §11)"
+# The server and the client are handlers their endpoint hosts: neither
+# starts a thread nor blocks in a receive of its own. `Channel::host`
+# cannot fail, so nothing hands a handler back for its caller to run.
+leak=$(for f in crates/server/src/*.rs crates/client/src/*.rs; do nontest "$f"; done |
+    grep -nE 'thread::(spawn|Builder)|recv_event' || true)
 if [ -n "$leak" ]; then
-    echo "error: vl-server receives outside pump(): $leak" >&2
+    echo "error: a driver runs a thread or a receive loop of its own: $leak" >&2
+    exit 1
+fi
+leak=$(for f in crates/net/src/*.rs; do nontest "$f"; done |
+    grep -nE 'Result<\(\), Box<dyn Handler>>|Err\((handler|hosted)' || true)
+if [ -n "$leak" ]; then
+    echo "error: Channel::host has a fallback: $leak" >&2
+    exit 1
+fi
+if [ -e crates/parking_lot ]; then
+    echo "error: crates/parking_lot is back; locks are std::sync's" >&2
     exit 1
 fi
 

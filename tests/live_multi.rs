@@ -17,6 +17,10 @@ use vl_types::{ClientId, Duration, Epoch, ObjectId, ServerId, VolumeId};
 
 const ORIGINS: u32 = 3;
 const ME: ClientId = ClientId(1);
+/// What a wall-clock bound on a write's wait allows on top of t_v, as
+/// in the other live write-bound tests: the driver's wake-up after the
+/// deadline and the millisecond the delay is truncated to.
+const SCHEDULING_SLACK: StdDuration = StdDuration::from_millis(500);
 
 /// Objects get globally unique ids: origin s hosts 10·s … 10·s+2.
 fn obj(server: u32, i: u64) -> ObjectId {
@@ -214,7 +218,8 @@ fn a_stalled_write_stalls_its_volume_not_the_server() {
         let a = a_done.recv_timeout(2 * t_v).expect("A's write commits");
         assert_eq!((a.object, a.waited_out), (obj(0, 0), 1));
         let waited = StdDuration::from_millis(a.delay.as_millis());
-        assert!(waited > t_v / 2 && waited <= t_v, "A waited {waited:?}");
+        let bound = t_v + SCHEDULING_SLACK;
+        assert!(waited > t_v / 2 && waited <= bound, "A waited {waited:?}");
     });
     cache.shutdown();
     for s in servers {

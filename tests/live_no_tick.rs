@@ -1,6 +1,7 @@
-//! No driver ticks: every live driver is one thread in one blocking
-//! receive — or, hosted on a reactor, no thread at all. Idle, it times
-//! out of that receive zero times (hosted: the loop makes zero timer
+//! No driver ticks: every live driver is a handler its endpoint hosts —
+//! on a reactor, with no thread of its own; in memory, on one thread of
+//! vl-net's blocked in the endpoint's receive. Idle, it times out of
+//! that receive zero times (on a reactor: the loop makes zero timer
 //! wake-ups); stopping it goes through `Channel::wake`, not through a
 //! poll interval.
 
@@ -109,8 +110,8 @@ fn thread_names() -> Vec<String> {
 }
 
 /// The same discipline with the driver hosted on the reactor: spawning
-/// the server starts no thread (the in-memory case above starts one,
-/// named for its server), an idle loop never wakes for a timer, and
+/// the server starts no thread (the in-memory case above gets one,
+/// named for its endpoint), an idle loop never wakes for a timer, and
 /// `shutdown`/`crash` return once the loop has dropped the driver.
 #[test]
 fn idle_hosted_server_has_no_thread_and_no_timer() {
@@ -130,9 +131,7 @@ fn idle_hosted_server_has_no_thread_and_no_timer() {
     s7.create_object(OBJ, Bytes::from_static(b"v1"));
     let names = thread_names();
     assert!(
-        !names
-            .iter()
-            .any(|n| n == "vl-server-s7" || n == "vl-server-s8"),
+        !names.iter().any(|n| n == "vl-pump-s7" || n == "vl-pump-s8"),
         "a hosted driver needs no thread of its own: {names:?}"
     );
 
