@@ -94,6 +94,19 @@ mod tests {
     }
 
     #[test]
+    fn several_threads_run_the_jobs() {
+        // Each job holds its worker long enough for the others to start,
+        // so a sweep that silently ran on one worker is caught.
+        let out = run_indexed(8, 4, |i| {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            (i, std::thread::current().id())
+        });
+        let (order, threads): (Vec<_>, std::collections::HashSet<_>) = out.into_iter().unzip();
+        assert_eq!(order, (0..8).collect::<Vec<_>>());
+        assert!(threads.len() >= 2, "8 jobs ran on {threads:?}");
+    }
+
+    #[test]
     fn zero_jobs_is_empty() {
         let out: Vec<u32> = run_indexed(0, 8, |_| unreachable!());
         assert!(out.is_empty());

@@ -163,8 +163,14 @@ mod tests {
                     r.simulated_read_msgs
                 );
             } else {
+                // The self-inval column is the reproduction's own
+                // extension, so it is held tighter than the rest.
+                let bound = match r.algorithm.as_str() {
+                    "Self-Inval" => 0.05,
+                    _ => 0.08,
+                };
                 assert!(
-                    r.relative_error < 0.08,
+                    r.relative_error <= bound,
                     "{}: analytic {} vs simulated {}",
                     r.algorithm,
                     r.analytic_read_msgs,

@@ -69,7 +69,6 @@
 //! and `report` folds a JSONL trace with the same `vl-metrics`
 //! histograms the simulator records into.
 
-mod bench_live;
 mod report;
 
 use bytes::Bytes;
@@ -100,9 +99,7 @@ fn usage() -> ! {
          vl sim --chaos-profile NAME [--chaos-seed N] [--steps N] \
          [--self-inval [--skew-bound-ms N]] [--clock-skew-ms N]\n  \
          vl report --trace PATH [--top N]\n  \
-         vl rebalance --map FILE --volume N --to ID [--from ID] [--timeout-ms N]\n  \
-         vl bench-live [--clients N] [--duration-s N] [--tv-ms N] [--workers N] \
-         [--reactors N,N,...] [--client-reactors N] [--out PATH] [--addr HOST:PORT]"
+         vl rebalance --map FILE --volume N --to ID [--from ID] [--timeout-ms N]"
     );
     exit(2)
 }
@@ -161,7 +158,6 @@ fn main() {
         "sim" => sim(&args),
         "report" => report_cmd(&args),
         "rebalance" => rebalance_cmd(&args),
-        "bench-live" => bench_live::run(&args),
         "--help" | "-h" | "help" => usage(),
         other => {
             eprintln!("unknown subcommand '{other}'");
@@ -545,7 +541,7 @@ fn serve(args: &Args) {
     let bound = node.local_addr();
     let node: Arc<dyn Channel> = Arc::new(node);
     // With `--addr 127.0.0.1:0` the kernel picks the port; a parent
-    // process (the live benchmark, scripts) learns it from this file.
+    // process (a script, a test harness) learns it from this file.
     if let Some(path) = args.value("--port-file") {
         let tmp = format!("{path}.tmp");
         if let Err(e) = std::fs::write(&tmp, format!("{}\n", bound.port()))

@@ -240,7 +240,6 @@ impl ChaosCore {
         self.seq += 1;
         self.counters.sends += 1;
         if !self.active {
-            self.counters.delivered += 1;
             return Verdict::Deliver;
         }
         let c = self.cfg.clone();
@@ -712,6 +711,22 @@ mod tests {
             }
         }
         assert_eq!(got, 5, "stop() must flush all delayed messages");
+    }
+
+    #[test]
+    fn sends_after_stop_count_once_as_delivered() {
+        let net = InMemoryNetwork::new();
+        let chaos = ChaosNet::new(ChaosProfile::Havoc.config(9));
+        let a = chaos.wrap(net.endpoint(c(1)));
+        let _b = net.endpoint(s(0));
+        chaos.stop();
+        let before = chaos.counters();
+        for _ in 0..10 {
+            a.send(s(0), Bytes::from_static(b"x")).unwrap();
+        }
+        let after = chaos.counters();
+        assert_eq!(after.sends - before.sends, 10);
+        assert_eq!(after.delivered - before.delivered, 10);
     }
 
     #[test]

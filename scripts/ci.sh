@@ -2,14 +2,13 @@
 # Full CI gate: formatting, the client-driver, router/protocol,
 # hosted-driver, one-read-loop and no-event-kernel layering greps,
 # lint (warnings denied), release build (all targets, so bench breakage
-# is caught), the
-# complete test suite including ignored tests, the benchmark package's
-# own tests (it links crates/*), a warning-clean rustdoc build, the
-# simulator smoke benchmark, a live-transport smoke benchmark run as a
-# {1,4}-reactor scaling matrix (the 4-reactor run must hold more
-# connections than the 1-reactor run), and the non-test line count per
-# crate. The benchmarks write under target/bench/, and the gate fails if
-# it leaves `git status --porcelain` different from how it found it.
+# is caught), the complete test suite including ignored tests, the
+# benchmark package's own tests (it links crates/*), a warning-clean
+# rustdoc build, a self-inval smoke through the CLI, and the non-test
+# line count per crate. It times nothing: performance is measured by
+# `bash benchmark/run.sh` and compared with a parent commit by
+# `scripts/bench_pairs.sh`. The gate fails if it leaves
+# `git status --porcelain` different from how it found it.
 # Run from anywhere; exits non-zero on the first failure.
 set -euo pipefail
 
@@ -136,14 +135,6 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "==> scripts/bench_smoke.sh"
-./scripts/bench_smoke.sh "$(nproc 2>/dev/null || echo 4)"
-
-echo "==> scripts/bench_compare.sh sweep (regression gate vs committed baseline)"
-# Auto-skips when the presets differ (the test job runs the smoke
-# preset; only the full-preset sweep is comparable to the baseline).
-./scripts/bench_compare.sh sweep target/bench/BENCH_sweep.json
-
 echo "==> self-inval smoke (simulator column + chaos harness run)"
 si_trace=$(mktemp)
 cargo run --release -q -p vl-cli -- gen --out "$si_trace" --preset smoke --seed 7 >/dev/null
@@ -163,19 +154,6 @@ echo "$si_out" | grep -Eq 'stale reads: +0 ' || {
 # FaultConfig constructors `vl sim --chaos-profile` does.
 cargo run --release -q -p vl-cli -- sim --chaos-profile havoc --chaos-seed 17 \
     --steps 600 --self-inval --skew-bound-ms 800 --clock-skew-ms 800
-
-echo "==> scripts/bench_compare.sh table1 (Self-Inval column gate)"
-./scripts/bench_compare.sh table1
-
-echo "==> scripts/bench_live.sh (1k clients/reactor, reactor matrix 1,4)"
-# 6 s = two volume-lease terms (t_v = 3 s). In a 5 s window a client
-# renews once or twice depending on how long before the window its
-# first lease was granted, so the efficiency gate below read 0.60-0.72
-# against a 0.66 floor and failed whenever the connects were *fast*.
-./scripts/bench_live.sh 1000 6 1,4
-
-echo "==> scripts/bench_compare.sh live (regression gate vs committed baseline)"
-./scripts/bench_compare.sh live target/bench/BENCH_live.json
 
 echo "==> scripts/loc.sh (non-test lines per crate)"
 ./scripts/loc.sh

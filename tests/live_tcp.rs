@@ -150,3 +150,59 @@ fn two_reactors_host_one_driver() {
     assert_eq!((stats.msgs_in, stats.msgs_out), (sent, received));
     server.shutdown();
 }
+
+/// A thousand real clients, multiplexed over four client reactors,
+/// against one driver hosted across four server reactors: every read
+/// is served, every connection is held, and every shard holds some.
+#[test]
+fn four_reactors_hold_a_thousand_clients() {
+    const REACTORS: usize = 4;
+    const CLIENTS: usize = 1_000;
+    // A connect storm on a loaded machine must not turn a slow hello
+    // into a failed dial, nor a silent peer into a reaped one.
+    let secs = std::time::Duration::from_secs;
+    let cfg = PollConfig {
+        idle_deadline: Some(secs(60)),
+        dial_timeout: secs(10),
+        hello_timeout: secs(20),
+        ..PollConfig::default()
+    };
+    let node = ShardedNode::listen(NodeId::Server(SRV), "127.0.0.1:0", REACTORS, cfg.clone());
+    let node = Arc::new(node.unwrap());
+    let server = LeaseServer::spawn(ServerConfig::new(SRV), Arc::clone(&node), WallClock::new());
+    server.create_object(OBJ, Bytes::from_static(b"v1"));
+    let addr = node.local_addr();
+
+    // One dialing thread per client reactor, each connecting and reading
+    // through its share of the clients.
+    let clients: Vec<Vec<CacheClient>> = std::thread::scope(|scope| {
+        let dial_share = |r: usize| {
+            let reactor = Reactor::spawn(cfg.clone()).unwrap();
+            let mine: Vec<CacheClient> = (r + 1..=CLIENTS)
+                .step_by(REACTORS)
+                .map(|id| {
+                    let id = ClientId(id as u32);
+                    let endpoint = reactor.node(NodeId::Client(id));
+                    endpoint.dial(addr).unwrap();
+                    CacheClient::spawn(ClientConfig::new(id, SRV), endpoint, WallClock::new())
+                })
+                .collect();
+            for c in &mine {
+                assert_eq!(&c.read(OBJ).unwrap()[..], b"v1");
+            }
+            mine
+        };
+        let dialers: Vec<_> = (0..REACTORS)
+            .map(|r| scope.spawn(move || dial_share(r)))
+            .collect();
+        dialers.into_iter().map(|d| d.join().unwrap()).collect()
+    });
+    assert_eq!(clients.iter().map(Vec::len).sum::<usize>(), CLIENTS);
+
+    let connected: Vec<usize> = node.shard_stats().iter().map(|s| s.connected).collect();
+    assert_eq!(connected.iter().sum::<usize>(), CLIENTS, "{connected:?}");
+    assert_eq!(connected.len(), REACTORS);
+    assert!(connected.iter().all(|&n| n >= 1), "{connected:?}");
+    drop(clients);
+    server.shutdown();
+}
