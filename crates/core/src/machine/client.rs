@@ -1,7 +1,6 @@
 //! The client half of the protocol as a pure state machine (Figure 4).
 
 use bytes::Bytes;
-use std::collections::BTreeMap;
 use vl_proto::{ClientMsg, ServerMsg};
 use vl_types::{ClientId, Epoch, ObjectId, ServerId, Timestamp, Version, VolumeId};
 
@@ -111,6 +110,14 @@ pub enum ClientAction {
     },
 }
 
+/// One cached copy and the object lease over it.
+struct CachedCopy {
+    version: Version,
+    /// Object-lease expiry.
+    expire: Timestamp,
+    data: Bytes,
+}
+
 /// The client state machine: Figure 4 — read from cache only under
 /// valid object *and* volume leases, renew what lapsed, ack
 /// invalidations, and run the client half of the reconnection protocol —
@@ -119,10 +126,12 @@ pub struct ClientMachine {
     cfg: ClientMachineConfig,
     epoch: Epoch,
     vol_expire: Timestamp,
-    // BTreeMaps so iteration (e.g. the RenewObjLeases report) is
-    // deterministic — a requirement for bit-reproducible simulation.
-    cached: BTreeMap<ObjectId, (Version, Bytes)>,
-    obj_expire: BTreeMap<ObjectId, Timestamp>,
+    /// The objects cached, ascending, so that iteration (the
+    /// `RENEW_OBJ_LEASES` report) is deterministic — a requirement for
+    /// bit-reproducible simulation.
+    cached: Vec<ObjectId>,
+    /// `copies[i]` is the copy of `cached[i]`.
+    copies: Vec<CachedCopy>,
     stats: ClientStats,
     generation: u64,
 }
@@ -144,8 +153,8 @@ impl ClientMachine {
             cfg,
             epoch: Epoch::default(),
             vol_expire: Timestamp::ZERO,
-            cached: BTreeMap::new(),
-            obj_expire: BTreeMap::new(),
+            cached: Vec::new(),
+            copies: Vec::new(),
             stats: ClientStats::default(),
             generation: 0,
         }
@@ -163,13 +172,20 @@ impl ClientMachine {
         self.cfg.self_inval || self.vol_expire > now
     }
 
+    fn copy(&self, object: ObjectId) -> Option<&CachedCopy> {
+        let i = self.cached.binary_search(&object).ok()?;
+        Some(&self.copies[i])
+    }
+
     fn obj_ok(&self, object: ObjectId, now: Timestamp) -> bool {
-        self.obj_expire.get(&object).is_some_and(|&e| e > now) && self.cached.contains_key(&object)
+        self.copy(object).is_some_and(|c| c.expire > now)
     }
 
     fn drop_copy(&mut self, object: ObjectId) {
-        self.cached.remove(&object);
-        self.obj_expire.remove(&object);
+        if let Ok(i) = self.cached.binary_search(&object) {
+            self.cached.remove(i);
+            self.copies.remove(i);
+        }
     }
 
     /// Advances the machine by one input and returns the actions the
@@ -178,11 +194,11 @@ impl ClientMachine {
         let mut actions = Vec::new();
         match input {
             ClientInput::Read { object } => {
-                if self.vol_ok(now) && self.obj_ok(object, now) {
+                if let Some(data) = self.read_ready(now, object) {
                     self.stats.local_reads += 1;
                     actions.push(ClientAction::DeliverRead {
                         object,
-                        data: self.cached[&object].1.clone(),
+                        data,
                         local: true,
                     });
                 } else {
@@ -195,8 +211,9 @@ impl ClientMachine {
                             epoch: self.epoch,
                         }));
                     }
-                    if !self.obj_ok(object, now) {
-                        let version = self.cached.get(&object).map_or(Version::NONE, |(v, _)| *v);
+                    let copy = self.copy(object);
+                    if copy.is_none_or(|c| c.expire <= now) {
+                        let version = copy.map_or(Version::NONE, |c| c.version);
                         actions.push(ClientAction::Send(ClientMsg::ReqObjLease {
                             object,
                             version,
@@ -239,16 +256,31 @@ impl ClientMachine {
                 version,
                 expire,
                 data,
-            } => {
-                if let Some(bytes) = data {
-                    self.cached.insert(object, (version, bytes));
-                } else if let Some((v, _)) = self.cached.get(&object) {
-                    debug_assert_eq!(*v, version, "no-data grant implies same version");
+            } => match (self.cached.binary_search(&object), data) {
+                (Ok(i), Some(data)) => {
+                    self.copies[i] = CachedCopy {
+                        version,
+                        expire,
+                        data,
+                    };
                 }
-                if self.cached.contains_key(&object) {
-                    self.obj_expire.insert(object, expire);
+                (Ok(i), None) => {
+                    let copy = &mut self.copies[i];
+                    debug_assert_eq!(copy.version, version, "no-data grant implies same version");
+                    copy.expire = expire;
                 }
-            }
+                (Err(i), Some(data)) => {
+                    self.cached.insert(i, object);
+                    let copy = CachedCopy {
+                        version,
+                        expire,
+                        data,
+                    };
+                    self.copies.insert(i, copy);
+                }
+                // A lease on nothing cached: there is no copy to read.
+                (Err(_), None) => {}
+            },
             ServerMsg::VolLease {
                 volume,
                 expire,
@@ -276,8 +308,9 @@ impl ClientMachine {
                     // Our volume lease is void; report every cached
                     // object with its version (Figure 4).
                     self.vol_expire = Timestamp::ZERO;
+                    let versions = self.copies.iter().map(|c| c.version);
                     let leases: Vec<(ObjectId, Version)> =
-                        self.cached.iter().map(|(&o, (v, _))| (o, *v)).collect();
+                        self.cached.iter().copied().zip(versions).collect();
                     actions.push(ClientAction::Send(ClientMsg::RenewObjLeases {
                         volume,
                         leases,
@@ -295,9 +328,9 @@ impl ClientMachine {
                         self.stats.batched_invalidations += 1;
                     }
                     for (object, version, expire) in renew {
-                        if let Some((v, _)) = self.cached.get(&object) {
-                            debug_assert_eq!(*v, version);
-                            self.obj_expire.insert(object, expire);
+                        if let Ok(i) = self.cached.binary_search(&object) {
+                            debug_assert_eq!(self.copies[i].version, version);
+                            self.copies[i].expire = expire;
                         }
                     }
                     self.stats.reconnections += 1;
@@ -320,7 +353,8 @@ impl ClientMachine {
     /// The cached copy of `object` if both leases covering it are valid
     /// at `now` — the pure read-fast-path check. Does not touch stats.
     pub fn read_ready(&self, now: Timestamp, object: ObjectId) -> Option<Bytes> {
-        (self.vol_ok(now) && self.obj_ok(object, now)).then(|| self.cached[&object].1.clone())
+        let copy = self.copy(object).filter(|c| c.expire > now)?;
+        self.vol_ok(now).then(|| copy.data.clone())
     }
 
     /// Completes a pending (non-local) read: if both leases are valid at
@@ -339,12 +373,12 @@ impl ClientMachine {
     /// "return suspect data with a warning" client policy. `None` if
     /// nothing is cached.
     pub fn read_suspect(&self, object: ObjectId) -> Option<Bytes> {
-        self.cached.get(&object).map(|(_, b)| b.clone())
+        self.copy(object).map(|c| c.data.clone())
     }
 
     /// The version this client has cached for `object`.
     pub fn cached_version(&self, object: ObjectId) -> Option<Version> {
-        self.cached.get(&object).map(|(v, _)| *v)
+        self.copy(object).map(|c| c.version)
     }
 
     /// Whether both leases covering `object` are currently valid.
@@ -640,6 +674,78 @@ mod tests {
         assert!(m
             .handle(Timestamp::from_secs(5), ClientInput::Reconnected)
             .is_empty());
+    }
+
+    fn obj_lease(object: u64, expire: Timestamp, data: Option<&'static [u8]>) -> ClientInput {
+        ClientInput::Msg(ServerMsg::ObjLease {
+            object: ObjectId(object),
+            version: Version::FIRST,
+            expire,
+            data: data.map(Bytes::from_static),
+        })
+    }
+
+    #[test]
+    fn a_lease_without_data_on_an_uncached_object_caches_nothing() {
+        let mut m = ClientMachine::new(cfg());
+        grant_both(&mut m, ObjectId(1), Timestamp::from_secs(10));
+        let now = Timestamp::from_secs(1);
+        m.handle(now, obj_lease(2, Timestamp::from_secs(10), None));
+        assert_eq!(m.cached_version(ObjectId(2)), None);
+        assert!(!m.holds_valid_leases(now, ObjectId(2)));
+        // A later copy is not made readable by that lease either: it
+        // brings its own.
+        m.handle(now, obj_lease(2, Timestamp::from_secs(2), Some(b"v1")));
+        assert!(!m.holds_valid_leases(Timestamp::from_secs(3), ObjectId(2)));
+        assert_eq!(m.cached, [ObjectId(1), ObjectId(2)]);
+    }
+
+    #[test]
+    fn renew_obj_leases_lists_objects_ascending_whatever_the_fill_order() {
+        let mut m = ClientMachine::new(cfg());
+        let expire = Timestamp::from_secs(10);
+        for o in [9, 3, 14, 1, 7, 12, 5] {
+            m.handle(Timestamp::ZERO, obj_lease(o, expire, Some(b"v1")));
+        }
+        let volume = m.cfg.volume;
+        let actions = m.handle(
+            Timestamp::from_secs(1),
+            ClientInput::Msg(ServerMsg::MustRenewAll { volume }),
+        );
+        let listed: Vec<ObjectId> = match &actions[..] {
+            [ClientAction::Send(ClientMsg::RenewObjLeases { leases, .. })] => {
+                leases.iter().map(|&(o, _)| o).collect()
+            }
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(listed, [1, 3, 5, 7, 9, 12, 14].map(ObjectId));
+    }
+
+    #[test]
+    fn invalidate_then_refetch_leaves_one_entry() {
+        let mut m = ClientMachine::new(cfg());
+        let expire = Timestamp::from_secs(10);
+        grant_both(&mut m, ObjectId(1), expire);
+        let now = Timestamp::from_secs(1);
+        m.handle(
+            now,
+            ClientInput::Msg(ServerMsg::Invalidate {
+                object: ObjectId(1),
+            }),
+        );
+        m.handle(
+            now,
+            ClientInput::Msg(ServerMsg::ObjLease {
+                object: ObjectId(1),
+                version: Version(2),
+                expire,
+                data: Some(Bytes::from_static(b"v2")),
+            }),
+        );
+        assert_eq!(m.cached, [ObjectId(1)]);
+        assert_eq!(m.copies.len(), 1);
+        assert_eq!(m.read_ready(now, ObjectId(1)).as_deref(), Some(&b"v2"[..]));
+        assert_eq!(m.cached_version(ObjectId(1)), Some(Version(2)));
     }
 
     #[test]

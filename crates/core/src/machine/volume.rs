@@ -123,19 +123,33 @@ impl Link {
 /// *Unreachable*.
 #[derive(Default)]
 struct ClientState {
+    /// Whose row this is.
+    client: ClientId,
     /// Volume-lease expiry; `None` until the first grant.
     lease: Option<Timestamp>,
     link: Link,
     /// Queued invalidations; `Some` is membership in *Inactive*.
     queued: Option<Box<Inactive>>,
     /// The objects the client was granted a lease on and has not acked
-    /// away: what demotion revokes.
-    held: BTreeSet<ObjectId>,
+    /// away, ascending: what demotion revokes.
+    held: Vec<ObjectId>,
 }
 
 impl ClientState {
     fn lease_valid(&self, now: Timestamp) -> bool {
         self.lease.is_some_and(|e| e > now)
+    }
+
+    fn hold(&mut self, object: ObjectId) {
+        if let Err(i) = self.held.binary_search(&object) {
+            self.held.insert(i, object);
+        }
+    }
+
+    fn release(&mut self, object: ObjectId) {
+        if let Ok(i) = self.held.binary_search(&object) {
+            self.held.remove(i);
+        }
     }
 
     /// Grants the volume lease until `expire` and builds the
@@ -151,6 +165,41 @@ impl ClientState {
             epoch,
             invalidate: queued.copied().collect(),
         }
+    }
+}
+
+/// The client rows in first-seen order, and which row each id has. Ids
+/// come off the wire, so they cannot index the rows themselves. No row
+/// is ever removed, so none moves, and a walk over the rows goes in an
+/// order the inputs alone decide, whatever the hasher.
+#[derive(Default)]
+struct Clients {
+    rows: Vec<ClientState>,
+    row_of: HashMap<ClientId, u32>,
+}
+
+impl Clients {
+    fn get(&self, client: ClientId) -> Option<&ClientState> {
+        let &i = self.row_of.get(&client)?;
+        Some(&self.rows[i as usize])
+    }
+
+    fn get_mut(&mut self, client: ClientId) -> Option<&mut ClientState> {
+        let &i = self.row_of.get(&client)?;
+        Some(&mut self.rows[i as usize])
+    }
+
+    /// `client`'s row, appended empty if it has none yet.
+    fn row(&mut self, client: ClientId) -> &mut ClientState {
+        let rows = &mut self.rows;
+        let &mut i = self.row_of.entry(client).or_insert_with(|| {
+            rows.push(ClientState {
+                client,
+                ..ClientState::default()
+            });
+            (rows.len() - 1) as u32
+        });
+        &mut rows[i as usize]
     }
 }
 
@@ -207,7 +256,7 @@ impl ActiveWrite {
 /// holds nothing up.
 fn wait_out_at(
     obj: &ObjState,
-    clients: &BTreeMap<ClientId, ClientState>,
+    clients: &Clients,
     client: ClientId,
     now: Timestamp,
     self_inval: bool,
@@ -216,7 +265,7 @@ fn wait_out_at(
     if self_inval {
         return at;
     }
-    let vol = clients.get(&client).and_then(|row| row.lease);
+    let vol = clients.get(client).and_then(|row| row.lease);
     at.min(vol.unwrap_or(now))
 }
 
@@ -244,9 +293,7 @@ pub(super) struct VolumeMachine {
     /// here until it passes, whether it came from a reboot or from
     /// adopting the volume in a handoff.
     pub(super) write_gate: Timestamp,
-    // BTreeMap: demotion scans iterate this, and deterministic iteration
-    // keeps simulation runs bit-reproducible.
-    clients: BTreeMap<ClientId, ClientState>,
+    clients: Clients,
     objects: HashMap<ObjectId, ObjState>,
     /// Writes not yet started, with their enqueue times, oldest first.
     queued_writes: VecDeque<(ObjectId, Bytes, Timestamp)>,
@@ -274,7 +321,7 @@ impl VolumeMachine {
 
     /// Adds this volume's *Unreachable* and *Inactive* populations.
     pub(super) fn count_clients(&self, stats: &mut ServerStats) {
-        for row in self.clients.values() {
+        for row in &self.clients.rows {
             stats.unreachable += usize::from(row.link.in_unreachable_set());
             stats.inactive += usize::from(row.queued.is_some());
         }
@@ -296,7 +343,7 @@ impl VolumeMachine {
     /// client with no state here is ignored — there is nothing to
     /// resynchronize.
     pub(super) fn peer_disconnected(&mut self, client: ClientId) -> bool {
-        let Some(row) = self.clients.get_mut(&client) else {
+        let Some(row) = self.clients.get_mut(client) else {
             return false;
         };
         let newly = !row.link.in_unreachable_set();
@@ -344,8 +391,7 @@ impl VolumeMachine {
                 let pad = host.cfg.self_inval.unwrap_or(Duration::ZERO);
                 let record = expire.saturating_add(pad);
                 obj.grant(client, record);
-                let row = self.clients.entry(client).or_default();
-                row.held.insert(object);
+                self.clients.row(client).hold(object);
                 let data = (obj.version != version).then(|| obj.data.clone());
                 let reply = ServerMsg::ObjLease {
                     object,
@@ -362,7 +408,7 @@ impl VolumeMachine {
                 host.send(client, reply);
             }
             ClientMsg::ReqVolLease { volume, epoch } => {
-                let row = self.clients.entry(client).or_default();
+                let row = self.clients.row(client);
                 match row.link {
                     Link::Reachable if epoch == self.epoch => {}
                     Link::Reachable | Link::Unreachable | Link::AwaitLeaseSet | Link::AwaitAck => {
@@ -388,7 +434,7 @@ impl VolumeMachine {
                 }
             }
             ClientMsg::RenewObjLeases { volume, leases } => {
-                let Some(row) = self.clients.get_mut(&client) else {
+                let Some(row) = self.clients.get_mut(client) else {
                     return;
                 };
                 match row.link {
@@ -410,7 +456,7 @@ impl VolumeMachine {
                         Some(obj) if obj.version == version => {
                             let expire = now.saturating_add(t);
                             obj.grant(client, expire.saturating_add(pad));
-                            row.held.insert(object);
+                            row.hold(object);
                             renew.push((object, obj.version, expire));
                         }
                         // A stale copy — or an object this volume does
@@ -453,15 +499,15 @@ impl VolumeMachine {
                     host.stats.stale_acks += 1;
                     return;
                 }
-                if let Some(row) = self.clients.get_mut(&client) {
-                    row.held.remove(&object);
+                if let Some(row) = self.clients.get_mut(client) {
+                    row.release(object);
                 }
                 if let Some(w) = self.write.as_mut().filter(|w| w.object == object) {
                     w.settle(client);
                 }
             }
             ClientMsg::AckVolBatch { volume } => {
-                let Some(row) = self.clients.get_mut(&client) else {
+                let Some(row) = self.clients.get_mut(client) else {
                     return;
                 };
                 match row.link {
@@ -583,7 +629,7 @@ impl VolumeMachine {
         // what expired), and skipping it would let it read a stale copy.
         host.actions.reserve(holders.len());
         holders.retain_mut(|&mut (client, ref mut at)| {
-            let row = self.clients.entry(client).or_default();
+            let row = self.clients.row(client);
             if let Some(vol) = row.lease.filter(|_| row.lease_valid(now)) {
                 *at = vol.min(*at);
                 w.outcome.invalidations_sent += 1;
@@ -596,7 +642,7 @@ impl VolumeMachine {
                 let queued =
                     (row.queued).get_or_insert_with(|| Box::new(Inactive { since, pending }));
                 queued.pending.insert(object);
-                row.held.remove(&object);
+                row.release(object);
                 obj.leases.revoke(client);
                 w.outcome.queued += 1;
                 false
@@ -636,7 +682,7 @@ impl VolumeMachine {
             if !self_inval {
                 w.outcome.waited_out += 1;
                 // Figure 3: unreachable ← unreachable ∪ To_contact.
-                if let Some(row) = clients.get_mut(&c) {
+                if let Some(row) = clients.get_mut(c) {
                     row.link.mark_unreachable();
                 }
             }
@@ -675,7 +721,8 @@ impl VolumeMachine {
             return self.demotion_due;
         }
         self.demotion_due = None;
-        for (&client, row) in &mut self.clients {
+        for row in &mut self.clients.rows {
+            let client = row.client;
             let Some(due) = row.queued.as_ref().map(|i| i.since.saturating_add(d)) else {
                 continue;
             };
@@ -712,7 +759,7 @@ impl VolumeMachine {
         Departure {
             epoch: self.epoch.next(),
             // Grants only ever move a client's expiry forward.
-            max_vol_expiry: (self.clients.values().filter_map(|c| c.lease).max())
+            max_vol_expiry: (self.clients.rows.iter().filter_map(|c| c.lease).max())
                 .unwrap_or(Timestamp::ZERO),
             objects,
             aborted: (self.write.iter().map(|w| (w.object, w.started)))

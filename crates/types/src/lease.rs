@@ -1,14 +1,9 @@
 //! Lease bookkeeping.
 //!
 //! A [`LeaseSet`] is the server-side record of who holds a lease on one
-//! object or one volume: the `at = {⟨client, expire⟩}` set of Figure 2,
-//! plus the `expire` field ("time by which all current leases will have
-//! expired") that bounds a server's write delay when a holder is
-//! unreachable.
+//! object or one volume: the `at = {⟨client, expire⟩}` set of Figure 2.
 
-use crate::{ClientId, Duration, Timestamp};
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use crate::{ClientId, Timestamp};
 
 /// Bytes of server memory charged per lease / callback / pending-message
 /// record, as in the paper's server-state accounting (§5.2).
@@ -18,11 +13,15 @@ pub const LEASE_RECORD_BYTES: u64 = 16;
 ///
 /// Granting a lease for a client replaces any earlier lease that client
 /// held ("delete old leases for client", Figure 3). Expired entries are
-/// *not* removed eagerly — exactly as in a real server, they linger until a
-/// [`sweep_expired`](LeaseSet::sweep_expired) pass or a re-grant — but they
-/// are never reported as valid.
+/// *not* removed eagerly — exactly as in a real server, they linger until
+/// revoked or re-granted — but they are never reported as valid.
 ///
-/// Iteration order is deterministic (ordered by [`ClientId`]) so that
+/// Entries are two parallel arrays sorted by [`ClientId`], so a lookup
+/// is a binary search over 4-byte keys and an entry costs 12 bytes.
+/// Inserting in the middle shifts the tail: O(n) per new holder, which
+/// is what a few hundred holders per object can afford.
+///
+/// Iteration order is deterministic (ascending [`ClientId`]) so that
 /// simulations are exactly reproducible.
 ///
 /// # Examples
@@ -32,19 +31,19 @@ pub const LEASE_RECORD_BYTES: u64 = 16;
 ///
 /// let mut set = LeaseSet::new();
 /// let now = Timestamp::from_secs(0);
-/// set.grant(ClientId(1), now + Duration::from_secs(10));
 /// set.grant(ClientId(2), now + Duration::from_secs(20));
+/// set.grant(ClientId(1), now + Duration::from_secs(10));
 ///
 /// let mid = now + Duration::from_secs(15);
-/// assert_eq!(set.valid_holders(mid).count(), 1);
-/// assert_eq!(set.expire_bound(), now + Duration::from_secs(20));
+/// let valid: Vec<_> = set.iter().filter(|&(_, e)| e > mid).collect();
+/// assert_eq!(valid, [(ClientId(2), now + Duration::from_secs(20))]);
+/// assert_eq!(set.iter().next().map(|(c, _)| c), Some(ClientId(1)));
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LeaseSet {
-    at: BTreeMap<ClientId, Timestamp>,
-    /// Monotone upper bound on every lease ever granted and not yet
-    /// replaced by a later one; the `expire` field of Figure 2.
-    max_expire: Timestamp,
+    clients: Vec<ClientId>,
+    /// `expires[i]` is `clients[i]`'s expiry.
+    expires: Vec<Timestamp>,
 }
 
 impl LeaseSet {
@@ -58,20 +57,28 @@ impl LeaseSet {
     ///
     /// Returns the client's previous expiry, if any.
     pub fn grant(&mut self, client: ClientId, expire: Timestamp) -> Option<Timestamp> {
-        self.max_expire = self.max_expire.max(expire);
-        self.at.insert(client, expire)
+        // Holders tend to arrive in id order: append without a search.
+        let at = match self.clients.last() {
+            Some(&last) if last < client => Err(self.clients.len()),
+            Some(_) => self.clients.binary_search(&client),
+            None => Err(0),
+        };
+        match at {
+            Ok(i) => Some(std::mem::replace(&mut self.expires[i], expire)),
+            Err(i) => {
+                self.clients.insert(i, client);
+                self.expires.insert(i, expire);
+                None
+            }
+        }
     }
 
     /// Removes `client`'s lease entirely (e.g. after a successful
     /// invalidation acknowledgment). Returns its expiry if it was present.
     pub fn revoke(&mut self, client: ClientId) -> Option<Timestamp> {
-        self.at.remove(&client)
-    }
-
-    /// Removes every lease. Used when a server discards all state for an
-    /// object (crash recovery treats every client as unreachable).
-    pub fn clear(&mut self) {
-        self.at.clear();
+        let i = self.clients.binary_search(&client).ok()?;
+        self.clients.remove(i);
+        Some(self.expires.remove(i))
     }
 
     /// Returns `true` if `client` holds a lease valid strictly after `now`.
@@ -79,115 +86,22 @@ impl LeaseSet {
     /// A lease expiring exactly at `now` is *invalid*: Figure 4's
     /// `validLease` returns true only when `expire > currentTime`.
     pub fn is_valid_for(&self, client: ClientId, now: Timestamp) -> bool {
-        self.at.get(&client).is_some_and(|&e| e > now)
+        self.expiry_of(client).is_some_and(|e| e > now)
     }
 
     /// Returns `client`'s recorded expiry (even if already past).
     pub fn expiry_of(&self, client: ClientId) -> Option<Timestamp> {
-        self.at.get(&client).copied()
-    }
-
-    /// Iterates over clients whose leases are valid strictly after `now`,
-    /// in ascending [`ClientId`] order.
-    pub fn valid_holders(&self, now: Timestamp) -> impl Iterator<Item = ClientId> + '_ {
-        self.at
-            .iter()
-            .filter(move |(_, &e)| e > now)
-            .map(|(&c, _)| c)
+        let i = self.clients.binary_search(&client).ok()?;
+        Some(self.expires[i])
     }
 
     /// Iterates over all `⟨client, expire⟩` entries (including expired
     /// ones), in ascending [`ClientId`] order.
     pub fn iter(&self) -> impl Iterator<Item = (ClientId, Timestamp)> + '_ {
-        self.at.iter().map(|(&c, &e)| (c, e))
-    }
-
-    /// Number of clients with a valid lease strictly after `now`.
-    pub fn valid_count(&self, now: Timestamp) -> usize {
-        self.valid_holders(now).count()
-    }
-
-    /// Total number of entries, expired or not (this is what occupies
-    /// server memory until swept).
-    pub fn len(&self) -> usize {
-        self.at.len()
-    }
-
-    /// Returns `true` if no entries are stored.
-    pub fn is_empty(&self) -> bool {
-        self.at.is_empty()
-    }
-
-    /// The monotone upper bound on all current leases' expiries — the
-    /// `expire` field of Figure 2. A server that cannot reach some holders
-    /// may safely write at this instant (or at the volume bound, whichever
-    /// is earlier).
-    ///
-    /// The bound is conservative: revoking the latest lease does not lower
-    /// it. Use [`latest_valid_expiry`](LeaseSet::latest_valid_expiry) for
-    /// the exact value.
-    pub fn expire_bound(&self) -> Timestamp {
-        self.max_expire
-    }
-
-    /// Exact latest expiry among leases valid strictly after `now`, or
-    /// `None` if none are valid. Linear scan; used by tests and by the
-    /// live server's write planner.
-    pub fn latest_valid_expiry(&self, now: Timestamp) -> Option<Timestamp> {
-        self.at.values().copied().filter(|&e| e > now).max()
-    }
-
-    /// Removes entries that expired at or before `now`; returns how many
-    /// were removed. Servers run this to reclaim memory for idle clients —
-    /// the key state advantage leases hold over callbacks (§5.2).
-    pub fn sweep_expired(&mut self, now: Timestamp) -> usize {
-        let before = self.at.len();
-        self.at.retain(|_, &mut e| e > now);
-        before - self.at.len()
-    }
-
-    /// Extends `client`'s lease to at least `expire`, never shortening it.
-    /// Returns the resulting expiry.
-    pub fn extend_to(&mut self, client: ClientId, expire: Timestamp) -> Timestamp {
-        self.max_expire = self.max_expire.max(expire);
-        match self.at.entry(client) {
-            Entry::Vacant(v) => *v.insert(expire),
-            Entry::Occupied(mut o) => {
-                let e = (*o.get()).max(expire);
-                *o.get_mut() = e;
-                e
-            }
-        }
-    }
-
-    /// Server memory charged for this set: 16 bytes per entry (§5.2).
-    pub fn state_bytes(&self) -> u64 {
-        self.at.len() as u64 * LEASE_RECORD_BYTES
-    }
-
-    /// Remaining time until `client`'s lease expires, or zero if absent or
-    /// already expired.
-    pub fn remaining_for(&self, client: ClientId, now: Timestamp) -> Duration {
-        self.expiry_of(client)
-            .map_or(Duration::ZERO, |e| e.saturating_sub(now))
-    }
-}
-
-impl FromIterator<(ClientId, Timestamp)> for LeaseSet {
-    fn from_iter<I: IntoIterator<Item = (ClientId, Timestamp)>>(iter: I) -> LeaseSet {
-        let mut set = LeaseSet::new();
-        for (c, e) in iter {
-            set.grant(c, e);
-        }
-        set
-    }
-}
-
-impl Extend<(ClientId, Timestamp)> for LeaseSet {
-    fn extend<I: IntoIterator<Item = (ClientId, Timestamp)>>(&mut self, iter: I) {
-        for (c, e) in iter {
-            self.grant(c, e);
-        }
+        self.clients
+            .iter()
+            .copied()
+            .zip(self.expires.iter().copied())
     }
 }
 
@@ -215,22 +129,7 @@ mod tests {
         assert_eq!(set.grant(ClientId(1), ts(10)), None);
         assert_eq!(set.grant(ClientId(1), ts(5)), Some(ts(10)));
         assert_eq!(set.expiry_of(ClientId(1)), Some(ts(5)));
-        assert_eq!(set.len(), 1);
-        // expire_bound stays a conservative upper bound.
-        assert_eq!(set.expire_bound(), ts(10));
-        assert_eq!(set.latest_valid_expiry(ts(0)), Some(ts(5)));
-    }
-
-    #[test]
-    fn revoke_and_clear() {
-        let mut set = LeaseSet::new();
-        set.grant(ClientId(1), ts(10));
-        set.grant(ClientId(2), ts(20));
-        assert_eq!(set.revoke(ClientId(1)), Some(ts(10)));
-        assert_eq!(set.revoke(ClientId(1)), None);
-        assert_eq!(set.len(), 1);
-        set.clear();
-        assert!(set.is_empty());
+        assert_eq!(set.iter().collect::<Vec<_>>(), [(ClientId(1), ts(5))]);
     }
 
     #[test]
@@ -239,61 +138,11 @@ mod tests {
         set.grant(ClientId(3), ts(30));
         set.grant(ClientId(1), ts(10));
         set.grant(ClientId(2), ts(20));
-        let holders: Vec<_> = set.valid_holders(ts(15)).collect();
-        assert_eq!(holders, vec![ClientId(2), ClientId(3)]);
-        assert_eq!(set.valid_count(ts(15)), 2);
-        assert_eq!(set.valid_count(ts(35)), 0);
-    }
-
-    #[test]
-    fn sweep_removes_only_expired() {
-        let mut set = LeaseSet::new();
-        set.grant(ClientId(1), ts(10));
-        set.grant(ClientId(2), ts(20));
-        set.grant(ClientId(3), ts(30));
-        assert_eq!(set.sweep_expired(ts(20)), 2); // t=10 and t=20 are gone
-        assert_eq!(set.len(), 1);
-        assert!(set.is_valid_for(ClientId(3), ts(20)));
-    }
-
-    #[test]
-    fn extend_to_never_shortens() {
-        let mut set = LeaseSet::new();
-        set.grant(ClientId(1), ts(10));
-        assert_eq!(set.extend_to(ClientId(1), ts(5)), ts(10));
-        assert_eq!(set.extend_to(ClientId(1), ts(15)), ts(15));
-        assert_eq!(set.extend_to(ClientId(2), ts(7)), ts(7));
-    }
-
-    #[test]
-    fn state_bytes_is_16_per_entry() {
-        let mut set = LeaseSet::new();
-        assert_eq!(set.state_bytes(), 0);
-        set.grant(ClientId(1), ts(10));
-        set.grant(ClientId(2), ts(10));
-        assert_eq!(set.state_bytes(), 32);
-    }
-
-    #[test]
-    fn remaining_for() {
-        let mut set = LeaseSet::new();
-        set.grant(ClientId(1), ts(10));
-        assert_eq!(
-            set.remaining_for(ClientId(1), ts(4)),
-            Duration::from_secs(6)
-        );
-        assert_eq!(set.remaining_for(ClientId(1), ts(11)), Duration::ZERO);
-        assert_eq!(set.remaining_for(ClientId(9), ts(0)), Duration::ZERO);
-    }
-
-    #[test]
-    fn from_iterator_and_extend() {
-        let set: LeaseSet = vec![(ClientId(1), ts(1)), (ClientId(2), ts(2))]
-            .into_iter()
-            .collect();
-        assert_eq!(set.len(), 2);
-        let mut set2 = LeaseSet::new();
-        set2.extend(set.iter());
-        assert_eq!(set2, set);
+        let valid = |now| -> Vec<ClientId> {
+            let holders = set.iter().filter(|&(_, e)| e > now);
+            holders.map(|(c, _)| c).collect()
+        };
+        assert_eq!(valid(ts(15)), [ClientId(2), ClientId(3)]);
+        assert!(valid(ts(35)).is_empty());
     }
 }

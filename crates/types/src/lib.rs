@@ -7,8 +7,7 @@
 //! (`vl-server`, `vl-client`).
 //!
 //! The central abstraction is the [`LeaseSet`]: the `⟨client, expire⟩` set
-//! written `o.at` / `v.at` in Figure 2 of the paper, together with the
-//! `expire` field that upper-bounds every member lease.
+//! written `o.at` / `v.at` in Figure 2 of the paper.
 //!
 //! # Examples
 //!

@@ -24,6 +24,12 @@
 #                     bound and not every run of the change beat every
 #                     run of the parent
 #   inside bound      none of these
+# A run that fails (run.sh exits non-zero, e.g. on a failed output check)
+# does not stop the comparison: its JSON line is recorded with its exit
+# status, or `null` when it printed none, and the summary leaves it out
+# of the medians. Exits 1 after the summary if any run failed, any
+# metric reads `worse than bound`, or the change failed a larger share
+# of its operations than the parent.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -56,10 +62,11 @@ fi
 runs=target/pairs/runs.txt
 : >"$runs"
 run() { # workload side dir pair
-    local json
+    local json status=0
     json=$(cd "$3" && CARGO_TARGET_DIR="$PWD/target/benchmark" \
-        bash benchmark/run.sh --workload "$1" --seed "$4" | tail -n 1)
-    echo "$1 $2 $4 $json" | tee -a "$runs"
+        bash benchmark/run.sh --workload "$1" --seed "$4" | tail -n 1) || status=$?
+    [[ "$json" == "{"* ]] || json=null
+    echo "$1 $2 $4 $status $json" | tee -a "$runs"
 }
 for workload in "${workloads[@]}"; do
     for i in $(seq 1 "$pairs"); do
@@ -73,14 +80,20 @@ for workload in "${workloads[@]}"; do
     done
 done
 
-python3 - "$runs" <<'PY'
+verdict=0
+python3 - "$runs" <<'PY' || verdict=$?
 import json, statistics, sys
 
 metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
-runs = {}  # workload -> side -> pair -> run.sh's closing JSON object
+runs = {}  # workload -> side -> pair -> run.sh's closing JSON object, or None
+bad = []  # runs that exited non-zero or printed no JSON line
 for line in open(sys.argv[1]):
-    workload, side, pair, blob = line.split(" ", 3)
-    runs.setdefault(workload, {"parent": {}, "change": {}})[side][int(pair)] = json.loads(blob)
+    workload, side, pair, status, blob = line.split(" ", 4)
+    run = json.loads(blob)
+    runs.setdefault(workload, {"parent": {}, "change": {}})[side][int(pair)] = run
+    if status != "0" or run is None:
+        what = "no JSON line" if run is None else f"exit {status}"
+        bad.append(f"{workload} {side} pair {pair}: {what}")
 
 def num(x):
     return f"{x:,.0f}" if abs(x) >= 1000 else f"{x:.4g}"
@@ -92,13 +105,22 @@ def summary(values):
     q1, med, q3 = quartiles(values)
     return f"median {num(med)} [q1 {num(q1)}, q3 {num(q3)}]"
 
+def value(run, name):
+    return ((run or {}).get("metrics", {}).get(name) or {}).get("value")
+
+worse = []
 for workload, sides in runs.items():
-    pairs = sorted(sides["parent"])
-    print(f"== {workload}: {len(pairs)} pairs")
+    print(f"== {workload}: {len(sides['parent'])} pairs")
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
-        p = [sides["parent"][i]["metrics"][name]["value"] for i in pairs]
-        c = [sides["change"][i]["metrics"][name]["value"] for i in pairs]
+        pairs = [i for i in sorted(sides["parent"])
+                 if value(sides["parent"][i], name) is not None
+                 and value(sides["change"].get(i), name) is not None]
+        if len(pairs) < 2:
+            print(f"{name}: missing ({len(pairs)} pairs with a value on both sides)")
+            continue
+        p = [value(sides["parent"][i], name) for i in pairs]
+        c = [value(sides["change"][i], name) for i in pairs]
         wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
         losses = sum(sign * (b - a) < 0 for a, b in zip(p, c))
         (q1, p_med, q3), c_med = quartiles(p), statistics.median(c)
@@ -112,15 +134,26 @@ for workload, sides in runs.items():
             verdict = "unresolved"
         else:
             verdict = "inside bound"
+        if verdict == "worse than bound":
+            worse.append(f"{workload} {name}: worse than bound")
         ratio = c_med / p_med if p_med else float("nan")
         print(f"{name} ({m['better']} is better, bound {m['bound']}): {verdict}")
         print(f"  parent  {summary(p)}")
         print(f"  change  {summary(c)}")
         print(f"  change/parent {ratio:.3f}; change won {wins} of {len(pairs)} pairs, lost {losses}")
+    share = {}
     for side, by_pair in sides.items():
-        failed = sum(r["failed"] for r in by_pair.values())
-        attempted = sum(r["attempted"] for r in by_pair.values())
+        done = [r for r in by_pair.values() if r is not None]
+        failed = sum(r.get("failed", 0) for r in done)
+        attempted = sum(r.get("attempted", 0) for r in done)
+        share[side] = failed / attempted if attempted else 0.0
         print(f"failed operations, {side}: {failed} of {attempted}")
+    if share["change"] > share["parent"]:
+        worse.append(f"{workload}: the change failed a larger share of operations")
+
+for problem in bad + worse:
+    print(f"FAIL {problem}")
+sys.exit(1 if bad or worse else 0)
 PY
 
 if [ "$(git status --porcelain)" != "$tree_before" ]; then
@@ -128,3 +161,4 @@ if [ "$(git status --porcelain)" != "$tree_before" ]; then
     git status --porcelain >&2
     exit 1
 fi
+exit "$verdict"
