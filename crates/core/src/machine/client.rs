@@ -128,10 +128,15 @@ pub struct ClientMachine {
     vol_expire: Timestamp,
     /// The objects cached, ascending, so that iteration (the
     /// `RENEW_OBJ_LEASES` report) is deterministic — a requirement for
-    /// bit-reproducible simulation.
+    /// bit-reproducible simulation. A dropped copy keeps its slot, dead,
+    /// for the refetch that usually follows an invalidation to revive;
+    /// once dead slots outnumber live ones they are compacted away, so
+    /// there are never more than twice as many slots as copies.
     cached: Vec<ObjectId>,
-    /// `copies[i]` is the copy of `cached[i]`.
-    copies: Vec<CachedCopy>,
+    /// `copies[i]` is the copy of `cached[i]`; `None` is a dead slot.
+    copies: Vec<Option<CachedCopy>>,
+    /// How many of `copies` are dead.
+    dead: usize,
     stats: ClientStats,
     generation: u64,
 }
@@ -141,7 +146,7 @@ impl std::fmt::Debug for ClientMachine {
         f.debug_struct("ClientMachine")
             .field("client", &self.cfg.client)
             .field("epoch", &self.epoch)
-            .field("cached", &self.cached.len())
+            .field("cached", &(self.cached.len() - self.dead))
             .finish()
     }
 }
@@ -155,6 +160,7 @@ impl ClientMachine {
             vol_expire: Timestamp::ZERO,
             cached: Vec::new(),
             copies: Vec::new(),
+            dead: 0,
             stats: ClientStats::default(),
             generation: 0,
         }
@@ -174,17 +180,32 @@ impl ClientMachine {
 
     fn copy(&self, object: ObjectId) -> Option<&CachedCopy> {
         let i = self.cached.binary_search(&object).ok()?;
-        Some(&self.copies[i])
+        self.copies[i].as_ref()
+    }
+
+    fn copy_mut(&mut self, object: ObjectId) -> Option<&mut CachedCopy> {
+        let i = self.cached.binary_search(&object).ok()?;
+        self.copies[i].as_mut()
     }
 
     fn obj_ok(&self, object: ObjectId, now: Timestamp) -> bool {
         self.copy(object).is_some_and(|c| c.expire > now)
     }
 
+    /// Frees `object`'s copy and leaves its slot dead.
     fn drop_copy(&mut self, object: ObjectId) {
-        if let Ok(i) = self.cached.binary_search(&object) {
-            self.cached.remove(i);
-            self.copies.remove(i);
+        let Ok(i) = self.cached.binary_search(&object) else {
+            return;
+        };
+        if self.copies[i].take().is_none() {
+            return;
+        }
+        self.dead += 1;
+        if self.dead > self.cached.len() - self.dead {
+            let mut live = self.copies.iter().map(Option::is_some);
+            self.cached.retain(|_| live.next() == Some(true));
+            self.copies.retain(Option::is_some);
+            self.dead = 0;
         }
     }
 
@@ -258,16 +279,23 @@ impl ClientMachine {
                 data,
             } => match (self.cached.binary_search(&object), data) {
                 (Ok(i), Some(data)) => {
-                    self.copies[i] = CachedCopy {
+                    let slot = &mut self.copies[i];
+                    self.dead -= usize::from(slot.is_none());
+                    *slot = Some(CachedCopy {
                         version,
                         expire,
                         data,
-                    };
+                    });
                 }
                 (Ok(i), None) => {
-                    let copy = &mut self.copies[i];
-                    debug_assert_eq!(copy.version, version, "no-data grant implies same version");
-                    copy.expire = expire;
+                    // A lease on a dropped copy has nothing to read.
+                    if let Some(copy) = &mut self.copies[i] {
+                        debug_assert_eq!(
+                            copy.version, version,
+                            "no-data grant implies same version"
+                        );
+                        copy.expire = expire;
+                    }
                 }
                 (Err(i), Some(data)) => {
                     self.cached.insert(i, object);
@@ -276,7 +304,7 @@ impl ClientMachine {
                         expire,
                         data,
                     };
-                    self.copies.insert(i, copy);
+                    self.copies.insert(i, Some(copy));
                 }
                 // A lease on nothing cached: there is no copy to read.
                 (Err(_), None) => {}
@@ -308,9 +336,10 @@ impl ClientMachine {
                     // Our volume lease is void; report every cached
                     // object with its version (Figure 4).
                     self.vol_expire = Timestamp::ZERO;
-                    let versions = self.copies.iter().map(|c| c.version);
-                    let leases: Vec<(ObjectId, Version)> =
-                        self.cached.iter().copied().zip(versions).collect();
+                    let slots = self.cached.iter().zip(&self.copies);
+                    let leases: Vec<(ObjectId, Version)> = slots
+                        .filter_map(|(&o, c)| Some((o, c.as_ref()?.version)))
+                        .collect();
                     actions.push(ClientAction::Send(ClientMsg::RenewObjLeases {
                         volume,
                         leases,
@@ -328,9 +357,9 @@ impl ClientMachine {
                         self.stats.batched_invalidations += 1;
                     }
                     for (object, version, expire) in renew {
-                        if let Ok(i) = self.cached.binary_search(&object) {
-                            debug_assert_eq!(self.copies[i].version, version);
-                            self.copies[i].expire = expire;
+                        if let Some(copy) = self.copy_mut(object) {
+                            debug_assert_eq!(copy.version, version);
+                            copy.expire = expire;
                         }
                     }
                     self.stats.reconnections += 1;
@@ -746,6 +775,111 @@ mod tests {
         assert_eq!(m.copies.len(), 1);
         assert_eq!(m.read_ready(now, ObjectId(1)).as_deref(), Some(&b"v2"[..]));
         assert_eq!(m.cached_version(ObjectId(1)), Some(Version(2)));
+    }
+
+    fn invalidate(m: &mut ClientMachine, object: u64) {
+        let msg = ServerMsg::Invalidate {
+            object: ObjectId(object),
+        };
+        m.handle(Timestamp::from_secs(1), ClientInput::Msg(msg));
+    }
+
+    /// Caches objects 1–4 under valid leases.
+    fn four_copies() -> ClientMachine {
+        let mut m = ClientMachine::new(cfg());
+        for o in 1..=4 {
+            grant_both(&mut m, ObjectId(o), Timestamp::from_secs(10));
+        }
+        m
+    }
+
+    #[test]
+    fn a_refetch_after_an_invalidation_revives_the_dropped_slot() {
+        let mut m = four_copies();
+        invalidate(&mut m, 2);
+        assert_eq!(m.cached, [1, 2, 3, 4].map(ObjectId), "the slot stays");
+        assert!(m.copies[1].is_none(), "its copy is freed");
+        assert_eq!((m.dead, m.cached_version(ObjectId(2))), (1, None));
+        let now = Timestamp::from_secs(1);
+        let refetch = ServerMsg::ObjLease {
+            object: ObjectId(2),
+            version: Version(2),
+            expire: Timestamp::from_secs(10),
+            data: Some(Bytes::from_static(b"v2")),
+        };
+        m.handle(now, ClientInput::Msg(refetch));
+        assert_eq!(m.cached, [1, 2, 3, 4].map(ObjectId));
+        assert_eq!((m.copies.len(), m.dead), (4, 0));
+        assert_eq!(m.read_ready(now, ObjectId(2)).as_deref(), Some(&b"v2"[..]));
+    }
+
+    #[test]
+    fn renew_obj_leases_leaves_out_dropped_copies() {
+        let mut m = four_copies();
+        invalidate(&mut m, 3);
+        invalidate(&mut m, 1);
+        assert_eq!(m.cached.len(), 4, "two dead of four: not yet compacted");
+        let volume = m.cfg.volume;
+        let actions = m.handle(
+            Timestamp::from_secs(1),
+            ClientInput::Msg(ServerMsg::MustRenewAll { volume }),
+        );
+        let leases = vec![(ObjectId(2), Version::FIRST), (ObjectId(4), Version::FIRST)];
+        let want = ClientAction::Send(ClientMsg::RenewObjLeases { volume, leases });
+        assert_eq!(actions, [want]);
+        // A renewal the exchange grants for a dropped copy revives
+        // nothing.
+        let renew = vec![(ObjectId(3), Version::FIRST, Timestamp::from_secs(20))];
+        let reply = ServerMsg::InvalRenew {
+            volume,
+            invalidate: Vec::new(),
+            renew,
+        };
+        m.handle(Timestamp::from_secs(1), ClientInput::Msg(reply));
+        assert_eq!(m.cached_version(ObjectId(3)), None);
+    }
+
+    #[test]
+    fn a_lease_without_data_on_a_dropped_copy_caches_nothing() {
+        let mut m = four_copies();
+        invalidate(&mut m, 2);
+        let now = Timestamp::from_secs(1);
+        m.handle(now, obj_lease(2, Timestamp::from_secs(10), None));
+        assert_eq!((m.cached_version(ObjectId(2)), m.dead), (None, 1));
+        assert!(!m.holds_valid_leases(now, ObjectId(2)));
+        assert!(m.read_suspect(ObjectId(2)).is_none());
+        // The read that follows asks for the data.
+        let actions = m.handle(
+            now,
+            ClientInput::Read {
+                object: ObjectId(2),
+            },
+        );
+        let version = Version::NONE;
+        let want = ClientMsg::ReqObjLease {
+            object: ObjectId(2),
+            version,
+        };
+        assert_eq!(actions, [ClientAction::Send(want)]);
+    }
+
+    #[test]
+    fn dead_slots_are_compacted_once_they_outnumber_live_ones() {
+        let mut m = four_copies();
+        for o in [4, 2] {
+            invalidate(&mut m, o);
+        }
+        assert_eq!((m.cached.len(), m.dead), (4, 2));
+        invalidate(&mut m, 1);
+        assert_eq!(m.cached, [ObjectId(3)], "compacted in order");
+        assert_eq!((m.copies.len(), m.dead), (1, 0));
+        assert_eq!(m.cached_version(ObjectId(3)), Some(Version::FIRST));
+        // Dropping the last copy leaves no slot at all, and an
+        // invalidation for it again changes nothing.
+        invalidate(&mut m, 3);
+        invalidate(&mut m, 3);
+        assert!(m.cached.is_empty() && m.copies.is_empty());
+        assert_eq!(m.dead, 0);
     }
 
     #[test]

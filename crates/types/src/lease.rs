@@ -4,6 +4,7 @@
 //! object or one volume: the `at = {⟨client, expire⟩}` set of Figure 2.
 
 use crate::{ClientId, Timestamp};
+use std::collections::VecDeque;
 
 /// Bytes of server memory charged per lease / callback / pending-message
 /// record, as in the paper's server-state accounting (§5.2).
@@ -16,10 +17,14 @@ pub const LEASE_RECORD_BYTES: u64 = 16;
 /// *not* removed eagerly — exactly as in a real server, they linger until
 /// revoked or re-granted — but they are never reported as valid.
 ///
-/// Entries are two parallel arrays sorted by [`ClientId`], so a lookup
-/// is a binary search over 4-byte keys and an entry costs 12 bytes.
-/// Inserting in the middle shifts the tail: O(n) per new holder, which
-/// is what a few hundred holders per object can afford.
+/// Entries are two parallel ring buffers sorted by [`ClientId`], so a
+/// lookup is a binary search over 4-byte keys and an entry costs 12
+/// bytes. Inserting or removing in the middle shifts whichever side of
+/// the entry is shorter, O(n) at worst, which is what a few hundred
+/// holders per object can afford; at either end it shifts nothing. Acks
+/// tend to arrive in the ascending order the invalidations went out, so
+/// a write's revokes take entries at or near the front, and a holder
+/// above every other one is appended.
 ///
 /// Iteration order is deterministic (ascending [`ClientId`]) so that
 /// simulations are exactly reproducible.
@@ -41,9 +46,9 @@ pub const LEASE_RECORD_BYTES: u64 = 16;
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LeaseSet {
-    clients: Vec<ClientId>,
+    clients: VecDeque<ClientId>,
     /// `expires[i]` is `clients[i]`'s expiry.
-    expires: Vec<Timestamp>,
+    expires: VecDeque<Timestamp>,
 }
 
 impl LeaseSet {
@@ -58,7 +63,7 @@ impl LeaseSet {
     /// Returns the client's previous expiry, if any.
     pub fn grant(&mut self, client: ClientId, expire: Timestamp) -> Option<Timestamp> {
         // Holders tend to arrive in id order: append without a search.
-        let at = match self.clients.last() {
+        let at = match self.clients.back() {
             Some(&last) if last < client => Err(self.clients.len()),
             Some(_) => self.clients.binary_search(&client),
             None => Err(0),
@@ -78,7 +83,7 @@ impl LeaseSet {
     pub fn revoke(&mut self, client: ClientId) -> Option<Timestamp> {
         let i = self.clients.binary_search(&client).ok()?;
         self.clients.remove(i);
-        Some(self.expires.remove(i))
+        self.expires.remove(i)
     }
 
     /// Returns `true` if `client` holds a lease valid strictly after `now`.
