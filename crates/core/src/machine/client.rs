@@ -111,6 +111,7 @@ pub enum ClientAction {
 }
 
 /// One cached copy and the object lease over it.
+#[derive(Clone)]
 struct CachedCopy {
     version: Version,
     /// Object-lease expiry.
@@ -122,6 +123,7 @@ struct CachedCopy {
 /// valid object *and* volume leases, renew what lapsed, ack
 /// invalidations, and run the client half of the reconnection protocol —
 /// with every effect returned as data.
+#[derive(Clone)]
 pub struct ClientMachine {
     cfg: ClientMachineConfig,
     epoch: Epoch,
@@ -434,6 +436,25 @@ impl ClientMachine {
     /// progress between condvar wakeups.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+}
+
+#[cfg(test)]
+impl ClientMachine {
+    /// The state the protocol reads — epoch, volume lease, live copies —
+    /// as text, for a search to tell states it has seen.
+    pub(super) fn fingerprint(&self, out: &mut String) {
+        use std::fmt::Write;
+        let _ = write!(out, "{:?} {:?}", self.epoch, self.vol_expire);
+        for (object, copy) in self.cached.iter().zip(&self.copies) {
+            if let Some(c) = copy {
+                let _ = write!(
+                    out,
+                    " {object:?}:{:?}@{:?}={:?}",
+                    c.version, c.expire, c.data
+                );
+            }
+        }
     }
 }
 

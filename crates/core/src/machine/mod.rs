@@ -9,8 +9,9 @@
 //! record, deliver a read, complete a write). The machines contain **no
 //! threads, channels, clocks, sockets, or filesystem**; all I/O lives in
 //! the thin drivers (`vl-server`, `vl-client`) or in the deterministic
-//! [`harness`] that fuzzes the pair under a virtual clock with seeded
-//! faults.
+//! [`harness`], one transition function over the pair and what is in
+//! flight between them, which a seeded chooser fuzzes and a test-only
+//! explorer searches exhaustively at small scope.
 //!
 //! Both sides keep protocol state per volume. [`ServerMachine`] routes
 //! each input to the machine of the volume it names (`volume.rs`: one

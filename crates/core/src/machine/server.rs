@@ -188,6 +188,7 @@ pub enum ServerAction {
 /// Drivers feed it [`ServerInput`]s tagged with the current time and
 /// execute the returned [`ServerAction`]s; see the module docs for the
 /// contract.
+#[derive(Clone)]
 pub struct ServerMachine {
     /// Hosted volumes. The home volume ([`MachineConfig::volume`]) is
     /// seeded at boot; others arrive by handoff.
@@ -560,6 +561,26 @@ impl ServerMachine {
             // nothing to do.
             PeerMsg::HandoffAck { .. } => {}
         }
+    }
+}
+
+#[cfg(test)]
+impl ServerMachine {
+    /// The state the protocol reads, as text through sorted views, for a
+    /// search to tell states it has seen. Counters are left out.
+    pub(super) fn fingerprint(&self, out: &mut String) {
+        use std::fmt::Write;
+        for (volume, vm) in &self.volumes {
+            let _ = write!(out, "{volume:?}:");
+            vm.fingerprint(out);
+        }
+        let mut index: Vec<_> = self.index.iter().collect();
+        index.sort_unstable();
+        let _ = write!(
+            out,
+            "{index:?} {:?} {:?} {:?} {:?}",
+            self.departed, self.shard_map, self.last_timer, self.persisted
+        );
     }
 }
 

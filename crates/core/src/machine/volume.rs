@@ -27,6 +27,7 @@ use vl_types::{ClientId, Duration, Epoch, LeaseSet, ObjectId, Timestamp, Version
 /// What a volume machine sees of the server it runs in: the protocol
 /// parameters, and where its effects go. The router owns the one
 /// instance, so counters outlive the volume that bumped them.
+#[derive(Clone)]
 pub(super) struct Host {
     pub(super) cfg: MachineConfig,
     pub(super) actions: Vec<ServerAction>,
@@ -43,6 +44,7 @@ impl Host {
     }
 }
 
+#[derive(Clone)]
 struct ObjState {
     data: Bytes,
     version: Version,
@@ -75,6 +77,7 @@ impl ObjState {
 
 /// Membership in Figure 3's *Inactive* set: the volume lease lapsed at
 /// `since` and `pending` invalidations wait for the next renewal (§3.2).
+#[derive(Clone)]
 struct Inactive {
     since: Timestamp,
     pending: BTreeSet<ObjectId>,
@@ -123,7 +126,7 @@ impl Link {
 /// Everything the server knows about one client in one volume — the
 /// row Figure 3 spreads over its volume `at` set, *Inactive* and
 /// *Unreachable*.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct ClientState {
     /// Whose row this is.
     client: ClientId,
@@ -159,7 +162,7 @@ impl ClientState {
 /// come off the wire, so they cannot index the rows themselves. No row
 /// is ever removed, so none moves, and a walk over the rows goes in an
 /// order the inputs alone decide, whatever the hasher.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Clients {
     rows: Vec<ClientState>,
     row_of: HashMap<ClientId, u32>,
@@ -190,6 +193,7 @@ impl Clients {
     }
 }
 
+#[derive(Clone)]
 struct ActiveWrite {
     object: ObjectId,
     data: Bytes,
@@ -273,7 +277,7 @@ pub(super) struct Departure {
 }
 
 /// The server state of one volume; see the module docs.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(super) struct VolumeMachine {
     pub(super) epoch: Epoch,
     /// Generalizes the crash-recovery gate (§3.1.2): no write starts
@@ -769,5 +773,41 @@ impl VolumeMachine {
         now: Timestamp,
     ) -> bool {
         self.objects[&object].leases.is_valid_for(client, now)
+    }
+
+    /// The volume as text, hash maps read in key order, for a search to
+    /// tell states it has seen. Rows keep their first-seen order, which
+    /// is state too.
+    #[cfg(test)]
+    pub(super) fn fingerprint(&self, out: &mut String) {
+        use std::fmt::Write;
+        let mut objects: Vec<_> = self.objects.iter().collect();
+        objects.sort_unstable_by_key(|&(&id, _)| id);
+        for (id, o) in objects {
+            let leases: Vec<_> = o.leases.iter().collect();
+            let (version, data, acks) = (o.version, &o.data, &o.awaiting_ack);
+            let _ = write!(out, "{id:?} {version:?} {data:?} {leases:?} {acks:?};");
+        }
+        for row in &self.clients.rows {
+            let queued = row.queued.as_ref().map(|q| (q.since, &q.pending));
+            let _ = write!(
+                out,
+                "{:?} {:?} {:?} {queued:?};",
+                row.client, row.lease, row.link
+            );
+        }
+        let _ = write!(
+            out,
+            "{:?} {:?} {:?} {:?} {:?}",
+            self.epoch, self.write_gate, self.queued_writes, self.wait_until, self.demotion_due
+        );
+        if let Some(w) = &self.write {
+            let (object, data, held, deferred) = (w.object, &w.data, &w.outstanding, &w.deferred);
+            let _ = write!(
+                out,
+                " {object:?} {data:?} {held:?} {:?} {deferred:?}",
+                w.started
+            );
+        }
     }
 }

@@ -5,11 +5,11 @@
 //! paper's Table 1 as computed by `vl-analytic`.
 
 use bytes::Bytes;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use vl_analytic::{Algorithm, CostParams};
 use vl_core::machine::{MachineConfig, ServerAction, ServerInput, ServerMachine, WriteOutcome};
 use vl_proto::{ClientMsg, ServerMsg};
-use vl_sim::SimRng;
 use vl_types::{ClientId, Duration, Epoch, ObjectId, ServerId, Timestamp, Version};
 
 const TICK: Duration = Duration::from_millis(10);
@@ -33,7 +33,7 @@ fn cost_params(t: Duration, tv: Duration) -> CostParams {
 /// Drives one randomized write through a `ServerMachine` and checks the
 /// commit time against the exact per-holder bound.
 fn run_case(seed: u64) {
-    let mut rng = SimRng::seeded(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let t = Duration::from_millis(rng.gen_range(800..3000u64));
     let tv = Duration::from_millis(rng.gen_range(100..900u64));
     let mut cfg = MachineConfig::new(ServerId(0));

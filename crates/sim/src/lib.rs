@@ -1,15 +1,12 @@
-//! Deterministic building blocks for the machine fault harness.
+//! A stable event queue: [`EventQueue`], earliest time first and FIFO
+//! among equal times, so a run that schedules through it is exactly
+//! reproducible.
 //!
-//! `vl_core::machine::harness` interleaves timers, message delivery,
-//! partitions and crashes over the sans-io machines; this crate is what
-//! it stands on: a virtual [`clock`], a stable [`queue::EventQueue`]
-//! (ties broken in scheduling order, so runs are exactly reproducible)
-//! and a seeded [`rng::SimRng`].
-//!
-//! The trace-driven consistency experiments (`vl_core::engine`) follow
-//! the paper's simulator (§4.1) in processing each trace event to
-//! completion before the next one: they are a loop over the trace and
-//! use nothing from this crate.
+//! No crate of the workspace depends on it: the trace-driven experiments
+//! (`vl_core::engine`) follow the paper's simulator (§4.1) in processing
+//! each trace event to completion, and the machine fault harness keeps
+//! its own agenda. Its one user is the benchmark's
+//! `sim.queue_ns_per_event` probe, and it goes with that probe.
 //!
 //! # Examples
 //!
@@ -24,20 +21,10 @@
 //! let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
 //! assert_eq!(order, vec!['a', 'b', 'c']);
 //! ```
-//!
-//! # Layering
-//!
-//! Per DESIGN.md §7 everything here is pure and deterministic — the
-//! virtual clock and event queue are data structures, not threads — so
-//! the fault harness built on them replays byte-identically from a seed.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod clock;
 pub mod queue;
-pub mod rng;
 
-pub use clock::VirtualClock;
 pub use queue::EventQueue;
-pub use rng::SimRng;

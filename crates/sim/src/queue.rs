@@ -1,7 +1,8 @@
 //! A stable priority queue of timestamped events: a binary heap, earliest
 //! time first and FIFO among equal times, so runs are bit-reproducible.
-//! Its caller is the machine fault harness (`vl_core::machine::harness`);
-//! the trace engine is a loop over the trace and schedules nothing.
+//! Its one caller is the benchmark's `sim.queue_ns_per_event` probe; the
+//! trace engine is a loop over the trace and schedules nothing, and the
+//! machine fault harness keeps its agenda in a `BTreeMap`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -81,8 +82,8 @@ impl<E> Default for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SimRng;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn ts(s: u64) -> Timestamp {
         Timestamp::from_secs(s)
@@ -115,8 +116,8 @@ mod tests {
 
     #[test]
     fn zero_delay_reschedule_pops_after_pending_same_time() {
-        // The harness reschedules at the timestamp it is draining; that
-        // event must pop after everything already pending there.
+        // A caller that reschedules at the timestamp it is draining must
+        // see that event pop after everything already pending there.
         let mut q = EventQueue::new();
         q.schedule(ts(1), "first");
         q.schedule(ts(1), "second");
@@ -160,7 +161,7 @@ mod tests {
     #[test]
     fn matches_sorted_vec_model() {
         const TEN_DAYS_MS: u64 = 10 * 24 * 3600 * 1000;
-        let mut rng = SimRng::seeded(7);
+        let mut rng = StdRng::seed_from_u64(7);
         let mut q = EventQueue::new();
         let mut model: Vec<(Timestamp, u64)> = Vec::new();
         let mut now = Timestamp::ZERO;

@@ -2,7 +2,7 @@
 //!
 //! This crate defines the identifiers, virtual time, versioning, and
 //! lease-bookkeeping primitives shared by every other crate in the
-//! workspace: the trace-driven simulator (`vl-core` + `vl-sim`), the
+//! workspace: the trace-driven simulator and fault harness (`vl-core`), the
 //! analytic cost model (`vl-analytic`), and the live client/server stack
 //! (`vl-server`, `vl-client`).
 //!

@@ -107,10 +107,10 @@ impl Timestamp {
 
 /// A source of "now" in protocol time.
 ///
-/// The simulator advances a virtual implementation (`vl-sim`'s
-/// `VirtualClock`); the live stack implements it over wall time
-/// (`vl-server`'s `WallClock`). Protocol drivers are generic over this
-/// trait so the same sans-io state machines run in both worlds.
+/// The live stack implements it over wall time (`vl-server`'s
+/// `WallClock`). The sans-io state machines take `now` as an argument
+/// instead, so the simulator and the fault harness drive them on
+/// virtual time with no clock at all.
 pub trait Clock {
     /// Returns the current instant.
     fn now(&self) -> Timestamp;

@@ -384,10 +384,9 @@ fn sample_size<R: Rng + ?Sized>(rng: &mut R, median: f64, sigma: f64) -> u64 {
     (log_normal(rng, median, sigma) as u64).clamp(200, 2_000_000)
 }
 
-/// Derives a named child RNG from the master seed. The mixing is
-/// `vl_sim::SimRng::fork`'s; the copy stays because every generated
-/// trace, and so every committed CSV, is a function of this stream,
-/// while `vl-sim` serves only the machine fault harness.
+/// Derives a named child RNG from the master seed: FNV-1a over the
+/// label, mixed with the seed. Every generated trace, and so every
+/// committed CSV, is a function of this stream, so the mixing is fixed.
 fn fork(seed: u64, label: &str) -> impl Rng {
     use rand::SeedableRng;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);

@@ -13,7 +13,6 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`types`] | identifiers, virtual time, lease sets |
-//! | [`sim`] | virtual clock, seeded RNG and event queue of the fault harness |
 //! | [`core`] | the consistency protocols and the trace engine |
 //! | [`analytic`] | Table 1 closed-form cost model |
 //! | [`workload`] | synthetic web workload, write models, BU trace parser |
@@ -48,6 +47,5 @@ pub use vl_metrics as metrics;
 pub use vl_net as net;
 pub use vl_proto as proto;
 pub use vl_server as server;
-pub use vl_sim as sim;
 pub use vl_types as types;
 pub use vl_workload as workload;
