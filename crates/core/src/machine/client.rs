@@ -111,7 +111,7 @@ pub enum ClientAction {
 }
 
 /// One cached copy and the object lease over it.
-#[derive(Clone)]
+#[cfg_attr(test, derive(Clone))]
 struct CachedCopy {
     version: Version,
     /// Object-lease expiry.
@@ -123,7 +123,7 @@ struct CachedCopy {
 /// valid object *and* volume leases, renew what lapsed, ack
 /// invalidations, and run the client half of the reconnection protocol —
 /// with every effect returned as data.
-#[derive(Clone)]
+#[cfg_attr(test, derive(Clone))]
 pub struct ClientMachine {
     cfg: ClientMachineConfig,
     epoch: Epoch,

@@ -280,7 +280,7 @@ enum Due {
 
 /// The machines, what is in flight between them, the timers, and the
 /// bookkeeping the invariants are checked against.
-#[derive(Clone)]
+#[cfg_attr(test, derive(Clone))]
 struct World {
     cfg: FaultConfig,
     /// Virtual time; it never runs backwards.

@@ -188,7 +188,7 @@ pub enum ServerAction {
 /// Drivers feed it [`ServerInput`]s tagged with the current time and
 /// execute the returned [`ServerAction`]s; see the module docs for the
 /// contract.
-#[derive(Clone)]
+#[cfg_attr(test, derive(Clone))]
 pub struct ServerMachine {
     /// Hosted volumes. The home volume ([`MachineConfig::volume`]) is
     /// seeded at boot; others arrive by handoff.

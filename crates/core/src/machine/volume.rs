@@ -27,7 +27,7 @@ use vl_types::{ClientId, Duration, Epoch, LeaseSet, ObjectId, Timestamp, Version
 /// What a volume machine sees of the server it runs in: the protocol
 /// parameters, and where its effects go. The router owns the one
 /// instance, so counters outlive the volume that bumped them.
-#[derive(Clone)]
+#[cfg_attr(test, derive(Clone))]
 pub(super) struct Host {
     pub(super) cfg: MachineConfig,
     pub(super) actions: Vec<ServerAction>,
@@ -44,7 +44,7 @@ impl Host {
     }
 }
 
-#[derive(Clone)]
+#[cfg_attr(test, derive(Clone))]
 struct ObjState {
     data: Bytes,
     version: Version,
@@ -77,7 +77,7 @@ impl ObjState {
 
 /// Membership in Figure 3's *Inactive* set: the volume lease lapsed at
 /// `since` and `pending` invalidations wait for the next renewal (§3.2).
-#[derive(Clone)]
+#[cfg_attr(test, derive(Clone))]
 struct Inactive {
     since: Timestamp,
     pending: BTreeSet<ObjectId>,
@@ -126,7 +126,8 @@ impl Link {
 /// Everything the server knows about one client in one volume — the
 /// row Figure 3 spreads over its volume `at` set, *Inactive* and
 /// *Unreachable*.
-#[derive(Clone, Default)]
+#[derive(Default)]
+#[cfg_attr(test, derive(Clone))]
 struct ClientState {
     /// Whose row this is.
     client: ClientId,
@@ -162,7 +163,8 @@ impl ClientState {
 /// come off the wire, so they cannot index the rows themselves. No row
 /// is ever removed, so none moves, and a walk over the rows goes in an
 /// order the inputs alone decide, whatever the hasher.
-#[derive(Clone, Default)]
+#[derive(Default)]
+#[cfg_attr(test, derive(Clone))]
 struct Clients {
     rows: Vec<ClientState>,
     row_of: HashMap<ClientId, u32>,
@@ -193,7 +195,7 @@ impl Clients {
     }
 }
 
-#[derive(Clone)]
+#[cfg_attr(test, derive(Clone))]
 struct ActiveWrite {
     object: ObjectId,
     data: Bytes,
@@ -277,7 +279,8 @@ pub(super) struct Departure {
 }
 
 /// The server state of one volume; see the module docs.
-#[derive(Clone, Default)]
+#[derive(Default)]
+#[cfg_attr(test, derive(Clone))]
 pub(super) struct VolumeMachine {
     pub(super) epoch: Epoch,
     /// Generalizes the crash-recovery gate (§3.1.2): no write starts
