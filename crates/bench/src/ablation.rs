@@ -8,12 +8,12 @@
 //!   this out without quantifying it; this experiment does).
 
 use crate::output::Table;
-use crate::{par, secs, SweepStats};
+use crate::{delay, lease, par, secs, volume, SweepStats};
 use std::time::Instant;
 use vl_core::{ProtocolKind, SimulationBuilder};
 use vl_metrics::MessageKind;
 use vl_types::{Duration, ServerId};
-use vl_workload::{TraceGenerator, WorkloadConfig};
+use vl_workload::Trace;
 
 /// One point of the `t_v` sweep.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,24 +32,16 @@ pub struct TvRow {
 /// The `Lease(t)` baseline runs first (serially); the per-`t_v` points
 /// then fan out over the shared trace.
 pub fn volume_timeout_sweep(
-    cfg: &WorkloadConfig,
+    trace: &Trace,
     t_secs: u64,
     tvs: &[u64],
     threads: usize,
 ) -> (Vec<TvRow>, SweepStats) {
-    let trace = TraceGenerator::new(cfg.clone()).generate();
     let started = Instant::now();
-    let lease = SimulationBuilder::new(ProtocolKind::Lease {
-        timeout: secs(t_secs),
-    })
-    .run(&trace);
+    let lease = SimulationBuilder::new(lease(t_secs)).run(trace);
     let base = lease.summary.messages as f64;
     let rows = par::map(tvs, threads, |&tv| {
-        let report = SimulationBuilder::new(ProtocolKind::VolumeLease {
-            volume_timeout: secs(tv),
-            object_timeout: secs(t_secs),
-        })
-        .run(&trace);
+        let report = SimulationBuilder::new(volume(tv, t_secs)).run(trace);
         TvRow {
             tv_secs: tv,
             messages: report.summary.messages,
@@ -57,12 +49,7 @@ pub fn volume_timeout_sweep(
             write_delay_bound_secs: tv.min(t_secs),
         }
     });
-    let stats = SweepStats {
-        simulations: rows.len() + 1,
-        events_processed: trace.events().len() as u64 * (rows.len() as u64 + 1),
-        elapsed: started.elapsed(),
-        threads,
-    };
+    let stats = SweepStats::since(started, trace, rows.len() + 1, threads);
     (rows, stats)
 }
 
@@ -81,22 +68,17 @@ pub struct DRow {
 
 /// Sweeps `d` for `Delay(t_v, t, d)` on up to `threads` workers.
 pub fn inactive_discard_sweep(
-    cfg: &WorkloadConfig,
+    trace: &Trace,
     tv_secs: u64,
     t_secs: u64,
     ds: &[Option<u64>],
     threads: usize,
 ) -> (Vec<DRow>, SweepStats) {
-    let trace = TraceGenerator::new(cfg.clone()).generate();
     let busiest: ServerId = trace.servers_by_popularity()[0].0;
     let started = Instant::now();
     let rows = par::map(ds, threads, |&d| {
-        let report = SimulationBuilder::new(ProtocolKind::DelayedInvalidation {
-            volume_timeout: secs(tv_secs),
-            object_timeout: secs(t_secs),
-            inactive_discard: d.map_or(Duration::MAX, secs),
-        })
-        .run(&trace);
+        let d_or_inf = d.map_or(Duration::MAX, secs);
+        let report = SimulationBuilder::new(delay(tv_secs, t_secs, d_or_inf)).run(trace);
         DRow {
             d_secs: d.unwrap_or(u64::MAX),
             messages: report.summary.messages,
@@ -107,12 +89,7 @@ pub fn inactive_discard_sweep(
             avg_state_bytes: report.avg_state_bytes(busiest),
         }
     });
-    let stats = SweepStats {
-        simulations: rows.len(),
-        events_processed: trace.events().len() as u64 * rows.len() as u64,
-        elapsed: started.elapsed(),
-        threads,
-    };
+    let stats = SweepStats::since(started, trace, rows.len(), threads);
     (rows, stats)
 }
 
@@ -132,7 +109,7 @@ pub struct GroupingRow {
 /// (§4.2). Finer volumes weaken renewal amortization (a burst may span
 /// shards), so message counts rise with `volumes_per_server`.
 pub fn grouping_sweep(
-    cfg: &WorkloadConfig,
+    base: &Trace,
     tv_secs: u64,
     t_secs: u64,
     vps: &[u32],
@@ -141,33 +118,17 @@ pub fn grouping_sweep(
     // One fixed trace; only the object→volume mapping varies, so the
     // sweep isolates the grouping policy. Each worker reshards its own
     // copy (resharding is cheap next to the two simulations it feeds).
-    let base = TraceGenerator::new(cfg.clone()).generate();
     let started = Instant::now();
     let rows = par::map(vps, threads, |&v| {
         let trace = base.with_resharded_volumes(v);
-        let volume = SimulationBuilder::new(ProtocolKind::VolumeLease {
-            volume_timeout: secs(tv_secs),
-            object_timeout: secs(t_secs),
-        })
-        .run(&trace);
-        let delay = SimulationBuilder::new(ProtocolKind::DelayedInvalidation {
-            volume_timeout: secs(tv_secs),
-            object_timeout: secs(t_secs),
-            inactive_discard: Duration::MAX,
-        })
-        .run(&trace);
+        let messages = |kind| SimulationBuilder::new(kind).run(&trace).summary.messages;
         GroupingRow {
             volumes_per_server: v,
-            volume_messages: volume.summary.messages,
-            delay_messages: delay.summary.messages,
+            volume_messages: messages(volume(tv_secs, t_secs)),
+            delay_messages: messages(delay(tv_secs, t_secs, Duration::MAX)),
         }
     });
-    let stats = SweepStats {
-        simulations: rows.len() * 2,
-        events_processed: base.events().len() as u64 * rows.len() as u64 * 2,
-        elapsed: started.elapsed(),
-        threads,
-    };
+    let stats = SweepStats::since(started, base, rows.len() * 2, threads);
     (rows, stats)
 }
 
@@ -201,16 +162,15 @@ pub struct WaitRow {
 /// Compares invalidating leases against §2.4's "wait out the leases"
 /// option across object-lease lengths.
 pub fn waiting_lease_sweep(
-    cfg: &WorkloadConfig,
+    trace: &Trace,
     ts: &[u64],
     threads: usize,
 ) -> (Vec<WaitRow>, SweepStats) {
-    let trace = TraceGenerator::new(cfg.clone()).generate();
     let started = Instant::now();
     let rows = par::map(ts, threads, |&t| {
-        let lease = SimulationBuilder::new(ProtocolKind::Lease { timeout: secs(t) }).run(&trace);
+        let lease = SimulationBuilder::new(lease(t)).run(trace);
         let wait =
-            SimulationBuilder::new(ProtocolKind::WaitingLease { timeout: secs(t) }).run(&trace);
+            SimulationBuilder::new(ProtocolKind::WaitingLease { timeout: secs(t) }).run(trace);
         WaitRow {
             t_secs: t,
             lease_messages: lease.summary.messages,
@@ -218,12 +178,7 @@ pub fn waiting_lease_sweep(
             wait_max_delay_secs: wait.summary.max_write_delay_secs,
         }
     });
-    let stats = SweepStats {
-        simulations: rows.len() * 2,
-        events_processed: trace.events().len() as u64 * rows.len() as u64 * 2,
-        elapsed: started.elapsed(),
-        threads,
-    };
+    let stats = SweepStats::since(started, trace, rows.len() * 2, threads);
     (rows, stats)
 }
 
@@ -277,16 +232,15 @@ pub fn d_table(rows: &[DRow]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vl_workload::{TraceGenerator, WorkloadConfig};
+
+    fn smoke() -> Trace {
+        TraceGenerator::new(WorkloadConfig::smoke()).generate()
+    }
 
     #[test]
     fn longer_tv_means_less_overhead_but_longer_write_bound() {
-        let rows = volume_timeout_sweep(
-            &WorkloadConfig::smoke(),
-            100_000,
-            &[1, 10, 100, 1000, 10_000],
-            2,
-        )
-        .0;
+        let rows = volume_timeout_sweep(&smoke(), 100_000, &[1, 10, 100, 1000, 10_000], 2).0;
         assert_eq!(rows.len(), 5);
         assert!(
             rows.first().unwrap().messages >= rows.last().unwrap().messages,
@@ -299,14 +253,8 @@ mod tests {
 
     #[test]
     fn small_d_trades_state_for_reconnections() {
-        let rows = inactive_discard_sweep(
-            &WorkloadConfig::smoke(),
-            10,
-            100_000,
-            &[Some(600), Some(86_400), None],
-            2,
-        )
-        .0;
+        let rows =
+            inactive_discard_sweep(&smoke(), 10, 100_000, &[Some(600), Some(86_400), None], 2).0;
         assert_eq!(rows.len(), 3);
         let small = &rows[0];
         let inf = &rows[2];
@@ -330,7 +278,7 @@ mod tests {
 
     #[test]
     fn waiting_lease_trades_messages_for_write_delay() {
-        let rows = waiting_lease_sweep(&WorkloadConfig::smoke(), &[100, 10_000], 2).0;
+        let rows = waiting_lease_sweep(&smoke(), &[100, 10_000], 2).0;
         for r in &rows {
             assert!(
                 r.wait_messages <= r.lease_messages,
@@ -346,7 +294,7 @@ mod tests {
 
     #[test]
     fn finer_volumes_cost_more_messages() {
-        let rows = grouping_sweep(&WorkloadConfig::smoke(), 10, 100_000, &[1, 8], 2).0;
+        let rows = grouping_sweep(&smoke(), 10, 100_000, &[1, 8], 2).0;
         assert!(
             rows[1].volume_messages > rows[0].volume_messages,
             "sharding a server into 8 volumes must weaken amortization: {rows:?}"
@@ -355,9 +303,9 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let tv_rows = volume_timeout_sweep(&WorkloadConfig::smoke(), 10_000, &[10, 100], 2).0;
+        let tv_rows = volume_timeout_sweep(&smoke(), 10_000, &[10, 100], 2).0;
         assert!(tv_table(&tv_rows).render().contains("overhead_vs_lease"));
-        let d_rows = inactive_discard_sweep(&WorkloadConfig::smoke(), 10, 10_000, &[None], 2).0;
+        let d_rows = inactive_discard_sweep(&smoke(), 10, 10_000, &[None], 2).0;
         assert!(d_table(&d_rows).render().contains("inf"));
     }
 }

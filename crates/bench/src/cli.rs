@@ -1,21 +1,6 @@
-//! Minimal argument handling shared by the experiment binaries.
-//!
-//! Every binary accepts:
-//!
-//! ```text
-//! --preset smoke|medium|paper   workload scale (default: medium;
-//!                               `full` is an alias for `paper`)
-//! --scale N                     multiply the preset's objects and
-//!                               reads by N (10 ≈ a 10x BU-size trace)
-//! --seed N                      override the workload seed
-//! --csv PATH                    also write the rows as CSV
-//! --threads N                   sweep worker threads (default: all
-//!                               cores)
-//! --trace-out PATH              additionally replay the figure's
-//!                               representative configurations with event
-//!                               tracing on, writing a JSONL protocol
-//!                               trace for `vl report`
-//! ```
+//! Argument handling for `vl-bench`: [`USAGE`] is what `--help` prints,
+//! and a malformed or unknown argument prints it to stderr and exits 2
+//! before any simulation runs.
 
 use std::path::PathBuf;
 use std::process::exit;
@@ -23,104 +8,114 @@ use vl_core::{ProtocolKind, SimulationBuilder};
 use vl_metrics::{JsonlSink, TraceSink};
 use vl_workload::{TraceGenerator, WorkloadConfig, WorkloadPreset};
 
-/// Parsed common options.
+/// The command line `vl-bench` accepts.
+pub const USAGE: &str = "\
+usage: vl-bench [FIGURE...] [--preset smoke|medium|paper|full] [--scale N] [--seed N]
+                [--threads N] [--out DIR] [--trace-out PATH]
+
+  FIGURE            table1 fig5 fig6 fig7 fig8 fig9 ablation_tv ablation_d
+                    ablation_wait ablation_grouping (default: every figure)
+  --preset P        workload scale (`full` is an alias for `paper`)
+  --scale N         multiply the preset's objects and reads by N
+  --seed N          override the workload seed
+  --threads N       sweep worker threads (default: all cores)
+  --out DIR         write each figure's rows to DIR/FIGURE.csv
+  --trace-out PATH  also replay each figure's representative configurations
+                    with event tracing on, as one JSONL trace for `vl report`
+
+With none of --preset, --scale and --seed, the figures run as the record in
+results/ has them: at medium, seed 42 (Table 1 on its own uniform workload),
+then Figures 5, 8 and 9 again at paper, written as FIGURE_paper.csv.
+`vl-bench --out results` regenerates that record.";
+
+/// Parsed command line.
 #[derive(Clone, Debug)]
 pub struct CommonArgs {
-    /// The selected workload configuration.
+    /// The figures named on the command line; empty means every figure.
+    pub figures: Vec<String>,
+    /// The workload: `--preset` (default medium) with `--scale` and
+    /// `--seed` applied.
     pub config: WorkloadConfig,
-    /// Optional CSV output path.
-    pub csv: Option<PathBuf>,
+    /// `true` when none of `--preset`, `--scale` and `--seed` was given:
+    /// the figures run at the record's presets (see [`USAGE`]).
+    pub record: bool,
+    /// Directory each figure's CSV is written to (`--out`).
+    pub out: Option<PathBuf>,
     /// Worker threads for parameter sweeps (resolved: `--threads`, then
     /// the machine's available parallelism).
     pub threads: usize,
     /// Optional JSONL protocol-trace output path (`--trace-out`).
     pub trace_out: Option<PathBuf>,
-    /// Remaining unrecognized arguments (binary-specific flags).
-    pub rest: Vec<String>,
 }
 
-/// Parses `std::env::args`, printing usage and exiting on `--help` or a
-/// malformed invocation.
-pub fn parse(binary: &str, extra_help: &str) -> CommonArgs {
-    let mut preset = WorkloadPreset::Medium;
-    let mut scale: u32 = 1;
-    let mut seed: Option<u64> = None;
-    let mut csv: Option<PathBuf> = None;
-    let mut threads: Option<usize> = None;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut rest = Vec::new();
+/// Prints `problem` and [`USAGE`] to stderr and exits 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("{problem}\n\n{USAGE}");
+    exit(2);
+}
 
+/// Parses `std::env::args`, accepting the names in `figures` as
+/// positional arguments. Prints [`USAGE`] and exits 0 on `--help`.
+pub fn parse(figures: &[&str]) -> CommonArgs {
+    let mut preset = None;
+    let mut scale = None;
+    let mut seed = None;
+    let mut named = Vec::new();
+    let mut threads = None;
+    let mut out = None;
+    let mut trace_out = None;
+
+    let positive = |v: Option<String>, flag: &str| match v.and_then(|s| s.parse::<u32>().ok()) {
+        Some(n) if n >= 1 => n,
+        _ => usage_error(&format!("{flag} needs a positive integer")),
+    };
+    let path = |v: Option<String>, flag: &str| {
+        PathBuf::from(v.unwrap_or_else(|| usage_error(&format!("{flag} needs a path"))))
+    };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--help" | "-h" => {
-                println!(
-                    "usage: {binary} [--preset smoke|medium|paper|full] [--scale N] [--seed N] [--csv PATH] [--threads N] [--trace-out PATH]{extra_help}"
-                );
+                println!("{USAGE}");
                 exit(0);
             }
             "--preset" => {
-                let v = args.next().unwrap_or_default();
-                preset = match v.as_str() {
+                preset = Some(match args.next().unwrap_or_default().as_str() {
                     "smoke" => WorkloadPreset::Smoke,
                     "medium" => WorkloadPreset::Medium,
                     // "full" reads better in benchmark scripts: the whole
                     // paper-scale workload, nothing held back.
                     "paper" | "full" => WorkloadPreset::Paper,
-                    other => {
-                        eprintln!("unknown preset '{other}' (want smoke|medium|paper|full)");
-                        exit(2);
-                    }
-                };
+                    other => usage_error(&format!(
+                        "unknown preset '{other}' (want smoke|medium|paper|full)"
+                    )),
+                });
             }
-            "--scale" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => scale = n,
-                _ => {
-                    eprintln!("--scale needs a positive integer");
-                    exit(2);
-                }
-            },
+            "--scale" => scale = Some(positive(args.next(), "--scale")),
             "--seed" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(s) => seed = Some(s),
-                None => {
-                    eprintln!("--seed needs an integer");
-                    exit(2);
-                }
+                None => usage_error("--seed needs an integer"),
             },
-            "--csv" => match args.next() {
-                Some(p) => csv = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--csv needs a path");
-                    exit(2);
-                }
-            },
-            "--threads" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => threads = Some(n),
-                _ => {
-                    eprintln!("--threads needs a positive integer");
-                    exit(2);
-                }
-            },
-            "--trace-out" => match args.next() {
-                Some(p) => trace_out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--trace-out needs a path");
-                    exit(2);
-                }
-            },
-            other => rest.push(other.to_owned()),
+            "--threads" => threads = Some(positive(args.next(), "--threads") as usize),
+            "--out" => out = Some(path(args.next(), "--out")),
+            "--trace-out" => trace_out = Some(path(args.next(), "--trace-out")),
+            name if figures.contains(&name) => named.push(arg),
+            other => usage_error(&format!("unknown argument '{other}'")),
         }
     }
-    let mut config = WorkloadConfig::preset(preset).scaled(scale);
+    let record = preset.is_none() && scale.is_none() && seed.is_none();
+    let mut config =
+        WorkloadConfig::preset(preset.unwrap_or(WorkloadPreset::Medium)).scaled(scale.unwrap_or(1));
     if let Some(s) = seed {
         config.seed = s;
     }
     CommonArgs {
+        figures: named,
         config,
-        csv,
+        record,
+        out,
         threads: crate::par::thread_count(threads),
         trace_out,
-        rest,
     }
 }
 
@@ -134,13 +129,10 @@ pub fn parse(binary: &str, extra_help: &str) -> CommonArgs {
 /// for any `--threads` value.
 pub fn write_trace(args: &CommonArgs, kinds: &[ProtocolKind]) {
     let Some(path) = &args.trace_out else { return };
-    let file = match std::fs::File::create(path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot create {}: {e}", path.display());
-            exit(1);
-        }
-    };
+    let file = std::fs::File::create(path).unwrap_or_else(|e| {
+        eprintln!("cannot create {}: {e}", path.display());
+        exit(1)
+    });
     let trace = TraceGenerator::new(args.config.clone()).generate();
     let mut sink: Box<dyn TraceSink> = Box::new(JsonlSink::new(file));
     for &kind in kinds {
@@ -156,14 +148,18 @@ pub fn write_trace(args: &CommonArgs, kinds: &[ProtocolKind]) {
     );
 }
 
-/// Prints a table and optionally writes the CSV, with a standard banner.
+/// Prints a table under a standard banner and, given a path, writes it
+/// as CSV there; exits 1 if the file cannot be written.
 pub fn emit(title: &str, table: &crate::output::Table, csv: Option<&PathBuf>) {
     println!("# {title}");
     println!("{}", table.render());
     if let Some(path) = csv {
         match table.write_csv(path) {
             Ok(()) => println!("(csv written to {})", path.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
+            Err(e) => {
+                eprintln!("failed to write {}: {e}", path.display());
+                exit(1);
+            }
         }
     }
 }

@@ -12,7 +12,7 @@ use crate::output::Table;
 use crate::{par, secs, SweepStats, TIMEOUT_SWEEP_SECS};
 use vl_core::{ProtocolKind, SimulationBuilder};
 use vl_types::Duration;
-use vl_workload::{Trace, TraceGenerator, WorkloadConfig};
+use vl_workload::Trace;
 
 /// One plotted point.
 #[derive(Clone, Debug, PartialEq)]
@@ -106,18 +106,12 @@ pub fn run_on(trace: &Trace, timeouts: &[u64], threads: usize) -> Vec<Row> {
     })
 }
 
-/// Generates the trace for `cfg` and runs the standard sweep, reporting
-/// aggregate throughput alongside the rows.
-pub fn run(cfg: &WorkloadConfig, threads: usize) -> (Vec<Row>, SweepStats) {
-    let trace = TraceGenerator::new(cfg.clone()).generate();
+/// Runs the standard sweep over `trace`, reporting aggregate throughput
+/// alongside the rows.
+pub fn run(trace: &Trace, threads: usize) -> (Vec<Row>, SweepStats) {
     let started = std::time::Instant::now();
-    let rows = run_on(&trace, &TIMEOUT_SWEEP_SECS, threads);
-    let stats = SweepStats {
-        simulations: rows.len(),
-        events_processed: trace.events().len() as u64 * rows.len() as u64,
-        elapsed: started.elapsed(),
-        threads,
-    };
+    let rows = run_on(trace, &TIMEOUT_SWEEP_SECS, threads);
+    let stats = SweepStats::since(started, trace, rows.len(), threads);
     (rows, stats)
 }
 
@@ -176,6 +170,7 @@ pub fn savings_at_bound(rows: &[Row], bound_secs: u64) -> Option<(f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vl_workload::{TraceGenerator, WorkloadConfig};
 
     fn smoke_rows() -> Vec<Row> {
         let trace = TraceGenerator::new(WorkloadConfig::smoke()).generate();

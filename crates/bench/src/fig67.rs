@@ -7,11 +7,12 @@
 //! (short discard — the configuration the paper argues can use *less*
 //! state than everything else).
 
+use crate::fig5::{self, Line};
 use crate::output::Table;
 use crate::{par, secs, SweepStats, TIMEOUT_SWEEP_SECS};
 use vl_core::{ProtocolKind, SimulationBuilder};
-use vl_types::{Duration, ServerId};
-use vl_workload::{Trace, TraceGenerator, WorkloadConfig};
+use vl_types::ServerId;
+use vl_workload::Trace;
 
 /// One plotted point.
 #[derive(Clone, Debug, PartialEq)]
@@ -28,48 +29,30 @@ pub struct Row {
     pub avg_state_bytes: f64,
 }
 
-/// A named line family: label plus a constructor from the swept `t`.
-pub type Line = (&'static str, Box<dyn Fn(Duration) -> ProtocolKind>);
-
-/// The line families of Figures 6–7.
+/// The line families of Figures 6–7: Figure 5's callback and
+/// server-driven lease lines at t_v = 10 s, in the same order, then
+/// `Delay(10, t, 1h)`.
 pub fn lines() -> Vec<Line> {
-    vec![
-        (
-            "Callback",
-            Box::new(|_| ProtocolKind::Callback) as Box<dyn Fn(Duration) -> ProtocolKind>,
-        ),
-        ("Lease(t)", Box::new(|t| ProtocolKind::Lease { timeout: t })),
-        (
-            "SelfInval(t, 1)",
-            Box::new(|t| ProtocolKind::SelfInval {
-                timeout: t,
-                skew_bound: secs(1),
-            }),
-        ),
-        (
-            "Volume(10, t)",
-            Box::new(|t| ProtocolKind::VolumeLease {
-                volume_timeout: secs(10),
-                object_timeout: t,
-            }),
-        ),
-        (
-            "Delay(10, t, inf)",
-            Box::new(|t| ProtocolKind::DelayedInvalidation {
-                volume_timeout: secs(10),
-                object_timeout: t,
-                inactive_discard: Duration::MAX,
-            }),
-        ),
-        (
-            "Delay(10, t, 1h)",
-            Box::new(|t| ProtocolKind::DelayedInvalidation {
-                volume_timeout: secs(10),
-                object_timeout: t,
-                inactive_discard: secs(3600),
-            }),
-        ),
-    ]
+    const SHARED: [&str; 5] = [
+        "Callback",
+        "Lease(t)",
+        "SelfInval(t, 1)",
+        "Volume(10, t)",
+        "Delay(10, t, inf)",
+    ];
+    let mut lines: Vec<Line> = fig5::lines()
+        .into_iter()
+        .filter(|(name, _)| SHARED.contains(name))
+        .collect();
+    lines.push((
+        "Delay(10, t, 1h)",
+        Box::new(|t| ProtocolKind::DelayedInvalidation {
+            volume_timeout: secs(10),
+            object_timeout: t,
+            inactive_discard: secs(3600),
+        }),
+    ));
+    lines
 }
 
 /// Runs the sweep measuring the server at popularity `rank`
@@ -102,18 +85,12 @@ pub fn run_on(trace: &Trace, rank: usize, timeouts: &[u64], threads: usize) -> V
     })
 }
 
-/// Generates the trace and runs the standard sweep for the given rank,
-/// reporting aggregate throughput alongside the rows.
-pub fn run(cfg: &WorkloadConfig, rank: usize, threads: usize) -> (Vec<Row>, SweepStats) {
-    let trace = TraceGenerator::new(cfg.clone()).generate();
+/// Runs the standard sweep over `trace` for the given rank, reporting
+/// aggregate throughput alongside the rows.
+pub fn run(trace: &Trace, rank: usize, threads: usize) -> (Vec<Row>, SweepStats) {
     let started = std::time::Instant::now();
-    let rows = run_on(&trace, rank, &TIMEOUT_SWEEP_SECS, threads);
-    let stats = SweepStats {
-        simulations: rows.len(),
-        events_processed: trace.events().len() as u64 * rows.len() as u64,
-        elapsed: started.elapsed(),
-        threads,
-    };
+    let rows = run_on(trace, rank, &TIMEOUT_SWEEP_SECS, threads);
+    let stats = SweepStats::since(started, trace, rows.len(), threads);
     (rows, stats)
 }
 
@@ -134,6 +111,7 @@ pub fn table(rows: &[Row]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vl_workload::{TraceGenerator, WorkloadConfig};
 
     fn smoke_rows(rank: usize) -> Vec<Row> {
         let trace = TraceGenerator::new(WorkloadConfig::smoke()).generate();

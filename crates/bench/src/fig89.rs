@@ -13,11 +13,11 @@
 //! defers them).
 
 use crate::output::Table;
-use crate::{par, secs, SweepStats};
+use crate::{delay, lease, par, secs, volume, SweepStats};
 use vl_core::{ProtocolKind, SimulationBuilder};
 use vl_metrics::LoadHistogram;
 use vl_types::{Duration, ServerId};
-use vl_workload::{TraceGenerator, WorkloadConfig, WriteModelConfig};
+use vl_workload::{Trace, WorkloadConfig};
 
 /// Short timeout for the poll/lease baselines, seconds.
 pub const SHORT_T_SECS: u64 = 100;
@@ -46,28 +46,10 @@ pub fn lines() -> Vec<(&'static str, ProtocolKind)> {
                 timeout: secs(SHORT_T_SECS),
             },
         ),
-        (
-            "Lease(100)",
-            ProtocolKind::Lease {
-                timeout: secs(SHORT_T_SECS),
-            },
-        ),
+        ("Lease(100)", lease(SHORT_T_SECS)),
         ("Callback", ProtocolKind::Callback),
-        (
-            "Volume(10, 1e6)",
-            ProtocolKind::VolumeLease {
-                volume_timeout: secs(10),
-                object_timeout: secs(LONG_T_SECS),
-            },
-        ),
-        (
-            "Delay(10, 1e6, inf)",
-            ProtocolKind::DelayedInvalidation {
-                volume_timeout: secs(10),
-                object_timeout: secs(LONG_T_SECS),
-                inactive_discard: Duration::MAX,
-            },
-        ),
+        ("Volume(10, 1e6)", volume(10, LONG_T_SECS)),
+        ("Delay(10, 1e6, inf)", delay(10, LONG_T_SECS, Duration::MAX)),
         (
             "SelfInval(1e6, 1)",
             ProtocolKind::SelfInval {
@@ -78,30 +60,25 @@ pub fn lines() -> Vec<(&'static str, ProtocolKind)> {
     ]
 }
 
-/// Runs the experiment on up to `threads` workers. With `bursty` set,
-/// writes use the Figure 9 co-write model; otherwise the default model
-/// (Figure 8). One worker per algorithm line, sharing the trace.
-pub fn run(cfg: &WorkloadConfig, bursty: bool, threads: usize) -> (Vec<Curve>, SweepStats) {
+/// The Figure 9 workload: `cfg` with the bursty co-write model
+/// (`k ~ Exp(10)` objects per volume write). Figure 8 replays the
+/// presets' default write model, which has no bursts.
+pub fn bursty(cfg: &WorkloadConfig) -> WorkloadConfig {
     let mut cfg = cfg.clone();
-    cfg.writes = if bursty {
-        WriteModelConfig {
-            burst_mean: Some(10.0),
-            ..cfg.writes
-        }
-    } else {
-        WriteModelConfig {
-            burst_mean: None,
-            ..cfg.writes
-        }
-    };
-    let trace = TraceGenerator::new(cfg).generate();
+    cfg.writes.burst_mean = Some(10.0);
+    cfg
+}
+
+/// Runs the experiment over `trace` on up to `threads` workers, one
+/// worker per algorithm line, measuring the trace's busiest server.
+pub fn run(trace: &Trace, threads: usize) -> (Vec<Curve>, SweepStats) {
     let busiest = trace.servers_by_popularity()[0].0;
     let grid = lines();
     let started = std::time::Instant::now();
     let curves = par::map(&grid, threads, |&(name, kind)| {
         let report = SimulationBuilder::new(kind)
             .track_load([busiest])
-            .run(&trace);
+            .run(trace);
         let hist: LoadHistogram = report
             .metrics
             .load_histogram(busiest)
@@ -113,12 +90,7 @@ pub fn run(cfg: &WorkloadConfig, bursty: bool, threads: usize) -> (Vec<Curve>, S
             points: hist.cumulative_curve(),
         }
     });
-    let stats = SweepStats {
-        simulations: curves.len(),
-        events_processed: trace.events().len() as u64 * curves.len() as u64,
-        elapsed: started.elapsed(),
-        threads,
-    };
+    let stats = SweepStats::since(started, trace, curves.len(), threads);
     (curves, stats)
 }
 
@@ -141,9 +113,14 @@ pub fn table(curves: &[Curve]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vl_workload::TraceGenerator;
 
-    fn smoke_curves(bursty: bool) -> Vec<Curve> {
-        run(&WorkloadConfig::smoke(), bursty, 2).0
+    fn smoke_curves(bursty_writes: bool) -> Vec<Curve> {
+        let mut cfg = WorkloadConfig::smoke();
+        if bursty_writes {
+            cfg = bursty(&cfg);
+        }
+        run(&TraceGenerator::new(cfg).generate(), 2).0
     }
 
     #[test]

@@ -45,7 +45,8 @@ pub const TV_SECS: f64 = 25.0;
 /// Clock-skew bound `ε` assumed for the self-invalidation row, seconds.
 pub const SKEW_SECS: f64 = 1.0;
 
-fn kind_for(alg: Algorithm) -> ProtocolKind {
+/// The protocol that simulates `alg` at the validation's timeouts.
+pub fn kind_for(alg: Algorithm) -> ProtocolKind {
     match alg {
         Algorithm::PollEachRead => ProtocolKind::PollEachRead,
         Algorithm::Poll => ProtocolKind::Poll {
@@ -93,34 +94,27 @@ pub fn run(cfg: &UniformConfig, threads: usize) -> (Vec<Row>, SweepStats) {
     };
     let started = std::time::Instant::now();
     let rows = par::map(&Algorithm::ALL, threads, |&alg| {
-        {
-            let costs = alg.costs(&params);
-            let report = SimulationBuilder::new(kind_for(alg)).run(&trace);
-            let simulated = report.messages_per_read();
-            // Callback's fetch messages are start-up cost, not steady
-            // state; its analytic read cost is 0, so compare absolutely.
-            let analytic = costs.read_cost_messages();
-            let relative_error = if analytic > 0.0 {
-                (simulated - analytic).abs() / analytic
-            } else {
-                simulated
-            };
-            Row {
-                algorithm: alg.to_string(),
-                analytic_read_msgs: analytic,
-                simulated_read_msgs: simulated,
-                relative_error,
-                stale_fraction: report.summary.stale_fraction,
-                expected_stale_secs: costs.expected_stale_secs,
-            }
+        let costs = alg.costs(&params);
+        let report = SimulationBuilder::new(kind_for(alg)).run(&trace);
+        let simulated = report.messages_per_read();
+        // Callback's fetch messages are start-up cost, not steady
+        // state; its analytic read cost is 0, so compare absolutely.
+        let analytic = costs.read_cost_messages();
+        let relative_error = if analytic > 0.0 {
+            (simulated - analytic).abs() / analytic
+        } else {
+            simulated
+        };
+        Row {
+            algorithm: alg.to_string(),
+            analytic_read_msgs: analytic,
+            simulated_read_msgs: simulated,
+            relative_error,
+            stale_fraction: report.summary.stale_fraction,
+            expected_stale_secs: costs.expected_stale_secs,
         }
     });
-    let stats = SweepStats {
-        simulations: rows.len(),
-        events_processed: trace.events().len() as u64 * rows.len() as u64,
-        elapsed: started.elapsed(),
-        threads,
-    };
+    let stats = SweepStats::since(started, &trace, rows.len(), threads);
     (rows, stats)
 }
 

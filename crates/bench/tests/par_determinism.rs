@@ -26,9 +26,9 @@ fn fig67_rows_identical_across_thread_counts() {
 
 #[test]
 fn fig89_curves_identical_across_thread_counts() {
-    let cfg = WorkloadConfig::smoke();
-    let serial = fig89::run(&cfg, false, 1).0;
-    let parallel = fig89::run(&cfg, false, 4).0;
+    let trace = TraceGenerator::new(WorkloadConfig::smoke()).generate();
+    let serial = fig89::run(&trace, 1).0;
+    let parallel = fig89::run(&trace, 4).0;
     assert_eq!(serial, parallel);
 }
 

@@ -35,11 +35,12 @@ fn traced_kinds() -> Vec<ProtocolKind> {
 fn write_with_threads(threads: usize, tag: &str) -> Vec<u8> {
     let path = std::env::temp_dir().join(format!("vl-trace-det-{tag}-{threads}.jsonl"));
     let args = cli::CommonArgs {
+        figures: Vec::new(),
         config: WorkloadConfig::smoke(),
-        csv: None,
+        record: false,
+        out: None,
         threads,
         trace_out: Some(path.clone()),
-        rest: Vec::new(),
     };
     // Run a real parallel sweep first so any cross-thread scheduling
     // noise had its chance to leak into process state.

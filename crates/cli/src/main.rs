@@ -43,7 +43,7 @@
 //!
 //! vl report --trace PATH [--top N]
 //!     Summarize a JSONL protocol trace (from `--trace-out` here or on
-//!     the figure binaries): per-run message mix, stale reads,
+//!     `vl-bench`): per-run message mix, stale reads,
 //!     write-delay percentiles, invalidation batches, hottest volumes,
 //!     and — when the trace interleaves several servers — a per-server
 //!     breakdown.

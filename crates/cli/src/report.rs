@@ -1,6 +1,6 @@
 //! `vl report` — summarize a JSONL protocol trace.
 //!
-//! Traces are produced by `--trace-out` on the figure binaries, `vl sim`,
+//! Traces are produced by `--trace-out` on `vl-bench`, `vl sim`,
 //! and `vl serve`. A file holds one or more runs, each introduced by a
 //! `{"run":"..."}` label line followed by its events; this module folds
 //! the events of each run into a compact per-algorithm summary: message
