@@ -4,14 +4,14 @@
 //! The build environment has no crates.io access, so the external `bytes`
 //! crate cannot resolve; this crate keeps every `use bytes::…` call site
 //! compiling unchanged. [`Bytes`] is a cheaply cloneable, immutable byte
-//! buffer (`Arc<[u8]>` inside); [`BytesMut`] is a growable builder that
-//! [`BytesMut::freeze`]s into one; [`Buf`]/[`BufMut`] are the minimal
-//! cursor traits the codec needs.
+//! buffer (`Arc<[u8]>` inside), built in place by [`Bytes::build`];
+//! [`Buf`]/[`BufMut`] are the minimal cursor traits the codec needs.
 
 #![warn(missing_docs)]
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::iter;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -42,6 +42,14 @@ impl Bytes {
         Bytes {
             data: Arc::from(bytes),
         }
+    }
+
+    /// `len` bytes that `fill` writes over zeros, in one allocation:
+    /// the buffer is made at its final size and shared only once filled.
+    pub fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> Bytes {
+        let mut data: Arc<[u8]> = iter::repeat_n(0, len).collect();
+        fill(Arc::get_mut(&mut data).expect("a new Arc is unshared"));
+        Bytes { data }
     }
 
     /// Number of bytes.
@@ -126,54 +134,6 @@ impl fmt::Debug for Bytes {
     }
 }
 
-/// A growable byte builder that freezes into [`Bytes`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    data: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty builder.
-    pub fn new() -> BytesMut {
-        BytesMut::default()
-    }
-
-    /// An empty builder with reserved capacity.
-    pub fn with_capacity(cap: usize) -> BytesMut {
-        BytesMut {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Converts the accumulated bytes into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
 /// Read cursor over a byte source. Implemented for `&[u8]`, which
 /// advances through the slice as values are read.
 pub trait Buf {
@@ -228,54 +188,40 @@ impl Buf for &[u8] {
     }
 }
 
-/// Write cursor for building messages.
+/// Write cursor for building messages. Implemented for `Vec<u8>`,
+/// which grows, and for `&mut [u8]`, which fills the slice from the
+/// front and panics past its end.
 pub trait BufMut {
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8);
-
-    /// Appends a little-endian `u32`.
-    fn put_u32_le(&mut self, v: u32);
-
-    /// Appends a little-endian `u64`.
-    fn put_u64_le(&mut self, v: u64);
-
     /// Appends a slice.
     fn put_slice(&mut self, src: &[u8]);
-}
 
-impl BufMut for BytesMut {
+    /// Appends one byte.
     fn put_u8(&mut self, v: u8) {
-        self.data.push(v);
+        self.put_slice(&[v]);
     }
 
+    /// Appends a little-endian `u32`.
     fn put_u32_le(&mut self, v: u32) {
-        self.data.extend_from_slice(&v.to_le_bytes());
+        self.put_slice(&v.to_le_bytes());
     }
 
+    /// Appends a little-endian `u64`.
     fn put_u64_le(&mut self, v: u64) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
+        self.put_slice(&v.to_le_bytes());
     }
 }
 
 impl BufMut for Vec<u8> {
-    fn put_u8(&mut self, v: u8) {
-        self.push(v);
-    }
-
-    fn put_u32_le(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_u64_le(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
+    }
+}
+
+impl BufMut for &mut [u8] {
+    fn put_slice(&mut self, src: &[u8]) {
+        let (head, rest) = std::mem::take(self).split_at_mut(src.len());
+        head.copy_from_slice(src);
+        *self = rest;
     }
 }
 
@@ -296,16 +242,20 @@ mod tests {
 
     #[test]
     fn builder_writes_little_endian() {
-        let mut m = BytesMut::with_capacity(16);
-        m.put_u8(0xAB);
-        m.put_u32_le(0x0102_0304);
-        m.put_u64_le(1);
-        m.put_slice(b"xy");
-        let b = m.freeze();
-        assert_eq!(
-            &b[..],
-            &[0xAB, 4, 3, 2, 1, 1, 0, 0, 0, 0, 0, 0, 0, b'x', b'y'][..]
-        );
+        let put = |b: &mut dyn BufMut| {
+            b.put_u8(0xAB);
+            b.put_u32_le(0x0102_0304);
+            b.put_u64_le(1);
+            b.put_slice(b"xy");
+        };
+        let want = [0xAB, 4, 3, 2, 1, 1, 0, 0, 0, 0, 0, 0, 0, b'x', b'y'];
+        let mut v = Vec::new();
+        put(&mut v);
+        assert_eq!(v, want);
+        let b = Bytes::build(want.len(), |mut s| put(&mut s));
+        assert_eq!(&b[..], &want[..]);
+        let long = Bytes::build(1000, |s| s[999] = 7);
+        assert_eq!((long.len(), long[998], long[999]), (1000, 0, 7));
     }
 
     #[test]

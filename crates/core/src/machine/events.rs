@@ -40,8 +40,7 @@ pub fn server_msg_kind(msg: &ServerMsg) -> MessageKind {
 
 /// Trace events for one action `machine` returned, labelled with the
 /// volume it concerns: the one the message names, else the one its
-/// object belongs to. Called only when a sink is attached, so the extra
-/// encode (for the wire byte count) is off the untraced path.
+/// object belongs to. Called only when a sink is attached.
 pub fn server_action_events(
     at: Timestamp,
     machine: &ServerMachine,
@@ -53,7 +52,7 @@ pub fn server_action_events(
             let volume = machine.volume_in(msg.scope());
             let mut ev = Event::new(at, EventKind::Message, server, *to);
             ev.msg = Some(server_msg_kind(msg));
-            ev.value = codec::encode_server(msg).len() as u64;
+            ev.value = codec::server_len(msg) as u64;
             ev.volume = volume;
             let mut out = vec![ev];
             match msg {
@@ -132,7 +131,7 @@ pub fn client_action_events(
         ClientAction::Send(msg) => {
             let mut ev = Event::new(at, EventKind::Message, server, client);
             ev.msg = Some(client_msg_kind(msg));
-            ev.value = codec::encode_client(msg).len() as u64;
+            ev.value = codec::client_len(msg) as u64;
             if let ClientMsg::AckInvalidate { object } = msg {
                 let ack = Event {
                     object: Some(*object),

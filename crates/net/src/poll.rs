@@ -72,10 +72,9 @@ pub fn encode_hello(id: NodeId) -> Bytes {
         NodeId::Client(c) => (0u8, c.raw()),
         NodeId::Server(s) => (1u8, s.raw()),
     };
-    let mut v = Vec::with_capacity(5);
-    v.push(kind);
-    v.extend_from_slice(&raw.to_le_bytes());
-    Bytes::from(v)
+    let mut hello = [kind; 5];
+    hello[1..].copy_from_slice(&raw.to_le_bytes());
+    Bytes::copy_from_slice(&hello)
 }
 
 /// Decodes an identity hello frame.
@@ -667,6 +666,10 @@ const LISTENER_BIT: u64 = 1 << 63;
 /// Stop topping the per-connection write buffer up past this; a queue
 /// holding this much is written before it takes more.
 const WBUF_TARGET: usize = 32 * 1024;
+/// The largest written-out buffer the loop keeps as its spare: what a
+/// buffer filled just past `WBUF_TARGET` has grown to by doubling. One
+/// that a larger frame grew further is freed.
+const SPARE_MAX: usize = 2 * WBUF_TARGET;
 /// Reclaim the consumed write-buffer prefix past this.
 const WBUF_COMPACT: usize = 64 * 1024;
 
@@ -761,9 +764,11 @@ struct RConn {
     node: u64,
     /// `None` until the inbound hello identifies the peer.
     peer: Option<NodeId>,
+    /// The start of a frame split across reads; empty between frames.
     decoder: FrameDecoder,
     /// Encoded frames staged for the kernel; `wstart` is the
-    /// already-written prefix.
+    /// already-written prefix. Held only while bytes wait in it: once
+    /// written out it goes back to the loop's spare.
     wbuf: Vec<u8>,
     wstart: usize,
     /// Currently registered with writable interest.
@@ -810,14 +815,18 @@ impl RConn {
         self.wbuf.len() - self.wstart
     }
 
-    /// Appends `frame`, length-prefixed, to the bytes awaiting a write.
-    fn stage(&mut self, frame: &[u8]) {
-        self.stage_with(&mut |buf| buf.extend_from_slice(frame));
+    /// Appends `frame`, length-prefixed, to the bytes awaiting a write,
+    /// in the loop's `spare` buffer when the connection holds none.
+    fn stage(&mut self, spare: &mut Vec<u8>, frame: &[u8]) {
+        self.stage_with(spare, &mut |buf| buf.extend_from_slice(frame));
     }
 
     /// [`stage`](RConn::stage) for a frame built in place: `encode`
     /// appends it behind a length patched in afterwards.
-    fn stage_with(&mut self, encode: &mut dyn FnMut(&mut Vec<u8>)) {
+    fn stage_with(&mut self, spare: &mut Vec<u8>, encode: &mut dyn FnMut(&mut Vec<u8>)) {
+        if self.wbuf.capacity() == 0 {
+            self.wbuf = std::mem::take(spare);
+        }
         let at = self.wbuf.len();
         self.wbuf.extend_from_slice(&[0; FRAME_HEADER_LEN]);
         encode(&mut self.wbuf);
@@ -855,7 +864,11 @@ struct EventLoop {
     redials: BinaryHeap<std::cmp::Reverse<(Instant, u64, NodeId)>>,
     /// Coalesced next-maintenance deadline; `None` = sleep forever.
     timer_next: Option<Instant>,
+    /// The read buffer every connection's frames are handled in.
     scratch: Vec<u8>,
+    /// A written-out write buffer of at most `SPARE_MAX` bytes, for
+    /// the next connection to stage in.
+    spare: Vec<u8>,
     shutdown: bool,
 }
 
@@ -884,6 +897,7 @@ impl EventLoop {
             redials: BinaryHeap::new(),
             timer_next: None,
             scratch: vec![0u8; 64 * 1024],
+            spare: Vec::new(),
             shutdown: false,
         }
     }
@@ -1326,7 +1340,7 @@ impl EventLoop {
         let Some(conn) = open.filter(|c| c.pending() < WBUF_TARGET) else {
             return false;
         };
-        conn.stage_with(encode);
+        conn.stage_with(&mut self.spare, encode);
         conn.staged += 1;
         self.mark_dirty(token);
         true
@@ -1370,7 +1384,7 @@ impl EventLoop {
                         break;
                     };
                     p.bytes -= frame.len();
-                    conn.stage(&frame);
+                    conn.stage(&mut self.spare, &frame);
                     frames_out += 1;
                 }
             }
@@ -1395,6 +1409,15 @@ impl EventLoop {
                 Err(_) => dead = true,
             }
             break;
+        }
+        // A connection with nothing left to write keeps no buffer: the
+        // loop keeps one no larger than a buffer topped up to
+        // `WBUF_TARGET` grows to, and frees any other.
+        if conn.pending() == 0 {
+            let written = std::mem::take(&mut conn.wbuf);
+            if self.spare.capacity() == 0 && written.capacity() <= SPARE_MAX {
+                self.spare = written;
+            }
         }
         // Mirror writable interest to buffer state, and count the
         // backpressure transition (blocked with bytes still pending).
@@ -1438,9 +1461,10 @@ impl EventLoop {
             return;
         };
         let (key, mut peer) = (conn.node, conn.peer);
-        // Out of the connection while its frames are handled: a hosted
-        // handler's outbox borrows the whole loop.
+        // Out of the connection and the loop while its frames are
+        // handled: a hosted handler's outbox borrows the whole loop.
         let mut decoder = std::mem::take(&mut conn.decoder);
+        let mut scratch = std::mem::take(&mut self.scratch);
         // The handler, too, once any hello in this read is in: looked up
         // once for the batch, so no frame takes a hash look-up.
         let mut host = peer.and_then(|_| self.take_host(key));
@@ -1448,18 +1472,18 @@ impl EventLoop {
         let (mut dead, mut got_bytes) = (false, false);
         // A reply's flush may find the connection dead under the batch:
         // what was decoded is still its stream, ahead of the `Down`.
-        while let Some(conn) = self.conns[token].as_mut().filter(|_| !dead) {
-            match conn.stream.read(&mut self.scratch) {
+        'read: while let Some(conn) = self.conns[token].as_mut().filter(|_| !dead) {
+            match conn.stream.read(&mut scratch) {
                 Ok(0) => dead = true,
                 Ok(n) => {
                     got_bytes = true;
-                    decoder.feed(&self.scratch[..n]);
-                    // Drain now so the buffer stays small even on
-                    // a long read burst.
+                    // Whole frames are handled where the read put them;
+                    // only one split across reads waits in the decoder.
+                    let mut rest = &scratch[..n];
                     loop {
-                        match (decoder.next_slice(), peer) {
+                        match (decoder.next_in(&mut rest), peer) {
                             (Ok(Some(frame)), None) => match self.hello(token, key, frame) {
-                                None => return, // closed; nothing was announced
+                                None => break 'read, // closed; nothing was announced
                                 known => {
                                     peer = known;
                                     host = self.take_host(key);
@@ -1477,12 +1501,14 @@ impl EventLoop {
                             }
                         }
                     }
+                    decoder.feed(rest);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => dead = true,
             }
         }
+        self.scratch = scratch;
         self.restore(key, host);
         let frames_in = batch.total_frames();
         if let Some(node) = self.nodes.get(&key).filter(|_| frames_in > 0) {
@@ -1525,7 +1551,7 @@ impl EventLoop {
             return None;
         };
         if let Some(conn) = self.conns[token].as_mut() {
-            conn.stage(&hello);
+            conn.stage(&mut self.spare, &hello);
         }
         self.establish(token, key, peer, None);
         self.dispatch();
@@ -1643,7 +1669,7 @@ impl EventLoop {
                 let due = conn.last_ka + every;
                 if now >= due {
                     conn.last_ka = now;
-                    conn.stage(&[]);
+                    conn.stage(&mut self.spare, &[]);
                     if !std::mem::replace(&mut conn.dirty, true) {
                         self.dirty.push(token);
                     }

@@ -18,7 +18,7 @@ use std::io::{self, Read, Write};
 /// cap.
 pub const MAX_FRAME_LEN: u32 = wire::MAX_FRAME_LEN;
 
-/// Writes one frame to `w`.
+/// Writes one frame to `w`, header and payload in one `write`.
 ///
 /// # Errors
 ///
@@ -46,8 +46,11 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &Bytes) -> io::Result<()> {
             "frame exceeds MAX_FRAME_LEN",
         ));
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    // One buffer, so the header never leaves as a segment of its own.
+    let mut frame = Vec::with_capacity(wire::FRAME_HEADER_LEN + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -94,6 +97,38 @@ mod tests {
         for f in &frames {
             assert_eq!(read_frame(&mut r).unwrap(), *f);
         }
+    }
+
+    /// A `Write` that takes everything and counts the calls.
+    #[derive(Default)]
+    struct CountingWrite {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let mut w = CountingWrite::default();
+        for (i, payload) in [&b""[..], b"hello", &[7; 5000]].into_iter().enumerate() {
+            write_frame(&mut w, &Bytes::copy_from_slice(payload)).unwrap();
+            assert_eq!(w.writes, i + 1);
+        }
+        let mut r = w.bytes.as_slice();
+        assert_eq!(&read_frame(&mut r).unwrap()[..], b"");
+        assert_eq!(&read_frame(&mut r).unwrap()[..], b"hello");
+        assert_eq!(read_frame(&mut r).unwrap().len(), 5000);
     }
 
     #[test]

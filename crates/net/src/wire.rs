@@ -8,12 +8,15 @@
 //! reports. The transport itself stays independent of `vl-proto`:
 //! tags are plain bytes here.
 //!
-//! [`FrameDecoder`] is the incremental half of the framing codec: the
-//! readiness loop ([`crate::poll`]) feeds it whatever byte chunks the
-//! kernel hands back from a nonblocking read — one byte, half a
-//! header, three frames fused together — and pulls out exactly the
-//! frames the blocking [`crate::tcp::read_frame`] would have produced.
-//! `tests/wire_decode.rs` holds that equivalence as a property test.
+//! [`FrameDecoder`] is the incremental half of the framing codec: given
+//! whatever byte chunks the kernel hands back from a nonblocking read —
+//! one byte, half a header, three frames fused together — it yields
+//! exactly the frames the blocking [`crate::tcp::read_frame`] would have
+//! produced. `tests/wire_decode.rs` holds that equivalence as a property
+//! test. The readiness loop ([`crate::poll`]) takes whole frames from
+//! its read buffer through [`FrameDecoder::next_in`] and leaves only a
+//! frame split across reads in the decoder; a drained decoder holds no
+//! buffer.
 
 use crate::NodeId;
 use bytes::Bytes;
@@ -58,6 +61,22 @@ impl fmt::Display for FrameTooLong {
 
 impl std::error::Error for FrameTooLong {}
 
+/// The whole length, header included, of the frame whose header starts
+/// `bytes`; `Ok(None)` while the header is incomplete.
+fn frame_len(bytes: &[u8], max_frame: u32) -> Result<Option<usize>, FrameTooLong> {
+    let Some(header) = bytes.first_chunk::<FRAME_HEADER_LEN>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*header);
+    if len > max_frame {
+        return Err(FrameTooLong {
+            claimed: len,
+            max: max_frame,
+        });
+    }
+    Ok(Some(FRAME_HEADER_LEN + len as usize))
+}
+
 /// Incremental frame decoder for the nonblocking read path.
 ///
 /// Feed it arbitrary chunks with [`feed`](FrameDecoder::feed), then
@@ -67,7 +86,8 @@ impl std::error::Error for FrameTooLong {}
 /// truncated trailing frame is *not* an error — it simply stays
 /// buffered until the rest arrives; EOF-with-partial-bytes is the
 /// caller's condition to diagnose (see
-/// [`mid_frame`](FrameDecoder::mid_frame)).
+/// [`mid_frame`](FrameDecoder::mid_frame)). Its buffer exists only
+/// while it holds bytes: drained, it is freed.
 ///
 /// # Examples
 ///
@@ -122,32 +142,62 @@ impl FrameDecoder {
     /// The next complete frame, `Ok(None)` if more bytes are needed,
     /// or [`FrameTooLong`] if the stream is unrecoverably corrupt.
     pub fn next_frame(&mut self) -> Result<Option<Bytes>, FrameTooLong> {
-        Ok(self.next_slice()?.map(Bytes::copy_from_slice))
+        let frame = self.next_slice()?.map(Bytes::copy_from_slice);
+        self.compact(); // the frame is copied out
+        Ok(frame)
     }
 
     /// [`next_frame`](FrameDecoder::next_frame) without the copy: the
     /// frame where it was fed, intact until the next call on the
     /// decoder.
     pub fn next_slice(&mut self) -> Result<Option<&[u8]>, FrameTooLong> {
-        let pending = &self.buf[self.start..];
-        if pending.len() < FRAME_HEADER_LEN {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(pending[..FRAME_HEADER_LEN].try_into().unwrap());
-        if len > self.max_frame {
-            return Err(FrameTooLong {
-                claimed: len,
-                max: self.max_frame,
-            });
-        }
-        let total = FRAME_HEADER_LEN + len as usize;
-        if pending.len() < total {
-            return Ok(None);
-        }
         self.compact(); // what earlier calls lent out is done with
-        let payload = self.start + FRAME_HEADER_LEN;
-        self.start += total;
-        Ok(Some(&self.buf[payload..self.start]))
+        let pending = &self.buf[self.start..];
+        match frame_len(pending, self.max_frame)? {
+            Some(total) if total <= pending.len() => {
+                let payload = self.start + FRAME_HEADER_LEN;
+                self.start += total;
+                Ok(Some(&self.buf[payload..self.start]))
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// The next frame of a read whose bytes `chunk` holds, moving
+    /// `chunk` past what it used: the frame this decoder holds the start
+    /// of, completed from the front of `chunk`, or else one that lies
+    /// whole at the front of `chunk`, lent where it lies without a copy.
+    /// After `Ok(None)`, `chunk` is at most the start of a frame, for
+    /// [`feed`](FrameDecoder::feed) to keep until the next read.
+    pub fn next_in<'a, 'c: 'a>(
+        &'a mut self,
+        chunk: &mut &'c [u8],
+    ) -> Result<Option<&'a [u8]>, FrameTooLong> {
+        if !self.mid_frame() {
+            self.compact();
+            let whole = *chunk;
+            return match frame_len(whole, self.max_frame)? {
+                Some(total) if total <= whole.len() => {
+                    *chunk = &whole[total..];
+                    Ok(Some(&whole[FRAME_HEADER_LEN..total]))
+                }
+                _ => Ok(None),
+            };
+        }
+        // What the held frame lacks: the rest of its header, then the
+        // rest of its payload.
+        loop {
+            let pending = &self.buf[self.start..];
+            let whole = frame_len(pending, self.max_frame)?.unwrap_or(FRAME_HEADER_LEN);
+            let take = whole.saturating_sub(pending.len()).min(chunk.len());
+            if take == 0 {
+                break;
+            }
+            let (head, rest) = chunk.split_at(take);
+            self.buf.extend_from_slice(head);
+            *chunk = rest;
+        }
+        self.next_slice()
     }
 
     /// Bytes buffered but not yet returned as frames.
@@ -161,12 +211,12 @@ impl FrameDecoder {
         self.buffered() > 0
     }
 
-    /// Reclaims the consumed prefix once it dominates the buffer (or
-    /// the buffer is fully drained), keeping memory proportional to
-    /// the unconsumed tail.
+    /// Frees the buffer once everything in it has been returned, and
+    /// reclaims the consumed prefix once it dominates the buffer,
+    /// keeping memory proportional to the unconsumed tail.
     fn compact(&mut self) {
         if self.start == self.buf.len() {
-            self.buf.clear();
+            self.buf = Vec::new();
             self.start = 0;
         } else if self.start > 4096 && self.start * 2 >= self.buf.len() {
             self.buf.drain(..self.start);
@@ -385,6 +435,71 @@ mod tests {
         assert_eq!(d.buffered(), 0);
         // Fully drained: the buffer was reclaimed, not grown 100x.
         assert!(d.buf.capacity() < 100 * 1004);
+    }
+
+    /// Frames out of one read the way the readiness loop takes them:
+    /// whole ones where they lie, the split one's start fed.
+    fn read_in(d: &mut FrameDecoder, mut chunk: &[u8], out: &mut Vec<Vec<u8>>) {
+        while let Some(frame) = d.next_in(&mut chunk).unwrap() {
+            out.push(frame.to_vec());
+        }
+        d.feed(chunk);
+    }
+
+    #[test]
+    fn a_drained_decoder_keeps_no_buffer() {
+        let payloads: Vec<Vec<u8>> = (0..40u8)
+            .map(|i| vec![i; (i as usize * 37) % 300])
+            .collect();
+        let stream: Vec<u8> = payloads.iter().flat_map(|p| frame_bytes(p)).collect();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200 {
+            let (mut fed, mut read) = (FrameDecoder::new(), FrameDecoder::new());
+            let (mut by_feed, mut by_read) = (Vec::new(), Vec::new());
+            let mut rest = &stream[..];
+            while !rest.is_empty() {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let (chunk, tail) = rest.split_at((rng % 700) as usize % rest.len() + 1);
+                rest = tail;
+                fed.feed(chunk);
+                while let Some(f) = fed.next_frame().unwrap() {
+                    by_feed.push(f.to_vec());
+                }
+                if fed.buffered() == 0 {
+                    assert_eq!(fed.buf.capacity(), 0);
+                }
+                read_in(&mut read, chunk, &mut by_read);
+                assert_eq!(read.buffered() == 0, read.buf.capacity() == 0);
+            }
+            assert_eq!(by_feed, payloads);
+            assert_eq!(by_read, payloads);
+        }
+    }
+
+    #[test]
+    fn a_split_at_every_byte_decodes_the_same_frames() {
+        let payloads = [&b"alpha"[..], b"", b"beta", &[9; 300]];
+        let stream: Vec<u8> = payloads.iter().flat_map(|p| frame_bytes(p)).collect();
+        for at in 0..=stream.len() {
+            let (head, tail) = stream.split_at(at);
+            let mut d = FrameDecoder::new();
+            let mut by_feed = Vec::new();
+            for part in [head, tail] {
+                d.feed(part);
+                while let Some(f) = d.next_frame().unwrap() {
+                    by_feed.push(f.to_vec());
+                }
+            }
+            let mut by_read = Vec::new();
+            let mut d = FrameDecoder::new();
+            read_in(&mut d, head, &mut by_read);
+            read_in(&mut d, tail, &mut by_read);
+            assert_eq!(by_feed, payloads, "split at {at}");
+            assert_eq!(by_read, payloads, "split at {at}");
+            assert_eq!(d.buf.capacity(), 0, "split at {at}");
+        }
     }
 
     #[test]

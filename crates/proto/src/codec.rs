@@ -7,7 +7,7 @@
 //! (length prefixes) belongs to the transport layer (`vl-net`).
 
 use crate::{ClientMsg, PeerMsg, ServerMsg};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use std::fmt;
 use vl_types::{Epoch, ObjectId, ServerId, Timestamp, Version, VolumeId};
 
@@ -80,11 +80,27 @@ pub fn tag_name(tag: u8) -> Option<&'static str> {
     })
 }
 
-/// Encodes a client→server message.
+/// A [`BufMut`] that keeps only the count of bytes put: the length
+/// pass of an encode into one buffer of exactly that size.
+#[derive(Default)]
+struct Counted(usize);
+
+impl BufMut for Counted {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
+}
+
+/// Encodes a client→server message, in one allocation.
 pub fn encode_client(msg: &ClientMsg) -> Bytes {
-    let mut b = BytesMut::with_capacity(32);
-    encode_client_into(msg, &mut b);
-    b.freeze()
+    Bytes::build(client_len(msg), |mut b| encode_client_into(msg, &mut b))
+}
+
+/// The length of [`encode_client`]'s bytes, without making them.
+pub fn client_len(msg: &ClientMsg) -> usize {
+    let mut n = Counted::default();
+    encode_client_into(msg, &mut n);
+    n.0
 }
 
 /// Appends the encoding of a client→server message to `b`.
@@ -120,11 +136,16 @@ pub fn encode_client_into(msg: &ClientMsg, b: &mut impl BufMut) {
     }
 }
 
-/// Encodes a server→client message.
+/// Encodes a server→client message, in one allocation.
 pub fn encode_server(msg: &ServerMsg) -> Bytes {
-    let mut b = BytesMut::with_capacity(64);
-    encode_server_into(msg, &mut b);
-    b.freeze()
+    Bytes::build(server_len(msg), |mut b| encode_server_into(msg, &mut b))
+}
+
+/// The length of [`encode_server`]'s bytes, without making them.
+pub fn server_len(msg: &ServerMsg) -> usize {
+    let mut n = Counted::default();
+    encode_server_into(msg, &mut n);
+    n.0
 }
 
 /// Appends the encoding of a server→client message to `b`.
@@ -208,11 +229,12 @@ pub fn encode_server_into(msg: &ServerMsg, b: &mut impl BufMut) {
     }
 }
 
-/// Encodes a peer (server↔server / coordinator) message.
+/// Encodes a peer (server↔server / coordinator) message, in one
+/// allocation.
 pub fn encode_peer(msg: &PeerMsg) -> Bytes {
-    let mut b = BytesMut::with_capacity(64);
-    encode_peer_into(msg, &mut b);
-    b.freeze()
+    let mut n = Counted::default();
+    encode_peer_into(msg, &mut n);
+    Bytes::build(n.0, |mut b| encode_peer_into(msg, &mut b))
 }
 
 /// Appends the encoding of a peer (server↔server / coordinator) message to `b`.
@@ -621,6 +643,29 @@ mod tests {
         assert_eq!(buf, want);
     }
 
+    /// The one-allocation encoders write exactly what the growing ones
+    /// do, and the length pass counts exactly that many bytes.
+    #[test]
+    fn exact_size_encoding_matches_the_growing_one() {
+        for msg in client_samples() {
+            let mut v = Vec::new();
+            encode_client_into(&msg, &mut v);
+            assert_eq!(encode_client(&msg)[..], v[..], "{}", msg.name());
+            assert_eq!(client_len(&msg), v.len(), "{}", msg.name());
+        }
+        for msg in server_samples() {
+            let mut v = Vec::new();
+            encode_server_into(&msg, &mut v);
+            assert_eq!(encode_server(&msg)[..], v[..], "{}", msg.name());
+            assert_eq!(server_len(&msg), v.len(), "{}", msg.name());
+        }
+        for msg in peer_samples() {
+            let mut v = Vec::new();
+            encode_peer_into(&msg, &mut v);
+            assert_eq!(encode_peer(&msg)[..], v[..], "{}", msg.name());
+        }
+    }
+
     #[test]
     fn truncation_is_detected_at_every_length() {
         for msg in server_samples() {
@@ -685,7 +730,7 @@ mod tests {
 
     #[test]
     fn oversized_length_field_rejected() {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         b.put_u8(T_RENEW_ALL);
         b.put_u32_le(1);
         b.put_u32_le(u32::MAX); // absurd list length
@@ -721,7 +766,7 @@ mod tests {
 
     #[test]
     fn oversized_handoff_object_list_rejected() {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         b.put_u8(T_HANDOFF);
         b.put_u32_le(1);
         b.put_u64_le(2);

@@ -89,7 +89,7 @@ if [ -e crates/parking_lot ]; then
     exit 1
 fi
 
-echo "==> the hosted path reads in one loop and encodes in place (DESIGN.md §12)"
+echo "==> the hosted path reads in one loop, decodes in its read buffer and encodes in place (DESIGN.md §12)"
 # A frame is handled where it was read and its reply built where it is
 # written from. The driver has one way to encode, into the buffer its
 # Outbox hands it (rebalance.rs is the coordinator, not the driver, and
@@ -104,6 +104,22 @@ fi
 reads=$(nontest crates/net/src/poll.rs | grep -c 'stream\.read(' || true)
 if [ "$reads" != 1 ]; then
     echo "error: crates/net/src/poll.rs has $reads read loops, not 1" >&2
+    exit 1
+fi
+# Whole frames are handled in the loop's read buffer; the one `.feed(`
+# keeps the start of a frame split across reads. A second one is every
+# read copied into the connection's decoder again, whose buffer then
+# stays at its high-water mark on an idle connection.
+feeds=$(nontest crates/net/src/poll.rs | grep -c '\.feed(' || true)
+if [ "$feeds" != 1 ]; then
+    echo "error: crates/net/src/poll.rs feeds a decoder $feeds times, not 1" >&2
+    exit 1
+fi
+# An encoder sizes its one buffer by a length pass. A growable builder
+# frozen into `Bytes` is two or three allocations per message again.
+leak=$(nontest crates/proto/src/codec.rs | grep -nE 'BytesMut|freeze' || true)
+if [ -n "$leak" ]; then
+    echo "error: the codec encodes through a growable builder: $leak" >&2
     exit 1
 fi
 
