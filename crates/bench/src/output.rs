@@ -137,7 +137,10 @@ mod tests {
 
     #[test]
     fn write_csv_creates_dirs() {
-        let dir = std::env::temp_dir().join("vl_bench_output_test");
+        let dir = std::env::temp_dir().join(format!(
+            "vl-bench-output-{}-write_csv_creates_dirs",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("nested/out.csv");
         let mut t = Table::new(["x"]);

@@ -33,7 +33,8 @@ fn traced_kinds() -> Vec<ProtocolKind> {
 }
 
 fn write_with_threads(threads: usize, tag: &str) -> Vec<u8> {
-    let path = std::env::temp_dir().join(format!("vl-trace-det-{tag}-{threads}.jsonl"));
+    let pid = std::process::id();
+    let path = std::env::temp_dir().join(format!("vl-trace-det-{pid}-{tag}-{threads}.jsonl"));
     let args = cli::CommonArgs {
         figures: Vec::new(),
         config: WorkloadConfig::smoke(),

@@ -4,8 +4,9 @@
 //! `LEASE_RECORD_BYTES`). This binary counts the heap bytes each
 //! protocol machine keeps per lease it holds: the server's lease tables
 //! and client rows, grown to 4 096 clients × 16 leases, and a client
-//! machine's cache, per copy, leaving out the payload's own buffer. It
-//! holds one test, so nothing else allocates beside it.
+//! machine's cache, per copy: once leaving out the payload's own buffer,
+//! and once with it, for a 64-byte copy that crossed the codec as it
+//! does live. It holds one test, so nothing else allocates beside it.
 
 use bytes::Bytes;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -13,7 +14,7 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use vl_core::machine::{
     ClientInput, ClientMachine, ClientMachineConfig, MachineConfig, ServerInput, ServerMachine,
 };
-use vl_proto::{ClientMsg, ServerMsg};
+use vl_proto::{codec, ClientMsg, ServerMsg};
 use vl_types::{ClientId, Epoch, ObjectId, ServerId, Timestamp, Version, VolumeId};
 
 /// The system allocator, counting the bytes it has handed out and not
@@ -60,8 +61,12 @@ const OBJECTS: u32 = 256;
 /// Heap a server may keep per lease it granted: the lease record's
 /// 12 bytes and the arrays' slack.
 const SERVER_BOUND: f64 = 18.0;
-/// Heap a client machine may keep per cached copy, payload aside.
-const CLIENT_BOUND: f64 = 48.0;
+/// Heap a client machine may keep per cached copy, payload aside: its
+/// 24-byte record, the 8-byte buffer handle in it and the map's slack.
+const CLIENT_BOUND: f64 = 36.0;
+/// The same with the payload, for a 64-byte copy decoded from a frame:
+/// the above, plus the buffer's 8-byte header and its 64 bytes.
+const DECODED_BOUND: f64 = 108.0;
 
 fn object(o: u32) -> ObjectId {
     ObjectId(u64::from(o) + 1)
@@ -102,26 +107,36 @@ fn server_bytes_per_lease() -> f64 {
     kept as f64 / f64::from(CLIENTS * LEASES_PER_CLIENT)
 }
 
-/// Heap one client machine keeps per cached copy. The payloads exist
-/// before counting starts and the machines share them.
-fn client_bytes_per_copy() -> f64 {
+/// Heap one client machine keeps per cached copy. The payloads and
+/// their frames exist before counting starts. Unless `crossed_codec`,
+/// the machines share the payloads; if it is set, each copy is decoded
+/// from its frame into a buffer of its own, counted with the copy.
+fn client_bytes_per_copy(crossed_codec: bool) -> f64 {
     const MACHINES: u32 = 256;
     let payloads: Vec<Bytes> = (0..OBJECTS)
         .map(|o| Bytes::from(vec![o as u8; 64]))
         .collect();
+    let expire = Timestamp::from_secs(600);
+    let grant = |o: u32| ServerMsg::ObjLease {
+        object: object(o),
+        version: Version::FIRST,
+        expire,
+        data: Some(payloads[o as usize].clone()),
+    };
+    let frames: Vec<Bytes> = (0..OBJECTS)
+        .map(|o| codec::encode_server(&grant(o)))
+        .collect();
     let mut machines: Vec<ClientMachine> = (0..MACHINES)
         .map(|c| ClientMachine::new(ClientMachineConfig::new(ClientId(c), ServerId(0))))
         .collect();
-    let expire = Timestamp::from_secs(600);
     let before = live_bytes();
     for (c, m) in (0..).zip(&mut machines) {
         for j in 0..LEASES_PER_CLIENT {
             let o = (c * LEASES_PER_CLIENT + j) % OBJECTS;
-            let msg = ServerMsg::ObjLease {
-                object: object(o),
-                version: Version::FIRST,
-                expire,
-                data: Some(payloads[o as usize].clone()),
+            let msg = if crossed_codec {
+                codec::decode_server(&frames[o as usize]).expect("an encoded OBJ_LEASE")
+            } else {
+                grant(o)
             };
             m.handle(Timestamp::ZERO, ClientInput::Msg(msg));
         }
@@ -135,8 +150,12 @@ fn client_bytes_per_copy() -> f64 {
 #[test]
 fn a_lease_costs_each_machine_a_few_dozen_bytes() {
     let server = server_bytes_per_lease();
-    let client = client_bytes_per_copy();
-    println!("server: {server:.1} B per lease; client: {client:.1} B per cached copy");
+    let client = client_bytes_per_copy(false);
+    let decoded = client_bytes_per_copy(true);
+    println!(
+        "server: {server:.1} B per lease; client: {client:.1} B per cached copy, \
+         {decoded:.1} B with its 64-byte payload"
+    );
     assert!(
         server <= SERVER_BOUND,
         "the server keeps {server:.1} B per lease (bound {SERVER_BOUND}; the paper's record is 16)"
@@ -144,5 +163,9 @@ fn a_lease_costs_each_machine_a_few_dozen_bytes() {
     assert!(
         client <= CLIENT_BOUND,
         "a client keeps {client:.1} B per cached copy (bound {CLIENT_BOUND})"
+    );
+    assert!(
+        decoded <= DECODED_BOUND,
+        "a client keeps {decoded:.1} B per decoded 64-byte copy (bound {DECODED_BOUND})"
     );
 }

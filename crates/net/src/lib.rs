@@ -201,11 +201,16 @@ pub trait Outbox {
     }
 }
 
-/// The frame `encode` appends, as a message of its own.
-pub(crate) fn encoded(encode: &mut dyn FnMut(&mut Vec<u8>)) -> bytes::Bytes {
-    let mut frame = Vec::with_capacity(64);
-    encode(&mut frame);
-    frame.into()
+/// The frame `encode` appends, built in the thread's buffer and copied out.
+pub(crate) fn encoded(encode: &mut dyn FnMut(&mut Vec<u8>)) -> Bytes {
+    thread_local!(static ASIDE: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) });
+    ASIDE.with_borrow_mut(|aside| {
+        encode(aside);
+        let frame = Bytes::copy_from_slice(aside);
+        aside.clear();
+        aside.shrink_to(poll::SPARE_MAX);
+        frame
+    })
 }
 
 impl<C: Channel + ?Sized> Outbox for &C {
@@ -262,6 +267,7 @@ impl<C: Channel + ?Sized> Channel for Arc<C> {
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};

@@ -669,7 +669,7 @@ const WBUF_TARGET: usize = 32 * 1024;
 /// The largest written-out buffer the loop keeps as its spare: what a
 /// buffer filled just past `WBUF_TARGET` has grown to by doubling. One
 /// that a larger frame grew further is freed.
-const SPARE_MAX: usize = 2 * WBUF_TARGET;
+pub(crate) const SPARE_MAX: usize = 2 * WBUF_TARGET;
 /// Reclaim the consumed write-buffer prefix past this.
 const WBUF_COMPACT: usize = 64 * 1024;
 

@@ -38,8 +38,7 @@ pub const MAX_FRAME_LEN: u32 = wire::MAX_FRAME_LEN;
 /// # Ok::<(), std::io::Error>(())
 /// ```
 pub fn write_frame<W: Write>(w: &mut W, payload: &Bytes) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+    let len = payload.len() as u32; // a `Bytes` holds at most `u32::MAX` bytes
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,

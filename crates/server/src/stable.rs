@@ -20,9 +20,8 @@ use vl_types::{Epoch, Timestamp};
 /// use vl_server::StableRecord;
 /// use vl_types::{Epoch, Timestamp};
 ///
-/// let dir = std::env::temp_dir().join("vl_stable_doc");
-/// std::fs::create_dir_all(&dir)?;
-/// let path = dir.join("srv.stable");
+/// let file = format!("vl-stable-doc-{}.stable", std::process::id());
+/// let path = std::env::temp_dir().join(file);
 /// let rec = StableRecord { epoch: Epoch(3), max_volume_expiry: Timestamp::from_secs(9) };
 /// rec.store(&path)?;
 /// assert_eq!(StableRecord::load(&path)?, Some(rec));
@@ -84,9 +83,7 @@ mod tests {
     use super::*;
 
     fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("vl_stable_tests");
-        fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        std::env::temp_dir().join(format!("vl-stable-{}-{name}", std::process::id()))
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full CI gate: formatting, the client-driver, router/protocol,
-# hosted-driver, one-read-loop and no-event-kernel layering greps,
+# hosted-driver, one-read-loop, no-event-kernel and unsafe layering greps,
 # lint (warnings denied), release build (all targets, so bench breakage
 # is caught), the figure record in results/ regenerated byte for byte,
 # the complete test suite including ignored tests, the
@@ -132,6 +132,23 @@ leak=$(grep -rnE 'vl[_-]sim' crates/*/src crates/*/tests Cargo.toml src/lib.rs |
     grep -v '^crates/sim/' || true)
 if [ -n "$leak" ]; then
     echo "error: vl-sim named outside crates/sim: $leak" >&2
+    exit 1
+fi
+
+echo "==> unsafe code stays in the three modules that need it"
+# System calls (vl-epoll), the shared buffer's allocation (bytes) and
+# the prefetch intrinsic (vl-core::mem). Anywhere else a safe
+# construction exists; tests' counting allocators are tests.
+# `crates/bytes` denies `clippy::undocumented_unsafe_blocks`, which the
+# clippy step below enforces.
+leak=$(for f in $(git ls-files -co --exclude-standard 'crates/*/src/*.rs' 'src/*.rs' 'examples/*.rs'); do
+    case "$f" in
+    crates/epoll/src/* | crates/bytes/src/* | crates/core/src/mem.rs) continue ;;
+    esac
+    nontest "$f" | grep -nE '\bunsafe +(\{|fn\b|impl\b)' | sed "s|^|$f:|"
+done || true)
+if [ -n "$leak" ]; then
+    echo "error: unsafe code outside crates/{epoll,bytes}/src and crates/core/src/mem.rs: $leak" >&2
     exit 1
 fi
 

@@ -61,9 +61,8 @@ fn patient_client(id: u32) -> ClientConfig {
 }
 
 fn stable_path(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("vl_fault_tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
+    let file = format!("vl-faults-{}-{name}", std::process::id());
+    let path = std::env::temp_dir().join(file);
     let _ = std::fs::remove_file(&path);
     path
 }

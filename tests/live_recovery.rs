@@ -13,9 +13,8 @@ const OBJ: ObjectId = ObjectId(1);
 const SRV: ServerId = ServerId(0);
 
 fn stable_path(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("vl_recovery_tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
+    let file = format!("vl-recovery-{}-{name}", std::process::id());
+    let path = std::env::temp_dir().join(file);
     let _ = std::fs::remove_file(&path);
     path
 }
