@@ -77,11 +77,11 @@ pub fn uniform_trace(cfg: &UniformConfig) -> Trace {
             let phase = (u64::from(c).wrapping_mul(7919) + oi as u64 * 104_729) % read_ms;
             let mut t = phase;
             while t < span_ms {
-                events.push(TraceEvent::Read {
-                    at: Timestamp::from_millis(t),
-                    client: ClientId(c),
+                events.push(TraceEvent::read(
+                    Timestamp::from_millis(t),
+                    ClientId(c),
                     object,
-                });
+                ));
                 t += read_ms;
             }
         }
@@ -93,10 +93,7 @@ pub fn uniform_trace(cfg: &UniformConfig) -> Trace {
             let phase = write_ms / 2 + (oi as u64 * 15_485_863) % (write_ms / 2).max(1);
             let mut t = phase;
             while t < span_ms {
-                events.push(TraceEvent::Write {
-                    at: Timestamp::from_millis(t),
-                    object,
-                });
+                events.push(TraceEvent::write(Timestamp::from_millis(t), object));
                 t += write_ms;
             }
         }

@@ -10,9 +10,10 @@ const TOMBSTONE: u64 = u64::MAX - 1;
 /// One client's cache: an open-addressing hash table in struct-of-arrays
 /// layout. Keys are raw object ids hashed by Fibonacci multiplication
 /// into a power-of-two slot array probed linearly; `volumes`, `versions`
-/// and `stamps` are parallel to `keys`. Lookups touch one cache line of
-/// keys in the common case and no pointer chains, and the table never
-/// allocates per entry — growth doubles the arrays wholesale.
+/// and, in a stamped table, `stamps` are parallel to `keys`. Lookups
+/// touch one cache line of keys in the common case and no pointer
+/// chains, and the table never allocates per entry — growth doubles the
+/// arrays wholesale.
 #[derive(Clone, Debug, Default)]
 struct CacheTable {
     /// Raw object ids, or [`EMPTY`] / [`TOMBSTONE`]. Length is a power
@@ -20,9 +21,10 @@ struct CacheTable {
     keys: Vec<u64>,
     volumes: Vec<VolumeId>,
     versions: Vec<Version>,
-    /// Last validation instant (used by Poll; [`Timestamp::ZERO`] for
-    /// protocols that never validate).
+    /// Last validation instant per slot when `stamped` (Poll's);
+    /// empty otherwise.
     stamps: Vec<Timestamp>,
+    stamped: bool,
     /// Occupied slots.
     live: usize,
     /// Occupied + tombstoned slots — what probe lengths depend on.
@@ -60,7 +62,12 @@ impl CacheTable {
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);
         let old_volumes = std::mem::replace(&mut self.volumes, vec![VolumeId(0); new_cap]);
         let old_versions = std::mem::replace(&mut self.versions, vec![Version::NONE; new_cap]);
-        let old_stamps = std::mem::replace(&mut self.stamps, vec![Timestamp::ZERO; new_cap]);
+        let new_stamps = if self.stamped {
+            vec![Timestamp::ZERO; new_cap]
+        } else {
+            Vec::new()
+        };
+        let old_stamps = std::mem::replace(&mut self.stamps, new_stamps);
         self.used = self.live;
         let mask = new_cap - 1;
         for (j, key) in old_keys.into_iter().enumerate() {
@@ -74,14 +81,16 @@ impl CacheTable {
             self.keys[i] = key;
             self.volumes[i] = old_volumes[j];
             self.versions[i] = old_versions[j];
-            self.stamps[i] = old_stamps[j];
+            if self.stamped {
+                self.stamps[i] = old_stamps[j];
+            }
         }
     }
 
     /// Inserts or refreshes `key`, returning the previously cached
-    /// version if the key was already present. A `stamp` of `None`
-    /// leaves an existing entry's validation stamp untouched (and
-    /// zeroes a fresh one).
+    /// version if the key was already present. In a stamped table, a
+    /// `stamp` of `None` leaves an existing entry's validation stamp
+    /// untouched (and zeroes a fresh one); an unstamped table ignores it.
     fn upsert(
         &mut self,
         key: u64,
@@ -113,7 +122,7 @@ impl CacheTable {
                 let old = self.versions[i];
                 self.volumes[i] = volume;
                 self.versions[i] = version;
-                if let Some(s) = stamp {
+                if let (true, Some(s)) = (self.stamped, stamp) {
                     self.stamps[i] = s;
                 }
                 return Some(old);
@@ -132,7 +141,9 @@ impl CacheTable {
         self.keys[j] = key;
         self.volumes[j] = volume;
         self.versions[j] = version;
-        self.stamps[j] = stamp.unwrap_or(Timestamp::ZERO);
+        if self.stamped {
+            self.stamps[j] = stamp.unwrap_or(Timestamp::ZERO);
+        }
         self.live += 1;
         None
     }
@@ -149,11 +160,17 @@ impl CacheTable {
     }
 }
 
-/// The cached copies held by every client: object → version, volume, and
-/// last-validated stamp, in one probe. The reconnection protocol's
-/// per-volume enumeration (a returning client must report its cached
-/// objects of one volume, Figure 4) is a scan of the client's table —
-/// reconnects are rare, reads are not, so the layout favors the probe.
+/// The cached copies held by every client: object → version and volume,
+/// and in a [stamped](ClientCaches::stamped) set the last-validated
+/// stamp too, in one probe. A slot costs 20 bytes (an 8-byte key, a
+/// 4-byte volume, an 8-byte version), 28 with a stamp, and each client's
+/// table keeps at least an eighth of its slots empty and grows by
+/// doubling. Only Poll reads stamps, so only Poll pays for them.
+///
+/// The reconnection protocol's per-volume enumeration (a returning
+/// client must report its cached objects of one volume, Figure 4) is a
+/// scan of the client's table — reconnects are rare, reads are not, so
+/// the layout favors the probe.
 ///
 /// Caches are infinite, as in the paper (§4.1): copies leave only by
 /// invalidation.
@@ -175,18 +192,35 @@ impl CacheTable {
 pub struct ClientCaches {
     /// Per client, indexed densely by id; slots grow on demand.
     tables: Vec<CacheTable>,
+    /// Whether each slot carries a validation stamp.
+    stamped: bool,
 }
 
 impl ClientCaches {
-    /// Creates an empty cache set; client slots grow on demand.
+    /// Creates an empty cache set without validation stamps; client
+    /// slots grow on demand.
     pub fn new() -> ClientCaches {
         ClientCaches::default()
+    }
+
+    /// Creates an empty cache set whose copies carry a validation stamp
+    /// ([`put_validated`](ClientCaches::put_validated),
+    /// [`entry_of`](ClientCaches::entry_of)): Poll's.
+    pub fn stamped() -> ClientCaches {
+        ClientCaches {
+            tables: Vec::new(),
+            stamped: true,
+        }
     }
 
     fn table_mut(&mut self, client: ClientId) -> &mut CacheTable {
         let i = client.raw() as usize;
         if self.tables.len() <= i {
-            self.tables.resize_with(i + 1, CacheTable::default);
+            let stamped = self.stamped;
+            self.tables.resize_with(i + 1, || CacheTable {
+                stamped,
+                ..CacheTable::default()
+            });
         }
         &mut self.tables[i]
     }
@@ -221,6 +255,10 @@ impl ClientCaches {
 
     /// Like [`put`](ClientCaches::put), but also records `now` as the
     /// copy's validation instant (Poll's trust-window clock).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the set was made [`stamped`](ClientCaches::stamped).
     pub fn put_validated(
         &mut self,
         client: ClientId,
@@ -229,6 +267,7 @@ impl ClientCaches {
         version: Version,
         now: Timestamp,
     ) {
+        assert!(self.stamped, "put_validated on an unstamped ClientCaches");
         self.table_mut(client)
             .upsert(object.raw(), volume, version, Some(now));
     }
@@ -241,7 +280,12 @@ impl ClientCaches {
 
     /// The cached version **and** validation stamp in a single probe, for
     /// the Poll hot path.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the set was made [`stamped`](ClientCaches::stamped).
     pub fn entry_of(&self, client: ClientId, object: ObjectId) -> Option<(Version, Timestamp)> {
+        assert!(self.stamped, "entry_of on an unstamped ClientCaches");
         let t = self.table(client)?;
         t.find(object.raw()).map(|i| (t.versions[i], t.stamps[i]))
     }
@@ -284,6 +328,12 @@ impl ClientCaches {
     /// Total copies cached by `client`.
     pub fn count_for(&self, client: ClientId) -> usize {
         self.table(client).map_or(0, |t| t.live)
+    }
+
+    /// Slots allocated over every client's table, occupied or not: what
+    /// the set's heap grows with.
+    pub fn slots(&self) -> usize {
+        self.tables.iter().map(|t| t.keys.len()).sum()
     }
 
     /// Prefetches the lines a subsequent probe for (`client`, `object`)
@@ -353,7 +403,7 @@ mod tests {
 
     #[test]
     fn validation_stamps_survive_plain_puts() {
-        let mut c = ClientCaches::new();
+        let mut c = ClientCaches::stamped();
         c.put_validated(
             ClientId(0),
             ObjectId(1),
@@ -388,6 +438,35 @@ mod tests {
         assert_eq!(
             c.entry_of(ClientId(0), ObjectId(1)),
             Some((Version(3), Timestamp::ZERO))
+        );
+    }
+
+    #[test]
+    fn only_a_stamped_set_allocates_stamps() {
+        let (mut plain, mut stamped) = (ClientCaches::new(), ClientCaches::stamped());
+        for o in 0u64..100 {
+            plain.put(ClientId(0), ObjectId(o), VolumeId(0), Version(1));
+            stamped.put(ClientId(0), ObjectId(o), VolumeId(0), Version(1));
+        }
+        assert_eq!(plain.slots(), 128);
+        assert_eq!(stamped.slots(), 128);
+        assert!(plain.tables[0].stamps.is_empty());
+        assert_eq!(stamped.tables[0].stamps.len(), 128);
+        assert_eq!(
+            stamped.entry_of(ClientId(0), ObjectId(7)),
+            Some((Version(1), Timestamp::ZERO))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unstamped")]
+    fn an_unstamped_set_has_no_validation_instant() {
+        ClientCaches::new().put_validated(
+            ClientId(0),
+            ObjectId(1),
+            VolumeId(0),
+            Version(1),
+            Timestamp::ZERO,
         );
     }
 

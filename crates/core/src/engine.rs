@@ -12,7 +12,7 @@ use crate::{Ctx, ProtocolKind};
 use std::time::Instant;
 use vl_metrics::{Metrics, Summary, TraceSink};
 use vl_types::{Duration, ServerId, Version};
-use vl_workload::{Trace, TraceEvent, Universe};
+use vl_workload::{Op, Trace, Universe};
 
 /// Builds the per-event [`Ctx`] once and hands it to `f` — the single
 /// construction point for the engine's event loop and finalization.
@@ -54,20 +54,17 @@ fn drive<P: Protocol>(
     let events = trace.events();
     for (i, event) in events.iter().enumerate() {
         if let Some(ahead) = events.get(i + LOOKAHEAD) {
-            let (client, object) = match *ahead {
-                TraceEvent::Read { client, object, .. } => (Some(client), object),
-                TraceEvent::Write { object, .. } => (None, object),
-            };
+            let object = ahead.object();
             crate::mem::prefetch(&versions[object.raw() as usize]);
-            protocol.warm(client, object);
+            protocol.warm(ahead.client(), object);
         }
-        match *event {
-            TraceEvent::Read { at, client, object } => {
+        match event.op() {
+            Op::Read { at, client, object } => {
                 with_ctx(universe, versions, metrics, |ctx| {
                     protocol.on_read(at, client, object, ctx)
                 });
             }
-            TraceEvent::Write { at, object } => {
+            Op::Write { at, object } => {
                 with_ctx(universe, versions, metrics, |ctx| {
                     protocol.on_write(at, object, ctx)
                 });

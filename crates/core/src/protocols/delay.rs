@@ -54,7 +54,8 @@ struct VolumeState {
     unreachable: Vec<bool>,
     /// Which objects each client holds leases on (ascending) —
     /// consulted when a demotion must discard a client's lease records
-    /// wholesale.
+    /// wholesale. Kept only when `d` is finite: `Delay(t_v, t, ∞)`
+    /// never demotes, so it leaves this empty.
     holdings: Vec<Vec<ObjectId>>,
 }
 
@@ -151,9 +152,16 @@ impl DelayedInvalidation {
             .map_or(0, |r| r.pending.len())
     }
 
-    /// Grants (or extends) `client`'s object lease, records the holding,
-    /// and refreshes the cached copy, returning the version that copy
-    /// replaced so callers can size piggybacked data without re-probing.
+    /// Whether demotion can ever run, and so whether the per-client
+    /// `holdings` it reads are kept.
+    fn demotes(&self) -> bool {
+        !self.inactive_discard.is_infinite()
+    }
+
+    /// Grants (or extends) `client`'s object lease, records the holding
+    /// when demotion may need it, and refreshes the cached copy,
+    /// returning the version that copy replaced so callers can size
+    /// piggybacked data without re-probing.
     fn grant_object(
         &mut self,
         now: Timestamp,
@@ -181,9 +189,11 @@ impl DelayedInvalidation {
             now.saturating_add(self.object_timeout),
             ctx.metrics,
         );
-        let held = slot(&mut self.vols[volume.raw() as usize].holdings, client);
-        if let Err(i) = held.binary_search(&object) {
-            held.insert(i, object);
+        if self.demotes() {
+            let held = slot(&mut self.vols[volume.raw() as usize].holdings, client);
+            if let Err(i) = held.binary_search(&object) {
+                held.insert(i, object);
+            }
         }
         self.caches
             .put_fetch(client, object, volume, ctx.version(object))
@@ -198,6 +208,9 @@ impl DelayedInvalidation {
         ctx: &mut Ctx<'_>,
     ) {
         self.obj_leases[object.raw() as usize].revoke(client, at, ctx.metrics);
+        if !self.demotes() {
+            return;
+        }
         if let Some(held) = self.vols[volume.raw() as usize]
             .holdings
             .get_mut(client.raw() as usize)
@@ -218,7 +231,7 @@ impl DelayedInvalidation {
         volume: VolumeId,
         ctx: &mut Ctx<'_>,
     ) {
-        if self.inactive_discard.is_infinite() {
+        if !self.demotes() {
             return;
         }
         let vi = volume.raw() as usize;
@@ -819,5 +832,19 @@ mod tests {
         write(&mut p, &mut vers, &u, &mut m, ts(1_000_000), ObjectId(1));
         assert!(!p.is_unreachable(ClientId(0), VolumeId(0)));
         assert_eq!(p.pending_count(ClientId(0), VolumeId(0)), 1);
+    }
+
+    #[test]
+    fn holdings_are_kept_only_when_d_is_finite() {
+        let u = two_volume_universe();
+        let vers = versions(3);
+        let mut m = Metrics::new();
+        for (d, kept) in [(Duration::MAX, 0), (Duration::from_secs(50), 2)] {
+            let mut p = proto(&u, d);
+            p.on_read(ts(0), ClientId(0), ObjectId(0), ctx!(u, vers, m));
+            p.on_read(ts(1), ClientId(0), ObjectId(1), ctx!(u, vers, m));
+            let held: usize = p.vols[0].holdings.iter().map(Vec::len).sum();
+            assert_eq!(held, kept, "d = {d:?}");
+        }
     }
 }

@@ -84,7 +84,7 @@ impl Poll {
     pub fn new(timeout: Duration, _universe: &Universe) -> Poll {
         Poll {
             timeout,
-            caches: ClientCaches::new(),
+            caches: ClientCaches::stamped(),
         }
     }
 }

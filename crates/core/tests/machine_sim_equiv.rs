@@ -36,7 +36,7 @@ use vl_core::{ProtocolKind, SimulationBuilder};
 use vl_metrics::MessageKind;
 use vl_proto::{ClientMsg, ServerMsg};
 use vl_types::{ClientId, Duration, ObjectId, Timestamp, Version, VolumeId};
-use vl_workload::{Trace, TraceEvent, TraceGenerator, Universe, WorkloadConfig};
+use vl_workload::{Op, Trace, TraceGenerator, Universe, WorkloadConfig};
 
 // Scaled to the smoke trace's sparse, 10-day arrival pattern so every
 // protocol path fires: volume renewals, immediate invalidations,
@@ -322,9 +322,9 @@ impl<'a> Replay<'a> {
 
     fn run(&mut self, trace: &Trace) {
         for event in trace.events() {
-            match *event {
-                TraceEvent::Read { at, client, object } => self.on_read(at, client, object),
-                TraceEvent::Write { at, object } => self.on_write(at, object),
+            match event.op() {
+                Op::Read { at, client, object } => self.on_read(at, client, object),
+                Op::Write { at, object } => self.on_write(at, object),
             }
         }
     }

@@ -170,10 +170,12 @@ pub fn parse_reader<R: BufRead>(reader: R) -> Result<BuParseResult, BuParseError
     let base = records.iter().map(|r| r.at_us).min().expect("non-empty");
     let events = records
         .into_iter()
-        .map(|r| TraceEvent::Read {
-            at: Timestamp::from_millis((r.at_us - base) / 1000),
-            client: r.client,
-            object: r.object,
+        .map(|r| {
+            TraceEvent::read(
+                Timestamp::from_millis((r.at_us - base) / 1000),
+                r.client,
+                r.object,
+            )
         })
         .collect();
 

@@ -253,7 +253,12 @@ impl TraceGenerator {
 
         let mut write_rng = fork(cfg.seed, "writes");
         let model = WriteModel::assign(&rank, cfg.writes, &mut write_rng);
-        events.extend(model.generate(&universe, cfg.days, &mut write_rng));
+        let writes = model.generate(&universe, cfg.days, &mut write_rng);
+        // Exactly the room the writes need: the reads' vector was sized
+        // for the read quota, and letting `extend` double it would leave
+        // the trace holding up to twice its events.
+        events.reserve_exact(writes.len());
+        events.extend(writes);
 
         Trace::new(universe, events)
     }
@@ -364,11 +369,11 @@ impl TraceGenerator {
                     if remaining == 0 || t as u64 >= span_ms {
                         break;
                     }
-                    events.push(TraceEvent::Read {
-                        at: Timestamp::from_millis(t as u64),
+                    events.push(TraceEvent::read(
+                        Timestamp::from_millis(t as u64),
                         client,
                         object,
-                    });
+                    ));
                     read_counts[object.raw() as usize] += 1;
                     remaining -= 1;
                     t += exponential(rng, cfg.mean_intra_burst_gap_secs * 1000.0);

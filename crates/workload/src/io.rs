@@ -5,7 +5,7 @@
 //! be generated once and cached on disk (`vltrace` format: little-endian
 //! fields behind an 8-byte magic, no external dependencies).
 
-use crate::{Trace, TraceEvent, UniverseBuilder};
+use crate::{Op, Trace, TraceEvent, UniverseBuilder};
 use std::fmt;
 use std::io::{self, Read, Write};
 use vl_types::{ClientId, ObjectId, ServerId, Timestamp, VolumeId};
@@ -52,6 +52,9 @@ impl From<io::Error> for TraceReadError {
 const TAG_READ: u8 = 0;
 const TAG_WRITE: u8 = 1;
 
+/// Events [`read_trace`] reserves room for before reading any (1 MiB).
+const RESERVE_EVENTS: u64 = 1 << 16;
+
 /// Writes `trace` to `w` in `vltrace` format.
 ///
 /// # Errors
@@ -84,14 +87,14 @@ pub fn write_trace<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> {
     }
     w.write_all(&(trace.events().len() as u64).to_le_bytes())?;
     for e in trace.events() {
-        match *e {
-            TraceEvent::Read { at, client, object } => {
+        match e.op() {
+            Op::Read { at, client, object } => {
                 w.write_all(&[TAG_READ])?;
                 w.write_all(&at.as_millis().to_le_bytes())?;
                 w.write_all(&client.raw().to_le_bytes())?;
                 w.write_all(&object.raw().to_le_bytes())?;
             }
-            TraceEvent::Write { at, object } => {
+            Op::Write { at, object } => {
                 w.write_all(&[TAG_WRITE])?;
                 w.write_all(&at.as_millis().to_le_bytes())?;
                 w.write_all(&object.raw().to_le_bytes())?;
@@ -124,7 +127,9 @@ fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
 /// # Errors
 ///
 /// [`TraceReadError::BadMagic`] for foreign files,
-/// [`TraceReadError::Corrupt`] for structural damage,
+/// [`TraceReadError::Corrupt`] for structural damage (an unknown tag, an
+/// object outside the universe or beyond `u32`, a read by the write
+/// marker `u32::MAX`; see [`TraceEvent`]),
 /// [`TraceReadError::Io`] (including unexpected EOF) otherwise.
 pub fn read_trace<R: Read>(r: &mut R) -> Result<Trace, TraceReadError> {
     let mut magic = [0u8; 8];
@@ -149,32 +154,37 @@ pub fn read_trace<R: Read>(r: &mut R) -> Result<Trace, TraceReadError> {
         builder.add_object(VolumeId(volume), size);
     }
     let n_events = read_u64(r)?;
-    let mut events = Vec::with_capacity(n_events.min(1 << 24) as usize);
+    // A corrupt header can claim any count: reserve what a small trace
+    // needs and let a longer one grow as its events arrive.
+    let mut events = Vec::with_capacity(n_events.min(RESERVE_EVENTS) as usize);
     for i in 0..n_events {
         let tag = read_u8(r)?;
         let at = Timestamp::from_millis(read_u64(r)?);
-        let event = match tag {
-            TAG_READ => TraceEvent::Read {
-                at,
-                client: ClientId(read_u32(r)?),
-                object: ObjectId(read_u64(r)?),
-            },
-            TAG_WRITE => TraceEvent::Write {
-                at,
-                object: ObjectId(read_u64(r)?),
-            },
+        let (client, object) = match tag {
+            TAG_READ => (Some(read_u32(r)?), read_u64(r)?),
+            TAG_WRITE => (None, read_u64(r)?),
             other => {
                 return Err(TraceReadError::Corrupt(format!(
                     "event {i} has unknown tag {other}"
                 )))
             }
         };
-        if event.object().raw() >= n_objects {
+        if object >= n_objects || u32::try_from(object).is_err() {
             return Err(TraceReadError::Corrupt(format!(
-                "event {i} references object {} of {n_objects}",
-                event.object()
+                "event {i} references object {object} of {n_objects}"
             )));
         }
+        let object = ObjectId(object);
+        let event = match client {
+            Some(u32::MAX) => {
+                return Err(TraceReadError::Corrupt(format!(
+                    "event {i} is a read by client {}, the write marker",
+                    u32::MAX
+                )))
+            }
+            Some(client) => TraceEvent::read(at, ClientId(client), object),
+            None => TraceEvent::write(at, object),
+        };
         events.push(event);
     }
     Ok(Trace::new(builder.build(), events))
@@ -243,5 +253,97 @@ mod tests {
         let back = read_trace(&mut buf.as_slice()).unwrap();
         assert_eq!(back.events().len(), 0);
         assert_eq!(back.universe().volume_count(), 1);
+    }
+
+    /// FNV-1a over `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn the_file_bytes_of_a_fixed_trace_do_not_move() {
+        let mut cfg = WorkloadConfig::smoke();
+        cfg.seed = 7;
+        let trace = TraceGenerator::new(cfg).generate();
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &trace).unwrap();
+        assert_eq!(trace.events().len(), 7_729);
+        assert_eq!(buf.len(), 168_917);
+        assert_eq!(fnv1a(&buf), 0x101d_76df_af24_0055);
+    }
+
+    /// One volume of `objects` objects.
+    fn universe(objects: u64) -> crate::Universe {
+        let mut b = UniverseBuilder::new();
+        let v = b.add_volume(ServerId(3));
+        for _ in 0..objects {
+            b.add_object(v, 100);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn the_largest_ids_roundtrip() {
+        let top = ObjectId(4);
+        let trace = Trace::new(
+            universe(5),
+            vec![
+                TraceEvent::read(Timestamp::from_millis(1), ClientId(u32::MAX - 1), top),
+                TraceEvent::write(Timestamp::from_millis(2), top),
+                TraceEvent::read(Timestamp::from_millis(3), ClientId(0), ObjectId(0)),
+            ],
+        );
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &trace).unwrap();
+        let back = read_trace(&mut buf.as_slice()).unwrap();
+        assert_eq!(back.events(), trace.events());
+        assert_eq!(back.events()[0].client(), Some(ClientId(u32::MAX - 1)));
+        assert_eq!(back.events()[1].client(), None);
+    }
+
+    /// A file of `universe(5)` whose header claims `n_events` and whose
+    /// body is `body`.
+    fn file(n_events: u64, body: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &Trace::new(universe(5), vec![])).unwrap();
+        buf.truncate(buf.len() - 8);
+        buf.extend_from_slice(&n_events.to_le_bytes());
+        buf.extend_from_slice(body);
+        buf
+    }
+
+    /// The bytes of one read event.
+    fn read_event(client: u32, object: u64) -> Vec<u8> {
+        let mut e = vec![TAG_READ];
+        e.extend_from_slice(&7u64.to_le_bytes());
+        e.extend_from_slice(&client.to_le_bytes());
+        e.extend_from_slice(&object.to_le_bytes());
+        e
+    }
+
+    #[test]
+    fn an_event_count_beyond_the_file_is_an_io_error() {
+        let buf = file(u64::MAX, &read_event(0, 1));
+        let err = read_trace(&mut buf.as_slice()).unwrap_err();
+        assert!(matches!(err, TraceReadError::Io(_)), "{err}");
+        let back = read_trace(&mut file(1, &read_event(0, 1)).as_slice()).unwrap();
+        assert_eq!(back.events().len(), 1);
+    }
+
+    #[test]
+    fn a_read_by_the_write_marker_is_corrupt() {
+        let buf = file(1, &read_event(u32::MAX, 1));
+        let err = read_trace(&mut buf.as_slice()).unwrap_err();
+        assert!(matches!(err, TraceReadError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("write marker"), "{err}");
+    }
+
+    #[test]
+    fn an_object_id_beyond_u32_is_corrupt() {
+        let buf = file(1, &read_event(0, u64::from(u32::MAX) + 1));
+        let err = read_trace(&mut buf.as_slice()).unwrap_err();
+        assert!(matches!(err, TraceReadError::Corrupt(_)), "{err}");
     }
 }

@@ -48,6 +48,6 @@ mod universe;
 mod writes;
 
 pub use generator::{TraceGenerator, WorkloadConfig, WorkloadPreset};
-pub use trace::{Trace, TraceEvent};
+pub use trace::{Op, Trace, TraceEvent};
 pub use universe::{ObjectMeta, Universe, UniverseBuilder, VolumeMeta};
 pub use writes::{MutabilityClass, WriteModel, WriteModelConfig};

@@ -3,9 +3,40 @@
 use crate::Universe;
 use vl_types::{ClientId, Duration, ObjectId, ServerId, Timestamp};
 
+/// The raw client id that marks a write in [`TraceEvent`]'s layout.
+const WRITE: u32 = u32::MAX;
+
 /// One trace record: a client read or a server-side write.
+///
+/// Sixteen bytes, `Copy`: the time, the object's id and the reading
+/// client's id, each at its width in the trace. A client id of
+/// `u32::MAX` marks a write, so no read may come from `ClientId(u32::MAX)`,
+/// and object ids must fit in `u32` (the paper's universe has 68 665).
+/// [`TraceEvent::op`] gives the record as an enum for `match` sites.
+///
+/// # Examples
+///
+/// ```
+/// use vl_workload::{Op, TraceEvent};
+/// use vl_types::{ClientId, ObjectId, Timestamp};
+///
+/// let at = Timestamp::from_secs(3);
+/// let read = TraceEvent::read(at, ClientId(4), ObjectId(9));
+/// assert_eq!(read.op(), Op::Read { at, client: ClientId(4), object: ObjectId(9) });
+/// assert_eq!(TraceEvent::write(at, ObjectId(9)).client(), None);
+/// assert_eq!(std::mem::size_of::<TraceEvent>(), 16);
+/// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
+pub struct TraceEvent {
+    at: Timestamp,
+    object: u32,
+    /// The reading client's raw id, or [`WRITE`].
+    client: u32,
+}
+
+/// A [`TraceEvent`] as an enum, for `match` sites.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Op {
     /// `client` reads `object` at `at`.
     Read {
         /// Event time.
@@ -24,24 +55,75 @@ pub enum TraceEvent {
     },
 }
 
+fn raw_object(object: ObjectId) -> u32 {
+    u32::try_from(object.raw())
+        .unwrap_or_else(|_| panic!("trace event references {object}, beyond the u32 id range"))
+}
+
 impl TraceEvent {
-    /// The event's time.
-    pub fn at(&self) -> Timestamp {
-        match *self {
-            TraceEvent::Read { at, .. } | TraceEvent::Write { at, .. } => at,
+    /// `client` reads `object` at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `client` is `ClientId(u32::MAX)`, the write marker, or
+    /// `object`'s id does not fit in `u32`.
+    pub fn read(at: Timestamp, client: ClientId, object: ObjectId) -> TraceEvent {
+        assert!(
+            client.raw() != WRITE,
+            "trace event read by {client}, the write marker"
+        );
+        TraceEvent {
+            at,
+            object: raw_object(object),
+            client: client.raw(),
         }
+    }
+
+    /// The origin server modifies `object` at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `object`'s id does not fit in `u32`.
+    pub fn write(at: Timestamp, object: ObjectId) -> TraceEvent {
+        TraceEvent {
+            at,
+            object: raw_object(object),
+            client: WRITE,
+        }
+    }
+
+    /// The event as an enum.
+    #[inline]
+    pub fn op(&self) -> Op {
+        let (at, object) = (self.at, self.object());
+        match self.client() {
+            Some(client) => Op::Read { at, client, object },
+            None => Op::Write { at, object },
+        }
+    }
+
+    /// The event's time.
+    #[inline]
+    pub fn at(&self) -> Timestamp {
+        self.at
     }
 
     /// The object touched by the event.
+    #[inline]
     pub fn object(&self) -> ObjectId {
-        match *self {
-            TraceEvent::Read { object, .. } | TraceEvent::Write { object, .. } => object,
-        }
+        ObjectId(u64::from(self.object))
+    }
+
+    /// The reading client, or `None` for a write.
+    #[inline]
+    pub fn client(&self) -> Option<ClientId> {
+        (self.client != WRITE).then_some(ClientId(self.client))
     }
 
     /// Returns `true` for read events.
+    #[inline]
     pub fn is_read(&self) -> bool {
-        matches!(self, TraceEvent::Read { .. })
+        self.client != WRITE
     }
 }
 
@@ -49,6 +131,8 @@ impl TraceEvent {
 ///
 /// Construction sorts events (stably, so same-instant ordering is the
 /// producer's ordering) and validates that every referenced object exists.
+/// The events sit in one vector of 16-byte [`TraceEvent`]s, which the
+/// simulator reads in place.
 ///
 /// # Examples
 ///
@@ -62,8 +146,8 @@ impl TraceEvent {
 /// let trace = Trace::new(
 ///     b.build(),
 ///     vec![
-///         TraceEvent::Write { at: Timestamp::from_secs(5), object: o },
-///         TraceEvent::Read { at: Timestamp::from_secs(1), client: ClientId(0), object: o },
+///         TraceEvent::write(Timestamp::from_secs(5), o),
+///         TraceEvent::read(Timestamp::from_secs(1), ClientId(0), o),
 ///     ],
 /// );
 /// assert!(trace.events()[0].is_read()); // sorted by time
@@ -82,7 +166,9 @@ impl Trace {
     ///
     /// # Panics
     ///
-    /// Panics if an event references an object outside `universe`.
+    /// Panics if an event references an object outside `universe`. (An
+    /// object id beyond `u32` or a read by `ClientId(u32::MAX)` cannot
+    /// be built: [`TraceEvent::read`] and [`TraceEvent::write`] panic.)
     pub fn new(universe: Universe, mut events: Vec<TraceEvent>) -> Trace {
         for e in &events {
             assert!(
@@ -212,20 +298,9 @@ mod tests {
         let t = Trace::new(
             u,
             vec![
-                TraceEvent::Write {
-                    at: Timestamp::from_secs(9),
-                    object: o[0],
-                },
-                TraceEvent::Read {
-                    at: Timestamp::from_secs(1),
-                    client: ClientId(0),
-                    object: o[1],
-                },
-                TraceEvent::Read {
-                    at: Timestamp::from_secs(4),
-                    client: ClientId(1),
-                    object: o[2],
-                },
+                TraceEvent::write(Timestamp::from_secs(9), o[0]),
+                TraceEvent::read(Timestamp::from_secs(1), ClientId(0), o[1]),
+                TraceEvent::read(Timestamp::from_secs(4), ClientId(1), o[2]),
             ],
         );
         assert_eq!(t.read_count(), 2);
@@ -239,11 +314,7 @@ mod tests {
     #[test]
     fn popularity_ranking() {
         let (u, o) = tiny_universe();
-        let mk_read = |s, obj| TraceEvent::Read {
-            at: Timestamp::from_secs(s),
-            client: ClientId(0),
-            object: obj,
-        };
+        let mk_read = |s, obj| TraceEvent::read(Timestamp::from_secs(s), ClientId(0), obj);
         let t = Trace::new(
             u,
             vec![mk_read(1, o[2]), mk_read(2, o[2]), mk_read(3, o[0])],
@@ -260,13 +331,39 @@ mod tests {
     #[should_panic(expected = "unknown")]
     fn rejects_unknown_objects() {
         let (u, _) = tiny_universe();
-        Trace::new(
-            u,
-            vec![TraceEvent::Write {
-                at: Timestamp::ZERO,
-                object: ObjectId(99),
-            }],
+        Trace::new(u, vec![TraceEvent::write(Timestamp::ZERO, ObjectId(99))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the u32 id range")]
+    fn rejects_object_ids_beyond_u32() {
+        TraceEvent::write(Timestamp::ZERO, ObjectId(u64::from(u32::MAX) + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "the write marker")]
+    fn rejects_reads_by_the_write_marker() {
+        TraceEvent::read(Timestamp::ZERO, ClientId(u32::MAX), ObjectId(0));
+    }
+
+    #[test]
+    fn the_largest_ids_keep_their_kind() {
+        let at = Timestamp::from_millis(u64::MAX);
+        let top = ObjectId(u64::from(u32::MAX));
+        let read = TraceEvent::read(at, ClientId(u32::MAX - 1), top);
+        assert_eq!(
+            read.op(),
+            Op::Read {
+                at,
+                client: ClientId(u32::MAX - 1),
+                object: top
+            }
         );
+        assert_eq!(
+            TraceEvent::write(at, top).op(),
+            Op::Write { at, object: top }
+        );
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 16);
     }
 
     #[test]

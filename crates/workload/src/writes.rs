@@ -187,10 +187,7 @@ impl WriteModel {
             let count = poisson(rng, rate * days);
             for _ in 0..count {
                 let at = Timestamp::from_millis(rng.gen_range(0..span_ms.max(1)));
-                events.push(TraceEvent::Write {
-                    at,
-                    object: meta.id,
-                });
+                events.push(TraceEvent::write(at, meta.id));
                 if let Some(mean) = self.config.burst_mean {
                     let k = exponential(rng, mean).round() as usize;
                     let mates = &universe.volume(meta.volume).objects;
@@ -198,7 +195,7 @@ impl WriteModel {
                         for _ in 0..k {
                             let other = mates[rng.gen_range(0..mates.len())];
                             if other != meta.id {
-                                events.push(TraceEvent::Write { at, object: other });
+                                events.push(TraceEvent::write(at, other));
                             }
                         }
                     }

@@ -25,13 +25,9 @@ fn arb_trace(rng: &mut StdRng) -> RandomTrace {
             let at = Timestamp::from_millis(rng.gen_range(0u64..50_000) * 100);
             let object = ObjectId(rng.gen_range(0..n_objects));
             if rng.gen_bool(0.5) {
-                TraceEvent::Read {
-                    at,
-                    client: ClientId(rng.gen_range(0u32..4)),
-                    object,
-                }
+                TraceEvent::read(at, ClientId(rng.gen_range(0u32..4)), object)
             } else {
-                TraceEvent::Write { at, object }
+                TraceEvent::write(at, object)
             }
         })
         .collect();
