@@ -105,7 +105,7 @@ impl<'a> Ctx<'a> {
 
     /// Payload size of `object`, for data-carrying replies.
     pub fn payload(&self, object: ObjectId) -> u64 {
-        self.universe.object(object).size_bytes
+        self.universe.size_of(object)
     }
 
     /// Records a completed client read (staleness counter plus, when a

@@ -43,29 +43,33 @@ const LOOKAHEAD: usize = 8;
 /// window: per-object bookkeeping lives in arrays indexed by dense
 /// object id, so the upcoming event names exactly which lines the
 /// handler will miss on, and warming them hides most of the random
-/// DRAM latency that otherwise dominates the simulation.
-fn drive<P: Protocol>(
-    protocol: &mut P,
-    trace: &Trace,
-    versions: &mut [Version],
-    metrics: &mut Metrics,
-) {
+/// DRAM latency that otherwise dominates the simulation. The engine
+/// warms what it owns or every protocol reads — the object's version
+/// and its universe record (volume and size) — and
+/// [`Protocol::warm`] the protocol's own tables.
+fn drive<P: Protocol>(protocol: &mut P, trace: &Trace, metrics: &mut Metrics) {
     let universe = trace.universe();
     let events = trace.events();
+    // Allocated after the protocol's tables, so a cell asks for its
+    // largest block first and finds the hole the last cell's left.
+    // Allocated first, this array can land in that hole and push the
+    // table onto fresh pages (DESIGN.md §6, allocation order).
+    let mut versions = vec![Version::FIRST; universe.object_count()];
     for (i, event) in events.iter().enumerate() {
         if let Some(ahead) = events.get(i + LOOKAHEAD) {
             let object = ahead.object();
             crate::mem::prefetch(&versions[object.raw() as usize]);
+            crate::mem::prefetch(universe.record(object));
             protocol.warm(ahead.client(), object);
         }
         match event.op() {
             Op::Read { at, client, object } => {
-                with_ctx(universe, versions, metrics, |ctx| {
+                with_ctx(universe, &versions, metrics, |ctx| {
                     protocol.on_read(at, client, object, ctx)
                 });
             }
             Op::Write { at, object } => {
-                with_ctx(universe, versions, metrics, |ctx| {
+                with_ctx(universe, &versions, metrics, |ctx| {
                     protocol.on_write(at, object, ctx)
                 });
                 let slot = &mut versions[object.raw() as usize];
@@ -74,7 +78,7 @@ fn drive<P: Protocol>(
         }
     }
     let end = trace.end_time();
-    with_ctx(universe, versions, metrics, |ctx| {
+    with_ctx(universe, &versions, metrics, |ctx| {
         protocol.finalize(end, ctx)
     });
 }
@@ -147,43 +151,30 @@ impl SimulationBuilder {
         let mut metrics = if self.track_load.is_empty() {
             Metrics::new()
         } else {
-            Metrics::with_load_tracking(self.track_load.iter().copied())
+            Metrics::with_load_tracking(self.track_load.iter().copied(), trace.end_time())
         };
         if let Some(sink) = sink {
             metrics.set_sink(sink);
             metrics.begin_run(&self.kind.to_string());
         }
-        let mut versions: Vec<Version> = vec![Version::FIRST; universe.object_count()];
 
         let started = Instant::now();
         // One monomorphized loop per algorithm: handler calls inline into
         // the loop instead of going through a vtable on every event.
         match self.kind {
-            ProtocolKind::PollEachRead => {
-                drive(&mut PollEachRead::new(), trace, &mut versions, &mut metrics)
+            ProtocolKind::PollEachRead => drive(&mut PollEachRead::new(), trace, &mut metrics),
+            ProtocolKind::Poll { timeout } => {
+                drive(&mut Poll::new(timeout, universe), trace, &mut metrics)
             }
-            ProtocolKind::Poll { timeout } => drive(
-                &mut Poll::new(timeout, universe),
-                trace,
-                &mut versions,
-                &mut metrics,
-            ),
-            ProtocolKind::Callback => drive(
-                &mut Callback::new(universe),
-                trace,
-                &mut versions,
-                &mut metrics,
-            ),
+            ProtocolKind::Callback => drive(&mut Callback::new(universe), trace, &mut metrics),
             ProtocolKind::Lease { timeout } => drive(
                 &mut ObjectLease::new(timeout, universe),
                 trace,
-                &mut versions,
                 &mut metrics,
             ),
             ProtocolKind::WaitingLease { timeout } => drive(
                 &mut ObjectLease::new_waiting(timeout, universe),
                 trace,
-                &mut versions,
                 &mut metrics,
             ),
             ProtocolKind::VolumeLease {
@@ -192,7 +183,6 @@ impl SimulationBuilder {
             } => drive(
                 &mut VolumeLease::new(volume_timeout, object_timeout, universe),
                 trace,
-                &mut versions,
                 &mut metrics,
             ),
             ProtocolKind::DelayedInvalidation {
@@ -207,7 +197,6 @@ impl SimulationBuilder {
                     universe,
                 ),
                 trace,
-                &mut versions,
                 &mut metrics,
             ),
             ProtocolKind::SelfInval {
@@ -216,7 +205,6 @@ impl SimulationBuilder {
             } => drive(
                 &mut ObjectLease::new_self_inval(timeout, skew_bound, universe),
                 trace,
-                &mut versions,
                 &mut metrics,
             ),
         }

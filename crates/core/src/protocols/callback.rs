@@ -32,7 +32,6 @@ impl Callback {
         Callback {
             callbacks: universe
                 .objects()
-                .iter()
                 .map(|o| LeaseTrack::new_in(o.server, o.volume))
                 .collect(),
             caches: ClientCaches::new(),
@@ -44,7 +43,7 @@ impl Callback {
 impl Protocol for Callback {
     #[inline]
     fn warm(&self, client: Option<ClientId>, object: ObjectId) {
-        crate::mem::prefetch(&self.callbacks[object.raw() as usize]);
+        crate::mem::prefetch_all(&self.callbacks[object.raw() as usize]);
         if let Some(client) = client {
             self.caches.warm(client, object);
         }

@@ -126,7 +126,6 @@ impl DelayedInvalidation {
             inactive_discard,
             obj_leases: universe
                 .objects()
-                .iter()
                 .map(|o| LeaseTrack::new_in(o.server, o.volume))
                 .collect(),
             vol_leases: VolumeLeaseTable::new(
@@ -335,7 +334,7 @@ impl DelayedInvalidation {
 impl Protocol for DelayedInvalidation {
     #[inline]
     fn warm(&self, client: Option<ClientId>, object: ObjectId) {
-        crate::mem::prefetch(&self.obj_leases[object.raw() as usize]);
+        crate::mem::prefetch_all(&self.obj_leases[object.raw() as usize]);
         if let Some(client) = client {
             self.caches.warm(client, object);
         }

@@ -53,7 +53,6 @@ impl ObjectLease {
             wait_out: None,
             leases: universe
                 .objects()
-                .iter()
                 .map(|o| LeaseTrack::new_in(o.server, o.volume))
                 .collect(),
             caches: ClientCaches::new(),
@@ -109,7 +108,7 @@ impl ObjectLease {
 impl Protocol for ObjectLease {
     #[inline]
     fn warm(&self, client: Option<ClientId>, object: ObjectId) {
-        crate::mem::prefetch(&self.leases[object.raw() as usize]);
+        crate::mem::prefetch_all(&self.leases[object.raw() as usize]);
         if let Some(client) = client {
             self.caches.warm(client, object);
         }

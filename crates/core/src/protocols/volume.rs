@@ -43,7 +43,6 @@ impl VolumeLease {
             object_timeout,
             obj_leases: universe
                 .objects()
-                .iter()
                 .map(|o| LeaseTrack::new_in(o.server, o.volume))
                 .collect(),
             vol_leases: VolumeLeaseTable::new(
@@ -96,7 +95,7 @@ impl VolumeLease {
 impl Protocol for VolumeLease {
     #[inline]
     fn warm(&self, client: Option<ClientId>, object: ObjectId) {
-        crate::mem::prefetch(&self.obj_leases[object.raw() as usize]);
+        crate::mem::prefetch_all(&self.obj_leases[object.raw() as usize]);
         if let Some(client) = client {
             self.caches.warm(client, object);
         }

@@ -21,8 +21,9 @@ const EMPTY_RECORD: Record = Record {
 /// the small buffer; only then do they spill to a heap vector. Simulated
 /// universes have tens of thousands of objects but each object rarely has
 /// more than a couple of concurrent holders, so the common case touches
-/// exactly one cache line (the whole track is 64 bytes) — no pointer
-/// chase, no per-track allocation.
+/// only the 64-byte track itself — no pointer chase, no per-track
+/// allocation. The track array is not line-aligned, so most tracks span
+/// two lines, and the protocols' `warm` prefetches both.
 const INLINE_RECORDS: usize = 2;
 
 #[derive(Clone, Debug)]

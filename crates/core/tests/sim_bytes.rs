@@ -3,7 +3,8 @@
 //! Every figure replays a trace through one protocol's server and client
 //! state (§4.1); the heap the replay needs is the trace's events plus the
 //! protocol's tables. This binary counts it: the bytes a generated trace
-//! keeps per event, the peak of a `Delay(t_v, t, ∞)` run next to a
+//! keeps per event and its universe per object, the peak of a
+//! `Delay(t_v, t, ∞)` run next to a
 //! `Volume(t_v, t)` run on the same trace, and what a cache slot costs
 //! when no protocol reads its validation stamp. It holds one test, so
 //! nothing else allocates beside it.
@@ -12,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
 use vl_core::{ClientCaches, ProtocolKind, SimulationBuilder};
 use vl_types::{ClientId, Duration, Version};
-use vl_workload::{Op, Trace, TraceEvent, TraceGenerator, WorkloadConfig};
+use vl_workload::{ObjectRecord, Op, Trace, TraceEvent, TraceGenerator, WorkloadConfig};
 
 /// The system allocator, counting the bytes it has handed out and not
 /// been given back, and the most that ever were at once.
@@ -68,7 +69,12 @@ fn peak_above<R>(f: impl FnOnce() -> R) -> (R, i64) {
 /// Heap a generated smoke trace keeps per event, its universe's share
 /// included: the 16-byte event and the vector's slack. A vector that
 /// regrew past its events would read 30 or more.
-const TRACE_BOUND: f64 = 23.0;
+const TRACE_BOUND: f64 = 19.1;
+/// Heap the smoke universe keeps per object, volume lists included: the
+/// 8-byte record, the 8-byte id in its volume's list, and the volume
+/// table's share. A builder that kept its doubling slack would read up
+/// to twice that; a stored 24-byte `ObjectMeta` would add 16.
+const UNIVERSE_BOUND: f64 = 17.9;
 /// How far above `Volume(10 s, t)`'s peak heap `Delay(10 s, t, ∞)`'s may
 /// go on the same trace, at `t = 10⁵ s`.
 const DELAY_OVER_VOLUME_BOUND: f64 = 0.10;
@@ -86,6 +92,18 @@ fn trace_bytes_per_event() -> f64 {
     let trace = smoke();
     let kept = live_bytes() - before;
     kept as f64 / trace.events().len() as f64
+}
+
+/// Heap per object of the smoke trace's universe, rebuilt through the
+/// builder as the generator built it (one volume per server, objects in
+/// id order).
+fn universe_bytes_per_object(trace: &Trace) -> f64 {
+    let universe = trace.universe();
+    let before = live_bytes();
+    let rebuilt = universe.reshard(1);
+    let kept = live_bytes() - before;
+    assert_eq!(&rebuilt, universe);
+    kept as f64 / universe.object_count() as f64
 }
 
 /// `Delay(10 s, t, ∞)`'s peak heap over `Volume(10 s, t)`'s, less one.
@@ -136,18 +154,25 @@ fn lease_cache_bytes_per_slot(trace: &Trace) -> f64 {
 #[test]
 fn the_simulator_keeps_only_what_it_reads() {
     assert_eq!(std::mem::size_of::<TraceEvent>(), 16);
+    assert_eq!(std::mem::size_of::<ObjectRecord>(), 8);
     let per_event = trace_bytes_per_event();
     let trace = smoke();
+    let per_object = universe_bytes_per_object(&trace);
     let delay_over = delay_over_volume(&trace);
     let per_slot = lease_cache_bytes_per_slot(&trace);
     println!(
-        "trace: {per_event:.1} B per event; Delay(∞) peak {:+.1} % of Volume's; \
+        "trace: {per_event:.2} B per event, universe {per_object:.2} B per object; \
+         Delay(∞) peak {:+.1} % of Volume's; \
          Lease cache: {per_slot:.2} B per slot",
         delay_over * 100.0
     );
     assert!(
         per_event <= TRACE_BOUND,
         "a generated trace keeps {per_event:.1} B per event (bound {TRACE_BOUND})"
+    );
+    assert!(
+        per_object <= UNIVERSE_BOUND,
+        "a generated universe keeps {per_object:.2} B per object (bound {UNIVERSE_BOUND})"
     );
     assert!(
         delay_over <= DELAY_OVER_VOLUME_BOUND,

@@ -126,10 +126,16 @@ impl Metrics {
     }
 
     /// Creates a sink that additionally records per-second message counts
-    /// for `servers` (Figures 8–9 need this only for the busiest server).
-    pub fn with_load_tracking(servers: impl IntoIterator<Item = ServerId>) -> Metrics {
+    /// for `servers` (Figures 8–9 need this only for the busiest server),
+    /// sized for a run that ends at `end`.
+    pub fn with_load_tracking(
+        servers: impl IntoIterator<Item = ServerId>,
+        end: Timestamp,
+    ) -> Metrics {
+        let mut load = LoadTracker::tracking(servers);
+        load.reserve_until(end);
         Metrics {
-            load: LoadTracker::tracking(servers),
+            load,
             ..Metrics::default()
         }
     }

@@ -10,17 +10,21 @@ use vl_types::{ServerId, Timestamp};
 /// the harness discovers with a first (untracked) pass and then re-runs —
 /// simulations are deterministic, so the two passes see identical traffic.
 ///
-/// Counts are kept densely, one slot per elapsed second per tracked
-/// server: the key space is bounded by the trace span (a few hundred
-/// thousand seconds for the multi-day paper traces), so a flat `Vec`
-/// beats a per-second tree on the message hot path.
+/// Counts are kept densely, one 4-byte slot per elapsed second per
+/// tracked server, so a flat `Vec` beats a per-second tree on the message
+/// hot path. The key space is the trace span: 10.4 M seconds for the
+/// paper's 120 days, 41.5 MB per tracked server. [`reserve_until`]
+/// allocates exactly that once, zeroed, so the pages of seconds no
+/// message reaches are never touched.
+///
+/// [`reserve_until`]: LoadTracker::reserve_until
 #[derive(Clone, Debug, Default)]
 pub struct LoadTracker {
     /// Tracked servers, sorted ascending; `counts` is parallel to it.
     tracked: Vec<ServerId>,
     /// Per tracked server: message count per 1-second slot, grown on
     /// demand to the highest touched second.
-    counts: Vec<Vec<u64>>,
+    counts: Vec<Vec<u32>>,
 }
 
 impl LoadTracker {
@@ -31,6 +35,17 @@ impl LoadTracker {
         tracked.dedup();
         let counts = vec![Vec::new(); tracked.len()];
         LoadTracker { tracked, counts }
+    }
+
+    /// Sizes every tracked server's slots for messages up to `end`, in
+    /// one allocation each; a message after `end` still grows them.
+    pub fn reserve_until(&mut self, end: Timestamp) {
+        let len = end.as_secs() as usize + 1;
+        for slots in &mut self.counts {
+            if slots.is_empty() {
+                *slots = vec![0; len];
+            }
+        }
     }
 
     fn index_of(&self, server: ServerId) -> Option<usize> {
@@ -55,7 +70,10 @@ impl LoadTracker {
             if slots.len() <= sec {
                 slots.resize(sec + 1, 0);
             }
-            slots[sec] += n;
+            // Four billion messages a second are out of reach; saturate
+            // rather than wrap if a caller gets there.
+            let n = u32::try_from(n).unwrap_or(u32::MAX);
+            slots[sec] = slots[sec].saturating_add(n);
         }
     }
 
@@ -64,7 +82,11 @@ impl LoadTracker {
         let i = self.index_of(server)?;
         // Idle seconds are not part of the histogram (they were never
         // stored in the sparse representation either).
-        let mut sorted: Vec<u64> = self.counts[i].iter().copied().filter(|&c| c > 0).collect();
+        let mut sorted: Vec<u64> = self.counts[i]
+            .iter()
+            .filter(|&&c| c > 0)
+            .map(|&c| u64::from(c))
+            .collect();
         sorted.sort_unstable();
         Some(LoadHistogram { sorted })
     }
@@ -172,6 +194,35 @@ mod tests {
         assert_eq!(h.periods_with_load_at_least(1), 8);
         assert_eq!(h.periods_with_load_at_least(9), 1);
         assert_eq!(h.peak(), 9);
+    }
+
+    #[test]
+    fn a_paper_length_span_keeps_four_bytes_per_second() {
+        let span = Timestamp::from_secs(120 * 86_400);
+        let mut t = LoadTracker::tracking([ServerId(0), ServerId(5)]);
+        t.reserve_until(span);
+        // A message every hour of the span, and the last second.
+        for hour in 0..120 * 24 {
+            t.record_n(ServerId(5), Timestamp::from_secs(hour * 3600), 2);
+        }
+        t.record(ServerId(5), span);
+        let seconds = span.as_secs() as usize + 1;
+        for slots in &t.counts {
+            let bytes = slots.capacity() * std::mem::size_of_val(&slots[0]);
+            assert!(bytes <= 4 * seconds, "{bytes} B for {seconds} s");
+        }
+        let h = t.histogram(ServerId(5)).unwrap();
+        assert_eq!((h.busy_periods(), h.peak()), (120 * 24 + 1, 2));
+    }
+
+    #[test]
+    fn a_message_past_the_reserved_span_still_counts() {
+        let mut t = LoadTracker::tracking([ServerId(0)]);
+        t.reserve_until(Timestamp::from_secs(9));
+        t.record_n(ServerId(0), Timestamp::from_secs(30), u64::MAX);
+        t.record(ServerId(0), Timestamp::from_secs(30));
+        let h = t.histogram(ServerId(0)).unwrap();
+        assert_eq!((h.busy_periods(), h.peak()), (1, u64::from(u32::MAX)));
     }
 
     #[test]

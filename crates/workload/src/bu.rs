@@ -77,7 +77,8 @@ impl From<io::Error> for BuParseError {
 /// Parses BU-format records from `reader`.
 ///
 /// Timestamps are re-based so the earliest record is at time zero. Object
-/// sizes are taken from the size field when present (last seen wins).
+/// sizes are taken from the size field when present (last seen wins); a
+/// size that does not parse, or exceeds `u32::MAX`, counts as absent.
 ///
 /// # Errors
 ///
@@ -112,7 +113,7 @@ pub fn parse_reader<R: BufRead>(reader: R) -> Result<BuParseResult, BuParseError
     let mut urls: Vec<String> = Vec::new();
     let mut url_ids: HashMap<String, ObjectId> = HashMap::new();
     let mut url_volume: Vec<VolumeId> = Vec::new();
-    let mut url_size: Vec<u64> = Vec::new();
+    let mut url_size: Vec<u32> = Vec::new();
 
     let mut records: Vec<Rec> = Vec::new();
     let mut skipped = 0u64;
@@ -163,7 +164,7 @@ pub fn parse_reader<R: BufRead>(reader: R) -> Result<BuParseResult, BuParseError
 
     // Materialize objects in id order (volume membership known only now).
     for (i, &vol) in url_volume.iter().enumerate() {
-        let id = builder.add_object(vol, url_size[i]);
+        let id = builder.add_object(vol, u64::from(url_size[i]));
         debug_assert_eq!(id.raw(), i as u64);
     }
 
@@ -189,7 +190,7 @@ pub fn parse_reader<R: BufRead>(reader: R) -> Result<BuParseResult, BuParseError
 }
 
 /// Splits one record into `(machine, timestamp, url, size)`.
-fn parse_line(line: &str) -> Option<(&str, f64, &str, u64)> {
+fn parse_line(line: &str) -> Option<(&str, f64, &str, u32)> {
     let mut it = line.split_whitespace();
     let machine = it.next()?;
     let ts: f64 = it.next()?.parse().ok()?;
@@ -209,7 +210,9 @@ fn parse_line(line: &str) -> Option<(&str, f64, &str, u64)> {
     if url.is_empty() {
         return None;
     }
-    let size = it.next().and_then(|s| s.parse::<u64>().ok()).unwrap_or(0);
+    // A size a universe cannot store (beyond `u32`) counts as unknown,
+    // like one that does not parse.
+    let size = it.next().and_then(|s| s.parse::<u32>().ok()).unwrap_or(0);
     Some((machine, ts, url, size))
 }
 
@@ -280,6 +283,23 @@ cs22 791131230.500000 401 "http://cs-www.bu.edu/lib/pics/bu-logo.gif" 1804 0.03
         let r = parse_reader(SAMPLE.as_bytes()).unwrap();
         let logo = r.trace.events()[0].object();
         assert_eq!(r.trace.universe().object(logo).size_bytes, 1804);
+    }
+
+    #[test]
+    fn a_size_beyond_u32_counts_as_absent_like_an_unparseable_one() {
+        let log = "m1 10.0 7 http://x.org/a 512\n\
+                   m1 11.0 7 http://x.org/a 4294967296\n\
+                   m1 12.0 7 http://x.org/a 12x\n\
+                   m1 13.0 7 http://x.org/b 99999999999999999999999\n";
+        let r = parse_reader(log.as_bytes()).unwrap();
+        assert_eq!((r.trace.read_count(), r.skipped_lines), (4, 0));
+        let u = r.trace.universe();
+        // The known size stands; an object never given one gets 1 byte.
+        assert_eq!(u.size_of(ObjectId(0)), 512);
+        assert_eq!(u.size_of(ObjectId(1)), 1);
+        let top = format!("m1 14.0 7 http://x.org/a {}\n", u32::MAX);
+        let r = parse_reader(top.as_bytes()).unwrap();
+        assert_eq!(r.trace.universe().size_of(ObjectId(0)), u64::from(u32::MAX));
     }
 
     #[test]

@@ -128,8 +128,9 @@ fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
 ///
 /// [`TraceReadError::BadMagic`] for foreign files,
 /// [`TraceReadError::Corrupt`] for structural damage (an unknown tag, an
-/// object outside the universe or beyond `u32`, a read by the write
-/// marker `u32::MAX`; see [`TraceEvent`]),
+/// object outside the universe or beyond `u32`, an object size beyond
+/// `u32` (the file stores a `u64`, a [`Universe`](crate::Universe) 4
+/// bytes), a read by the write marker `u32::MAX`; see [`TraceEvent`]),
 /// [`TraceReadError::Io`] (including unexpected EOF) otherwise.
 pub fn read_trace<R: Read>(r: &mut R) -> Result<Trace, TraceReadError> {
     let mut magic = [0u8; 8];
@@ -151,6 +152,11 @@ pub fn read_trace<R: Read>(r: &mut R) -> Result<Trace, TraceReadError> {
             )));
         }
         let size = read_u64(r)?;
+        if u32::try_from(size).is_err() {
+            return Err(TraceReadError::Corrupt(format!(
+                "object {i} has size {size}, beyond u32"
+            )));
+        }
         builder.add_object(VolumeId(volume), size);
     }
     let n_events = read_u64(r)?;
@@ -312,6 +318,26 @@ mod tests {
         buf.extend_from_slice(&n_events.to_le_bytes());
         buf.extend_from_slice(body);
         buf
+    }
+
+    #[test]
+    fn an_object_size_beyond_u32_is_corrupt() {
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &Trace::new(universe(5), vec![])).unwrap();
+        // Object 2's size: past the magic, the volume table (count and
+        // one server) and the object count, 12 bytes per object.
+        let at = 8 + 4 + 4 + 8 + 12 * 2 + 4;
+        let fits = u64::from(u32::MAX).to_le_bytes();
+        buf[at..at + 8].copy_from_slice(&fits);
+        let back = read_trace(&mut buf.as_slice()).unwrap();
+        assert_eq!(back.universe().size_of(ObjectId(2)), u64::from(u32::MAX));
+
+        buf[at..at + 8].copy_from_slice(&(u64::from(u32::MAX) + 1).to_le_bytes());
+        let err = read_trace(&mut buf.as_slice()).unwrap_err();
+        assert!(
+            matches!(&err, TraceReadError::Corrupt(m) if m.contains("object 2")),
+            "{err}"
+        );
     }
 
     /// The bytes of one read event.

@@ -49,5 +49,5 @@ mod writes;
 
 pub use generator::{TraceGenerator, WorkloadConfig, WorkloadPreset};
 pub use trace::{Op, Trace, TraceEvent};
-pub use universe::{ObjectMeta, Universe, UniverseBuilder, VolumeMeta};
+pub use universe::{ObjectMeta, ObjectRecord, Universe, UniverseBuilder, VolumeMeta};
 pub use writes::{MutabilityClass, WriteModel, WriteModelConfig};

@@ -2,10 +2,15 @@
 
 use vl_types::{ObjectId, ServerId, VolumeId};
 
-/// Immutable description of one object: where it lives and how big it is.
+/// One object as [`Universe::object`] describes it: where it lives and
+/// how big it is.
+///
+/// A view, not what the universe stores: each object's
+/// [`ObjectRecord`] holds only its volume and size, `id` is the record's
+/// index, and `server` is read from the volume table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObjectMeta {
-    /// The object's identifier; equal to its index in [`Universe::objects`].
+    /// The object's identifier; its index in the universe.
     pub id: ObjectId,
     /// The volume the object belongs to.
     pub volume: VolumeId,
@@ -13,6 +18,17 @@ pub struct ObjectMeta {
     pub server: ServerId,
     /// Payload size in bytes (used for byte-traffic accounting).
     pub size_bytes: u64,
+}
+
+/// What a [`Universe`] stores per object, 8 bytes: the simulator reads
+/// one on every event, so the whole table is one dense array that the
+/// engine prefetches into ([`Universe::record`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ObjectRecord {
+    /// The volume the object belongs to.
+    pub volume: VolumeId,
+    /// Payload size in bytes.
+    pub size: u32,
 }
 
 /// Immutable description of one volume.
@@ -32,6 +48,12 @@ pub struct VolumeMeta {
 /// servers. Identifiers are dense indices, so lookups are O(1) vector
 /// accesses on the simulation hot path.
 ///
+/// Each object costs one 8-byte [`ObjectRecord`] (its volume and size)
+/// plus its 8-byte id in its volume's object list; a server is a
+/// property of the volume, so [`server_of`](Universe::server_of) reads
+/// the record, then the volume table. [`build`](UniverseBuilder::build)
+/// trims every array to its length.
+///
 /// # Examples
 ///
 /// ```
@@ -43,11 +65,12 @@ pub struct VolumeMeta {
 /// let o = b.add_object(v, 1024);
 /// let universe = b.build();
 /// assert_eq!(universe.object(o).volume, v);
+/// assert_eq!(universe.size_of(o), 1024);
 /// assert_eq!(universe.volume(v).objects, vec![o]);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Universe {
-    objects: Vec<ObjectMeta>,
+    objects: Vec<ObjectRecord>,
     volumes: Vec<VolumeMeta>,
     server_count: u32,
 }
@@ -58,7 +81,26 @@ impl Universe {
     /// # Panics
     ///
     /// Panics if `id` is out of range for this universe.
-    pub fn object(&self, id: ObjectId) -> &ObjectMeta {
+    pub fn object(&self, id: ObjectId) -> ObjectMeta {
+        self.view(id, self.record(id))
+    }
+
+    fn view(&self, id: ObjectId, record: &ObjectRecord) -> ObjectMeta {
+        ObjectMeta {
+            id,
+            volume: record.volume,
+            server: self.volume(record.volume).server,
+            size_bytes: u64::from(record.size),
+        }
+    }
+
+    /// The stored record of `id` — what [`volume_of`](Universe::volume_of)
+    /// and [`size_of`](Universe::size_of) read, so a caller can prefetch it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range for this universe.
+    pub fn record(&self, id: ObjectId) -> &ObjectRecord {
         &self.objects[id.raw() as usize]
     }
 
@@ -71,9 +113,12 @@ impl Universe {
         &self.volumes[id.raw() as usize]
     }
 
-    /// All objects, indexed by [`ObjectId`].
-    pub fn objects(&self) -> &[ObjectMeta] {
-        &self.objects
+    /// All objects in [`ObjectId`] order.
+    pub fn objects(&self) -> impl ExactSizeIterator<Item = ObjectMeta> + '_ {
+        self.objects
+            .iter()
+            .enumerate()
+            .map(|(i, record)| self.view(ObjectId(i as u64), record))
     }
 
     /// All volumes, indexed by [`VolumeId`].
@@ -98,12 +143,17 @@ impl Universe {
 
     /// The server hosting `object` — a hot-path shorthand.
     pub fn server_of(&self, object: ObjectId) -> ServerId {
-        self.object(object).server
+        self.volume(self.volume_of(object)).server
     }
 
     /// The volume containing `object` — a hot-path shorthand.
     pub fn volume_of(&self, object: ObjectId) -> VolumeId {
-        self.object(object).volume
+        self.record(object).volume
+    }
+
+    /// The payload size of `object` in bytes — a hot-path shorthand.
+    pub fn size_of(&self, object: ObjectId) -> u64 {
+        u64::from(self.record(object).size)
     }
 
     /// Rebuilds this universe with each server's objects sharded across
@@ -128,7 +178,7 @@ impl Universe {
                 builder.add_volume(ServerId(s));
             }
         }
-        for meta in &self.objects {
+        for meta in self.objects() {
             let shard = (meta.id.raw() % u64::from(volumes_per_server)) as u32;
             let volume = VolumeId(meta.server.raw() * volumes_per_server + shard);
             let id = builder.add_object(volume, meta.size_bytes);
@@ -141,7 +191,7 @@ impl Universe {
 /// Incrementally builds a [`Universe`].
 #[derive(Clone, Debug, Default)]
 pub struct UniverseBuilder {
-    objects: Vec<ObjectMeta>,
+    objects: Vec<ObjectRecord>,
     volumes: Vec<VolumeMeta>,
     server_count: u32,
 }
@@ -168,17 +218,15 @@ impl UniverseBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `volume` was not created by this builder.
+    /// Panics if `volume` was not created by this builder, or if
+    /// `size_bytes` exceeds `u32::MAX` (a universe stores sizes in 4
+    /// bytes; readers of untrusted input reject such sizes first).
     pub fn add_object(&mut self, volume: VolumeId, size_bytes: u64) -> ObjectId {
+        let size = u32::try_from(size_bytes)
+            .unwrap_or_else(|_| panic!("object size {size_bytes} exceeds u32::MAX"));
         let id = ObjectId(self.objects.len() as u64);
-        let vol = &mut self.volumes[volume.raw() as usize];
-        vol.objects.push(id);
-        self.objects.push(ObjectMeta {
-            id,
-            volume,
-            server: vol.server,
-            size_bytes,
-        });
+        self.volumes[volume.raw() as usize].objects.push(id);
+        self.objects.push(ObjectRecord { volume, size });
         id
     }
 
@@ -187,8 +235,13 @@ impl UniverseBuilder {
         self.volumes.len()
     }
 
-    /// Finalizes the universe.
-    pub fn build(self) -> Universe {
+    /// Finalizes the universe, trimming every array to its length.
+    pub fn build(mut self) -> Universe {
+        self.objects.shrink_to_fit();
+        self.volumes.shrink_to_fit();
+        for volume in &mut self.volumes {
+            volume.objects.shrink_to_fit();
+        }
         Universe {
             objects: self.objects,
             volumes: self.volumes,
@@ -244,7 +297,7 @@ mod tests {
         assert_eq!(sharded.object_count(), u.object_count());
         assert_eq!(sharded.server_count(), u.server_count());
         assert_eq!(sharded.volume_count(), 6, "2 servers × 3 shards");
-        for (a, b) in u.objects().iter().zip(sharded.objects()) {
+        for (a, b) in u.objects().zip(sharded.objects()) {
             assert_eq!(a.id, b.id);
             assert_eq!(a.server, b.server, "placement unchanged");
             assert_eq!(a.size_bytes, b.size_bytes);
@@ -252,7 +305,6 @@ mod tests {
         // Shards actually split a server's objects.
         let vols: std::collections::BTreeSet<_> = sharded
             .objects()
-            .iter()
             .filter(|o| o.server == ServerId(0))
             .map(|o| o.volume)
             .collect();
@@ -276,6 +328,61 @@ mod tests {
         let mut b = UniverseBuilder::new();
         b.add_volume(ServerId(0));
         b.build().reshard(0);
+    }
+
+    #[test]
+    fn accessors_return_the_builders_inputs_before_and_after_reshard() {
+        let mut b = UniverseBuilder::new();
+        let volumes = [b.add_volume(ServerId(2)), b.add_volume(ServerId(0))];
+        let sizes = [1u64, 4096, u64::from(u32::MAX), 200, 7];
+        let objects: Vec<ObjectId> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &size)| b.add_object(volumes[i % 2], size))
+            .collect();
+        let u = b.build();
+        let servers = [ServerId(2), ServerId(0)];
+        for (i, &o) in objects.iter().enumerate() {
+            let meta = ObjectMeta {
+                id: o,
+                volume: volumes[i % 2],
+                server: servers[i % 2],
+                size_bytes: sizes[i],
+            };
+            assert_eq!(u.object(o), meta);
+            assert_eq!(u.server_of(o), meta.server);
+            assert_eq!(u.volume_of(o), meta.volume);
+            assert_eq!(u.size_of(o), meta.size_bytes);
+        }
+        assert_eq!(u.objects().len(), sizes.len());
+        assert!(u.objects().zip(&objects).all(|(m, &o)| m == u.object(o)));
+
+        // Resharding moves objects between a server's volumes and keeps
+        // everything else.
+        let r = u.reshard(2);
+        for (i, &o) in objects.iter().enumerate() {
+            let meta = r.object(o);
+            assert_eq!((meta.id, meta.server), (o, servers[i % 2]));
+            assert_eq!(meta.size_bytes, sizes[i]);
+            assert_eq!(r.server_of(o), servers[i % 2]);
+            assert_eq!(r.size_of(o), sizes[i]);
+            assert_eq!(r.volume_of(o), meta.volume);
+            assert_eq!(r.volume(meta.volume).server, servers[i % 2]);
+            assert!(r.volume(meta.volume).objects.contains(&o));
+        }
+    }
+
+    #[test]
+    fn an_object_record_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<ObjectRecord>(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32::MAX")]
+    fn a_size_beyond_u32_panics() {
+        let mut b = UniverseBuilder::new();
+        let v = b.add_volume(ServerId(0));
+        b.add_object(v, u64::from(u32::MAX) + 1);
     }
 
     #[test]

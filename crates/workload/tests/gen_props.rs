@@ -99,12 +99,7 @@ fn reshard_preserves_structure() {
             trace.universe().server_count(),
             "case {case}"
         );
-        for (a, b) in trace
-            .universe()
-            .objects()
-            .iter()
-            .zip(sharded.universe().objects())
-        {
+        for (a, b) in trace.universe().objects().zip(sharded.universe().objects()) {
             assert_eq!(a.server, b.server, "case {case}");
             assert_eq!(a.size_bytes, b.size_bytes, "case {case}");
             // The shard's volume must live on the same server.

@@ -59,7 +59,7 @@ fn main() {
     // the paper's absolute rates assume multi-month traces.
     let base_expected = universe.object_count() as f64 * 0.0269 * days;
     let scale = ((parsed.trace.read_count() as f64 / 10.0) / base_expected).clamp(1.0, 1e6);
-    let mut rank: Vec<ObjectId> = (0..universe.object_count() as u64).map(ObjectId).collect();
+    let mut rank: Vec<ObjectId> = universe.objects().map(|o| o.id).collect();
     // Rank by observed read counts.
     let mut counts = vec![0u64; universe.object_count()];
     for e in parsed.trace.events() {

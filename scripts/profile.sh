@@ -2,7 +2,7 @@
 # Where one benchmark workload spends its CPU time, on a machine with no
 # perf and no debugger:
 #
-#   scripts/profile.sh --workload W [--seconds S] [--within REGEX] [--exclude REGEX]
+#   scripts/profile.sh --workload W [--seconds S] [--within REGEX] [--exclude REGEX] [--lines]
 #
 # Builds benchmark/ as benchmark/run.sh does (same manifest, target
 # directory and release profile, which keeps debug info), then runs the
@@ -22,6 +22,13 @@
 # the refetching reads around it:
 #   scripts/profile.sh --workload wire_scale --within write_cycle --exclude 'WireRig::read'
 #
+# --lines prints, instead of the three tables, the 25 most sampled leaf
+# instructions as `function file:line 0xaddr` (innermost inlined frame,
+# ELF-relative address). A load that misses in cache is charged to the
+# instruction after it, which retires only when the data arrives, so a
+# hot address right behind a load names the miss; `objdump -d
+# --start-address` on the binary shows the instruction before it.
+#
 # The system libc is stripped of symbols: its frames resolve to no name and
 # are counted as `[libc.so.6]`, so what libc spends (memmove, malloc)
 # shows as libc's share of the leaves and under its callers in the
@@ -32,17 +39,19 @@ set -euo pipefail
 here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 root="$(dirname "$here")"
 
-usage="usage: $0 --workload W [--seconds S] [--within REGEX] [--exclude REGEX]"
+usage="usage: $0 --workload W [--seconds S] [--within REGEX] [--exclude REGEX] [--lines]"
 workload=""
 seconds=10
 within=""
 exclude=""
+lines=""
 while [ $# -gt 0 ]; do
     case "$1" in
         --workload) workload="$2"; shift 2 ;;
         --seconds) seconds="$2"; shift 2 ;;
         --within) within="$2"; shift 2 ;;
         --exclude) exclude="$2"; shift 2 ;;
+        --lines) lines=1; shift ;;
         *) echo "$usage" >&2; exit 2 ;;
     esac
 done
@@ -66,15 +75,15 @@ VL_PROF_OUT="$out/samples" LD_PRELOAD="$out/libvlsampler.so" ${pin[@]+"${pin[@]}
     --trace 0 --bench-dir "$root/benchmark" --out-dir "$target/out" >"$out/run.txt"
 tail -n 1 "$out/run.txt"
 
-python3 - "$within" "$exclude" "$out"/samples.* <<'EOF'
+python3 - "$within" "$exclude" "$lines" "$out"/samples.* <<'EOF'
 import collections, re, subprocess, sys
 
-within, exclude = sys.argv[1], sys.argv[2]
+within, exclude, lines = sys.argv[1], sys.argv[2], sys.argv[3]
 within = re.compile(within) if within else None
 exclude = re.compile(exclude) if exclude else None
 
 stacks, dropped = [], 0
-for path in sys.argv[3:]:
+for path in sys.argv[4:]:
     local = {}
     for line in open(path):
         if line.startswith("# object "):
@@ -96,8 +105,8 @@ def short(obj):
 def clean(name):
     return re.sub(r"::h[0-9a-f]{16}$", "", name)
 
-# pc -> inline chain, innermost first.
-chains = {}
+# pc -> inline chain, innermost first; pc -> innermost file:line.
+chains, where = {}, {}
 for obj in {o for s in stacks for o, _ in s}:
     addrs = sorted({a for s in stacks for o, a in s if o == obj})
     if obj == "?" or "libc.so" in obj or "linux-vdso" in obj:
@@ -117,6 +126,8 @@ for obj in {o for s in stacks for o, _ in s}:
         if cur is not None and pos % 2 == 0:
             name = clean(line)
             chains[cur].append(short(obj) if name == "??" else name)
+        elif cur is not None and pos == 1:
+            where[cur] = line
         pos += 1
 
 kept = []
@@ -142,6 +153,12 @@ for s in kept:
 n = len(kept)
 print(f"{n} samples kept of {len(stacks)} ({dropped} dropped at the buffer's end)")
 print(f"libc share of leaves: {100 * libc / n:.1f} %")
+if lines:
+    print("\nleaf instructions:")
+    for (obj, addr), count in collections.Counter(s[0] for s in kept).most_common(25):
+        name = chains.get((obj, addr), ["?"])[0]
+        print(f"  {100 * count / n:6.2f} %  {name} {where.get((obj, addr), '?')} {addr:#x}")
+    sys.exit(0)
 for title, table in (("self", selfs), ("outermost", outers), ("inclusive", incl)):
     print(f"\n{title}:")
     rows = [(name, count) for name, count in table.most_common() if count < n or table is not incl]
